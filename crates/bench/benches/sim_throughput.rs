@@ -2,17 +2,17 @@
 //! full stack (workload → OS → controller → device), the number that
 //! bounds every figure's wall-clock cost.
 
-use wl_reviver::sim::{SchemeKind, Simulation, StopCondition};
+use wl_reviver::sim::{Simulation, StopCondition};
 use wlr_bench::timing::bench;
 use wlr_trace::Benchmark;
 
-fn sim(scheme: SchemeKind) -> Simulation {
+fn sim(scheme: &str) -> Simulation {
     let blocks = 1 << 14;
     Simulation::builder()
         .num_blocks(blocks)
         .endurance_mean(1e9) // effectively healthy for the benchmark window
         .gap_interval(10)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(1)
         .workload(Benchmark::Ocean.build(blocks, 1))
         .sample_interval(u64::MAX / 2)
@@ -21,11 +21,11 @@ fn sim(scheme: SchemeKind) -> Simulation {
 
 fn main() {
     for (name, scheme) in [
-        ("ecc_only", SchemeKind::EccOnly),
-        ("start_gap", SchemeKind::StartGapOnly),
-        ("reviver_sg", SchemeKind::ReviverStartGap),
-        ("reviver_sr", SchemeKind::ReviverSecurityRefresh),
-        ("lls", SchemeKind::Lls),
+        ("ecc_only", "ecc"),
+        ("start_gap", "sg"),
+        ("reviver_sg", "reviver-sg"),
+        ("reviver_sr", "reviver-sr"),
+        ("lls", "lls"),
     ] {
         let mut s = sim(scheme);
         let mut target = 0u64;

@@ -7,8 +7,7 @@
 //! where `<which>` is one of `chains`, `acquisition`, `ptr-section`,
 //! `cache`, `randomizer`, `security-refresh`, or `all`.
 
-use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{SchemeKind, Simulation, SimulationBuilder, StopCondition};
+use wl_reviver::sim::{Simulation, SimulationBuilder, StopCondition};
 use wlr_bench::{
     exp_seed, fork_warmup_for, print_table, replicate_seeds, run_pooled, run_replicated_forked,
     scaled_gap_interval, ForkSweep,
@@ -27,14 +26,13 @@ use wlr_wl::RandomizerKind;
 const BLOCKS: u64 = 1 << 13;
 const ENDURANCE: f64 = 8_000.0;
 
-fn base(scheme: SchemeKind) -> SimulationBuilder {
+fn base(stack: &str) -> SimulationBuilder {
     let psi = scaled_gap_interval(BLOCKS, ENDURANCE);
     Simulation::builder()
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
         .gap_interval(psi)
-        .sr_refresh_interval(psi)
-        .scheme(scheme)
+        .stack(stack)
         .seed(exp_seed())
         .workload(Benchmark::Ocean.build(BLOCKS, exp_seed()))
 }
@@ -44,7 +42,7 @@ fn chains() {
     let jobs = [("one-step (paper)", true), ("unbounded chains", false)]
         .map(|(name, switching)| {
             row_job(move || {
-                let mut sim = base(SchemeKind::ReviverStartGap)
+                let mut sim = base("reviver-sg")
                     .reviver_chain_switching(switching)
                     .build();
                 sim.run(StopCondition::DeadFraction(0.20));
@@ -89,9 +87,7 @@ fn acquisition() {
     let jobs = [("reactive (paper)", false), ("proactive (new IRQ)", true)]
         .map(|(name, proactive)| {
             row_job(move || {
-                let mut sim = base(SchemeKind::ReviverStartGap)
-                    .reviver_proactive(proactive)
-                    .build();
+                let mut sim = base("reviver-sg").reviver_proactive(proactive).build();
                 sim.run(StopCondition::DeadFraction(0.20));
                 let ctl = sim.controller().as_reviver().unwrap();
                 let c = ctl.counters();
@@ -130,9 +126,7 @@ fn ptr_section() {
     let jobs = [2u64, 4, 8, 16]
         .map(|bytes| {
             row_job(move || {
-                let mut sim = base(SchemeKind::ReviverStartGap)
-                    .reviver_pointer_bytes(bytes)
-                    .build();
+                let mut sim = base("reviver-sg").reviver_pointer_bytes(bytes).build();
                 sim.run(StopCondition::DeadFraction(0.20));
                 let ctl = sim.controller().as_reviver().unwrap();
                 let ppb = 64 / bytes;
@@ -169,7 +163,7 @@ fn cache() {
     let jobs = [0usize, 1, 4, 16, 32, 128]
         .map(|kib| {
             row_job(move || {
-                let mut builder = base(SchemeKind::ReviverStartGap);
+                let mut builder = base("reviver-sg");
                 if kib > 0 {
                     builder = builder.cache_bytes(kib * 1024);
                 }
@@ -222,7 +216,7 @@ fn randomizer() {
     ] {
         for bench in [Benchmark::Ocean, Benchmark::Mg] {
             jobs.push(row_job(move || {
-                let mut sim = base(SchemeKind::ReviverStartGap)
+                let mut sim = base("reviver-sg")
                     .sg_randomizer(kind)
                     .workload(bench.build(BLOCKS, seed))
                     .build();
@@ -256,19 +250,18 @@ fn randomizer() {
 fn security_refresh() {
     let seeds = replicate_seeds();
     let stop = StopCondition::UsableBelow(0.70);
-    let reg = SchemeRegistry::global();
     let mut configs: Vec<(String, ForkSweep)> = Vec::new();
     for (name, scheme) in [
-        ("ECP6-SR", reg.kind("sr")),
-        ("ECP6-SR-WLR", reg.kind("reviver-sr")),
-        ("ECP6-SR2-WLR", reg.kind("reviver-sr2")),
-        ("ECP6-SG", reg.kind("sg")),
-        ("ECP6-SG-WLR", reg.kind("reviver-sg")),
-        ("ECP6-SG16-WLR", reg.kind("reviver-tiled")),
-        ("ECP6-SW", reg.kind("softwear")),
-        ("ECP6-SW-WLR", reg.kind("softwear-wlr")),
-        ("ECP6-ASG", reg.kind("adaptive-sg")),
-        ("ECP6-ASG-WLR", reg.kind("adaptive-sg-wlr")),
+        ("ECP6-SR", "sr"),
+        ("ECP6-SR-WLR", "reviver-sr"),
+        ("ECP6-SR2-WLR", "reviver-sr2"),
+        ("ECP6-SG", "sg"),
+        ("ECP6-SG-WLR", "reviver-sg"),
+        ("ECP6-SG16-WLR", "reviver-tiled"),
+        ("ECP6-SW", "softwear"),
+        ("ECP6-SW-WLR", "softwear-wlr"),
+        ("ECP6-ASG", "adaptive-sg"),
+        ("ECP6-ASG-WLR", "adaptive-sg-wlr"),
     ] {
         for bench in [Benchmark::Ocean, Benchmark::Mg] {
             configs.push((
@@ -310,26 +303,20 @@ fn security_refresh() {
 /// page retirement, Zombie's spare-block pairing (leveling frozen),
 /// FREE-p's pre-reserve, and WL-Reviver.
 fn page_recovery() {
-    let reg = SchemeRegistry::global();
     let mut jobs: Vec<Box<dyn FnOnce() -> Vec<String> + Send>> = Vec::new();
     for (name, scheme) in [
-        ("ECP6 (page retirement)", reg.kind("ecc")),
-        ("ECP6-SG-Zombie", reg.kind("zombie")),
-        ("ECP6-SG-FREEp 10%", reg.kind("freep")),
-        ("ECP6-SG-WLR", reg.kind("reviver-sg")),
+        ("ECP6 (page retirement)", "ecc"),
+        ("ECP6-SG-Zombie", "zombie"),
+        ("ECP6-SG-FREEp 10%", "freep"),
+        ("ECP6-SG-WLR", "reviver-sg"),
     ] {
         for bench in [Benchmark::Ocean, Benchmark::Mg] {
-            // FREE-p carves its reserve out of the chip; size the
-            // workload to the remaining visible space.
-            let app = match scheme {
-                SchemeKind::Freep { reserve_frac } => {
-                    let reserve_pages = ((BLOCKS as f64 * reserve_frac) / 64.0).round() as u64;
-                    BLOCKS - reserve_pages * 64
-                }
-                _ => BLOCKS,
-            };
             jobs.push(row_job(move || {
-                let mut sim = base(scheme).workload(bench.build(app, exp_seed())).build();
+                // FREE-p carves its reserve out of the chip; size the
+                // workload to the remaining visible space.
+                let b = base(scheme);
+                let app = b.app_blocks();
+                let mut sim = b.workload(bench.build(app, exp_seed())).build();
                 let out = sim.run(StopCondition::UsableBelow(0.80));
                 vec![
                     name.to_string(),

@@ -52,7 +52,7 @@ fn measure() -> Vec<Row> {
         .iter()
         .map(|spec| {
             let name = spec.title;
-            let mut sim = exp_builder().scheme(spec.kind).build();
+            let mut sim = exp_builder().stack(spec.name).build();
             // Benchmark the event spine's dispatch path, not its bypass:
             // with a sink stacked, every emission walks the sink loop.
             // writes_issued must stay bit-identical to the sink-free run

@@ -25,7 +25,7 @@
 
 use wl_reviver::recovery::RecoveryReport;
 use wl_reviver::registry::{SchemeRegistry, StackSpec};
-use wl_reviver::sim::{SchemeKind, Simulation, StopCondition, StopReason};
+use wl_reviver::sim::{Simulation, StopCondition, StopReason};
 use wlr_bench::report::{handle_list_stacks, resolve_stacks_or_exit};
 use wlr_bench::{print_table, run_pooled, PooledJob};
 use wlr_pcm::FaultPlan;
@@ -54,26 +54,24 @@ fn all_stacks() -> Vec<&'static StackSpec> {
     }
 }
 
-fn rig(scheme: SchemeKind, seed: u64) -> Simulation {
+fn rig(scheme: &str, seed: u64) -> Simulation {
     Simulation::builder()
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
         .gap_interval(5)
-        .sr_refresh_interval(5)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(seed)
         .sample_interval(10_000)
         .verify_integrity(true)
         .build()
 }
 
-fn rig_with_plan(scheme: SchemeKind, seed: u64, plan: FaultPlan) -> Simulation {
+fn rig_with_plan(scheme: &str, seed: u64, plan: FaultPlan) -> Simulation {
     Simulation::builder()
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
         .gap_interval(5)
-        .sr_refresh_interval(5)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(seed)
         .sample_interval(10_000)
         .verify_integrity(true)
@@ -89,7 +87,7 @@ struct Point {
 }
 
 /// Crash a reviver stack at device-write `k`, recover, finish the run.
-fn reviver_point(scheme: SchemeKind, seed: u64, k: u64) -> Point {
+fn reviver_point(scheme: &str, seed: u64, k: u64) -> Point {
     let mut sim = rig_with_plan(scheme, seed, FaultPlan::new().power_loss_at_write(k));
     let out = sim.run(StopCondition::Writes(STOP));
     let mut violations = 0;
@@ -110,7 +108,7 @@ fn reviver_point(scheme: SchemeKind, seed: u64, k: u64) -> Point {
 }
 
 /// Reboot a baseline stack at software-write boundary `k`, finish the run.
-fn baseline_point(scheme: SchemeKind, seed: u64, k: u64) -> Point {
+fn baseline_point(scheme: &str, seed: u64, k: u64) -> Point {
     let mut sim = rig(scheme, seed);
     let out = sim.run(StopCondition::Writes(k));
     let mut violations = 0;
@@ -148,7 +146,7 @@ fn main() {
         .iter()
         .enumerate()
         .flat_map(|(si, spec)| {
-            let scheme = spec.kind;
+            let scheme = spec.name;
             let is_reviver = spec.revivable;
             points.iter().map(move |&k| {
                 Box::new(move || {

@@ -15,7 +15,7 @@
 //! --blocks N          chip size in 64 B blocks [16384]
 //! --endurance X       mean cell endurance in writes [1e4]
 //! --cov X             endurance CoV [0.2]
-//! --psi N             Start-Gap ψ / SR interval [auto-scaled]
+//! --psi N             ψ, writes per leveler migration step [auto-scaled]
 //! --scheme S          any registry stack name (`--list-stacks` prints
 //!                     them) or freep:<frac> [reviver-sg]
 //! --ecc E             ecp<k> | payg[:ratio] [ecp6]
@@ -31,7 +31,7 @@
 //! ```
 
 use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{EccKind, SchemeKind, Simulation, StopCondition};
+use wl_reviver::sim::{EccKind, Simulation, SimulationBuilder, StopCondition};
 use wlr_bench::{fork_warmup_for, run_replicated_forked, scaled_gap_interval, ForkSweep};
 use wlr_trace::{
     Benchmark, BirthdayAttack, CovTargetedWorkload, RepeatAttack, SpatialMode, TraceWorkload,
@@ -112,16 +112,15 @@ fn parse_f64(s: &str) -> f64 {
         .unwrap_or_else(|_| usage(&format!("`{s}` is not a number")))
 }
 
-fn parse_scheme(s: &str) -> SchemeKind {
-    // `freep:<frac>` carries a knob no registry name can express; every
-    // other spelling resolves through the scheme registry.
-    if let Some(frac) = s.strip_prefix("freep:") {
-        return SchemeKind::Freep {
-            reserve_frac: parse_f64(frac),
-        };
-    }
-    match SchemeRegistry::global().resolve(s) {
-        Ok(spec) => spec.kind,
+/// A registry stack name plus, for `freep:<frac>`, the reserve fraction
+/// no registry name can express.
+fn parse_scheme(s: &str) -> (&'static str, Option<f64>) {
+    let (name, frac) = match s.strip_prefix("freep:") {
+        Some(frac) => ("freep", Some(parse_f64(frac))),
+        None => (s, None),
+    };
+    match SchemeRegistry::global().resolve(name) {
+        Ok(spec) => (spec.name, frac),
         Err(e) => usage(&e.to_string()),
     }
 }
@@ -200,53 +199,70 @@ fn parse_stop(s: &str) -> StopCondition {
     }
 }
 
+/// The resolved simulation configuration: plain data, so a replicate
+/// job can carry its own copy.
+#[derive(Clone, Copy)]
+struct SimConfig {
+    blocks: u64,
+    endurance: f64,
+    cov: f64,
+    psi: u64,
+    ecc: EccKind,
+    stack: &'static str,
+    reserve_frac: Option<f64>,
+    cache: Option<usize>,
+    sample: Option<u64>,
+}
+
+impl SimConfig {
+    /// The configured builder, short of its workload.
+    fn builder(&self, seed: u64) -> SimulationBuilder {
+        let mut builder = Simulation::builder()
+            .num_blocks(self.blocks)
+            .endurance_mean(self.endurance)
+            .endurance_cov(self.cov)
+            .gap_interval(self.psi)
+            .ecc(self.ecc)
+            .stack(self.stack)
+            .seed(seed);
+        if let Some(frac) = self.reserve_frac {
+            builder = builder.freep_reserve_frac(frac);
+        }
+        if let Some(bytes) = self.cache {
+            builder = builder.cache_bytes(bytes);
+        }
+        if let Some(sample) = self.sample {
+            builder = builder.sample_interval(sample);
+        }
+        builder
+    }
+}
+
 /// Multi-seed mode: one shared warmup, one forked future per seed,
 /// summarized as mean/min/max. Replicates diverge by workload stream
 /// only — they share the warmup and the device's endurance draws (see
 /// EXPERIMENTS.md on fork-shared replicates).
-fn run_replicates(args: &Args, scheme: SchemeKind, stop: StopCondition, psi: u64, app_blocks: u64) {
+fn run_replicates(args: &Args, cfg: SimConfig, stop: StopCondition, app_blocks: u64) {
     let seeds: Vec<u64> = (args.seed..args.seed + args.seeds).collect();
     let label = format!("{}/{}/{}", args.scheme, args.workload, args.stop);
-    let a = ArgsForJob {
-        blocks: args.blocks,
-        endurance: args.endurance,
-        cov: args.cov,
-        ecc: args.ecc.clone(),
-        workload: args.workload.clone(),
-        cache: args.cache,
-        sample: args.sample,
-    };
     eprintln!(
-        "running {label} on {} blocks × {} seeds (ψ={psi}, endurance {:.0}, forked) …",
-        args.blocks, args.seeds, args.endurance
+        "running {label} on {} blocks × {} seeds (ψ={}, endurance {:.0}, forked) …",
+        args.blocks, args.seeds, cfg.psi, args.endurance
     );
     let base_seed = args.seed;
-    let workload_spec = args.workload.clone();
+    let build_spec = args.workload.clone();
+    let reseed_spec = args.workload.clone();
     let configs: Vec<(String, ForkSweep)> = vec![(
         label.clone(),
         ForkSweep {
             build: Box::new(move || {
-                let mut builder = Simulation::builder()
-                    .num_blocks(a.blocks)
-                    .endurance_mean(a.endurance)
-                    .endurance_cov(a.cov)
-                    .gap_interval(psi)
-                    .sr_refresh_interval(psi)
-                    .ecc(parse_ecc(&a.ecc))
-                    .scheme(scheme)
-                    .seed(base_seed)
-                    .workload_boxed(parse_workload(&a.workload, app_blocks, base_seed));
-                if let Some(bytes) = a.cache {
-                    builder = builder.cache_bytes(bytes);
-                }
-                if let Some(sample) = a.sample {
-                    builder = builder.sample_interval(sample);
-                }
-                builder.build()
+                cfg.builder(base_seed)
+                    .workload_boxed(parse_workload(&build_spec, app_blocks, base_seed))
+                    .build()
             }),
             warmup: fork_warmup_for(stop),
             stop,
-            reseed: Box::new(move |seed| parse_workload(&workload_spec, app_blocks, seed)),
+            reseed: Box::new(move |seed| parse_workload(&reseed_spec, app_blocks, seed)),
         },
     )];
     let rep = run_replicated_forked(configs, &seeds).remove(0);
@@ -272,68 +288,37 @@ fn run_replicates(args: &Args, scheme: SchemeKind, stop: StopCondition, psi: u64
     );
 }
 
-/// The plain-data subset of [`Args`] a replicate job needs.
-struct ArgsForJob {
-    blocks: u64,
-    endurance: f64,
-    cov: f64,
-    ecc: String,
-    workload: String,
-    cache: Option<usize>,
-    sample: Option<u64>,
-}
-
 fn main() {
     wlr_bench::report::handle_list_stacks();
     let args = parse_args();
-    let psi = args
-        .psi
-        .unwrap_or_else(|| scaled_gap_interval(args.blocks, args.endurance));
-    let scheme = parse_scheme(&args.scheme);
+    let (stack, reserve_frac) = parse_scheme(&args.scheme);
+    let cfg = SimConfig {
+        blocks: args.blocks,
+        endurance: args.endurance,
+        cov: args.cov,
+        psi: args
+            .psi
+            .unwrap_or_else(|| scaled_gap_interval(args.blocks, args.endurance)),
+        ecc: parse_ecc(&args.ecc),
+        stack,
+        reserve_frac,
+        cache: args.cache,
+        sample: args.sample,
+    };
+    let psi = cfg.psi;
     let stop = parse_stop(&args.stop);
-
-    let mut builder = Simulation::builder()
-        .num_blocks(args.blocks)
-        .endurance_mean(args.endurance)
-        .endurance_cov(args.cov)
-        .gap_interval(psi)
-        .sr_refresh_interval(psi)
-        .ecc(parse_ecc(&args.ecc))
-        .scheme(scheme)
-        .seed(args.seed);
-    if let Some(bytes) = args.cache {
-        builder = builder.cache_bytes(bytes);
-    }
-    if let Some(sample) = args.sample {
-        builder = builder.sample_interval(sample);
-    }
-    // The Freep variant shrinks the visible space; size the workload to it.
-    let probe = builder.build();
-    let app_blocks = probe.os().app_blocks();
-    drop(probe);
+    // FREE-p shrinks the visible space; size the workload to it.
+    let builder = cfg.builder(args.seed);
+    let app_blocks = builder.app_blocks();
 
     if args.seeds > 1 {
-        run_replicates(&args, scheme, stop, psi, app_blocks);
+        run_replicates(&args, cfg, stop, app_blocks);
         return;
     }
 
-    let mut builder = Simulation::builder()
-        .num_blocks(args.blocks)
-        .endurance_mean(args.endurance)
-        .endurance_cov(args.cov)
-        .gap_interval(psi)
-        .sr_refresh_interval(psi)
-        .ecc(parse_ecc(&args.ecc))
-        .scheme(scheme)
-        .seed(args.seed)
-        .workload_boxed(parse_workload(&args.workload, app_blocks, args.seed));
-    if let Some(bytes) = args.cache {
-        builder = builder.cache_bytes(bytes);
-    }
-    if let Some(sample) = args.sample {
-        builder = builder.sample_interval(sample);
-    }
-    let mut sim = builder.build();
+    let mut sim = builder
+        .workload_boxed(parse_workload(&args.workload, app_blocks, args.seed))
+        .build();
 
     eprintln!(
         "running {} / {} / {} on {} blocks (ψ={psi}, endurance {:.0}, seed {}) …",

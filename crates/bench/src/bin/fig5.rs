@@ -7,8 +7,7 @@
 //! cargo run --release -p wlr-bench --bin fig5
 //! ```
 
-use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{SchemeKind, StopCondition};
+use wl_reviver::sim::StopCondition;
 use wlr_bench::{
     exp_builder, exp_seed, fork_warmup_for, print_table, replicate_seeds, run_replicated_forked,
     Curve, ForkSweep, EXP_BLOCKS,
@@ -19,14 +18,14 @@ use wlr_trace::Benchmark;
 /// warmup to 15% space loss runs once; each replicate seed forks from
 /// the snapshot and diverges only its request stream (replicates share
 /// the device's endurance draws — see EXPERIMENTS.md).
-fn config(bench: Benchmark, scheme: SchemeKind, label: String) -> (String, ForkSweep) {
+fn config(bench: Benchmark, scheme: &'static str, label: String) -> (String, ForkSweep) {
     let stop = StopCondition::UsableBelow(0.70);
     (
         label,
         ForkSweep {
             build: Box::new(move || {
                 exp_builder()
-                    .scheme(scheme)
+                    .stack(scheme)
                     .workload(bench.build(EXP_BLOCKS, exp_seed()))
                     .build()
             }),
@@ -44,13 +43,9 @@ fn main() {
         "Figure 5 — writes to fail 30% of the PCM's blocks (lifetime; {reps} replicate{})\n",
         if reps == 1 { "" } else { "s" }
     );
-    let reg = SchemeRegistry::global();
     let mut configs = Vec::new();
     for bench in Benchmark::table1() {
-        for (tag, scheme) in [
-            ("ECP6-SG", reg.kind("sg")),
-            ("ECP6-SG-WLR", reg.kind("reviver-sg")),
-        ] {
+        for (tag, scheme) in [("ECP6-SG", "sg"), ("ECP6-SG-WLR", "reviver-sg")] {
             configs.push(config(bench, scheme, format!("{bench}/{tag}")));
         }
     }

@@ -7,21 +7,20 @@
 //! cargo run --release -p wlr-bench --bin fig6
 //! ```
 
-use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{EccKind, SchemeKind, StopCondition};
+use wl_reviver::sim::{EccKind, StopCondition};
 use wlr_bench::{exp_builder, exp_seed, print_series, run_curve, run_parallel, Curve, EXP_BLOCKS};
 use wlr_trace::Benchmark;
 
 fn job(
     bench: Benchmark,
     ecc: EccKind,
-    scheme: SchemeKind,
+    scheme: &'static str,
     label: String,
 ) -> Box<dyn FnOnce() -> Curve + Send> {
     Box::new(move || {
         let sim = exp_builder()
             .ecc(ecc)
-            .scheme(scheme)
+            .stack(scheme)
             .workload(bench.build(EXP_BLOCKS, exp_seed()))
             .sample_interval(500_000)
             .build();
@@ -33,14 +32,13 @@ fn main() {
     println!("Figure 6 — block survival vs writes (shown to 70%)\n");
     let ecp6 = EccKind::Ecp(6);
     let payg = EccKind::Payg { ratio: 0.77 };
-    let reg = SchemeRegistry::global();
-    let stacks: [(&str, EccKind, SchemeKind); 6] = [
-        ("ECP6", ecp6, reg.kind("ecc")),
-        ("PAYG", payg, reg.kind("ecc")),
-        ("ECP6-SG", ecp6, reg.kind("sg")),
-        ("PAYG-SG", payg, reg.kind("sg")),
-        ("ECP6-SG-WLR", ecp6, reg.kind("reviver-sg")),
-        ("PAYG-SG-WLR", payg, reg.kind("reviver-sg")),
+    let stacks = [
+        ("ECP6", ecp6, "ecc"),
+        ("PAYG", payg, "ecc"),
+        ("ECP6-SG", ecp6, "sg"),
+        ("PAYG-SG", payg, "sg"),
+        ("ECP6-SG-WLR", ecp6, "reviver-sg"),
+        ("PAYG-SG-WLR", payg, "reviver-sg"),
     ];
 
     for (panel, bench) in [("(a)", Benchmark::Ocean), ("(b)", Benchmark::Mg)] {
@@ -52,7 +50,7 @@ fn main() {
             .iter()
             .map(|(name, ecc, scheme)| {
                 let label = format!("{bench}/{name}");
-                (label.clone(), job(bench, *ecc, *scheme, label))
+                (label.clone(), job(bench, *ecc, scheme, label))
             })
             .collect();
         let curves = run_parallel(configs);

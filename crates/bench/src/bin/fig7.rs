@@ -6,25 +6,24 @@
 //! cargo run --release -p wlr-bench --bin fig7
 //! ```
 
-use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{SchemeKind, StopCondition};
-use wlr_bench::{exp_builder, exp_seed, print_series, run_curve, run_parallel, Curve, EXP_BLOCKS};
+use wl_reviver::sim::StopCondition;
+use wlr_bench::{exp_builder, exp_seed, print_series, run_curve, run_parallel, Curve};
 use wlr_trace::Benchmark;
 
-fn job(bench: Benchmark, scheme: SchemeKind, label: String) -> Box<dyn FnOnce() -> Curve + Send> {
+fn job(
+    bench: Benchmark,
+    stack: &'static str,
+    reserve_frac: Option<f64>,
+    label: String,
+) -> Box<dyn FnOnce() -> Curve + Send> {
     Box::new(move || {
+        let mut builder = exp_builder().stack(stack).sample_interval(500_000);
+        if let Some(frac) = reserve_frac {
+            builder = builder.freep_reserve_frac(frac);
+        }
         // FREE-p reserves are carved out of the same total chip, so the
         // workload sees a smaller application space.
-        let mut builder = exp_builder().scheme(scheme).sample_interval(500_000);
-        let app_blocks = match scheme {
-            SchemeKind::Freep { reserve_frac } => {
-                let bpp = 64;
-                let reserve_pages =
-                    ((EXP_BLOCKS as f64 * reserve_frac) / bpp as f64).round() as u64;
-                EXP_BLOCKS - reserve_pages * bpp
-            }
-            _ => EXP_BLOCKS,
-        };
+        let app_blocks = builder.app_blocks();
         builder = builder.workload(bench.build(app_blocks, exp_seed()));
         run_curve(&label, builder.build(), StopCondition::UsableBelow(0.60))
     })
@@ -32,30 +31,21 @@ fn job(bench: Benchmark, scheme: SchemeKind, label: String) -> Box<dyn FnOnce() 
 
 fn main() {
     println!("Figure 7 — user-usable space vs writes: WL-Reviver vs FREE-p\n");
-    let stacks: Vec<(String, SchemeKind)> = vec![
-        (
-            "WL-Reviver".into(),
-            SchemeRegistry::global().kind("reviver-sg"),
-        ),
-        ("FREE-p 0%".into(), SchemeKind::Freep { reserve_frac: 0.0 }),
-        ("FREE-p 5%".into(), SchemeKind::Freep { reserve_frac: 0.05 }),
-        (
-            "FREE-p 10%".into(),
-            SchemeKind::Freep { reserve_frac: 0.10 },
-        ),
-        (
-            "FREE-p 15%".into(),
-            SchemeKind::Freep { reserve_frac: 0.15 },
-        ),
+    let stacks = [
+        ("WL-Reviver", "reviver-sg", None),
+        ("FREE-p 0%", "freep", Some(0.0)),
+        ("FREE-p 5%", "freep", Some(0.05)),
+        ("FREE-p 10%", "freep", Some(0.10)),
+        ("FREE-p 15%", "freep", Some(0.15)),
     ];
 
     for (panel, bench) in [("(a)", Benchmark::Ocean), ("(b)", Benchmark::Mg)] {
         println!("--- Figure 7{panel}: {bench} ---\n");
         let configs = stacks
             .iter()
-            .map(|(name, scheme)| {
+            .map(|&(name, stack, reserve_frac)| {
                 let label = format!("{bench}/{name}");
-                (label.clone(), job(bench, *scheme, label))
+                (label.clone(), job(bench, stack, reserve_frac, label))
             })
             .collect();
         let curves = run_parallel(configs);

@@ -10,15 +10,14 @@
 //! cargo run --release -p wlr-bench --bin fig8
 //! ```
 
-use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{SchemeKind, StopCondition};
+use wl_reviver::sim::StopCondition;
 use wlr_bench::{exp_builder, exp_seed, print_series, run_curve, run_parallel, Curve, EXP_BLOCKS};
 use wlr_trace::Benchmark;
 
-fn job(bench: Benchmark, scheme: SchemeKind, label: String) -> Box<dyn FnOnce() -> Curve + Send> {
+fn job(bench: Benchmark, scheme: &'static str, label: String) -> Box<dyn FnOnce() -> Curve + Send> {
     Box::new(move || {
         let sim = exp_builder()
-            .scheme(scheme)
+            .stack(scheme)
             .workload(bench.build(EXP_BLOCKS, exp_seed()))
             .sample_interval(500_000)
             .build();
@@ -28,13 +27,9 @@ fn job(bench: Benchmark, scheme: SchemeKind, label: String) -> Box<dyn FnOnce() 
 
 fn main() {
     println!("Figure 8 — software-usable space vs writes: LLS vs WL-Reviver\n");
-    let reg = SchemeRegistry::global();
     let mut configs = Vec::new();
     for bench in [Benchmark::Ocean, Benchmark::Mg] {
-        for (name, scheme) in [
-            ("LLS", reg.kind("lls")),
-            ("WL-Reviver", reg.kind("reviver-sg")),
-        ] {
+        for (name, scheme) in [("LLS", "lls"), ("WL-Reviver", "reviver-sg")] {
             let label = format!("{bench}/{name}");
             configs.push((label.clone(), job(bench, scheme, label)));
         }

@@ -15,7 +15,6 @@
 //! ```
 
 use wl_reviver::metrics::WearReport;
-use wl_reviver::registry::SchemeRegistry;
 use wl_reviver::sim::{SimulationBuilder, StopCondition};
 use wlr_bench::{exp_builder, exp_seed, print_table, EXP_BLOCKS};
 use wlr_trace::Benchmark;
@@ -33,21 +32,20 @@ fn main() {
     let healthy = |scheme| {
         exp_builder()
             .endurance_mean(1e12)
-            .scheme(scheme)
+            .stack(scheme)
             .workload(Benchmark::Mg.build(EXP_BLOCKS, exp_seed()))
     };
     let budget = StopCondition::Writes(20_000_000);
-    let reg = SchemeRegistry::global();
     let mut rows = Vec::new();
     for (name, scheme) in [
-        ("ECP6-SG", reg.kind("sg")),
-        ("ECP6-SG-WLR", reg.kind("reviver-sg")),
-        ("ECP6-SR", reg.kind("sr")),
-        ("ECP6-SR-WLR", reg.kind("reviver-sr")),
-        ("ECP6-SW", reg.kind("softwear")),
-        ("ECP6-SW-WLR", reg.kind("softwear-wlr")),
-        ("ECP6-ASG", reg.kind("adaptive-sg")),
-        ("ECP6-ASG-WLR", reg.kind("adaptive-sg-wlr")),
+        ("ECP6-SG", "sg"),
+        ("ECP6-SG-WLR", "reviver-sg"),
+        ("ECP6-SR", "sr"),
+        ("ECP6-SR-WLR", "reviver-sr"),
+        ("ECP6-SW", "softwear"),
+        ("ECP6-SW-WLR", "softwear-wlr"),
+        ("ECP6-ASG", "adaptive-sg"),
+        ("ECP6-ASG-WLR", "adaptive-sg-wlr"),
     ] {
         let (r, _) = wear(healthy(scheme), budget);
         rows.push(vec![
@@ -67,14 +65,11 @@ fn main() {
     // --- worn chip: revival preserves flatness, freezing destroys it ---
     let worn = |scheme| {
         exp_builder()
-            .scheme(scheme)
+            .stack(scheme)
             .workload(Benchmark::Mg.build(EXP_BLOCKS, exp_seed()))
     };
     let mut rows = Vec::new();
-    for (name, scheme) in [
-        ("ECP6-SG (freezes)", reg.kind("sg")),
-        ("ECP6-SG-WLR", reg.kind("reviver-sg")),
-    ] {
+    for (name, scheme) in [("ECP6-SG (freezes)", "sg"), ("ECP6-SG-WLR", "reviver-sg")] {
         let (r, writes) = wear(worn(scheme), StopCondition::UsableBelow(0.85));
         rows.push(vec![
             name.to_string(),

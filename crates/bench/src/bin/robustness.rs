@@ -49,7 +49,6 @@ fn measure(seed: u64, interval: u64) -> Vec<Row> {
         .revivable()
         .map(|spec| {
             let name = spec.title;
-            let scheme = spec.kind;
             let mut crashes = 0u64;
             let mut violations = 0u64;
             let mut agg = RecoveryReport::default();
@@ -59,8 +58,7 @@ fn measure(seed: u64, interval: u64) -> Vec<Row> {
                     .num_blocks(BLOCKS)
                     .endurance_mean(ENDURANCE)
                     .gap_interval(5)
-                    .sr_refresh_interval(5)
-                    .scheme(scheme)
+                    .stack(spec.name)
                     .seed(seed)
                     .sample_interval(10_000)
                     .verify_integrity(true)

@@ -33,9 +33,8 @@
 //! `WLR_SERVICE_REQUESTS` (requests per configuration, default 2 000 000),
 //! `WLR_SERVICE_PASSES` (timing passes per configuration, fastest kept,
 //! default 3 — the run is deterministic, so passes differ only in noise),
-//! `WLR_PINNED` (pinned-worker pipeline, default 1), `WLR_STEERING`
-//! (wear-aware bank steering, default 0), `WLR_RING_DEPTH` (SPSC ring
-//! entries per bank, default 4096), plus the usual `WLR_SEED`,
+//! `WLR_STEERING` (wear-aware bank steering, default 0), `WLR_RING_DEPTH`
+//! (SPSC ring entries per bank, default 4096), plus the usual `WLR_SEED`,
 //! `WLR_BENCH_OUT`, `WLR_BENCH_RESET`.
 
 use std::fmt::Write as _;
@@ -79,7 +78,6 @@ struct Row {
 
 fn measure(requests: u64, queue_depth: usize, wbuf: usize, stripe: Interleave) -> Vec<Row> {
     let seed = exp_seed();
-    let pinned = env_u64("WLR_PINNED", 1) != 0;
     let steering = env_u64("WLR_STEERING", 0) != 0;
     let ring_depth = env_u64("WLR_RING_DEPTH", 4096).max(1) as usize;
     let passes = env_u64("WLR_SERVICE_PASSES", 3).max(1);
@@ -100,7 +98,6 @@ fn measure(requests: u64, queue_depth: usize, wbuf: usize, stripe: Interleave) -
                     .interleave(stripe)
                     .queue_depth(queue_depth)
                     .write_buffer_lines(wbuf)
-                    .pinned(pinned)
                     .steering(steering)
                     .ring_depth(ring_depth)
                     .build()
@@ -189,7 +186,6 @@ fn overhead_probe(
     stripe: Interleave,
 ) -> (f64, f64) {
     let seed = exp_seed();
-    let pinned = env_u64("WLR_PINNED", 1) != 0;
     let steering = env_u64("WLR_STEERING", 0) != 0;
     let ring_depth = env_u64("WLR_RING_DEPTH", 4096).max(1) as usize;
     let passes = env_u64("WLR_SERVICE_PASSES", 3).max(1);
@@ -208,13 +204,12 @@ fn overhead_probe(
             .interleave(stripe)
             .queue_depth(queue_depth)
             .write_buffer_lines(wbuf)
-            .pinned(pinned)
             .steering(steering)
             .ring_depth(ring_depth)
             // Inline drain: keeps the run on the probe's own thread so
             // `cpu_seconds` covers all the work (bit-identical to the
             // threaded drain per wlr-mc's equivalence test).
-            .parallel(false)
+            .drain_workers(1)
             // Mirror the serve daemon's default sampling period so the
             // overhead row certifies the configuration users actually run.
             .span_sample(if instrumented {
@@ -372,9 +367,8 @@ fn main() {
     eprintln!(
         "service: {EXP_BLOCKS} blocks, endurance {EXP_ENDURANCE:.0}, seed {}, \
          {requests} requests, queue depth {queue_depth}, buffer {wbuf} lines, \
-         interleave {stripe}, pinned={} steering={}",
+         interleave {stripe}, steering={}",
         exp_seed(),
-        env_u64("WLR_PINNED", 1) != 0,
         env_u64("WLR_STEERING", 0) != 0
     );
     let rows = measure(requests, queue_depth, wbuf, stripe);

@@ -39,7 +39,7 @@ pub const EXP_ENDURANCE: f64 = 1e4;
 /// Base experiment seed (override with the `WLR_SEED` env variable).
 pub const EXP_SEED: u64 = 42;
 
-/// Start-Gap ψ (and Security Refresh interval) preserving the paper's
+/// ψ (writes per leveler migration step) preserving the paper's
 /// rotations-per-lifetime ratio at the scaled geometry:
 /// `ψ_scaled = endurance / (r · blocks)` with
 /// `r = 10⁸ / (2²⁴ · 100) ≈ 0.0596` from the paper's configuration.
@@ -64,7 +64,6 @@ pub fn exp_builder() -> SimulationBuilder {
         .num_blocks(EXP_BLOCKS)
         .endurance_mean(EXP_ENDURANCE)
         .gap_interval(psi)
-        .sr_refresh_interval(psi)
         .seed(exp_seed())
 }
 

@@ -30,13 +30,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use wl_reviver::sim::{Simulation, SchemeKind, StopCondition};
+//! use wl_reviver::sim::{Simulation, StopCondition};
 //! use wlr_trace::Benchmark;
 //!
 //! let mut sim = Simulation::builder()
 //!     .num_blocks(1 << 12)
 //!     .endurance_mean(2_000.0)
-//!     .scheme(SchemeKind::ReviverStartGap)
+//!     .stack("reviver-sg")
 //!     .workload(Benchmark::Ocean.build(1 << 12, 7))
 //!     .seed(7)
 //!     .build();
@@ -73,5 +73,5 @@ pub use reviver::{
     EventSink, InvariantSink, MetricsSink, NoopSink, RecoveryPhase, RevivalMetrics,
     RevivedController, ReviverCounters, ReviverEvent, TraceRingSink, ViolationKind,
 };
-pub use sim::{AppRead, BatchStatus, SchemeKind, SimSnapshot, Simulation, StopCondition};
+pub use sim::{AppRead, BatchStatus, SimSnapshot, Simulation, StopCondition};
 pub use zombie::ZombieController;

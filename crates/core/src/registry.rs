@@ -3,7 +3,7 @@
 //! The paper's central claim is that WL-Reviver revives *any* wear-leveling
 //! scheme. The registry is where that openness lives in the reproduction:
 //! each stack is a [`StackSpec`] — a name, report title, revivable/bare
-//! flags, default knobs, and a builder function that assembles the
+//! flags, and a builder function that assembles the
 //! `(WearLeveler, Controller)` pair from a [`StackCtx`] — and the
 //! [`SchemeRegistry`] is the single source of truth consumed by
 //! [`crate::sim::SimulationBuilder`], every bench bin, `wlr-fleet`,
@@ -17,12 +17,11 @@
 //!    (Start-Gap registers, Security Refresh keys) and table-mapped ones
 //!    (SoftWear's indirection table) are both fine — the framework only
 //!    needs `map`/`inverse` and the migration protocol.
-//! 2. Add a [`SchemeKind`] variant (it carries per-variant knobs and keeps
-//!    configs `Copy`).
-//! 3. Append a [`StackSpec`] to [`SPECS`] — usually two: the bare stack
+//! 2. Append a [`StackSpec`] to [`SPECS`] — usually two: the bare stack
 //!    (frozen on the first failure) and the revived one via
-//!    [`StackCtx::revive`].
-//! 4. Run the registry-completeness suite (`tests/tests/registry.rs`) and
+//!    [`StackCtx::revive`]. Scheme parameters nobody sweeps are constants
+//!    in the spec's build fn, not builder knobs.
+//! 3. Run the registry-completeness suite (`tests/tests/registry.rs`) and
 //!    capture goldens (`WLR_CAPTURE_GOLDEN=1`); the new names appear in
 //!    `--list-stacks`, `WLR_CRASH_STACKS`, `WLR_FLEET_SCHEMES`, etc.
 
@@ -30,7 +29,6 @@ use crate::controller::Controller;
 use crate::freep::FreepController;
 use crate::lls::LlsController;
 use crate::reviver::RevivedController;
-use crate::sim::SchemeKind;
 use crate::zombie::ZombieController;
 use wlr_base::Geometry;
 use wlr_pcm::{ErrorCorrection, FaultPlan, PcmDevice};
@@ -45,35 +43,15 @@ use wlr_wl::{
 /// plan). Builders construct exactly one device via [`StackCtx::device`].
 #[derive(Debug)]
 pub struct StackCtx {
-    /// The exact requested scheme (carries per-variant knobs such as
-    /// FREE-p's reserve fraction).
-    pub kind: SchemeKind,
     /// Software-visible blocks (total minus any FREE-p pre-reserve).
     pub visible: u64,
     /// Blocks pre-reserved for FREE-p remapping (0 elsewhere).
     pub reserve_blocks: u64,
     /// Blocks per OS page.
     pub bpp: u64,
-    /// Start-Gap ψ: writes per gap movement.
+    /// ψ: writes per leveler migration step (a Start-Gap gap movement, a
+    /// Security Refresh or SoftWear swap).
     pub gap_interval: u64,
-    /// Security Refresh writes per swap.
-    pub sr_refresh_interval: u64,
-    /// Security Refresh region size override.
-    pub sr_region_blocks: Option<u64>,
-    /// SoftWear writes per hot↔cold swap (defaults to the Security
-    /// Refresh interval — both are in-place swap cadences).
-    pub sw_swap_interval: u64,
-    /// SoftWear cold-scan window in frames.
-    pub sw_scan_window: u64,
-    /// Adaptive wrapper: writes per CoV evaluation (None = scheme default,
-    /// 4× the visible space).
-    pub adaptive_epoch: Option<u64>,
-    /// Adaptive wrapper CoV band `(lo, hi)`.
-    pub adaptive_cov_band: (f64, f64),
-    /// LLS salvage-group count.
-    pub lls_groups: u64,
-    /// LLS maximum chunk count.
-    pub lls_chunks: u64,
     /// Remap-cache size, if any.
     pub cache_bytes: Option<usize>,
     /// Experiment seed.
@@ -119,28 +97,12 @@ impl StackCtx {
     /// Assembles a context. Called by
     /// [`crate::sim::SimulationBuilder::build`]; exposed for harnesses
     /// that drive stack construction directly.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        kind: SchemeKind,
-        visible: u64,
-        reserve_blocks: u64,
-        bpp: u64,
-        parts: DeviceParts,
-    ) -> Self {
+    pub fn new(visible: u64, reserve_blocks: u64, bpp: u64, parts: DeviceParts) -> Self {
         StackCtx {
-            kind,
             visible,
             reserve_blocks,
             bpp,
             gap_interval: 100,
-            sr_refresh_interval: 100,
-            sr_region_blocks: None,
-            sw_swap_interval: 100,
-            sw_scan_window: 16,
-            adaptive_epoch: None,
-            adaptive_cov_band: (0.75, 1.5),
-            lls_groups: 64,
-            lls_chunks: 16,
             cache_bytes: None,
             seed: 0,
             sg_randomizer: RandomizerKind::Feistel { seed: 0 },
@@ -196,43 +158,37 @@ impl StackCtx {
         )
     }
 
-    /// A Security Refresh leveler over the visible space.
+    /// A Security Refresh leveler over the visible space, one region
+    /// spanning the largest power of two that divides it.
     pub fn security_refresh(&self, seed: u64) -> Box<dyn WearLeveler> {
-        let region = self
-            .sr_region_blocks
-            .unwrap_or_else(|| self.visible & self.visible.wrapping_neg());
         Box::new(
             SecurityRefresh::builder(self.visible)
-                .region_blocks(region)
-                .refresh_interval(self.sr_refresh_interval)
+                .region_blocks(self.visible & self.visible.wrapping_neg())
+                .refresh_interval(self.gap_interval)
                 .seed(seed)
                 .build(),
         )
     }
 
     /// A SoftWear leveler (table-mapped page sorting) over the visible
-    /// space.
+    /// space, at the scheme's default 16-frame cold-scan window.
     pub fn soft_wear(&self) -> Box<dyn WearLeveler> {
         Box::new(
             SoftWear::builder(self.visible)
-                .swap_interval(self.sw_swap_interval)
-                .scan_window(self.sw_scan_window)
+                .swap_interval(self.gap_interval)
                 .build(),
         )
     }
 
-    /// A SAWL-style adaptive Start-Gap over the visible space.
+    /// A SAWL-style adaptive Start-Gap over the visible space, at the
+    /// wrapper's defaults (CoV band 0.75–1.5, evaluated every 4× the
+    /// visible space in writes).
     pub fn adaptive_start_gap(&self) -> Box<dyn WearLeveler> {
         let inner = StartGap::builder(self.visible)
             .gap_interval(self.gap_interval)
             .randomizer(self.sg_randomizer)
             .build();
-        let mut b =
-            Adaptive::builder(inner).cov_band(self.adaptive_cov_band.0, self.adaptive_cov_band.1);
-        if let Some(epoch) = self.adaptive_epoch {
-            b = b.epoch_writes(epoch);
-        }
-        Box::new(b.build())
+        Box::new(Adaptive::builder(inner).build())
     }
 
     /// The bare baseline assembly: error correction plus `wl`, frozen on
@@ -272,8 +228,8 @@ pub struct StackSpec {
     /// Canonical short name, used on every CLI/env surface
     /// (`WLR_CRASH_STACKS`, `WLR_FLEET_SCHEMES`, `--list-stacks`, …).
     pub name: &'static str,
-    /// Report/JSON title (the historical `SchemeKind`-style CamelCase
-    /// names, kept stable so baselines keep matching).
+    /// Report/JSON title (the historical CamelCase names, kept stable so
+    /// baselines keep matching).
     pub title: &'static str,
     /// One-line description for listings.
     pub description: &'static str,
@@ -283,8 +239,11 @@ pub struct StackSpec {
     /// The bare stack used as this stack's lifetime baseline, if any
     /// (for revived stacks: the same scheme frozen on first failure).
     pub bare: Option<&'static str>,
-    /// The `SchemeKind` with this stack's default knobs.
-    pub kind: SchemeKind,
+    /// Default fraction of the PCM pre-reserved for FREE-p remapping, for
+    /// the stacks that carve one out (`None`: the stack has no
+    /// pre-reserve and rejects
+    /// [`crate::sim::SimulationBuilder::freep_reserve_frac`]).
+    pub reserve_frac: Option<f64>,
     build: fn(&mut StackCtx) -> Box<dyn Controller>,
 }
 
@@ -331,13 +290,14 @@ fn build_freep(ctx: &mut StackCtx) -> Box<dyn Controller> {
 }
 
 fn build_lls(ctx: &mut StackCtx) -> Box<dyn Controller> {
-    let chunk = ((ctx.visible / 16) / ctx.bpp).max(1) * ctx.bpp;
+    // Up to 16 backup chunks of 1/16 of the visible space each, at the
+    // controller's default 64 salvage groups.
+    const CHUNKS: u64 = 16;
+    let chunk = ((ctx.visible / CHUNKS) / ctx.bpp).max(1) * ctx.bpp;
     let wl = ctx.start_gap_with(RandomizerKind::HalfRestricted { seed: ctx.seed });
-    let chunks = ctx.lls_chunks;
-    let mut b = LlsController::builder(ctx.device(1 + chunk * chunks), wl)
+    let mut b = LlsController::builder(ctx.device(1 + chunk * CHUNKS), wl)
         .chunk_blocks(chunk)
-        .max_chunks(chunks)
-        .groups(ctx.lls_groups);
+        .max_chunks(CHUNKS);
     if let Some(bytes) = ctx.cache_bytes {
         b = b.cache_bytes(bytes);
     }
@@ -378,8 +338,8 @@ fn build_reviver_two_level_sr(ctx: &mut StackCtx) -> Box<dyn Controller> {
     let wl = Stacked::two_level_security_refresh(
         ctx.visible,
         inner_region,
-        ctx.sr_refresh_interval,
-        ctx.sr_refresh_interval * 4,
+        ctx.gap_interval,
+        ctx.gap_interval * 4,
         ctx.seed,
     );
     ctx.revive(0, Box::new(wl))
@@ -404,7 +364,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "error correction only; every failure costs a page",
         revivable: false,
         bare: None,
-        kind: SchemeKind::EccOnly,
+        reserve_frac: None,
         build: build_ecc_only,
     },
     StackSpec {
@@ -413,7 +373,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "Start-Gap, frozen on the first unhidden failure",
         revivable: false,
         bare: None,
-        kind: SchemeKind::StartGapOnly,
+        reserve_frac: None,
         build: build_start_gap_only,
     },
     StackSpec {
@@ -422,7 +382,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "Security Refresh, frozen on the first unhidden failure",
         revivable: false,
         bare: None,
-        kind: SchemeKind::SecurityRefreshOnly,
+        reserve_frac: None,
         build: build_security_refresh_only,
     },
     StackSpec {
@@ -431,7 +391,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "SoftWear table-mapped page sorting, frozen on the first failure",
         revivable: false,
         bare: None,
-        kind: SchemeKind::SoftWear,
+        reserve_frac: None,
         build: build_soft_wear_only,
     },
     StackSpec {
@@ -440,7 +400,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "SAWL-style adaptive Start-Gap, frozen on the first failure",
         revivable: false,
         bare: None,
-        kind: SchemeKind::AdaptiveStartGap,
+        reserve_frac: None,
         build: build_adaptive_start_gap_only,
     },
     StackSpec {
@@ -449,7 +409,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "FREE-p with a pre-reserved remap region (default 10%)",
         revivable: false,
         bare: Some("sg"),
-        kind: SchemeKind::Freep { reserve_frac: 0.1 },
+        reserve_frac: Some(0.1),
         build: build_freep,
     },
     StackSpec {
@@ -458,7 +418,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "the LLS salvage baseline",
         revivable: false,
         bare: Some("sg"),
-        kind: SchemeKind::Lls,
+        reserve_frac: None,
         build: build_lls,
     },
     StackSpec {
@@ -467,7 +427,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "Zombie-adapted baseline: spares from retired pages, WL frozen",
         revivable: false,
         bare: Some("sg"),
-        kind: SchemeKind::Zombie,
+        reserve_frac: None,
         build: build_zombie,
     },
     StackSpec {
@@ -476,7 +436,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over Start-Gap",
         revivable: true,
         bare: Some("sg"),
-        kind: SchemeKind::ReviverStartGap,
+        reserve_frac: None,
         build: build_reviver_start_gap,
     },
     StackSpec {
@@ -485,7 +445,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over Security Refresh",
         revivable: true,
         bare: Some("sr"),
-        kind: SchemeKind::ReviverSecurityRefresh,
+        reserve_frac: None,
         build: build_reviver_security_refresh,
     },
     StackSpec {
@@ -494,7 +454,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over region-tiled Start-Gap",
         revivable: true,
         bare: Some("sg"),
-        kind: SchemeKind::ReviverTiledStartGap,
+        reserve_frac: None,
         build: build_reviver_tiled_start_gap,
     },
     StackSpec {
@@ -503,7 +463,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over two-level Security Refresh",
         revivable: true,
         bare: Some("sr"),
-        kind: SchemeKind::ReviverTwoLevelSecurityRefresh,
+        reserve_frac: None,
         build: build_reviver_two_level_sr,
     },
     StackSpec {
@@ -512,7 +472,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over SoftWear (table-mapped corner of the framework)",
         revivable: true,
         bare: Some("softwear"),
-        kind: SchemeKind::ReviverSoftWear,
+        reserve_frac: None,
         build: build_reviver_soft_wear,
     },
     StackSpec {
@@ -521,7 +481,7 @@ pub const SPECS: &[StackSpec] = &[
         description: "WL-Reviver over SAWL-style adaptive Start-Gap",
         revivable: true,
         bare: Some("adaptive-sg"),
-        kind: SchemeKind::ReviverAdaptiveStartGap,
+        reserve_frac: None,
         build: build_reviver_adaptive_start_gap,
     },
 ];
@@ -588,6 +548,16 @@ impl SchemeRegistry {
         })
     }
 
+    /// As [`Self::resolve`] for callers that hard-code registry names (the
+    /// builders' `.stack(name)`).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the valid-name list if `name` is not registered.
+    pub fn expect(&self, name: &str) -> &'static StackSpec {
+        self.resolve(name).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Resolves a comma-separated stack list (whitespace tolerated,
     /// empty segments ignored).
     pub fn resolve_list(&self, csv: &str) -> Result<Vec<&'static StackSpec>, UnknownStack> {
@@ -601,29 +571,5 @@ impl SchemeRegistry {
     /// The canonical names, in sweep order.
     pub fn names(&self) -> Vec<&'static str> {
         self.specs.iter().map(|s| s.name).collect()
-    }
-
-    /// The `SchemeKind` registered under `name` (with its default knob
-    /// payload) — for binaries that hard-code registry names.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the valid-name list if `name` is not registered.
-    pub fn kind(&self, name: &str) -> SchemeKind {
-        self.resolve(name).unwrap_or_else(|e| panic!("{e}")).kind
-    }
-
-    /// The spec registered for `kind` (knob payloads are ignored: the
-    /// spec's builder reads them from the [`StackCtx`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` has no registered spec — a bug by construction,
-    /// enforced by the registry-completeness suite.
-    pub fn spec_for(&self, kind: SchemeKind) -> &'static StackSpec {
-        self.specs
-            .iter()
-            .find(|s| core::mem::discriminant(&s.kind) == core::mem::discriminant(&kind))
-            .unwrap_or_else(|| panic!("SchemeKind {kind:?} is not registered"))
     }
 }

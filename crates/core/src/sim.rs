@@ -16,6 +16,7 @@
 use crate::controller::{Controller, WriteResult};
 use crate::metrics::{SamplePoint, TimeSeries};
 use crate::recovery::RecoveryReport;
+use crate::registry::{SchemeRegistry, StackSpec};
 use crate::reviver::{ReviverCounters, TraceRingSink};
 use wlr_base::dense::DenseMap;
 use wlr_base::rng::Rng;
@@ -35,55 +36,6 @@ pub enum EccKind {
         /// Global pool entries per block.
         ratio: f64,
     },
-}
-
-/// Which controller stack to simulate. The names follow the paper's
-/// figure legends.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SchemeKind {
-    /// Error correction only (`ECP6` / `PAYG` curves): no wear leveling,
-    /// every failure costs the OS a page.
-    EccOnly,
-    /// Error correction + Start-Gap (`ECP6-SG` / `PAYG-SG`): the first
-    /// unhidden failure freezes the scheme.
-    StartGapOnly,
-    /// Error correction + Security Refresh, freezing on the first failure.
-    SecurityRefreshOnly,
-    /// FREE-p adapted with a pre-reserved remap region of this fraction of
-    /// the total PCM (Figure 7).
-    Freep {
-        /// Reserved fraction of total PCM space (0.05 = the paper's 5%).
-        reserve_frac: f64,
-    },
-    /// The LLS baseline (Figure 8, Table II).
-    Lls,
-    /// The Zombie-adapted baseline (§I-C): failures hidden behind spare
-    /// blocks from incrementally-retired pages, wear leveling frozen from
-    /// the first failure.
-    Zombie,
-    /// WL-Reviver over Start-Gap (`ECP6-SG-WLR` / `PAYG-SG-WLR`).
-    ReviverStartGap,
-    /// WL-Reviver over Security Refresh (framework-generality ablation).
-    ReviverSecurityRefresh,
-    /// WL-Reviver over region-tiled Start-Gap (the Start-Gap paper's
-    /// practical deployment: one gap line per tile behind a global
-    /// randomizer; tile count set by `sg_tiles`).
-    ReviverTiledStartGap,
-    /// WL-Reviver over the full two-level Security Refresh (inner
-    /// sub-region level stacked under a chip-wide outer level).
-    ReviverTwoLevelSecurityRefresh,
-    /// Error correction + SoftWear page-sorting wear leveling (software
-    /// table-mapped, no algebraic mapping), freezing on the first failure.
-    SoftWear,
-    /// Error correction + SAWL-style adaptive Start-Gap (the migration
-    /// interval widens/narrows online from the observed write-skew CoV),
-    /// freezing on the first failure.
-    AdaptiveStartGap,
-    /// WL-Reviver over SoftWear — the table-mapped corner of the
-    /// framework's "any scheme" claim.
-    ReviverSoftWear,
-    /// WL-Reviver over SAWL-style adaptive Start-Gap.
-    ReviverAdaptiveStartGap,
 }
 
 /// When to stop a run. The run also always stops if the application's
@@ -136,16 +88,9 @@ pub struct SimulationBuilder {
     endurance_mean: f64,
     endurance_cov: f64,
     ecc: EccKind,
-    scheme: SchemeKind,
+    stack: &'static StackSpec,
+    freep_reserve_frac: Option<f64>,
     gap_interval: u64,
-    sr_refresh_interval: u64,
-    sr_region_blocks: Option<u64>,
-    sw_swap_interval: Option<u64>,
-    sw_scan_window: u64,
-    adaptive_epoch: Option<u64>,
-    adaptive_cov_band: (f64, f64),
-    lls_groups: u64,
-    lls_chunks: u64,
     cache_bytes: Option<usize>,
     os_reserve_pages: u64,
     sample_interval: u64,
@@ -165,7 +110,7 @@ pub struct SimulationBuilder {
 
 impl SimulationBuilder {
     /// Total PCM capacity in blocks (default 2¹⁶ = 4 MB of 64 B blocks).
-    /// For [`SchemeKind::Freep`], the pre-reserve is carved out of this.
+    /// FREE-p's pre-reserve is carved out of this.
     pub fn num_blocks(mut self, blocks: u64) -> Self {
         self.num_blocks = blocks;
         self
@@ -190,84 +135,33 @@ impl SimulationBuilder {
         self
     }
 
-    /// Controller stack (default [`SchemeKind::ReviverStartGap`]).
-    pub fn scheme(mut self, scheme: SchemeKind) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
     /// Controller stack by registry name (e.g. `"reviver-sg"`,
-    /// `"softwear-wlr"`) or report title (e.g. `"ReviverStartGap"`); the
-    /// stack's default knobs from [`crate::registry::SchemeRegistry`]
-    /// apply. Callers needing graceful errors resolve through
-    /// [`crate::registry::SchemeRegistry::resolve`] themselves.
+    /// `"softwear-wlr"`) or report title (e.g. `"ReviverStartGap"`);
+    /// default `"reviver-sg"`. Callers needing graceful errors resolve
+    /// through [`SchemeRegistry::resolve`] themselves and pass the
+    /// spec's name.
     ///
     /// # Panics
     ///
     /// Panics on an unknown name, listing the valid stacks.
     pub fn stack(mut self, name: &str) -> Self {
-        let spec = crate::registry::SchemeRegistry::global()
-            .resolve(name)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.scheme = spec.kind;
+        self.stack = SchemeRegistry::global().expect(name);
         self
     }
 
-    /// Start-Gap ψ: writes per gap movement (default 100, as in the paper).
+    /// Fraction of the total PCM that FREE-p pre-reserves for remapping
+    /// (Figure 7 sweeps it; default: the stack's own, 10% for `"freep"`).
+    /// [`Self::build`] panics if the selected stack has no pre-reserve.
+    pub fn freep_reserve_frac(mut self, frac: f64) -> Self {
+        self.freep_reserve_frac = Some(frac);
+        self
+    }
+
+    /// ψ: writes per leveler migration step — a Start-Gap gap movement, a
+    /// Security Refresh swap, a SoftWear hot↔cold swap (default 100, as
+    /// in the paper).
     pub fn gap_interval(mut self, psi: u64) -> Self {
         self.gap_interval = psi;
-        self
-    }
-
-    /// Security Refresh: writes per refresh swap (default 100).
-    pub fn sr_refresh_interval(mut self, interval: u64) -> Self {
-        self.sr_refresh_interval = interval;
-        self
-    }
-
-    /// Security Refresh region size in blocks (default: largest power of
-    /// two dividing the visible space).
-    pub fn sr_region_blocks(mut self, blocks: u64) -> Self {
-        self.sr_region_blocks = Some(blocks);
-        self
-    }
-
-    /// SoftWear: writes per hot↔cold swap (default: the Security Refresh
-    /// interval — both are in-place swap cadences).
-    pub fn sw_swap_interval(mut self, interval: u64) -> Self {
-        self.sw_swap_interval = Some(interval);
-        self
-    }
-
-    /// SoftWear: frames examined per cold scan (default 16).
-    pub fn sw_scan_window(mut self, window: u64) -> Self {
-        self.sw_scan_window = window;
-        self
-    }
-
-    /// Adaptive wrapper: writes per CoV evaluation (default: 4× the
-    /// visible space).
-    pub fn adaptive_epoch_writes(mut self, writes: u64) -> Self {
-        self.adaptive_epoch = Some(writes);
-        self
-    }
-
-    /// Adaptive wrapper: CoV band — below `lo` the migration interval
-    /// widens, above `hi` it narrows (default `0.75 .. 1.5`).
-    pub fn adaptive_cov_band(mut self, lo: f64, hi: f64) -> Self {
-        self.adaptive_cov_band = (lo, hi);
-        self
-    }
-
-    /// LLS salvage-group count (default 64).
-    pub fn lls_groups(mut self, groups: u64) -> Self {
-        self.lls_groups = groups;
-        self
-    }
-
-    /// LLS maximum chunks; chunk size is `visible/16` (default 16 chunks).
-    pub fn lls_chunks(mut self, chunks: u64) -> Self {
-        self.lls_chunks = chunks;
         self
     }
 
@@ -337,7 +231,7 @@ impl SimulationBuilder {
         self
     }
 
-    /// Tile count for [`SchemeKind::ReviverTiledStartGap`] (default 16).
+    /// Tile count for the `"reviver-tiled"` stack (default 16).
     pub fn sg_tiles(mut self, tiles: u64) -> Self {
         self.sg_tiles = tiles;
         self
@@ -381,29 +275,52 @@ impl SimulationBuilder {
         self
     }
 
+    /// `(visible, reserved)` blocks: the total minus any FREE-p
+    /// pre-reserve, page-aligned.
+    fn visible_and_reserve(&self) -> (u64, u64) {
+        assert!(
+            self.freep_reserve_frac.is_none() || self.stack.reserve_frac.is_some(),
+            "stack {:?} has no pre-reserve for freep_reserve_frac to size",
+            self.stack.name
+        );
+        let bpp = self.page_bytes / self.block_bytes;
+        let (visible, reserve) = match self.freep_reserve_frac.or(self.stack.reserve_frac) {
+            Some(frac) => {
+                assert!(
+                    (0.0..1.0).contains(&frac),
+                    "reserve fraction must be in [0,1)"
+                );
+                let reserve_pages = ((self.num_blocks as f64 * frac) / bpp as f64).round() as u64;
+                (self.num_blocks - reserve_pages * bpp, reserve_pages * bpp)
+            }
+            None => (self.num_blocks - self.num_blocks % bpp, 0),
+        };
+        assert!(visible >= bpp, "no visible space left after reservation");
+        (visible, reserve)
+    }
+
+    /// The application address space this configuration will present —
+    /// visible blocks minus the OS reserve — which is the length the
+    /// [workload](Self::workload) must have.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::build`] on an inconsistent reserve configuration.
+    pub fn app_blocks(&self) -> u64 {
+        let bpp = self.page_bytes / self.block_bytes;
+        self.visible_and_reserve().0 - self.os_reserve_pages * bpp
+    }
+
     /// Constructs the simulation.
     ///
     /// # Panics
     ///
     /// Panics on inconsistent configuration (mismatched workload size,
-    /// invalid geometry, reserve fractions outside `[0, 1)`).
+    /// invalid geometry, reserve fractions outside `[0, 1)`, or
+    /// [`Self::freep_reserve_frac`] on a stack without a pre-reserve).
     pub fn build(self) -> Simulation {
-        // Visible space: total minus any FREE-p pre-reserve, page-aligned.
         let bpp = self.page_bytes / self.block_bytes;
-        let (visible, reserve_blocks) = match self.scheme {
-            SchemeKind::Freep { reserve_frac } => {
-                assert!(
-                    (0.0..1.0).contains(&reserve_frac),
-                    "reserve fraction must be in [0,1)"
-                );
-                let reserve_pages =
-                    ((self.num_blocks as f64 * reserve_frac) / bpp as f64).round() as u64;
-                let visible = self.num_blocks - reserve_pages * bpp;
-                (visible, reserve_pages * bpp)
-            }
-            _ => (self.num_blocks - self.num_blocks % bpp, 0),
-        };
-        assert!(visible >= bpp, "no visible space left after reservation");
+        let (visible, reserve_blocks) = self.visible_and_reserve();
         let geo = Geometry::builder()
             .block_bytes(self.block_bytes)
             .page_bytes(self.page_bytes)
@@ -424,7 +341,6 @@ impl SimulationBuilder {
         // All stack construction lives in the scheme registry; the builder
         // only prepares the context (knobs + one-shot device ingredients).
         let mut ctx = crate::registry::StackCtx::new(
-            self.scheme,
             visible,
             reserve_blocks,
             bpp,
@@ -438,14 +354,6 @@ impl SimulationBuilder {
             },
         );
         ctx.gap_interval = self.gap_interval;
-        ctx.sr_refresh_interval = self.sr_refresh_interval;
-        ctx.sr_region_blocks = self.sr_region_blocks;
-        ctx.sw_swap_interval = self.sw_swap_interval.unwrap_or(self.sr_refresh_interval);
-        ctx.sw_scan_window = self.sw_scan_window;
-        ctx.adaptive_epoch = self.adaptive_epoch;
-        ctx.adaptive_cov_band = self.adaptive_cov_band;
-        ctx.lls_groups = self.lls_groups;
-        ctx.lls_chunks = self.lls_chunks;
         ctx.cache_bytes = self.cache_bytes;
         ctx.seed = self.seed;
         ctx.sg_randomizer = feistel;
@@ -455,11 +363,7 @@ impl SimulationBuilder {
         ctx.reviver_chain_switching = self.reviver_chain_switching;
         ctx.reviver_proactive = self.reviver_proactive;
 
-        let controller: Box<dyn Controller> = crate::registry::SchemeRegistry::global()
-            .spec_for(self.scheme)
-            .build_stack(&mut ctx);
-
-        let mut controller = controller;
+        let mut controller = self.stack.build_stack(&mut ctx);
         if let Some(r) = controller.as_reviver_mut() {
             if let Some(cap) = self.trace_ring {
                 r.add_sink(Box::new(TraceRingSink::new(cap)));
@@ -709,16 +613,9 @@ impl Simulation {
             endurance_mean: 1e4,
             endurance_cov: 0.2,
             ecc: EccKind::Ecp(6),
-            scheme: SchemeKind::ReviverStartGap,
+            stack: SchemeRegistry::global().expect("reviver-sg"),
+            freep_reserve_frac: None,
             gap_interval: 100,
-            sr_refresh_interval: 100,
-            sr_region_blocks: None,
-            sw_swap_interval: None,
-            sw_scan_window: 16,
-            adaptive_epoch: None,
-            adaptive_cov_band: (0.75, 1.5),
-            lls_groups: 64,
-            lls_chunks: 16,
             cache_bytes: None,
             os_reserve_pages: 0,
             sample_interval: 0,
@@ -1579,11 +1476,11 @@ mod tests {
     use super::*;
     use wlr_trace::Benchmark;
 
-    fn quick(scheme: SchemeKind, endurance: f64, seed: u64) -> Simulation {
+    fn quick(scheme: &str, endurance: f64, seed: u64) -> Simulation {
         Simulation::builder()
             .num_blocks(1 << 12)
             .endurance_mean(endurance)
-            .scheme(scheme)
+            .stack(scheme)
             .seed(seed)
             .sample_interval(5_000)
             .build()
@@ -1591,7 +1488,7 @@ mod tests {
 
     #[test]
     fn healthy_run_reaches_write_budget() {
-        let mut sim = quick(SchemeKind::ReviverStartGap, 1e9, 1);
+        let mut sim = quick("reviver-sg", 1e9, 1);
         let out = sim.run(StopCondition::Writes(20_000));
         assert_eq!(out.reason, StopReason::ConditionMet);
         assert_eq!(out.writes_issued, 20_000);
@@ -1602,7 +1499,7 @@ mod tests {
 
     #[test]
     fn ecc_only_loses_space_fast() {
-        let mut sim = quick(SchemeKind::EccOnly, 2_000.0, 2);
+        let mut sim = quick("ecc", 2_000.0, 2);
         let out = sim.run(StopCondition::UsableBelow(0.9));
         assert_eq!(out.reason, StopReason::ConditionMet);
         assert!(out.usable <= 0.9);
@@ -1612,9 +1509,9 @@ mod tests {
     #[test]
     fn reviver_outlives_frozen_start_gap() {
         let stop = StopCondition::DeadFraction(0.10);
-        let mut base = quick(SchemeKind::StartGapOnly, 2_000.0, 3);
+        let mut base = quick("sg", 2_000.0, 3);
         let base_out = base.run(stop);
-        let mut wlr = quick(SchemeKind::ReviverStartGap, 2_000.0, 3);
+        let mut wlr = quick("reviver-sg", 2_000.0, 3);
         let wlr_out = wlr.run(stop);
         assert!(
             wlr_out.writes_issued > base_out.writes_issued,
@@ -1633,7 +1530,7 @@ mod tests {
                 // Scaled ψ: preserves the paper's rotations-per-lifetime
                 // ratio at scaled endurance (see EXPERIMENTS.md).
                 .gap_interval(8)
-                .scheme(scheme)
+                .stack(scheme)
                 .seed(4)
                 .workload(Benchmark::Ocean.build(1 << 12, 4))
                 .sample_interval(5_000)
@@ -1643,9 +1540,9 @@ mod tests {
         // every block failure retires a whole 64-block page, so the
         // usable-space curve collapses far sooner than under WL-Reviver,
         // which pays one page per ~60 hidden failures and keeps leveling.
-        let mut none = mk(SchemeKind::EccOnly);
+        let mut none = mk("ecc");
         let none_out = none.run(StopCondition::UsableBelow(0.9));
-        let mut wlr = mk(SchemeKind::ReviverStartGap);
+        let mut wlr = mk("reviver-sg");
         let wlr_out = wlr.run(StopCondition::UsableBelow(0.9));
         assert!(
             wlr_out.writes_issued > 2 * none_out.writes_issued,
@@ -1660,7 +1557,7 @@ mod tests {
         let mut sim = Simulation::builder()
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .gap_interval(20)
             .seed(5)
             .verify_integrity(true)
@@ -1678,8 +1575,8 @@ mod tests {
         let mut sim = Simulation::builder()
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
-            .scheme(SchemeKind::ReviverSecurityRefresh)
-            .sr_refresh_interval(20)
+            .stack("reviver-sr")
+            .gap_interval(20)
             .seed(6)
             .verify_integrity(true)
             .check_invariants(true)
@@ -1695,7 +1592,8 @@ mod tests {
             Simulation::builder()
                 .num_blocks(1 << 10)
                 .endurance_mean(2_000.0)
-                .scheme(SchemeKind::Freep { reserve_frac: frac })
+                .stack("freep")
+                .freep_reserve_frac(frac)
                 .seed(7)
                 .sample_interval(2_000)
                 .build()
@@ -1725,7 +1623,7 @@ mod tests {
         let mut sim = Simulation::builder()
             .num_blocks(1 << 12)
             .endurance_mean(2_000.0)
-            .scheme(SchemeKind::Lls)
+            .stack("lls")
             .seed(8)
             .sample_interval(5_000)
             .build();
@@ -1740,7 +1638,7 @@ mod tests {
     fn usable_accounts_for_freep_reserve() {
         let sim = Simulation::builder()
             .num_blocks(1 << 12)
-            .scheme(SchemeKind::Freep { reserve_frac: 0.10 })
+            .stack("freep")
             .seed(9)
             .build();
         // 10% pre-reserved: usable starts near 90%.
@@ -1749,8 +1647,32 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "has no pre-reserve")]
+    fn freep_reserve_frac_rejects_a_stack_without_pre_reserve() {
+        Simulation::builder()
+            .stack("reviver-sg")
+            .freep_reserve_frac(0.1)
+            .build();
+    }
+
+    #[test]
+    fn app_blocks_predicts_the_built_application_space() {
+        for (stack, frac) in [("reviver-sg", None), ("freep", None), ("freep", Some(0.05))] {
+            let mut b = Simulation::builder()
+                .num_blocks(1 << 12)
+                .stack(stack)
+                .os_reserve_pages(2);
+            if let Some(frac) = frac {
+                b = b.freep_reserve_frac(frac);
+            }
+            let predicted = b.app_blocks();
+            assert_eq!(predicted, b.build().os().app_blocks(), "{stack} {frac:?}");
+        }
+    }
+
+    #[test]
     fn series_samples_are_recorded() {
-        let mut sim = quick(SchemeKind::ReviverStartGap, 1e9, 10);
+        let mut sim = quick("reviver-sg", 1e9, 10);
         sim.run(StopCondition::Writes(25_000));
         assert!(sim.series().len() >= 5);
         let last = sim.series().points().last().unwrap();
@@ -1763,7 +1685,7 @@ mod tests {
         let mut sim = Simulation::builder()
             .num_blocks(1 << 10)
             .endurance_mean(1e9)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .seed(11)
             .hard_cap(5_000)
             .build();
@@ -1778,7 +1700,7 @@ mod tests {
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
             .gap_interval(10)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .reviver_chain_switching(false)
             .seed(15)
             .verify_integrity(true)
@@ -1801,7 +1723,7 @@ mod tests {
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
             .gap_interval(10)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .seed(15)
             .check_invariants(true)
             .sample_interval(2_000)
@@ -1817,7 +1739,7 @@ mod tests {
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
             .gap_interval(5)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .reviver_proactive(true)
             .seed(16)
             .verify_integrity(true)
@@ -1841,7 +1763,7 @@ mod tests {
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
             .gap_interval(10)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .seed(20)
             .verify_integrity(true)
             .check_invariants(true)
@@ -1875,7 +1797,7 @@ mod tests {
             .endurance_mean(1_500.0)
             .gap_interval(10)
             .sg_tiles(4)
-            .scheme(SchemeKind::ReviverTiledStartGap)
+            .stack("reviver-tiled")
             .seed(18)
             .verify_integrity(true)
             .check_invariants(true)
@@ -1891,8 +1813,8 @@ mod tests {
         let mut sim = Simulation::builder()
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
-            .sr_refresh_interval(10)
-            .scheme(SchemeKind::ReviverTwoLevelSecurityRefresh)
+            .gap_interval(10)
+            .stack("reviver-sr2")
             .seed(19)
             .verify_integrity(true)
             .check_invariants(true)
@@ -1908,7 +1830,7 @@ mod tests {
             .num_blocks(1 << 10)
             .endurance_mean(1_500.0)
             .gap_interval(10)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .sg_randomizer(wlr_wl::RandomizerKind::Table { seed: 3 })
             .seed(17)
             .verify_integrity(true)
@@ -1971,7 +1893,7 @@ mod tests {
                 .num_blocks(1 << 10)
                 .endurance_mean(1_500.0)
                 .gap_interval(10)
-                .scheme(SchemeKind::ReviverStartGap)
+                .stack("reviver-sg")
                 .seed(33)
                 .sample_interval(2_000)
                 .build()
@@ -2003,7 +1925,7 @@ mod tests {
         let mut sim = Simulation::builder()
             .num_blocks(1 << 10)
             .endurance_mean(1e9)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .seed(34)
             .hard_cap(1_000)
             .build();
@@ -2021,7 +1943,7 @@ mod tests {
             Simulation::builder()
                 .num_blocks(1 << 10)
                 .endurance_mean(1_500.0)
-                .scheme(SchemeKind::ReviverStartGap)
+                .stack("reviver-sg")
                 .seed(seed)
                 .build()
         };
@@ -2051,7 +1973,7 @@ mod tests {
             let mut sim = Simulation::builder()
                 .num_blocks(1 << 10)
                 .endurance_mean(1_500.0)
-                .scheme(SchemeKind::ReviverStartGap)
+                .stack("reviver-sg")
                 .gap_interval(10)
                 .seed(21)
                 .sample_interval(3_000)

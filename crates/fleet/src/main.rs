@@ -45,8 +45,8 @@
 
 use std::time::Instant;
 
-use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{SchemeKind, Simulation, StopCondition, StopReason};
+use wl_reviver::registry::{SchemeRegistry, StackSpec};
+use wl_reviver::sim::{Simulation, StopCondition, StopReason};
 use wlr_base::pool::{run_pooled, PooledJob};
 use wlr_base::stats::QuantileSet;
 use wlr_bench::report::{
@@ -73,14 +73,11 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// `(kind, bare counterpart)` for a registry stack name; the bare
-/// counterpart feeds the lifetime-retention block when both ran in the
-/// campaign.
-fn parse_scheme(name: &str) -> (SchemeKind, Option<&'static str>) {
-    match SchemeRegistry::global().resolve(name) {
-        Ok(spec) => (spec.kind, spec.bare),
-        Err(e) => usage(&format!("WLR_FLEET_SCHEMES: {e}")),
-    }
+/// The registry spec for a `WLR_FLEET_SCHEMES` entry.
+fn parse_scheme(name: &str) -> &'static StackSpec {
+    SchemeRegistry::global()
+        .resolve(name)
+        .unwrap_or_else(|e| usage(&format!("WLR_FLEET_SCHEMES: {e}")))
 }
 
 /// Campaign-wide knobs, all env-overridable.
@@ -110,14 +107,13 @@ impl Knobs {
     }
 }
 
-fn sim_for(kind: SchemeKind, k: &Knobs) -> Simulation {
+fn sim_for(stack: &str, k: &Knobs) -> Simulation {
     let psi = scaled_gap_interval(k.blocks, k.endurance);
     Simulation::builder()
         .num_blocks(k.blocks)
         .endurance_mean(k.endurance)
         .gap_interval(psi)
-        .sr_refresh_interval(psi)
-        .scheme(kind)
+        .stack(stack)
         .seed(exp_seed())
         .verify_integrity(true)
         .build()
@@ -190,17 +186,17 @@ struct SchemeRow {
 
 /// Runs one scheme's full campaign: calibrate, warm once, fan out
 /// `seeds` forked futures, then time a sampled warmup-replay control.
-fn campaign(name: &str, kind: SchemeKind, bare: Option<&'static str>, k: &Knobs) -> SchemeRow {
+fn campaign(name: &str, spec: &StackSpec, k: &Knobs) -> SchemeRow {
     let t0 = Instant::now();
     // Calibrate: one run to the lifetime point fixes the warmup target.
-    let mut cal = sim_for(kind, k);
+    let mut cal = sim_for(spec.name, k);
     cal.run(STOP);
     let lifetime = cal.writes_issued();
     drop(cal);
     let warm_writes = (lifetime as f64 * k.warmup) as u64;
 
     // Warm once and snapshot.
-    let mut warm = sim_for(kind, k);
+    let mut warm = sim_for(spec.name, k);
     warm.run(StopCondition::Writes(warm_writes));
     let snap = warm.snapshot();
     eprintln!(
@@ -255,7 +251,7 @@ fn campaign(name: &str, kind: SchemeKind, bare: Option<&'static str>, k: &Knobs)
     let t1 = Instant::now();
     let replays = k.replays.min(k.seeds);
     for i in 0..replays {
-        let mut sim = sim_for(kind, k);
+        let mut sim = sim_for(spec.name, k);
         sim.run(StopCondition::Writes(warm_writes));
         let (plan, _) = plan_for(i, k.plans);
         let r = run_future(sim, exp_seed() + 1 + i, plan);
@@ -281,7 +277,9 @@ fn campaign(name: &str, kind: SchemeKind, bare: Option<&'static str>, k: &Knobs)
 
     SchemeRow {
         name: name.to_string(),
-        bare,
+        // The bare counterpart feeds the lifetime-retention block when
+        // both ran in the campaign.
+        bare: spec.bare,
         lifetimes,
         crash_futures,
         crash_survived,
@@ -323,14 +321,11 @@ fn main() {
     let scheme_list = std::env::var("WLR_FLEET_SCHEMES").unwrap_or_else(|_| {
         "sg,reviver-sg,sr,reviver-sr,softwear,softwear-wlr,adaptive-sg,adaptive-sg-wlr".to_string()
     });
-    let schemes: Vec<(String, SchemeKind, Option<&'static str>)> = scheme_list
+    let schemes: Vec<(&str, &StackSpec)> = scheme_list
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(|name| {
-            let (kind, bare) = parse_scheme(name);
-            (name.to_string(), kind, bare)
-        })
+        .map(|name| (name, parse_scheme(name)))
         .collect();
     if schemes.is_empty() {
         usage("WLR_FLEET_SCHEMES names no schemes");
@@ -344,7 +339,7 @@ fn main() {
 
     let rows: Vec<SchemeRow> = schemes
         .iter()
-        .map(|(name, kind, bare)| campaign(name, *kind, *bare, &k))
+        .map(|&(name, spec)| campaign(name, spec, &k))
         .collect();
 
     // ---- report ---------------------------------------------------------

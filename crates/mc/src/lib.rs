@@ -18,8 +18,7 @@
 //!   ([`wlr_base::spsc`]) to *pinned* per-bank drain workers — long-lived
 //!   threads that own their bank stack for the whole run — or are drained
 //!   inline on the submitting thread when no worker threads are
-//!   available; the legacy whole-fleet barrier drain survives behind
-//!   [`McFrontendBuilder::pinned`]`(false)`;
+//!   available;
 //! * an optional wear-aware [`steer::Steering`] layer biases batch
 //!   placement away from heavily-worn banks (off by default — the
 //!   deterministic identity mapping is the reference behavior);
@@ -82,12 +81,11 @@ pub use wlr_pcm::{CrashPoint, FaultPlan};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use wl_reviver::metrics::WearHistogram;
-use wl_reviver::sim::{EccKind, SchemeKind};
-use wl_reviver::Simulation;
+use wl_reviver::sim::EccKind;
+use wl_reviver::{SchemeRegistry, Simulation, StackSpec};
 
 use degrade::{Quarantine, Wreckage, LOCAL_MASK, LOGICAL_SHIFT};
 use wlr_base::interleave::{Interleave, InterleaveError, InterleaveMap};
-use wlr_base::pool::{run_pooled, PooledJob};
 use wlr_base::rng::SplitMix64;
 use wlr_base::spsc::{self, Consumer, Producer};
 use wlr_base::stats::registry::LogHistogram;
@@ -106,7 +104,7 @@ struct BankConfig {
     local_blocks: u64,
     endurance_mean: f64,
     endurance_cov: f64,
-    scheme: SchemeKind,
+    stack: &'static StackSpec,
     gap_interval: u64,
     sample_interval: u64,
     seed: u64,
@@ -120,7 +118,7 @@ impl BankConfig {
             .num_blocks(self.local_blocks)
             .endurance_mean(self.endurance_mean)
             .endurance_cov(self.endurance_cov)
-            .scheme(self.scheme)
+            .stack(self.stack.name)
             .gap_interval(self.gap_interval)
             .verify_integrity(self.verify_integrity)
             .seed(SplitMix64::mix(self.seed, BANK_STREAM_SALT ^ bank as u64));
@@ -164,15 +162,13 @@ pub struct McFrontendBuilder {
     total_blocks: u64,
     endurance_mean: f64,
     endurance_cov: f64,
-    scheme: SchemeKind,
+    stack: &'static StackSpec,
     gap_interval: u64,
     sample_interval: u64,
     seed: u64,
     interleave: Interleave,
     queue_depth: usize,
     write_buffer_lines: usize,
-    parallel: bool,
-    pinned: bool,
     steering: bool,
     steer_epoch: u64,
     ring_depth: usize,
@@ -214,27 +210,21 @@ impl McFrontendBuilder {
         self
     }
 
-    /// Per-bank controller stack (default [`SchemeKind::ReviverStartGap`]).
-    pub fn scheme(mut self, scheme: SchemeKind) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Per-bank controller stack selected by scheme-registry name (e.g.
+    /// Per-bank controller stack by scheme-registry name (e.g.
     /// `"reviver-sg"`, `"softwear-wlr"`; see
-    /// [`wl_reviver::SchemeRegistry`]).
+    /// [`wl_reviver::SchemeRegistry`]); default `"reviver-sg"`.
     ///
     /// # Panics
     ///
     /// Panics with the valid-name list on an unknown name; callers
     /// taking untrusted input should pre-validate through
     /// [`wl_reviver::SchemeRegistry::resolve`].
-    pub fn stack(self, name: &str) -> Self {
-        let kind = wl_reviver::SchemeRegistry::global().kind(name);
-        self.scheme(kind)
+    pub fn stack(mut self, name: &str) -> Self {
+        self.stack = SchemeRegistry::global().expect(name);
+        self
     }
 
-    /// Start-Gap ψ for every bank (default 100).
+    /// ψ, writes per leveler migration step, for every bank (default 100).
     pub fn gap_interval(mut self, psi: u64) -> Self {
         self.gap_interval = psi;
         self
@@ -271,27 +261,9 @@ impl McFrontendBuilder {
         self
     }
 
-    /// Allow worker threads (default). In the pinned pipeline this
-    /// permits long-lived drain workers inside [`McFrontend::run`]; in
-    /// the legacy drain it steps banks on the shared pool. `false`
-    /// forces fully-inline servicing; the results are bit-identical.
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
-        self
-    }
-
-    /// Use the pinned-worker pipeline (default): per-bank batches flow
-    /// through SPSC rings to workers that own their bank for the whole
-    /// run, with age-bounded flushes. `false` restores the legacy
-    /// whole-fleet barrier drain.
-    pub fn pinned(mut self, on: bool) -> Self {
-        self.pinned = on;
-        self
-    }
-
     /// Enable wear-aware bank steering (default off). Steered runs stay
     /// deterministic but are not bit-identical to the unsteered mapping;
-    /// see [`steer::Steering`]. Requires the pinned pipeline.
+    /// see [`steer::Steering`].
     pub fn steering(mut self, on: bool) -> Self {
         self.steering = on;
         self
@@ -311,7 +283,7 @@ impl McFrontendBuilder {
     }
 
     /// Maximum ticks a queued write may age before its bank is flushed
-    /// (pinned pipeline only); 0 picks `12 × queue_depth` (default).
+    /// even if its queue is not full; 0 picks `12 × queue_depth` (default).
     pub fn max_batch_age(mut self, ticks: u64) -> Self {
         self.max_batch_age = ticks;
         self
@@ -319,8 +291,8 @@ impl McFrontendBuilder {
 
     /// Pinned drain worker threads for [`McFrontend::run`]; 0 (default)
     /// sizes to the machine (cores − 1, capped at the bank count).
-    /// Values ≤ 1 drain inline on the submitting thread — bit-identical
-    /// to any worker count.
+    /// 1 drains inline on the submitting thread — bit-identical to any
+    /// worker count.
     pub fn drain_workers(mut self, workers: usize) -> Self {
         self.drain_workers = workers;
         self
@@ -410,7 +382,7 @@ impl McFrontendBuilder {
             local_blocks,
             endurance_mean: self.endurance_mean,
             endurance_cov: self.endurance_cov,
-            scheme: self.scheme,
+            stack: self.stack,
             gap_interval: self.gap_interval,
             sample_interval: self.sample_interval,
             seed: self.seed,
@@ -418,7 +390,6 @@ impl McFrontendBuilder {
             ecc: self.ecc,
         };
         if self.degraded {
-            assert!(self.pinned, "degraded mode requires the pinned pipeline");
             // Ring entries carry the logical bank in bits 48+; the local
             // space and bank count must leave that encoding unambiguous.
             assert!(
@@ -479,8 +450,6 @@ impl McFrontendBuilder {
             tick: 0,
             requests: 0,
             drains: 0,
-            parallel: self.parallel,
-            pinned: self.pinned,
             stop_policy: self.stop_policy,
             stop: None,
             producers,
@@ -496,7 +465,6 @@ impl McFrontendBuilder {
             entry_buf: Vec::new(),
             addr_buf: Vec::new(),
             ring_buf: Vec::new(),
-            legacy_batches: (0..self.banks).map(|_| Vec::new()).collect(),
             workers_active: false,
             drain_workers: self.drain_workers,
             pipe: PipeAccum::new(),
@@ -530,8 +498,6 @@ pub struct McFrontend {
     tick: u64,
     requests: u64,
     drains: u64,
-    parallel: bool,
-    pinned: bool,
     stop_policy: McStopPolicy,
     stop: Option<McStopReason>,
     /// Producer half of each bank's SPSC ring.
@@ -567,8 +533,6 @@ pub struct McFrontend {
     addr_buf: Vec<u64>,
     /// Reused address buffer for inline ring consumption.
     ring_buf: Vec<u64>,
-    /// Reused per-bank batch buffers for the legacy barrier drain.
-    legacy_batches: Vec<Vec<u64>>,
     /// Whether pinned workers currently own the banks and consumers.
     workers_active: bool,
     drain_workers: usize,
@@ -607,15 +571,13 @@ impl McFrontend {
             total_blocks: 1 << 14,
             endurance_mean: 1e4,
             endurance_cov: 0.2,
-            scheme: SchemeKind::ReviverStartGap,
+            stack: SchemeRegistry::global().expect("reviver-sg"),
             gap_interval: 100,
             sample_interval: 0,
             seed: 0,
             interleave: Interleave::CacheLine,
             queue_depth: 64,
             write_buffer_lines: 32,
-            parallel: true,
-            pinned: true,
             steering: false,
             steer_epoch: 4096,
             ring_depth: 4096,
@@ -874,8 +836,7 @@ impl McFrontend {
     }
 
     /// Submits one write request for global block `global`. May flush
-    /// the target bank's batch (pinned pipeline) or trigger a
-    /// whole-fleet drain (legacy) when its queue is full.
+    /// the target bank's batch when its queue is full.
     ///
     /// # Panics
     ///
@@ -891,9 +852,7 @@ impl McFrontend {
         if let Some(line) = self.wbuf.admit(global) {
             self.enqueue(line);
         }
-        if self.pinned {
-            self.age_probe();
-        }
+        self.age_probe();
     }
 
     /// Flushes the write buffer, drains every queue and ring, and
@@ -904,28 +863,24 @@ impl McFrontend {
         for line in dirty {
             self.enqueue(line);
         }
-        if self.pinned {
-            for b in 0..self.queues.len() {
-                self.flush_bank(b);
-            }
-            if !self.workers_active {
-                for phys in 0..self.banks.len() {
-                    self.drain_ring_inline(phys);
-                }
-            }
-            // End of trace: full (no longer lagged) death reconciliation,
-            // and every ring is drained so outstanding span probes are
-            // all complete.
-            for phys in 0..self.banks.len() {
-                if !self.banks[phys].alive() {
-                    self.mark_dead(phys);
-                }
-                self.complete_span_probe(phys);
-            }
-            self.check_stop();
-        } else {
-            self.drain_all();
+        for b in 0..self.queues.len() {
+            self.flush_bank(b);
         }
+        if !self.workers_active {
+            for phys in 0..self.banks.len() {
+                self.drain_ring_inline(phys);
+            }
+        }
+        // End of trace: full (no longer lagged) death reconciliation,
+        // and every ring is drained so outstanding span probes are
+        // all complete.
+        for phys in 0..self.banks.len() {
+            if !self.banks[phys].alive() {
+                self.mark_dead(phys);
+            }
+            self.complete_span_probe(phys);
+        }
+        self.check_stop();
         let mut wear = WearHistogram::new();
         let mut revival = wl_reviver::ReviverCounters::default();
         for bank in &self.banks {
@@ -938,11 +893,7 @@ impl McFrontend {
                 &sim.controller().device().wear_snapshot()[..visible],
             ));
         }
-        let ticks = if self.pinned {
-            self.busy_until.iter().copied().fold(self.tick, u64::max)
-        } else {
-            self.tick
-        };
+        let ticks = self.busy_until.iter().copied().fold(self.tick, u64::max);
         McOutcome {
             requests: self.requests,
             absorbed: self.wbuf.absorbed(),
@@ -966,9 +917,9 @@ impl McFrontend {
 
     /// Submits up to `requests` writes drawn from `workload` (stopping
     /// early if the stop policy trips), then [`finish`](Self::finish)es.
-    /// With the pinned pipeline and more than one drain worker
-    /// available, the banks are serviced by long-lived worker threads
-    /// for the whole run; the outcome is bit-identical either way.
+    /// With more than one drain worker available, the banks are serviced
+    /// by long-lived worker threads for the whole run; the outcome is
+    /// bit-identical either way.
     ///
     /// # Panics
     ///
@@ -1007,7 +958,7 @@ impl McFrontend {
     /// across service intervals.
     pub fn with_pipeline<R>(&mut self, drive: impl FnOnce(&mut Self) -> R) -> R {
         let workers = self.worker_threads();
-        if !self.pinned || workers <= 1 {
+        if workers <= 1 {
             return drive(self);
         }
         let banks = std::mem::take(&mut self.banks);
@@ -1105,9 +1056,6 @@ impl McFrontend {
 
     /// How many pinned drain workers [`run`](Self::run) would use.
     fn worker_threads(&self) -> usize {
-        if !self.parallel {
-            return 1;
-        }
         let w = if self.drain_workers == 0 {
             // Leave one core for the submitting front-end thread.
             std::thread::available_parallelism()
@@ -1121,17 +1069,13 @@ impl McFrontend {
         w.min(self.banks.len())
     }
 
-    /// Routes a line to its bank queue, flushing/draining first if that
-    /// queue is full.
+    /// Routes a line to its bank queue, flushing first if that queue is
+    /// full.
     fn enqueue(&mut self, global: u64) {
         let (bank, local) = self.map.split(global);
         let b = bank as usize;
         if self.queues[b].is_full() {
-            if self.pinned {
-                self.flush_bank(b);
-            } else {
-                self.drain_all();
-            }
+            self.flush_bank(b);
         }
         if self.queues[b].is_empty() {
             self.oldest_arrival[b] = self.tick;
@@ -1363,52 +1307,6 @@ impl McFrontend {
         }
     }
 
-    /// Legacy whole-fleet barrier drain: releases every queue and steps
-    /// all banks over their batches — on the shared worker pool, or
-    /// sequentially in bank order; both produce bit-identical bank
-    /// states because banks share nothing.
-    fn drain_all(&mut self) {
-        let longest = self.queues.iter().map(WriteQueue::len).max().unwrap_or(0);
-        if longest == 0 {
-            return;
-        }
-        self.drains += 1;
-        let drain_start = self.tick;
-        self.oldest_arrival.fill(u64::MAX);
-        for (q, batch) in self.queues.iter_mut().zip(self.legacy_batches.iter_mut()) {
-            q.take_into(&mut self.entry_buf);
-            batch.clear();
-            for (i, &(addr, arrival)) in self.entry_buf.iter().enumerate() {
-                batch.push(addr);
-                self.latency
-                    .push((drain_start + i as u64).saturating_sub(arrival));
-            }
-        }
-        if self.parallel {
-            let jobs: Vec<PooledJob<'_, ()>> = self
-                .banks
-                .iter_mut()
-                .zip(self.legacy_batches.iter())
-                .map(|(bank, batch)| {
-                    let batch = batch.as_slice();
-                    Box::new(move || bank.drain(batch)) as PooledJob<'_, ()>
-                })
-                .collect();
-            run_pooled(jobs);
-        } else {
-            for (bank, batch) in self.banks.iter_mut().zip(self.legacy_batches.iter()) {
-                bank.drain(batch);
-            }
-        }
-        self.tick += longest as u64;
-        for i in 0..self.banks.len() {
-            if !self.banks[i].alive() {
-                self.mark_dead(i);
-            }
-        }
-        self.check_stop();
-    }
-
     /// Marks physical bank `phys` dead in the lagged mirror (idempotent).
     /// In degraded mode the first observation of a death also runs the
     /// quarantine transition.
@@ -1513,29 +1411,6 @@ mod tests {
     use wlr_trace::UniformWorkload;
 
     #[test]
-    fn stack_name_selects_the_registry_scheme() {
-        // A by-name build must be bit-identical to the by-kind build.
-        let run = |mc: McFrontendBuilder| {
-            let mut mc = mc
-                .banks(2)
-                .total_blocks(1 << 10)
-                .endurance_mean(1e9)
-                .seed(9)
-                .build()
-                .unwrap();
-            let mut w = UniformWorkload::new(1 << 10, 9);
-            mc.run(&mut w, 10_000);
-            (0..2)
-                .map(|b| mc.bank_sim_mut(b).fingerprint())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            run(McFrontend::builder().stack("reviver-sr")),
-            run(McFrontend::builder().scheme(SchemeKind::ReviverSecurityRefresh)),
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "unknown stack")]
     fn unknown_stack_name_panics_with_the_valid_list() {
         McFrontend::builder().stack("no-such-stack");
@@ -1593,21 +1468,22 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_drains_are_bit_identical() {
-        let run = |parallel: bool| {
+        // Eight banks on two workers: each worker round-robins four rings.
+        let run = |workers: usize| {
             let mut mc = McFrontend::builder()
-                .banks(4)
+                .banks(8)
                 .total_blocks(1 << 12)
                 .endurance_mean(2_000.0)
                 .gap_interval(8)
-                .parallel(parallel)
+                .drain_workers(workers)
                 .seed(11)
                 .build()
                 .unwrap();
             let mut w = UniformWorkload::new(1 << 12, 11);
             mc.run(&mut w, 40_000)
         };
-        let par = run(true);
-        let seq = run(false);
+        let par = run(2);
+        let seq = run(1);
         assert_eq!(par.banks.len(), seq.banks.len());
         for (p, s) in par.banks.iter().zip(&seq.banks) {
             assert_eq!(p.fingerprint, s.fingerprint, "bank {} diverged", p.bank);
@@ -1649,44 +1525,12 @@ mod tests {
     }
 
     #[test]
-    fn pinned_and_legacy_issue_identical_streams_without_buffers() {
-        // With coalescing structurally disabled (duplicate-free stream,
-        // no write buffer), both drain architectures must issue exactly
-        // the same per-bank sequences — flush timing differs, content
-        // cannot.
-        let space = 1u64 << 10;
-        let mut addrs: Vec<u64> = (0..space).collect();
-        wlr_base::rng::Rng::seed_from(9).shuffle(&mut addrs);
-        let run = |pinned: bool| {
-            let mut mc = McFrontend::builder()
-                .banks(4)
-                .total_blocks(space)
-                .endurance_mean(1e9)
-                .write_buffer_lines(0)
-                .record_issue(true)
-                .pinned(pinned)
-                .seed(9)
-                .build()
-                .unwrap();
-            for &a in &addrs {
-                mc.submit(a);
-            }
-            mc.finish();
-            let logs: Vec<Vec<u64>> = (0..4)
-                .map(|i| mc.banks()[i].issue_log().unwrap().to_vec())
-                .collect();
-            logs
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     fn first_dead_bank_stops_the_run() {
         let mut mc = McFrontend::builder()
             .banks(4)
             .total_blocks(1 << 10)
             .endurance_mean(300.0)
-            .scheme(SchemeKind::EccOnly)
+            .stack("ecc")
             .seed(5)
             .build()
             .unwrap();
@@ -1886,7 +1730,7 @@ mod tests {
                 .banks(4)
                 .total_blocks(1 << 10)
                 .endurance_mean(300.0)
-                .scheme(SchemeKind::EccOnly)
+                .stack("ecc")
                 .stop_policy(McStopPolicy::Quorum(1.0))
                 .degraded(degraded)
                 .seed(5)

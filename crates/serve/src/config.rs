@@ -38,7 +38,8 @@ pub struct Config {
     pub trace_dump: Option<String>,
     /// `WLR_SERVE_PUBLISH_MS` — metrics publication interval.
     pub publish_ms: u64,
-    /// Start-Gap ψ (fixed; part of the persisted-image identity).
+    /// ψ, writes per leveler migration step (fixed; part of the
+    /// persisted-image identity).
     pub gap_interval: u64,
     /// Per-bank trace-ring capacity in events.
     pub trace_ring: usize,

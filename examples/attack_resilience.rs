@@ -13,18 +13,18 @@
 //! cargo run --release -p wl-reviver --example attack_resilience
 //! ```
 
-use wl_reviver::sim::{SchemeKind, Simulation, StopCondition};
+use wl_reviver::sim::{Simulation, StopCondition};
 use wlr_trace::{BirthdayAttack, RepeatAttack, Workload};
 
 const BLOCKS: u64 = 1 << 12;
 const ENDURANCE: f64 = 5_000.0;
 
-fn survive(scheme: SchemeKind, attack: Box<dyn Workload>, seed: u64) -> u64 {
+fn survive(scheme: &str, attack: Box<dyn Workload>, seed: u64) -> u64 {
     let mut sim = Simulation::builder()
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
         .gap_interval(5)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(seed)
         .workload_boxed(attack)
         .build();
@@ -55,8 +55,8 @@ fn main() {
     ];
 
     for (name, mk) in attacks {
-        let sg = survive(SchemeKind::StartGapOnly, mk(3), 3);
-        let wlr = survive(SchemeKind::ReviverStartGap, mk(3), 3);
+        let sg = survive("sg", mk(3), 3);
+        let wlr = survive("reviver-sg", mk(3), 3);
         println!(
             "{:<28} {:>14} {:>14} {:>9.2}x",
             name,

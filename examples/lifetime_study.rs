@@ -14,21 +14,21 @@
 //! cargo run --release -p wl-reviver --example lifetime_study
 //! ```
 
-use wl_reviver::sim::{SchemeKind, Simulation, StopCondition};
+use wl_reviver::sim::{Simulation, StopCondition};
 use wlr_trace::{CovTargetedWorkload, SpatialMode};
 
 const BLOCKS: u64 = 1 << 13;
 const ENDURANCE: f64 = 8_000.0;
 const PSI: u64 = 10;
 
-fn lifetime(scheme: SchemeKind, cov: f64, seed: u64) -> u64 {
+fn lifetime(scheme: &str, cov: f64, seed: u64) -> u64 {
     let workload =
         CovTargetedWorkload::new(BLOCKS, cov, SpatialMode::Clustered { run_blocks: 64 }, seed);
     let mut sim = Simulation::builder()
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
         .gap_interval(PSI)
-        .scheme(scheme)
+        .stack(scheme)
         .workload(workload)
         .seed(seed)
         .build();
@@ -45,9 +45,9 @@ fn main() {
         "CoV", "ECP6", "ECP6-SG", "ECP6-SG-WLR", "WLR gain"
     );
     for cov in [0.5, 2.0, 4.15, 8.88, 13.87, 40.87] {
-        let none = lifetime(SchemeKind::EccOnly, cov, 7);
-        let sg = lifetime(SchemeKind::StartGapOnly, cov, 7);
-        let wlr = lifetime(SchemeKind::ReviverStartGap, cov, 7);
+        let none = lifetime("ecc", cov, 7);
+        let sg = lifetime("sg", cov, 7);
+        let wlr = lifetime("reviver-sg", cov, 7);
         println!(
             "{:>8.2} {:>14} {:>14} {:>14} {:>9.2}x",
             cov,

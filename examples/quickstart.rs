@@ -11,7 +11,7 @@
 //! cargo run --release -p wl-reviver --example quickstart
 //! ```
 
-use wl_reviver::sim::{SchemeKind, Simulation, StopCondition};
+use wl_reviver::sim::{Simulation, StopCondition};
 use wlr_trace::Benchmark;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         .num_blocks(blocks)
         .endurance_mean(endurance)
         .gap_interval(10) // scaled ψ; see EXPERIMENTS.md
-        .scheme(SchemeKind::ReviverStartGap)
+        .stack("reviver-sg")
         .workload(Benchmark::Ocean.build(blocks, 42))
         .seed(42)
         .sample_interval(2_000_000)

@@ -1,17 +1,16 @@
 //! Scenario builders shared by the integration tests.
 
-use wl_reviver::sim::{SchemeKind, Simulation, SimulationBuilder};
+use wl_reviver::sim::{Simulation, SimulationBuilder};
 use wlr_trace::{Benchmark, CovTargetedWorkload, SpatialMode};
 
 /// Standard small rig: 2¹⁰ blocks, scaled endurance, invariant checking
 /// and the integrity oracle enabled.
-pub fn checked_sim(scheme: SchemeKind, seed: u64) -> SimulationBuilder {
+pub fn checked_sim(scheme: &str, seed: u64) -> SimulationBuilder {
     Simulation::builder()
         .num_blocks(1 << 10)
         .endurance_mean(1_500.0)
         .gap_interval(10)
-        .sr_refresh_interval(10)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(seed)
         .sample_interval(2_000)
         .verify_integrity(true)
@@ -19,13 +18,12 @@ pub fn checked_sim(scheme: SchemeKind, seed: u64) -> SimulationBuilder {
 }
 
 /// Performance-shaped rig: 2¹² blocks, no oracle overhead.
-pub fn fast_sim(scheme: SchemeKind, seed: u64) -> SimulationBuilder {
+pub fn fast_sim(scheme: &str, seed: u64) -> SimulationBuilder {
     Simulation::builder()
         .num_blocks(1 << 12)
         .endurance_mean(2_000.0)
         .gap_interval(8)
-        .sr_refresh_interval(8)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(seed)
         .sample_interval(10_000)
 }

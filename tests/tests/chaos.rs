@@ -2,26 +2,24 @@
 //! post-quarantine read service across every scheme stack, and the
 //! bounded transient-read retry contract.
 
-use wl_reviver::sim::{EccKind, SchemeKind};
+use wl_reviver::sim::EccKind;
 use wlr_mc::{BankChaos, FaultPlan, McFrontend, McReadError, McStopPolicy, McStopReason};
 use wlr_trace::{UniformWorkload, Workload};
 
 const BLOCKS: u64 = 1 << 12;
 
-/// Every scheme stack the equivalence suite sweeps, by the same names.
-fn stacks() -> Vec<(&'static str, SchemeKind)> {
-    vec![
-        ("ecc", SchemeKind::EccOnly),
-        ("sg", SchemeKind::StartGapOnly),
-        ("sr", SchemeKind::SecurityRefreshOnly),
-        ("freep", SchemeKind::Freep { reserve_frac: 0.1 }),
-        ("lls", SchemeKind::Lls),
-        ("reviver-sg", SchemeKind::ReviverStartGap),
-        ("reviver-sr", SchemeKind::ReviverSecurityRefresh),
-        ("reviver-tiled", SchemeKind::ReviverTiledStartGap),
-        ("reviver-sr2", SchemeKind::ReviverTwoLevelSecurityRefresh),
-    ]
-}
+/// The nine stacks of the original equivalence sweep, by registry name.
+const STACKS: [&str; 9] = [
+    "ecc",
+    "sg",
+    "sr",
+    "freep",
+    "lls",
+    "reviver-sg",
+    "reviver-sr",
+    "reviver-tiled",
+    "reviver-sr2",
+];
 
 /// With no faults firing, the degraded-mode remap layer (logical
 /// encoding, quarantine steering hooks, substitute election) must be
@@ -68,12 +66,12 @@ fn quarantine_remap_is_bit_identical_to_no_fault_run() {
 /// the healthy banks' own lines.
 #[test]
 fn post_quarantine_reads_return_migrated_contents_across_all_stacks() {
-    for (name, scheme) in stacks() {
+    for name in STACKS {
         let mut mc = McFrontend::builder()
             .banks(4)
             .total_blocks(BLOCKS)
             .endurance_mean(1e9)
-            .scheme(scheme)
+            .stack(name)
             .verify_integrity(true)
             .degraded(true)
             .stop_policy(McStopPolicy::Quorum(1.0))

@@ -22,7 +22,7 @@
 //! sweep only hits by luck.
 
 use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{SchemeKind, Simulation, SimulationBuilder, StopCondition, StopReason};
+use wl_reviver::sim::{Simulation, SimulationBuilder, StopCondition, StopReason};
 use wlr_pcm::{CrashPoint, FaultPlan};
 
 const BLOCKS: u64 = 1 << 10;
@@ -32,34 +32,23 @@ const ENDURANCE: f64 = 60.0;
 const STOP: u64 = 55_000;
 const SEED: u64 = 11;
 
-fn rig(scheme: SchemeKind) -> SimulationBuilder {
+fn rig(scheme: &str) -> SimulationBuilder {
     Simulation::builder()
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
         .gap_interval(5)
-        .sr_refresh_interval(5)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(SEED)
         .sample_interval(10_000)
         .verify_integrity(true)
         .check_invariants(true)
 }
 
-/// Every registered stack, flagged by whether it has a real recovery
-/// path (reviver stacks crash at device-write granularity; baselines at
-/// software-write boundaries).
-fn all_schemes() -> Vec<(&'static str, SchemeKind, bool)> {
-    SchemeRegistry::global()
-        .iter()
-        .map(|s| (s.name, s.kind, s.revivable))
-        .collect()
-}
-
 /// Crashes a reviver stack at device-write index `k`, recovers, finishes
 /// the run, and asserts the oracle stayed clean throughout.
-fn crash_and_recover(label: &str, scheme: SchemeKind, k: u64) -> bool {
+fn crash_and_recover(label: &str, k: u64) -> bool {
     let plan = FaultPlan::new().power_loss_at_write(k);
-    let mut sim = rig(scheme).fault_plan(plan).build();
+    let mut sim = rig(label).fault_plan(plan).build();
     let out = sim.run(StopCondition::Writes(STOP));
     let fired = out.reason == StopReason::PowerLoss;
     if fired {
@@ -86,8 +75,8 @@ fn crash_and_recover(label: &str, scheme: SchemeKind, k: u64) -> bool {
 
 /// Reboots a baseline stack at software-write boundary `k` (its metadata
 /// is modeled persistent) and asserts the oracle across the reboot.
-fn boundary_crash(label: &str, scheme: SchemeKind, k: u64) {
-    let mut sim = rig(scheme).build();
+fn boundary_crash(label: &str, k: u64) {
+    let mut sim = rig(label).build();
     let out = sim.run(StopCondition::Writes(k));
     if out.reason == StopReason::ConditionMet {
         sim.recover();
@@ -102,14 +91,17 @@ fn crash_sweep_recovers_every_stack() {
     // Crash points from the healthy era through deep wear-out. The
     // release-mode `crash_sweep` bin widens this to hundreds of points.
     let mut fired = 0u64;
-    for (label, scheme, is_reviver) in all_schemes() {
+    // Reviver stacks crash at device-write granularity; baselines have no
+    // real recovery path and reboot at software-write boundaries.
+    for spec in SchemeRegistry::global().iter() {
+        let label = spec.name;
         for &k in &[20_000u64, 32_000, 44_000] {
-            if is_reviver {
-                if crash_and_recover(label, scheme, k) {
+            if spec.revivable {
+                if crash_and_recover(label, k) {
                     fired += 1;
                 }
             } else {
-                boundary_crash(label, scheme, k);
+                boundary_crash(label, k);
                 fired += 1;
             }
         }
@@ -132,7 +124,7 @@ fn targeted_crash_points_recover() {
     for (name, point) in points {
         for occurrence in [0u64, 2] {
             let plan = FaultPlan::new().power_loss_at_point(point, occurrence);
-            let mut sim = rig(SchemeKind::ReviverStartGap).fault_plan(plan).build();
+            let mut sim = rig("reviver-sg").fault_plan(plan).build();
             let out = sim.run(StopCondition::Writes(STOP));
             if out.reason != StopReason::PowerLoss {
                 continue; // the occurrence never happened in this run
@@ -161,7 +153,7 @@ fn torn_switch_is_repaired_on_recovery() {
     // leaves both blocks claiming the same shadow; recovery must detect
     // the collision and reassign the stale claimant (not drop data).
     let plan = FaultPlan::new().power_loss_at_point(CrashPoint::MidSwitch, 0);
-    let mut sim = rig(SchemeKind::ReviverStartGap).fault_plan(plan).build();
+    let mut sim = rig("reviver-sg").fault_plan(plan).build();
     let out = sim.run(StopCondition::Writes(STOP));
     assert_eq!(
         out.reason,
@@ -184,7 +176,7 @@ fn recovery_reports_scan_and_replay_costs() {
     // a mid-life crash must actually scan retired pages and recover the
     // links that existed before the cut.
     let plan = FaultPlan::new().power_loss_at_write(30_000);
-    let mut sim = rig(SchemeKind::ReviverStartGap).fault_plan(plan).build();
+    let mut sim = rig("reviver-sg").fault_plan(plan).build();
     let out = sim.run(StopCondition::Writes(STOP));
     assert_eq!(out.reason, StopReason::PowerLoss);
     let links_before = sim
@@ -216,8 +208,7 @@ fn silent_and_reported_failures_converge() {
                 .num_blocks(BLOCKS)
                 .endurance_mean(1e9)
                 .gap_interval(1_000_000)
-                .sr_refresh_interval(1_000_000)
-                .scheme(scheme)
+                .stack(scheme)
                 .seed(SEED + fault_seed)
                 .verify_integrity(true)
                 .check_invariants(true)
@@ -225,7 +216,7 @@ fn silent_and_reported_failures_converge() {
 
         // Silent run: the k-th device write kills its block, reports Ok.
         let plan = FaultPlan::new().silent_failure_at_write(k);
-        let mut silent = quiet(SchemeKind::ReviverStartGap).fault_plan(plan).build();
+        let mut silent = quiet("reviver-sg").fault_plan(plan).build();
         silent.run(StopCondition::Writes(20_000));
         let killed = {
             let log = silent.controller().device().silent_failures();
@@ -243,7 +234,7 @@ fn silent_and_reported_failures_converge() {
         // write boundary — but visibly, so the very next write to it
         // reports. (Before the fault, no failures and no migrations run,
         // so device-write index k is software write k.)
-        let mut reported = quiet(SchemeKind::ReviverStartGap).build();
+        let mut reported = quiet("reviver-sg").build();
         reported.run(StopCondition::Writes(k));
         reported
             .controller_mut()
@@ -266,7 +257,7 @@ fn transient_read_errors_interact_with_ecc() {
     // Soft read errors are absorbed by ECC headroom where available and
     // surfaced (retryable) where not — never corrupting logical data.
     let plan = FaultPlan::new().seeded_transient_reads(SEED, 40, 0, 60_000);
-    let mut sim = rig(SchemeKind::ReviverStartGap).fault_plan(plan).build();
+    let mut sim = rig("reviver-sg").fault_plan(plan).build();
     sim.run(StopCondition::Writes(STOP));
     let counters = sim
         .controller()
@@ -288,7 +279,7 @@ fn double_crash_recovers_twice() {
     let plan = FaultPlan::new()
         .power_loss_at_write(20_000)
         .power_loss_at_write(28_000);
-    let mut sim = rig(SchemeKind::ReviverStartGap).fault_plan(plan).build();
+    let mut sim = rig("reviver-sg").fault_plan(plan).build();
     let mut crashes = 0;
     loop {
         let out = sim.run(StopCondition::Writes(STOP));

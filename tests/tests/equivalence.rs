@@ -19,7 +19,7 @@
 
 use wl_reviver::metrics::TimeSeries;
 use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{Outcome, SchemeKind, Simulation, StopCondition};
+use wl_reviver::sim::{Outcome, Simulation, StopCondition};
 
 const BLOCKS: u64 = 1 << 10;
 const ENDURANCE: f64 = 300.0;
@@ -29,21 +29,12 @@ const SEED: u64 = 7;
 /// switches, page retirements and redirection all shape the curves.
 const STOP_WRITES: u64 = 280_000;
 
-/// Every registered stack, with its canonical registry name as label.
-fn all_schemes() -> Vec<(&'static str, SchemeKind)> {
-    SchemeRegistry::global()
-        .iter()
-        .map(|s| (s.name, s.kind))
-        .collect()
-}
-
-fn sim(scheme: SchemeKind, verify: bool) -> Simulation {
+fn sim(scheme: &str, verify: bool) -> Simulation {
     Simulation::builder()
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
         .gap_interval(PSI)
-        .sr_refresh_interval(PSI)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(SEED)
         .verify_integrity(verify)
         .build()
@@ -112,7 +103,7 @@ const GOLDEN_ORACLE: &[(&str, u64)] = &[
     ("adaptive-sg-wlr", 0x3ffca1b8797cc82f),
 ];
 
-fn run_fingerprint(scheme: SchemeKind, verify: bool) -> u64 {
+fn run_fingerprint(scheme: &str, verify: bool) -> u64 {
     let mut s = sim(scheme, verify);
     let out = s.run(StopCondition::Writes(STOP_WRITES));
     if verify {
@@ -124,8 +115,8 @@ fn run_fingerprint(scheme: SchemeKind, verify: bool) -> u64 {
 #[test]
 fn outcomes_match_seed_engine_goldens() {
     let capture = std::env::var("WLR_CAPTURE_GOLDEN").is_ok_and(|v| v == "1");
-    for (label, scheme) in all_schemes() {
-        let fp = run_fingerprint(scheme, false);
+    for label in SchemeRegistry::global().names() {
+        let fp = run_fingerprint(label, false);
         if capture {
             println!("    (\"{label}\", {fp:#018x}),");
             continue;
@@ -145,23 +136,12 @@ fn outcomes_match_seed_engine_goldens() {
 #[test]
 fn oracle_runs_match_seed_engine_goldens() {
     let capture = std::env::var("WLR_CAPTURE_GOLDEN").is_ok_and(|v| v == "1");
-    let reg = SchemeRegistry::global();
-    for &(label, scheme) in &[
-        ("reviver-sg", reg.kind("reviver-sg")),
-        ("reviver-sr", reg.kind("reviver-sr")),
-        ("softwear-wlr", reg.kind("softwear-wlr")),
-        ("adaptive-sg-wlr", reg.kind("adaptive-sg-wlr")),
-    ] {
-        let fp = run_fingerprint(scheme, true);
+    for &(label, golden) in GOLDEN_ORACLE {
+        let fp = run_fingerprint(label, true);
         if capture {
             println!("    (\"{label}\", {fp:#018x}), // oracle");
             continue;
         }
-        let golden = GOLDEN_ORACLE
-            .iter()
-            .find(|(l, _)| *l == label)
-            .unwrap_or_else(|| panic!("no oracle golden for {label}"))
-            .1;
         assert_eq!(fp, golden, "{label}: oracle-mode run diverged");
     }
 }
@@ -170,8 +150,8 @@ fn oracle_runs_match_seed_engine_goldens() {
 /// guards the fingerprints above against flakiness in the harness itself.
 #[test]
 fn same_build_is_deterministic() {
-    let a = run_fingerprint(SchemeKind::ReviverStartGap, false);
-    let b = run_fingerprint(SchemeKind::ReviverStartGap, false);
+    let a = run_fingerprint("reviver-sg", false);
+    let b = run_fingerprint("reviver-sg", false);
     assert_eq!(a, b);
 }
 
@@ -185,14 +165,13 @@ fn same_build_is_deterministic() {
 fn persistence_round_trip_preserves_state_all_stacks() {
     use wl_reviver::recovery::PersistedMeta;
 
-    for (label, scheme) in all_schemes() {
+    for label in SchemeRegistry::global().names() {
         // A shorter rig than the golden config: deep wear by 40k writes.
         let mut s = Simulation::builder()
             .num_blocks(1 << 9)
             .endurance_mean(100.0)
             .gap_interval(PSI)
-            .sr_refresh_interval(PSI)
-            .scheme(scheme)
+            .stack(label)
             .seed(SEED)
             .verify_integrity(true)
             .build();
@@ -238,8 +217,7 @@ fn restore_from_serialized_image_matches_live_state() {
         .num_blocks(1 << 9)
         .endurance_mean(100.0)
         .gap_interval(PSI)
-        .sr_refresh_interval(PSI)
-        .scheme(SchemeKind::ReviverStartGap)
+        .stack("reviver-sg")
         .seed(SEED)
         .verify_integrity(true)
         .build();

@@ -10,7 +10,7 @@
 //! exactly.
 
 use wl_reviver::metrics::TimeSeries;
-use wl_reviver::sim::{Outcome, SchemeKind, Simulation, StopCondition};
+use wl_reviver::sim::{Outcome, Simulation, StopCondition};
 use wl_reviver::{
     EventSink, InvariantSink, NoopSink, RevivedController, ReviverCounters, ReviverEvent,
 };
@@ -23,36 +23,19 @@ const STOP_WRITES: u64 = 280_000;
 
 /// The reviver rows of `equivalence.rs`'s `GOLDEN` table. Kept in sync
 /// by hand; if a golden is intentionally re-captured there, update here.
-const REVIVER_GOLDEN: &[(&str, SchemeKind, u64)] = &[
-    (
-        "reviver-sg",
-        SchemeKind::ReviverStartGap,
-        0x82a91d5fa092d560,
-    ),
-    (
-        "reviver-sr",
-        SchemeKind::ReviverSecurityRefresh,
-        0x74ac0550cb0985e1,
-    ),
-    (
-        "reviver-tiled",
-        SchemeKind::ReviverTiledStartGap,
-        0xacabc7818ee1fc51,
-    ),
-    (
-        "reviver-sr2",
-        SchemeKind::ReviverTwoLevelSecurityRefresh,
-        0xb9bcda0cdd26c283,
-    ),
+const REVIVER_GOLDEN: &[(&str, u64)] = &[
+    ("reviver-sg", 0x82a91d5fa092d560),
+    ("reviver-sr", 0x74ac0550cb0985e1),
+    ("reviver-tiled", 0xacabc7818ee1fc51),
+    ("reviver-sr2", 0xb9bcda0cdd26c283),
 ];
 
-fn golden_sim(scheme: SchemeKind) -> Simulation {
+fn golden_sim(scheme: &str) -> Simulation {
     Simulation::builder()
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
         .gap_interval(PSI)
-        .sr_refresh_interval(PSI)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(SEED)
         .build()
 }
@@ -95,7 +78,7 @@ fn fingerprint(outcome: &Outcome, series: &TimeSeries) -> u64 {
 
 /// Runs one golden-config lifetime with the given sinks attached and
 /// returns the fingerprint.
-fn run_with_sinks(scheme: SchemeKind, sinks: Vec<Box<dyn EventSink>>) -> (u64, Simulation) {
+fn run_with_sinks(scheme: &str, sinks: Vec<Box<dyn EventSink>>) -> (u64, Simulation) {
     let mut s = golden_sim(scheme);
     let r = s
         .controller_mut()
@@ -114,8 +97,8 @@ fn run_with_sinks(scheme: SchemeKind, sinks: Vec<Box<dyn EventSink>>) -> (u64, S
 /// path forced on.
 #[test]
 fn noop_sink_preserves_every_reviver_golden() {
-    for &(label, scheme, golden) in REVIVER_GOLDEN {
-        let (fp, _) = run_with_sinks(scheme, vec![Box::new(NoopSink)]);
+    for &(label, golden) in REVIVER_GOLDEN {
+        let (fp, _) = run_with_sinks(label, vec![Box::new(NoopSink)]);
         assert_eq!(
             fp, golden,
             "{label}: attaching a no-op sink changed the run"
@@ -129,9 +112,9 @@ fn noop_sink_preserves_every_reviver_golden() {
 /// checker stays silent across a healthy lifetime.
 #[test]
 fn counter_and_invariant_sinks_preserve_goldens_and_agree() {
-    for &(label, scheme, golden) in &[REVIVER_GOLDEN[0], REVIVER_GOLDEN[1]] {
+    for &(label, golden) in &[REVIVER_GOLDEN[0], REVIVER_GOLDEN[1]] {
         let (fp, s) = run_with_sinks(
-            scheme,
+            label,
             vec![
                 Box::new(ReviverCounters::default()),
                 Box::new(InvariantSink::new()),
@@ -182,13 +165,12 @@ impl EventSink for RecordingSink {
 /// counter without emitting (or vice versa), this diverges.
 #[test]
 fn replaying_recorded_events_reconstructs_counters() {
-    for &(label, scheme, _) in REVIVER_GOLDEN {
+    for &(label, _) in REVIVER_GOLDEN {
         let mut s = Simulation::builder()
             .num_blocks(1 << 9)
             .endurance_mean(100.0)
             .gap_interval(PSI)
-            .sr_refresh_interval(PSI)
-            .scheme(scheme)
+            .stack(label)
             .seed(SEED)
             .build();
         s.controller_mut()
@@ -231,8 +213,7 @@ fn jsonl_sink_writes_one_line_per_event() {
         .num_blocks(1 << 9)
         .endurance_mean(60.0)
         .gap_interval(PSI)
-        .sr_refresh_interval(PSI)
-        .scheme(SchemeKind::ReviverStartGap)
+        .stack("reviver-sg")
         .seed(SEED)
         .build();
     s.controller_mut()

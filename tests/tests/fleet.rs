@@ -13,26 +13,17 @@
 //!    yields the same lifetime, across repeated forks.
 
 use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{SchemeKind, Simulation, StopCondition};
+use wl_reviver::sim::{Simulation, StopCondition};
 use wlr_mc::{BankChaos, McFrontend, McStopPolicy};
 use wlr_pcm::FaultPlan;
 use wlr_trace::{UniformWorkload, Workload};
 
-/// Every registered stack, with its canonical registry name as label.
-fn all_schemes() -> Vec<(&'static str, SchemeKind)> {
-    SchemeRegistry::global()
-        .iter()
-        .map(|s| (s.name, s.kind))
-        .collect()
-}
-
-fn sim(scheme: SchemeKind) -> Simulation {
+fn sim(scheme: &str) -> Simulation {
     Simulation::builder()
         .num_blocks(1 << 10)
         .endurance_mean(300.0)
         .gap_interval(7)
-        .sr_refresh_interval(7)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(7)
         .sample_interval(2_000)
         .verify_integrity(true)
@@ -54,8 +45,8 @@ fn sim(scheme: SchemeKind) -> Simulation {
 /// trivially differ).
 #[test]
 fn fork_then_replay_is_bit_identical_on_all_stacks() {
-    for (name, scheme) in all_schemes() {
-        let mut original = sim(scheme);
+    for name in SchemeRegistry::global().names() {
+        let mut original = sim(name);
         let warm = original.run(StopCondition::DeadFraction(4.0 / 1024.0));
         assert_eq!(
             warm.reason,
@@ -71,7 +62,7 @@ fn fork_then_replay_is_bit_identical_on_all_stacks() {
         let mut forked = Simulation::fork(&snap);
         let fork_out = forked.run(StopCondition::Writes(finish_at));
 
-        let mut fresh = sim(scheme);
+        let mut fresh = sim(name);
         let fresh_out = fresh.run(StopCondition::Writes(finish_at));
 
         assert_eq!(
@@ -114,7 +105,7 @@ fn snapshot_under_quarantine_round_trips() {
             .banks(BANKS)
             .total_blocks(BLOCKS)
             .endurance_mean(1e9)
-            .scheme(SchemeKind::ReviverStartGap)
+            .stack("reviver-sg")
             .verify_integrity(true)
             .degraded(true)
             .stop_policy(McStopPolicy::Quorum(1.0))
@@ -191,8 +182,7 @@ fn same_snapshot_seed_and_fault_plan_yield_same_lifetime() {
         .num_blocks(1 << 10)
         .endurance_mean(1_500.0)
         .gap_interval(10)
-        .sr_refresh_interval(10)
-        .scheme(SchemeKind::ReviverStartGap)
+        .stack("reviver-sg")
         .seed(11)
         .build();
     warm.run(StopCondition::Writes(600_000));
@@ -236,8 +226,7 @@ fn silently_dead_migration_target_is_left_for_discovery() {
         .num_blocks(1 << 10)
         .endurance_mean(1_000.0)
         .gap_interval(16)
-        .sr_refresh_interval(16)
-        .scheme(SchemeKind::ReviverStartGap)
+        .stack("reviver-sg")
         .seed(42)
         .verify_integrity(true)
         .build();

@@ -3,10 +3,10 @@
 //! page retirements, every application address that the OS still maps
 //! must read back the last value written to it.
 
-use wl_reviver::sim::{SchemeKind, StopCondition};
+use wl_reviver::sim::StopCondition;
 use wlr_tests::scenario::{checked_sim, cov_workload};
 
-fn run_integrity(scheme: SchemeKind, seed: u64, stop: StopCondition) {
+fn run_integrity(scheme: &str, seed: u64, stop: StopCondition) {
     let mut sim = checked_sim(scheme, seed).build();
     let out = sim.run(stop);
     assert!(out.writes_issued > 10_000, "run too short to be meaningful");
@@ -24,54 +24,38 @@ fn run_integrity(scheme: SchemeKind, seed: u64, stop: StopCondition) {
 
 #[test]
 fn reviver_start_gap_preserves_data_to_deep_wearout() {
-    run_integrity(
-        SchemeKind::ReviverStartGap,
-        1,
-        StopCondition::DeadFraction(0.10),
-    );
+    run_integrity("reviver-sg", 1, StopCondition::DeadFraction(0.10));
 }
 
 #[test]
 fn reviver_security_refresh_preserves_data_to_deep_wearout() {
-    run_integrity(
-        SchemeKind::ReviverSecurityRefresh,
-        2,
-        StopCondition::DeadFraction(0.08),
-    );
+    run_integrity("reviver-sr", 2, StopCondition::DeadFraction(0.08));
 }
 
 #[test]
 fn freep_preserves_data_while_reserve_lasts() {
-    run_integrity(
-        SchemeKind::Freep { reserve_frac: 0.10 },
-        3,
-        StopCondition::UsableBelow(0.85),
-    );
+    run_integrity("freep", 3, StopCondition::UsableBelow(0.85));
 }
 
 #[test]
 fn lls_preserves_data_across_chunk_acquisitions() {
-    run_integrity(SchemeKind::Lls, 4, StopCondition::UsableBelow(0.80));
+    run_integrity("lls", 4, StopCondition::UsableBelow(0.80));
 }
 
 #[test]
 fn zombie_preserves_data_across_page_acquisitions() {
-    run_integrity(SchemeKind::Zombie, 8, StopCondition::UsableBelow(0.90));
+    run_integrity("zombie", 8, StopCondition::UsableBelow(0.90));
 }
 
 #[test]
 fn plain_start_gap_preserves_data_before_and_after_freeze() {
-    run_integrity(
-        SchemeKind::StartGapOnly,
-        5,
-        StopCondition::UsableBelow(0.85),
-    );
+    run_integrity("sg", 5, StopCondition::UsableBelow(0.85));
 }
 
 #[test]
 fn skewed_workload_integrity_under_reviver() {
     let blocks = 1 << 10;
-    let mut sim = checked_sim(SchemeKind::ReviverStartGap, 6)
+    let mut sim = checked_sim("reviver-sg", 6)
         .workload(cov_workload(blocks, 8.88, 6))
         .build();
     sim.run(StopCondition::DeadFraction(0.08));
@@ -82,7 +66,7 @@ fn skewed_workload_integrity_under_reviver() {
 fn integrity_survives_multiple_run_segments() {
     // Stopping and resuming the same simulation must not confuse the
     // oracle or the controller.
-    let mut sim = checked_sim(SchemeKind::ReviverStartGap, 7).build();
+    let mut sim = checked_sim("reviver-sg", 7).build();
     for step in 1..=5u64 {
         sim.run(StopCondition::Writes(step * 50_000));
         assert_eq!(sim.verify_all(), 0, "mismatch after segment {step}");

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wl_reviver::sim::{SchemeKind, Simulation, StopCondition};
+use wl_reviver::sim::{Simulation, StopCondition};
 use wl_reviver::{MetricsSink, RevivalMetrics};
 use wlr_base::stats::registry::{
     parse_exposition, HistogramSnapshot, LogHistogram, MetricsRegistry,
@@ -23,25 +23,24 @@ const STOP_WRITES: u64 = 280_000;
 
 /// Every golden stack from `equivalence.rs`: five baselines (no
 /// reviver, so nothing to fold) and the four revived schemes.
-const STACKS: &[(&str, SchemeKind)] = &[
-    ("ecc", SchemeKind::EccOnly),
-    ("sg", SchemeKind::StartGapOnly),
-    ("sr", SchemeKind::SecurityRefreshOnly),
-    ("freep", SchemeKind::Freep { reserve_frac: 0.1 }),
-    ("lls", SchemeKind::Lls),
-    ("reviver-sg", SchemeKind::ReviverStartGap),
-    ("reviver-sr", SchemeKind::ReviverSecurityRefresh),
-    ("reviver-tiled", SchemeKind::ReviverTiledStartGap),
-    ("reviver-sr2", SchemeKind::ReviverTwoLevelSecurityRefresh),
+const STACKS: &[&str] = &[
+    "ecc",
+    "sg",
+    "sr",
+    "freep",
+    "lls",
+    "reviver-sg",
+    "reviver-sr",
+    "reviver-tiled",
+    "reviver-sr2",
 ];
 
-fn golden_sim(scheme: SchemeKind) -> Simulation {
+fn golden_sim(scheme: &str) -> Simulation {
     Simulation::builder()
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
         .gap_interval(PSI)
-        .sr_refresh_interval(PSI)
-        .scheme(scheme)
+        .stack(scheme)
         .seed(SEED)
         .build()
 }
@@ -53,8 +52,8 @@ fn golden_sim(scheme: SchemeKind) -> Simulation {
 /// only where revival state exists.
 #[test]
 fn metrics_sink_matches_builtin_counters_on_every_golden_stack() {
-    for &(label, scheme) in STACKS {
-        let mut s = golden_sim(scheme);
+    for &label in STACKS {
+        let mut s = golden_sim(label);
         let registry = MetricsRegistry::new();
         let Some(r) = s.controller_mut().as_reviver_mut() else {
             assert!(

@@ -2,12 +2,12 @@
 //! failure reports, LLS's explicit page requests, and retirement copies
 //! flowing through the controller.
 
-use wl_reviver::sim::{SchemeKind, StopCondition};
+use wl_reviver::sim::StopCondition;
 use wlr_tests::scenario::{checked_sim, fast_sim};
 
 #[test]
 fn reviver_reports_once_per_page_not_per_failure() {
-    let mut sim = fast_sim(SchemeKind::ReviverStartGap, 31).build();
+    let mut sim = fast_sim("reviver-sg", 31).build();
     sim.run(StopCondition::DeadFraction(0.10));
     let failures = sim.controller().device().dead_blocks();
     let reports = sim.os().failure_reports();
@@ -22,7 +22,7 @@ fn reviver_reports_once_per_page_not_per_failure() {
 
 #[test]
 fn baseline_reports_every_failure() {
-    let mut sim = fast_sim(SchemeKind::EccOnly, 32).build();
+    let mut sim = fast_sim("ecc", 32).build();
     sim.run(StopCondition::UsableBelow(0.90));
     let reports = sim.os().failure_reports();
     let retired = sim.os().retired_pages();
@@ -32,7 +32,7 @@ fn baseline_reports_every_failure() {
 
 #[test]
 fn reviver_usable_space_tracks_retired_pages_exactly() {
-    let mut sim = fast_sim(SchemeKind::ReviverStartGap, 33).build();
+    let mut sim = fast_sim("reviver-sg", 33).build();
     sim.run(StopCondition::DeadFraction(0.08));
     let bpp = sim.geometry().blocks_per_page();
     let expect = (sim.geometry().num_blocks() - sim.os().retired_pages() * bpp) as f64
@@ -42,7 +42,7 @@ fn reviver_usable_space_tracks_retired_pages_exactly() {
 
 #[test]
 fn lls_uses_explicit_os_support() {
-    let mut sim = fast_sim(SchemeKind::Lls, 34).build();
+    let mut sim = fast_sim("lls", 34).build();
     sim.run(StopCondition::DeadFraction(0.04));
     let ctl = sim.controller().as_lls().expect("scheme is LLS");
     assert!(ctl.chunks_acquired() >= 1, "LLS should have taken a chunk");
@@ -57,9 +57,7 @@ fn lls_uses_explicit_os_support() {
 fn retirement_copies_wear_the_pcm() {
     // The data relocation the OS performs on retirement is real traffic:
     // compare device write counts against software writes issued.
-    let mut sim = checked_sim(SchemeKind::EccOnly, 35)
-        .os_reserve_pages(4)
-        .build();
+    let mut sim = checked_sim("ecc", 35).os_reserve_pages(4).build();
     sim.run(StopCondition::UsableBelow(0.95));
     let device_writes = sim.controller().device().stats().writes;
     assert!(
@@ -72,9 +70,7 @@ fn retirement_copies_wear_the_pcm() {
 
 #[test]
 fn os_reserve_pool_absorbs_early_retirements() {
-    let mut sim = fast_sim(SchemeKind::EccOnly, 36)
-        .os_reserve_pages(8)
-        .build();
+    let mut sim = fast_sim("ecc", 36).os_reserve_pages(8).build();
     sim.run(StopCondition::Writes(400_000));
     // While the pool lasts, the application footprint is intact.
     if sim.os().retired_pages() <= 8 {

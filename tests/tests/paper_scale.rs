@@ -5,7 +5,7 @@
 //! Ignored by default (hundreds of MB of simulated device state); run
 //! with `cargo test -p wlr-tests --test paper_scale -- --ignored`.
 
-use wl_reviver::sim::{SchemeKind, Simulation, StopCondition};
+use wl_reviver::sim::{Simulation, StopCondition};
 use wlr_trace::Benchmark;
 
 #[test]
@@ -16,7 +16,7 @@ fn one_gigabyte_chip_runs() {
         .num_blocks(blocks)
         .endurance_mean(1e8)
         .gap_interval(100)
-        .scheme(SchemeKind::ReviverStartGap)
+        .stack("reviver-sg")
         .workload(Benchmark::Ocean.build(blocks, 42))
         .seed(42)
         .sample_interval(5_000_000)

@@ -4,7 +4,7 @@
 //! wiring. Four contracts per registered stack:
 //!
 //! 1. **Spec hygiene** — unique names and titles, resolvable bare
-//!    counterparts, `spec_for` round-trips every registered kind.
+//!    counterparts.
 //! 2. **Deterministic build** — two fresh builds of the same spec run to
 //!    the same fingerprint (the cheap precondition for the golden table
 //!    in `equivalence.rs`).
@@ -30,8 +30,7 @@ fn sim_for(spec: &StackSpec) -> Simulation {
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
         .gap_interval(PSI)
-        .sr_refresh_interval(PSI)
-        .scheme(spec.kind)
+        .stack(spec.name)
         .seed(SEED)
         .verify_integrity(true)
         .build()
@@ -86,14 +85,6 @@ fn bare_counterparts_are_registered_and_bare() {
 }
 
 #[test]
-fn spec_for_round_trips_every_registered_kind() {
-    let reg = SchemeRegistry::global();
-    for spec in reg.iter() {
-        assert_eq!(reg.spec_for(spec.kind).name, spec.name);
-    }
-}
-
-#[test]
 fn resolve_list_splits_and_rejects() {
     let reg = SchemeRegistry::global();
     let picked = reg.resolve_list(" sg , softwear-wlr ,, ").expect("valid");
@@ -144,8 +135,7 @@ fn revivable_stacks_recover_through_a_crash_point() {
             .num_blocks(BLOCKS)
             .endurance_mean(ENDURANCE)
             .gap_interval(PSI)
-            .sr_refresh_interval(PSI)
-            .scheme(spec.kind)
+            .stack(spec.name)
             .seed(SEED)
             .verify_integrity(true)
             .fault_plan(FaultPlan::new().power_loss_at_write(STOP / 3))
@@ -163,36 +153,5 @@ fn revivable_stacks_recover_through_a_crash_point() {
         assert_eq!(s.verify_all(), 0, "{}: recovery lost data", spec.name);
         s.run(StopCondition::Writes(STOP));
         assert_eq!(s.verify_all(), 0, "{}: post-crash run corrupted", spec.name);
-    }
-}
-
-#[test]
-fn builder_stack_name_matches_kind_dispatch() {
-    for spec in SchemeRegistry::global().iter() {
-        let by_name = {
-            let mut s = Simulation::builder()
-                .num_blocks(BLOCKS)
-                .endurance_mean(ENDURANCE)
-                .gap_interval(PSI)
-                .sr_refresh_interval(PSI)
-                .stack(spec.name)
-                .seed(SEED)
-                .build();
-            s.run(StopCondition::Writes(STOP / 2));
-            s.fingerprint()
-        };
-        let by_kind = {
-            let mut s = Simulation::builder()
-                .num_blocks(BLOCKS)
-                .endurance_mean(ENDURANCE)
-                .gap_interval(PSI)
-                .sr_refresh_interval(PSI)
-                .scheme(spec.kind)
-                .seed(SEED)
-                .build();
-            s.run(StopCondition::Writes(STOP / 2));
-            s.fingerprint()
-        };
-        assert_eq!(by_name, by_kind, "{}: stack() ≠ scheme()", spec.name);
     }
 }

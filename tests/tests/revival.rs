@@ -6,7 +6,7 @@
 //!    wear-out, without compromising its leveling effect;
 //! 3. the framework pays almost nothing while the chip is healthy.
 
-use wl_reviver::sim::{SchemeKind, StopCondition};
+use wl_reviver::sim::StopCondition;
 use wlr_base::stats::Summary;
 use wlr_tests::scenario::{bench_workload, fast_sim};
 use wlr_trace::Benchmark;
@@ -24,7 +24,7 @@ fn wear_cov(sim: &wl_reviver::sim::Simulation) -> f64 {
 #[test]
 fn baseline_freezes_on_first_failure_and_collapses() {
     let blocks = 1 << 12;
-    let mut sim = fast_sim(SchemeKind::StartGapOnly, 21)
+    let mut sim = fast_sim("sg", 21)
         .workload(bench_workload(Benchmark::Ocean, blocks, 21))
         .build();
     sim.run(StopCondition::UsableBelow(0.70));
@@ -39,7 +39,7 @@ fn baseline_freezes_on_first_failure_and_collapses() {
     // The frozen chip's total lifetime is a small fraction of what the
     // revived configuration achieves on the same workload ("precipitous"
     // in the paper's words).
-    let mut revived = fast_sim(SchemeKind::ReviverStartGap, 21)
+    let mut revived = fast_sim("reviver-sg", 21)
         .workload(bench_workload(Benchmark::Ocean, blocks, 21))
         .build();
     let wlr_end = revived.run(StopCondition::UsableBelow(0.70)).writes_issued;
@@ -52,7 +52,7 @@ fn baseline_freezes_on_first_failure_and_collapses() {
 #[test]
 fn reviver_still_levels_after_many_failures() {
     let blocks = 1 << 12;
-    let mut sim = fast_sim(SchemeKind::ReviverStartGap, 22)
+    let mut sim = fast_sim("reviver-sg", 22)
         .workload(bench_workload(Benchmark::Ocean, blocks, 22))
         .build();
     sim.run(StopCondition::DeadFraction(0.05));
@@ -79,8 +79,8 @@ fn frozen_baseline_wear_is_much_less_flat() {
         sim.run(StopCondition::UsableBelow(0.90));
         (wear_cov(&sim), sim.writes_issued())
     };
-    let (cov_baseline, _) = run(SchemeKind::StartGapOnly);
-    let (cov_wlr, _) = run(SchemeKind::ReviverStartGap);
+    let (cov_baseline, _) = run("sg");
+    let (cov_wlr, _) = run("reviver-sg");
     assert!(
         cov_wlr < cov_baseline,
         "WLR wear CoV {cov_wlr} should beat frozen baseline {cov_baseline}"
@@ -99,8 +99,8 @@ fn reviver_beats_baseline_on_every_benchmark() {
                 .build();
             sim.run(StopCondition::UsableBelow(0.70)).writes_issued
         };
-        let sg = lifetime(SchemeKind::StartGapOnly);
-        let wlr = lifetime(SchemeKind::ReviverStartGap);
+        let sg = lifetime("sg");
+        let wlr = lifetime("reviver-sg");
         assert!(
             wlr as f64 > sg as f64 * 1.2,
             "{bench}: WLR {wlr} should outlive SG {sg} clearly"
@@ -120,8 +120,8 @@ fn healthy_chip_pays_nothing_for_the_framework() {
         let _ = scheme;
         req.avg_access_time()
     };
-    let base = run(SchemeKind::StartGapOnly);
-    let wlr = run(SchemeKind::ReviverStartGap);
+    let base = run("sg");
+    let wlr = run("reviver-sg");
     assert!((base - 1.0).abs() < 1e-9, "baseline access time {base}");
     assert!((wlr - 1.0).abs() < 1e-9, "healthy WLR access time {wlr}");
 }
@@ -130,8 +130,8 @@ fn healthy_chip_pays_nothing_for_the_framework() {
 fn usable_space_is_full_until_first_failure() {
     // §IV-C: "WL-Reviver makes 100% of the PCM space usable before the
     // first failure", unlike FREE-p which pre-reserves.
-    let wlr = fast_sim(SchemeKind::ReviverStartGap, 26).build();
+    let wlr = fast_sim("reviver-sg", 26).build();
     assert_eq!(wlr.usable_fraction(), 1.0);
-    let freep = fast_sim(SchemeKind::Freep { reserve_frac: 0.10 }, 26).build();
+    let freep = fast_sim("freep", 26).build();
     assert!(freep.usable_fraction() < 0.95);
 }

@@ -2,34 +2,33 @@
 //! stepping, bit-equivalence with standalone single-bank simulations,
 //! shard-aware replay consistency, and global stop policies.
 
-use wl_reviver::sim::SchemeKind;
 use wlr_base::rng::Rng;
 use wlr_base::{AppAddr, Interleave, InterleaveMap};
 use wlr_mc::{McFrontend, McStopPolicy, McStopReason};
 use wlr_trace::{shard_records, UniformWorkload};
 
-/// Parallel and sequential bank stepping must produce bit-identical
-/// per-bank write counts and fingerprints — while revival is actually
-/// firing (low endurance forces failures, retirements and shadow
-/// redirection inside the run).
+/// Two drain worker threads and the inline drain must produce
+/// bit-identical per-bank write counts and fingerprints — while revival
+/// is actually firing (low endurance forces failures, retirements and
+/// shadow redirection inside the run).
 #[test]
 fn parallel_stepping_is_bit_identical_to_sequential_under_revival() {
-    let run = |parallel: bool| {
+    let run = |workers: usize| {
         let mut mc = McFrontend::builder()
             .banks(4)
             .total_blocks(1 << 10)
             .endurance_mean(200.0)
             .gap_interval(8)
-            .scheme(SchemeKind::ReviverStartGap)
-            .parallel(parallel)
+            .stack("reviver-sg")
+            .drain_workers(workers)
             .seed(42)
             .build()
             .unwrap();
         let mut w = UniformWorkload::new(1 << 10, 42);
         mc.run(&mut w, 300_000)
     };
-    let par = run(true);
-    let seq = run(false);
+    let par = run(2);
+    let seq = run(1);
     assert!(
         par.banks.iter().map(|b| b.retirements).sum::<u64>() > 0,
         "endurance too high: revival never fired, the test is vacuous"
@@ -62,7 +61,7 @@ fn banks_match_equivalent_standalone_single_bank_runs() {
         .total_blocks(1 << 10)
         .endurance_mean(200.0)
         .gap_interval(8)
-        .scheme(SchemeKind::ReviverStartGap)
+        .stack("reviver-sg")
         .record_issue(true)
         .seed(7)
         .build()
@@ -170,7 +169,7 @@ fn quorum_policy_outlasts_first_dead_policy() {
             .banks(4)
             .total_blocks(1 << 10)
             .endurance_mean(300.0)
-            .scheme(SchemeKind::EccOnly)
+            .stack("ecc")
             .stop_policy(policy)
             .seed(21)
             .build()

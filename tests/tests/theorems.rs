@@ -1,5 +1,5 @@
 //! The paper's Theorems 1–3 as runtime-checked properties, fuzzed across
-//! seeds, workloads and wear-leveling schemes.
+//! seeds, workloads and every revivable stack in the scheme registry.
 //!
 //! The `check_invariants(true)` configuration makes the framework assert,
 //! after every serviced request:
@@ -16,13 +16,14 @@
 //! these tests additionally check that the runs exercised the interesting
 //! machinery (links, switches, loops, suspensions).
 
-use wl_reviver::sim::{SchemeKind, StopCondition};
+use wl_reviver::registry::SchemeRegistry;
+use wl_reviver::sim::StopCondition;
 use wlr_base::rng::Rng;
 use wlr_tests::scenario::{checked_sim, cov_workload};
 
 #[test]
 fn theorems_hold_deep_into_failures_start_gap() {
-    let mut sim = checked_sim(SchemeKind::ReviverStartGap, 11).build();
+    let mut sim = checked_sim("reviver-sg", 11).build();
     let out = sim.run(StopCondition::DeadFraction(0.20));
     assert!(out.survival <= 0.80 + 1e-9);
     assert!(
@@ -33,7 +34,7 @@ fn theorems_hold_deep_into_failures_start_gap() {
 
 #[test]
 fn theorems_hold_deep_into_failures_security_refresh() {
-    let mut sim = checked_sim(SchemeKind::ReviverSecurityRefresh, 12).build();
+    let mut sim = checked_sim("reviver-sr", 12).build();
     sim.run(StopCondition::DeadFraction(0.18));
     assert!(sim.controller().device().dead_blocks() > 150);
 }
@@ -42,7 +43,7 @@ fn theorems_hold_deep_into_failures_security_refresh() {
 fn machinery_is_actually_exercised() {
     // A deep run must have linked, switched, looped and suspended; a run
     // that never hits those paths wouldn't be testing the theorems.
-    let mut sim = checked_sim(SchemeKind::ReviverStartGap, 13).build();
+    let mut sim = checked_sim("reviver-sg", 13).build();
     sim.run(StopCondition::DeadFraction(0.18));
     let counters = sim
         .controller()
@@ -58,8 +59,8 @@ fn machinery_is_actually_exercised() {
     );
 }
 
-/// Deterministic fuzz over (seed, cov) cases for one scheme.
-fn fuzz_scheme(scheme: SchemeKind, stream: u64, cases: u64, max_cov: f64, dead: f64) {
+/// Deterministic fuzz over (seed, cov) cases for one stack.
+fn fuzz_scheme(scheme: &str, stream: u64, cases: u64, max_cov: f64, dead: f64) {
     let mut rng = Rng::stream(0x7E03, stream);
     for _ in 0..cases {
         let seed = rng.gen_range(1_000_000);
@@ -77,27 +78,38 @@ fn fuzz_scheme(scheme: SchemeKind, stream: u64, cases: u64, max_cov: f64, dead: 
     }
 }
 
-/// Random seeds and skews: no invariant violation, no data loss, for
-/// WL-Reviver over Start-Gap.
+/// The framework is scheme-agnostic: whatever the registry calls
+/// revivable — today's six stacks and any backend registered later —
+/// holds the theorems and loses no data under random seeds and skews.
+#[test]
+fn fuzzed_every_revivable_stack() {
+    for (i, spec) in SchemeRegistry::global().revivable().enumerate() {
+        fuzz_scheme(spec.name, 16 + i as u64, 3, 12.0, 0.03);
+    }
+}
+
+/// The paper's own two schemes to a deeper bar (more cases, harsher
+/// skew, more dead blocks): WL-Reviver over Start-Gap…
 #[test]
 fn fuzzed_start_gap() {
-    fuzz_scheme(SchemeKind::ReviverStartGap, 0, 6, 20.0, 0.04);
+    fuzz_scheme("reviver-sg", 0, 6, 20.0, 0.04);
 }
 
-/// Same for Security Refresh: the framework is scheme-agnostic.
+/// …and over Security Refresh.
 #[test]
 fn fuzzed_security_refresh() {
-    fuzz_scheme(SchemeKind::ReviverSecurityRefresh, 1, 6, 20.0, 0.04);
+    fuzz_scheme("reviver-sr", 1, 6, 20.0, 0.04);
 }
 
-/// The extensions hold to the same bar: region-tiled Start-Gap…
+/// The two composed levelers on their original seed streams:
+/// region-tiled Start-Gap…
 #[test]
 fn fuzzed_tiled_start_gap() {
-    fuzz_scheme(SchemeKind::ReviverTiledStartGap, 2, 3, 12.0, 0.03);
+    fuzz_scheme("reviver-tiled", 2, 3, 12.0, 0.03);
 }
 
 /// …and the stacked two-level Security Refresh.
 #[test]
 fn fuzzed_two_level_sr() {
-    fuzz_scheme(SchemeKind::ReviverTwoLevelSecurityRefresh, 3, 3, 12.0, 0.03);
+    fuzz_scheme("reviver-sr2", 3, 3, 12.0, 0.03);
 }

@@ -3,7 +3,7 @@
 //! final state — the property that lets real Pin traces substitute for
 //! the synthetic generators.
 
-use wl_reviver::sim::{SchemeKind, StopCondition};
+use wl_reviver::sim::StopCondition;
 use wlr_tests::scenario::checked_sim;
 use wlr_trace::{Benchmark, TraceWorkload, TraceWriter};
 
@@ -26,13 +26,13 @@ fn replayed_trace_reproduces_the_generated_run_exactly() {
     w.finish().unwrap();
 
     // Run A: directly from a fresh generator.
-    let mut direct = checked_sim(SchemeKind::ReviverStartGap, 5)
+    let mut direct = checked_sim("reviver-sg", 5)
         .workload(Benchmark::Ocean.build(blocks, 77))
         .build();
     direct.run(StopCondition::Writes(records));
 
     // Run B: from the recorded trace.
-    let mut replay = checked_sim(SchemeKind::ReviverStartGap, 5)
+    let mut replay = checked_sim("reviver-sg", 5)
         .workload(TraceWorkload::load(&path).unwrap())
         .build();
     replay.run(StopCondition::Writes(records));
@@ -64,9 +64,7 @@ fn trace_loops_extend_the_run_beyond_one_pass() {
 
     let trace = TraceWorkload::load(&path).unwrap();
     assert_eq!(trace.records_per_lap(), 10_000);
-    let mut sim = checked_sim(SchemeKind::ReviverStartGap, 9)
-        .workload(trace)
-        .build();
+    let mut sim = checked_sim("reviver-sg", 9).workload(trace).build();
     // 5 laps of the trace (the paper's "program runs multiple times").
     sim.run(StopCondition::Writes(50_000));
     assert_eq!(sim.verify_all(), 0);
