@@ -76,6 +76,11 @@ pub struct Geometry {
     block_bytes: u64,
     page_bytes: u64,
     num_blocks: u64,
+    /// `page_bytes / block_bytes`, divided once by the builder.
+    blocks_per_page: u64,
+    /// `log2(blocks_per_page)` when that is a power of two (it is at every
+    /// supported geometry): keeps 64-bit division off the per-write path.
+    page_shift: Option<u32>,
 }
 
 impl Geometry {
@@ -93,11 +98,10 @@ impl Geometry {
     /// assert_eq!(geo.num_blocks(), 1 << 24);
     /// ```
     pub fn paper_scale() -> Self {
-        Geometry {
-            block_bytes: 64,
-            page_bytes: 4096,
-            num_blocks: 1 << 24,
-        }
+        Geometry::builder()
+            .num_blocks(1 << 24)
+            .build()
+            .expect("the paper's geometry is valid")
     }
 
     /// Block size in bytes (the wear-leveling unit).
@@ -121,13 +125,13 @@ impl Geometry {
     /// Number of blocks per OS page.
     #[inline]
     pub const fn blocks_per_page(&self) -> u64 {
-        self.page_bytes / self.block_bytes
+        self.blocks_per_page
     }
 
     /// Number of OS pages.
     #[inline]
     pub const fn num_pages(&self) -> u64 {
-        self.num_blocks / self.blocks_per_page()
+        self.page_split(self.num_blocks).0
     }
 
     /// Number of bits in one block (the ECP bit-group size when groups are
@@ -152,7 +156,21 @@ impl Geometry {
     /// ```
     #[inline]
     pub fn page_of(&self, pa: Pa) -> PageId {
-        PageId::new(pa.index() / self.blocks_per_page())
+        PageId::new(self.page_split(pa.index()).0)
+    }
+
+    /// `(page, offset within the page)` of block index `block`.
+    ///
+    /// ```
+    /// let geo = wlr_base::Geometry::builder().num_blocks(128).build().unwrap();
+    /// assert_eq!(geo.page_split(70), (1, 6));
+    /// ```
+    #[inline]
+    pub const fn page_split(&self, block: u64) -> (u64, u64) {
+        match self.page_shift {
+            Some(shift) => (block >> shift, block & (self.blocks_per_page - 1)),
+            None => (block / self.blocks_per_page, block % self.blocks_per_page),
+        }
     }
 
     /// The first PA of page `page`.
@@ -266,6 +284,10 @@ impl GeometryBuilder {
             block_bytes: self.block_bytes,
             page_bytes: self.page_bytes,
             num_blocks: self.num_blocks,
+            blocks_per_page,
+            page_shift: blocks_per_page
+                .is_power_of_two()
+                .then(|| blocks_per_page.trailing_zeros()),
         })
     }
 }
@@ -304,6 +326,21 @@ mod tests {
         assert_eq!(pas.first(), Some(&Pa::new(192)));
         assert_eq!(pas.last(), Some(&Pa::new(255)));
         assert_eq!(pas.len(), 64);
+    }
+
+    #[test]
+    fn page_arithmetic_without_a_power_of_two_ratio() {
+        // 3 blocks per page: the division fallback of `page_split`.
+        let geo = Geometry::builder()
+            .page_bytes(192)
+            .num_blocks(12)
+            .build()
+            .unwrap();
+        assert_eq!(geo.blocks_per_page(), 3);
+        assert_eq!(geo.num_pages(), 4);
+        assert_eq!(geo.page_split(7), (2, 1));
+        assert_eq!(geo.page_of(Pa::new(11)), PageId::new(3));
+        assert_eq!(geo.page_base(PageId::new(3)), Pa::new(9));
     }
 
     #[test]

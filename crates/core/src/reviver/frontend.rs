@@ -1,6 +1,7 @@
 //! The [`Controller`] front-end: software reads/writes, OS grant
 //! handling, and the trait plumbing the simulator drives.
 
+use super::chain::ChainEnd;
 use super::events::{ReviverEvent, ViolationKind};
 use super::RevivedController;
 use crate::controller::{Controller, RequestStats, WriteResult};
@@ -8,6 +9,55 @@ use crate::error::ReviverError;
 use crate::recovery::RecoveryReport;
 use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::{CrashPoint, PcmDevice};
+
+impl RevivedController {
+    /// The device half of the steady-state write: lands `tag` on `da`, or
+    /// — when `da` is an already-linked failed block — on its one-step
+    /// shadow, iff the device takes its fast exit there. `true` leaves
+    /// exactly what [`Self::write_da`] returning `Ok` would have left;
+    /// `false` leaves nothing touched.
+    #[inline]
+    fn write_steady(&mut self, da: Da, tag: u64) -> bool {
+        if !self.device.write_fast(da, tag) {
+            // Only failed blocks are linked. A PA–DA loop (`map(v) == da`)
+            // and a dead shadow both decline in `write_fast`, as does a
+            // healthy shadow about to lose a cell.
+            let Some(&v) = self.links.ptr.get(da.index()) else {
+                return false;
+            };
+            if !self.device.write_fast(self.wl.map(v), tag) {
+                return false;
+            }
+            // The pointer read the full path pays first — or the remap
+            // cache's hit in its place; the cache mirrors the table, so
+            // either way it resolves to `v`.
+            let resolved = self.resolve_ptr(da, true);
+            debug_assert_eq!(resolved, Some(v), "remap cache out of step at {da}");
+        }
+        self.req.accesses += 1;
+        true
+    }
+
+    /// The protocol after a software write to `pa` landed: tell the
+    /// scheme, run the migrations that arms, flush deferred metadata and
+    /// mark the quiescent point.
+    fn finish_write(&mut self, pa: Pa) -> WriteResult {
+        self.wl.record_write(pa);
+        self.run_migrations();
+        self.flush_meta();
+        // A suspension parks mid-repair state (the migration buffer);
+        // invariants are re-checked after the grant. After a power cut
+        // the volatile tables legitimately diverge from the frozen
+        // durable state, so checking waits for recovery.
+        if !self.suspended && self.device.powered() {
+            if self.check {
+                self.assert_invariants();
+            }
+            self.emit(ReviverEvent::Quiesced);
+        }
+        WriteResult::Ok
+    }
+}
 
 impl Controller for RevivedController {
     fn geometry(&self) -> &Geometry {
@@ -23,74 +73,40 @@ impl Controller for RevivedController {
         }
         self.req.requests += 1;
         let da = self.wl.map(pa);
-        if self.suspended {
-            if let Some(&(_, t)) = self.mig_buf.iter().find(|(d, _)| *d == da) {
-                // Served from the controller's migration buffer: no PCM
-                // access — the paper's rationale for sacrificing writes,
-                // not reads, during delayed acquisition.
-                return t;
+        match self.walk_chain(da, true) {
+            // A dataless chain reads like a PA–DA loop always has: one
+            // access to the failed block, whatever it holds.
+            ChainEnd::Healthy(da) | ChainEnd::Dataless(da) => {
+                self.dev_read(da, true);
+                self.device.tag(da)
             }
-        }
-        if !self.device.is_dead(da) {
-            self.dev_read(da, true);
-            return self.device.tag(da);
-        }
-        // Walk the chain. With switching on (the paper's design) this
-        // takes exactly one step; the no-switching ablation may walk
-        // further, paying one pointer read per step.
-        let mut cur = da;
-        let mut fuel = self.links.ptr.len() + 2;
-        loop {
-            if fuel == 0 {
-                // Torn metadata formed a pointer cycle: degrade (the read
-                // returns unrecoverable content) instead of panicking.
-                self.degraded = true;
-                self.emit(ReviverEvent::ChainAborted { da: cur });
-                return 0;
-            }
-            fuel -= 1;
-            match self.resolve_ptr(cur, true) {
-                Some(v) => {
-                    let next = self.wl.map(v);
-                    if self.suspended {
-                        if let Some(&(_, t)) = self.mig_buf.iter().find(|(d, _)| *d == next) {
-                            return t;
-                        }
-                    }
-                    if !self.device.is_dead(next) {
-                        self.dev_read(next, true);
-                        return self.device.tag(next);
-                    }
-                    if next == cur {
-                        // Loop block: no data behind it.
-                        self.dev_read(next, true);
-                        return self.device.tag(next);
-                    }
-                    debug_assert!(!self.switching, "multi-step chain under switching at {da}");
-                    cur = next;
+            // Served from the controller's migration buffer: no PCM
+            // access for the data.
+            ChainEnd::Buffered(tag) => tag,
+            ChainEnd::Unlinked(cur) => {
+                // Theorem 1 says this cannot happen for software PAs —
+                // except for undiscovered failures (injected, silently
+                // concealed, or unhealed after a crash), whose reads
+                // legitimately return unrecoverable content.
+                let known_gap = self.pool.undiscovered.contains(cur.index())
+                    || self.device.silent_failures().contains(&cur);
+                assert!(
+                    !self.check || known_gap,
+                    "read of unlinked dead block {cur} via software {pa}"
+                );
+                if !known_gap {
+                    self.degraded = true;
+                    self.emit(ReviverEvent::InvariantViolation {
+                        da: cur,
+                        kind: ViolationKind::UnlinkedDeadRead,
+                    });
                 }
-                None => {
-                    // Theorem 1 says this cannot happen for software PAs —
-                    // except for undiscovered failures (injected, silently
-                    // concealed, or unhealed after a crash), whose reads
-                    // legitimately return unrecoverable content.
-                    let known_gap = self.pool.undiscovered.contains(cur.index())
-                        || self.device.silent_failures().contains(&cur);
-                    assert!(
-                        !self.check || known_gap,
-                        "read of unlinked dead block {cur} via software {pa}"
-                    );
-                    if !known_gap {
-                        self.degraded = true;
-                        self.emit(ReviverEvent::InvariantViolation {
-                            da: cur,
-                            kind: ViolationKind::UnlinkedDeadRead,
-                        });
-                    }
-                    self.dev_read(cur, true);
-                    return 0;
-                }
+                self.dev_read(cur, true);
+                0
             }
+            // Torn metadata formed a pointer cycle: the read returns
+            // unrecoverable content instead of panicking.
+            ChainEnd::Aborted => 0,
         }
     }
 
@@ -121,52 +137,30 @@ impl Controller for RevivedController {
         // invariant checking, no deferred metadata, no parked migration
         // buffer) and both the device and the scheme take their fast
         // exits, the write is provably equivalent to the full protocol
-        // below: `write_da` would return `Ok` from its first
-        // `dev_write`, `run_migrations` and `flush_meta` would be
-        // no-ops, and the only event the full path would emit is
-        // `Quiesced` — a counters no-op that sinks see only when one
-        // subscribes via `wants_quiesced`. Every other event rides a
-        // rare transition (failure, migration, metadata flush) that
-        // diverts off this path before it could fire, so sinks that
-        // don't subscribe to quiescent points lose nothing here.
+        // below: `write_da` would return `Ok` from its first `dev_write`
+        // (on `da`, or one pointer hop away on its shadow),
+        // `run_migrations` and `flush_meta` would be no-ops, and the only
+        // event the full path would emit is `Quiesced` — a counters no-op
+        // that sinks see only when one subscribes via `wants_quiesced`.
+        // Every other event rides a rare transition (failure, migration,
+        // metadata flush) that diverts off this path before it could
+        // fire, so sinks that don't subscribe to quiescent points lose
+        // nothing here.
         if !self.check
             && !self.quiesced_subscribed
             && self.pending_meta.is_empty()
             && self.mig_buf.is_empty()
-            && self.device.write_fast(da, tag)
+            && self.write_steady(da, tag)
         {
-            self.req.accesses += 1;
             if self.wl.record_write_fast(pa) {
                 return WriteResult::Ok;
             }
             // Rare: this recording arms a migration — finish with the
             // full post-write protocol (the device write already landed).
-            self.wl.record_write(pa);
-            self.run_migrations();
-            self.flush_meta();
-            if !self.suspended && self.device.powered() {
-                self.emit(ReviverEvent::Quiesced);
-            }
-            return WriteResult::Ok;
+            return self.finish_write(pa);
         }
         match self.write_da(da, tag, true) {
-            Ok(()) => {
-                self.wl.record_write(pa);
-                self.run_migrations();
-                self.flush_meta();
-                // A suspension parks mid-repair state (the migration
-                // buffer); invariants are re-checked after the grant.
-                // After a power cut the volatile tables legitimately
-                // diverge from the frozen durable state, so checking
-                // waits for recovery.
-                if self.check && !self.suspended && self.device.powered() {
-                    self.assert_invariants();
-                }
-                if !self.suspended && self.device.powered() {
-                    self.emit(ReviverEvent::Quiesced);
-                }
-                WriteResult::Ok
-            }
+            Ok(()) => self.finish_write(pa),
             Err(ReviverError::NeedSpare) => {
                 self.emit(ReviverEvent::FailureReported { pa });
                 WriteResult::ReportFailure(pa)

@@ -1,7 +1,7 @@
 use super::*;
 use crate::controller::{Controller, WriteResult};
 use crate::error::BuilderError;
-use wlr_base::{Geometry, Pa, PageId};
+use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::{Ecp, PcmDevice};
 use wlr_wl::{NoWearLeveling, RandomizerKind, SecurityRefresh, StartGap, WearLeveler};
 
@@ -528,6 +528,90 @@ fn exhausting_last_spare_suspends_migration_without_wedging() {
         }
     }
     assert!(ok, "controller never serviced a write after resuming");
+}
+
+// ----- the chain walk's bound -------------------------------------------
+
+/// Two PA–DA loop blocks whose shadows one Security Refresh swap
+/// exchanges: afterwards the two dataless blocks point at each other
+/// (`a → va → b → vb → a`). Nothing was live, so no repair write ever
+/// runs — the walk itself must recognise the cycle. Returns the
+/// controller with `(a, va, b, vb)`.
+fn mutual_loop() -> (RevivedController, (Da, Pa, Da, Pa)) {
+    const PSI: u64 = 8;
+    for seed in 0.. {
+        let wl = SecurityRefresh::builder(N)
+            .region_blocks(N)
+            .refresh_interval(PSI)
+            .seed(seed)
+            .build();
+        // The pair the scheme's first swap will exchange.
+        let mut probe = wl.clone();
+        (0..PSI).for_each(|_| probe.record_write(Pa::new(0)));
+        let Some(wlr_wl::Migration::Swap { a, b }) = probe.pending() else {
+            unreachable!("Security Refresh arms a swap every {PSI} writes");
+        };
+        let (va, vb) = (wl.inverse(a).unwrap(), wl.inverse(b).unwrap());
+        let mut ctl = RevivedController::builder(device(1e9, 0, seed), Box::new(wl)).build();
+        ctl.on_page_retired(geo().page_of(va));
+        ctl.on_page_retired(geo().page_of(vb));
+        // Put each block on a loop: dead, linked to the very PA that maps
+        // to it. A PA of a page's pointer section cannot be a shadow; try
+        // the next key.
+        let spare = |ctl: &RevivedController, v| ctl.pool.spares.iter().position(|&p| p == v);
+        if spare(&ctl, va).is_none() || spare(&ctl, vb).is_none() {
+            continue;
+        }
+        for (d, v) in [(a, va), (b, vb)] {
+            let at = spare(&ctl, v).unwrap();
+            ctl.pool.spares.remove(at);
+            ctl.inject_dead(d);
+            ctl.link(d, v);
+        }
+        assert_eq!(ctl.loop_blocks(), 2);
+        // PSI software writes arm the swap and the controller performs it.
+        let soft: Vec<Pa> = (0..N)
+            .map(Pa::new)
+            .filter(|&p| !ctl.is_reserved(p))
+            .take(PSI as usize)
+            .collect();
+        for (i, pa) in soft.into_iter().enumerate() {
+            assert_eq!(ctl.write(pa, i as u64), WriteResult::Ok);
+        }
+        assert_eq!(
+            (ctl.wl.map(va), ctl.wl.map(vb)),
+            (b, a),
+            "swap not performed"
+        );
+        assert_eq!(ctl.loop_blocks(), 0);
+        return (ctl, (a, va, b, vb));
+    }
+    unreachable!()
+}
+
+#[test]
+fn mutual_loop_walks_end_within_two_pointer_reads() {
+    let (mut ctl, (a, va, b, _)) = mutual_loop();
+    assert_eq!(ctl.counters().garbage_reads, 2, "the swap moved two loops");
+
+    // Migration side: a → va → b → vb → a, two pointers, no data read.
+    let reads = ctl.device().stats().reads;
+    let (_, live) = ctl.migration_read(a);
+    assert!(!live, "a mutual loop stores nothing");
+    assert_eq!(ctl.device().stats().reads - reads, 2);
+    assert_eq!(ctl.counters().garbage_reads, 3);
+
+    // Software side (a retirement copy reads reserved PAs): `va` now
+    // resolves to `b`; two pointers, then the one access a loop costs.
+    let reads = ctl.device().stats().reads;
+    ctl.reset_request_stats();
+    ctl.read(va);
+    assert_eq!(ctl.device().stats().reads - reads, 3);
+    assert_eq!(ctl.request_stats().accesses, 3);
+    assert_eq!(ctl.wl.map(va), b);
+
+    assert!(!ctl.degraded, "a legal dataless state is not torn metadata");
+    assert_eq!(ctl.counters().chain_aborts, 0);
 }
 
 // ----- event spine & builder validation --------------------------------

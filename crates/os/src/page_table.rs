@@ -34,12 +34,9 @@ impl OsMemoryBuilder {
         let app_pages = num_pages - self.reserve_pages;
         let table: Vec<Option<PageId>> = (0..app_pages).map(|p| Some(PageId::new(p))).collect();
         let free: Vec<PageId> = (app_pages..num_pages).rev().map(PageId::new).collect();
-        let bpp = self.geometry.blocks_per_page();
         OsMemory {
             geometry: self.geometry,
-            bpp_split: bpp
-                .is_power_of_two()
-                .then(|| (bpp.trailing_zeros(), bpp - 1)),
+            serving: table.clone(),
             table,
             free,
             retired: vec![false; num_pages as usize],
@@ -61,12 +58,13 @@ impl OsMemoryBuilder {
 #[derive(Debug, Clone)]
 pub struct OsMemory {
     geometry: Geometry,
-    /// `(shift, mask)` for the blocks-per-page split, precomputed when the
-    /// ratio is a power of two (it is at every supported geometry) to keep
-    /// 64-bit division off the translation fast path.
-    bpp_split: Option<(u32, u64)>,
     /// Application page → physical page (None once dropped).
     table: Vec<Option<PageId>>,
+    /// Application page → the physical page its accesses land on: its own
+    /// while mapped, the redirect target's once dropped (None only when
+    /// no application page survives). Recomputed at every retirement, so
+    /// that [`OsMemory::translate_or_redirect`] is one lookup.
+    serving: Vec<Option<PageId>>,
     /// Free physical pages (LIFO for determinism).
     free: Vec<PageId>,
     /// Physical pages that have been retired.
@@ -111,17 +109,22 @@ impl OsMemory {
         self.app_pages() * self.geometry.blocks_per_page()
     }
 
-    /// `(page, in-page offset)` of a block index — shift/mask when the
-    /// blocks-per-page ratio allows, division otherwise.
+    /// `addr`'s block within the physical page `pages` holds for its
+    /// application page (`pages` is `table` or `serving`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the application space.
     #[inline]
-    fn split(&self, idx: u64) -> (u64, u64) {
-        match self.bpp_split {
-            Some((shift, mask)) => (idx >> shift, idx & mask),
-            None => {
-                let bpp = self.geometry.blocks_per_page();
-                (idx / bpp, idx % bpp)
-            }
-        }
+    fn block_in(&self, pages: &[Option<PageId>], addr: AppAddr) -> Option<Pa> {
+        let (page, offset) = self.geometry.page_split(addr.index());
+        assert!(
+            page < self.app_pages(),
+            "{addr} outside application space ({} pages)",
+            self.app_pages()
+        );
+        pages[page as usize]
+            .map(|phys| Pa::new(phys.index() * self.geometry.blocks_per_page() + offset))
     }
 
     /// Translates an application block address to its current PA, or
@@ -132,34 +135,34 @@ impl OsMemory {
     /// Panics if `addr` is outside the application space.
     #[inline]
     pub fn translate(&self, addr: AppAddr) -> Option<Pa> {
-        let bpp = self.geometry.blocks_per_page();
-        let (page, offset) = self.split(addr.index());
-        assert!(
-            page < self.app_pages(),
-            "{addr} outside application space ({} pages)",
-            self.app_pages()
-        );
-        self.table[page as usize].map(|phys| Pa::new(phys.index() * bpp + offset))
+        self.block_in(&self.table, addr)
     }
 
     /// Like [`Self::translate`], but deterministically redirects accesses
     /// to dropped pages onto a surviving page (same in-page offset) —
     /// modeling the OS having compacted that data elsewhere. Returns
     /// `None` only when no application pages survive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the application space.
     #[inline]
     pub fn translate_or_redirect(&self, addr: AppAddr) -> Option<Pa> {
-        if let Some(pa) = self.translate(addr) {
-            return Some(pa);
-        }
-        if self.mapped_list.is_empty() {
-            return None;
-        }
-        let bpp = self.geometry.blocks_per_page();
-        let (page, offset) = self.split(addr.index());
-        let pick = SplitMix64::mix(0x0D1E_C7ED, page) % self.mapped_list.len() as u64;
-        let target_app = self.mapped_list[pick as usize];
-        let phys = self.table[target_app as usize].expect("mapped_list entry must be mapped");
-        Some(Pa::new(phys.index() * bpp + offset))
+        self.block_in(&self.serving, addr)
+    }
+
+    /// The physical page serving application page `page`: its own while
+    /// mapped, otherwise that of a surviving page picked by a hash of
+    /// `page` over `mapped_list` — deterministic between retirements.
+    fn serving_page(&self, page: u64) -> Option<PageId> {
+        self.table[page as usize].or_else(|| {
+            let survivors = self.mapped_list.len() as u64;
+            (survivors > 0).then(|| {
+                let pick = SplitMix64::mix(0x0D1E_C7ED, page) % survivors;
+                let target_app = self.mapped_list[pick as usize];
+                self.table[target_app as usize].expect("mapped_list entry must be mapped")
+            })
+        })
     }
 
     /// The physical page containing `pa`.
@@ -233,6 +236,11 @@ impl OsMemory {
                 Vec::new()
             }
         };
+        // A relocation moves every page redirected onto `app`; a drop
+        // changes `mapped_list`, and with it every dropped page's pick.
+        for page in 0..self.app_pages() {
+            self.serving[page as usize] = self.serving_page(page);
+        }
         Some(Retirement {
             retired: phys,
             replacement,
@@ -490,6 +498,56 @@ mod tests {
                         "page conservation violated"
                     );
                 }
+            }
+        }
+
+        /// What `translate_or_redirect` computed per call before the
+        /// serving table replaced the computation.
+        fn hashed_redirect(os: &OsMemory, addr: AppAddr) -> Option<Pa> {
+            if let Some(pa) = os.translate(addr) {
+                return Some(pa);
+            }
+            if os.mapped_list.is_empty() {
+                return None;
+            }
+            let (page, offset) = (addr.index() / 64, addr.index() % 64);
+            let pick = SplitMix64::mix(0x0D1E_C7ED, page) % os.mapped_list.len() as u64;
+            let phys = os.table[os.mapped_list[pick as usize] as usize].unwrap();
+            Some(Pa::new(phys.index() * 64 + offset))
+        }
+
+        fn assert_serving_matches_hash(os: &OsMemory) {
+            for a in 0..os.app_blocks() {
+                let addr = AppAddr::new(a);
+                assert_eq!(os.translate_or_redirect(addr), hashed_redirect(os, addr));
+            }
+        }
+
+        /// The serving table is the old per-call hash, precomputed: equal
+        /// for every application address after every step of a retirement
+        /// sequence — relocations into a reserve pool, drops once it is
+        /// dry, down to the last page — and after a log replay.
+        #[test]
+        fn serving_table_equals_the_hash_it_replaced() {
+            let mut rng = Rng::stream(0x9A6E, 3);
+            for reserve in [0, 0, 1, 3, 5] {
+                let geo = Geometry::builder().num_blocks(512).build().unwrap();
+                let mut os = OsMemory::builder(geo).reserve_pages(reserve).build();
+                assert_serving_matches_hash(&os);
+                for _ in 0..40 {
+                    os.handle_failure(Pa::new(rng.gen_range(512)));
+                    assert_serving_matches_hash(&os);
+                }
+                assert!(
+                    os.mapped_app_pages() < os.app_pages(),
+                    "nothing was dropped"
+                );
+                let mut replayed = OsMemory::builder(geo).reserve_pages(reserve).build();
+                for &page in os.retirement_log() {
+                    replayed.retire_page(page);
+                }
+                assert_serving_matches_hash(&replayed);
+                assert_eq!(replayed.serving, os.serving);
             }
         }
 

@@ -149,6 +149,7 @@ impl PcmDeviceBuilder {
                 None
             },
             dead_count: 0,
+            visible_dead: 0,
             stats: AccessStats::default(),
             fault: self.fault_plan.map(FaultInjector::new),
         }
@@ -182,6 +183,9 @@ pub struct PcmDevice {
     blocks: Vec<BlockState>,
     contents: Option<Vec<u64>>,
     dead_count: u64,
+    /// Dead blocks below `geometry.num_blocks()` — the software-visible
+    /// share of `dead_count`, kept so that sampling need not scan.
+    visible_dead: u64,
     stats: AccessStats,
     /// Present only when a fault plan is armed; `None` keeps the access
     /// hot paths fault-free beyond one discriminant check.
@@ -204,6 +208,7 @@ impl Clone for PcmDevice {
             blocks: self.blocks.clone(),
             contents: self.contents.clone(),
             dead_count: self.dead_count,
+            visible_dead: self.visible_dead,
             stats: self.stats,
             fault: self.fault.clone(),
         }
@@ -249,6 +254,14 @@ impl PcmDevice {
     /// Remaining shared ECC pool entries, if the scheme has a pool.
     pub fn ecc_pool_remaining(&self) -> Option<u64> {
         self.ecc.pool_remaining()
+    }
+
+    /// Marks live block `i` dead — the one place the dead counts move.
+    #[inline]
+    fn kill(&mut self, i: usize) {
+        self.blocks[i].dead = true;
+        self.dead_count += 1;
+        self.visible_dead += u64::from((i as u64) < self.geometry.num_blocks());
     }
 
     #[inline]
@@ -337,8 +350,7 @@ impl PcmDevice {
             assert!(nth < 250, "implausible cell-failure count on {da}");
             self.blocks[i].failures = nth as u8;
             if !self.ecc.correct(da, nth) {
-                self.blocks[i].dead = true;
-                self.dead_count += 1;
+                self.kill(i);
                 return WriteOutcome::NewFailure;
             }
             self.blocks[i].threshold = clamp_u32(self.lifetime.threshold(da.index(), nth + 1));
@@ -392,8 +404,7 @@ impl PcmDevice {
                 self.stats.writes += 1;
                 let i = da.as_usize();
                 if !self.blocks[i].dead {
-                    self.blocks[i].dead = true;
-                    self.dead_count += 1;
+                    self.kill(i);
                 }
                 Some(WriteOutcome::Ok)
             }
@@ -442,8 +453,17 @@ impl PcmDevice {
     /// Number of dead blocks with address below `bound` — used to report
     /// failure ratios over the software-visible space when the controller
     /// has appended private device blocks (buffer lines, backup regions).
+    ///
+    /// Counted as blocks die for the two bounds every run asks about (the
+    /// visible space and the whole device); any other bound scans.
     pub fn dead_blocks_under(&self, bound: u64) -> u64 {
-        let end = usize::try_from(bound.min(self.total_blocks)).expect("fits");
+        if bound == self.geometry.num_blocks() {
+            return self.visible_dead;
+        }
+        if bound >= self.total_blocks {
+            return self.dead_count;
+        }
+        let end = usize::try_from(bound).expect("fits");
         self.blocks[..end].iter().filter(|b| b.dead).count() as u64
     }
 
@@ -476,8 +496,7 @@ impl PcmDevice {
         self.check(da);
         let i = da.as_usize();
         if !self.blocks[i].dead {
-            self.blocks[i].dead = true;
-            self.dead_count += 1;
+            self.kill(i);
         }
     }
 
@@ -605,8 +624,7 @@ impl PcmDevice {
                 assert!(nth < 250, "implausible cell-failure count on {da}");
                 self.blocks[i].failures = nth as u8;
                 if !self.ecc.correct(da, nth) {
-                    self.blocks[i].dead = true;
-                    self.dead_count += 1;
+                    self.kill(i);
                     break;
                 }
                 self.blocks[i].threshold = clamp_u32(self.lifetime.threshold(da.index(), nth + 1));
@@ -788,6 +806,25 @@ mod tests {
         dev.inject_dead(Da::new(40));
         let dead: Vec<Da> = dev.dead_iter().collect();
         assert_eq!(dead, vec![Da::new(1), Da::new(40)]);
+    }
+
+    #[test]
+    fn dead_blocks_under_counts_what_a_scan_would() {
+        let geo = Geometry::builder().num_blocks(64).build().unwrap();
+        let mut dev = PcmDevice::builder(geo)
+            .extra_blocks(2)
+            .endurance_mean(50.0)
+            .ecc(Box::new(NoCorrection))
+            .build();
+        dev.inject_dead(Da::new(3));
+        dev.inject_dead(Da::new(64)); // a buffer block, outside the visible space
+        hammer_to_death(&mut dev, Da::new(40));
+        hammer_to_death(&mut dev, Da::new(65));
+        for bound in [0, 4, 40, 41, 64, 65, 66, 1_000] {
+            let scanned = dev.dead_iter().filter(|da| da.index() < bound).count() as u64;
+            assert_eq!(dev.dead_blocks_under(bound), scanned, "bound {bound}");
+        }
+        assert_eq!(dev.clone().dead_blocks_under(64), 2);
     }
 
     #[test]

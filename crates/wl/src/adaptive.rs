@@ -241,6 +241,28 @@ impl<W: WearLeveler + Clone + 'static> WearLeveler for Adaptive<W> {
         }
     }
 
+    #[inline]
+    fn record_write_fast(&mut self, pa: Pa) -> bool {
+        // Declines at an epoch boundary (`observe` would re-rate before
+        // the credit is added) and when the credit forwards more than one
+        // write; the inner scheme is asked first, so a `false` from it
+        // leaves both layers untouched.
+        if self.writes_in_epoch + 1 >= self.epoch_writes {
+            return false;
+        }
+        let credit = self.credit_q16 + self.rate_q16;
+        let fast = match credit / Q {
+            0 => self.inner.pending().is_none(),
+            1 => self.inner.record_write_fast(pa),
+            _ => false,
+        };
+        if fast {
+            self.observe(pa);
+            self.credit_q16 = credit % Q;
+        }
+        fast
+    }
+
     fn pending(&self) -> Option<Migration> {
         self.inner.pending()
     }
@@ -402,6 +424,20 @@ mod tests {
             drain(&mut wl);
         }
         assert_eq!(wl.rate(), 2.0, "clamped at custom max");
+    }
+
+    #[test]
+    fn record_write_fast_matches_slow_path() {
+        let (mut fast, mut slow) = (adaptive_sg(64, 6, 48), adaptive_sg(64, 6, 48));
+        // A hot line: the rate climbs to 4, several inner writes per write.
+        let hot = vec![Pa::new(0); 1_500];
+        crate::traits::check_fast_recording(&mut fast, &mut slow, &hot);
+        assert_eq!(fast.rate(), 4.0);
+        // Uniform traffic: it falls to 1/4, most writes forward nothing.
+        let uniform: Vec<Pa> = (0..4_500u64).map(|i| Pa::new((i * 13) % 64)).collect();
+        let taken = crate::traits::check_fast_recording(&mut fast, &mut slow, &uniform);
+        assert_eq!(fast.rate(), 0.25);
+        assert!(taken > 2_000, "fast recordings taken: {taken}");
     }
 
     #[test]

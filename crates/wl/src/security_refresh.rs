@@ -97,6 +97,7 @@ impl SecurityRefreshBuilder {
             region_blocks: self.region_blocks,
             refresh_interval: self.refresh_interval,
             regions,
+            indebted: 0,
             rng,
         }
     }
@@ -196,6 +197,9 @@ pub struct SecurityRefresh {
     region_blocks: u64,
     refresh_interval: u64,
     regions: Vec<Region>,
+    /// Regions with `debt > 0`, so that "nothing is owed" — the answer on
+    /// almost every write — needs no scan.
+    indebted: usize,
     rng: Rng,
 }
 
@@ -228,6 +232,9 @@ impl SecurityRefresh {
     }
 
     fn first_indebted(&self) -> Option<usize> {
+        if self.indebted == 0 {
+            return None;
+        }
         self.regions.iter().position(|r| r.debt > 0)
     }
 }
@@ -271,9 +278,24 @@ impl WearLeveler for SecurityRefresh {
             r.writes = 0;
             // A fully-degenerate region (single block) has nothing to swap.
             if self.region_blocks > 1 {
+                self.indebted += usize::from(r.debt == 0);
                 r.debt += 1;
             }
         }
+    }
+
+    #[inline]
+    fn record_write_fast(&mut self, pa: Pa) -> bool {
+        // Fast only when no region owes a swap and this write does not
+        // complete its own region's interval: `pending()` stays `None`
+        // across the recording.
+        let (region, _) = self.split(pa);
+        let r = &mut self.regions[region];
+        if self.indebted != 0 || r.writes + 1 >= self.refresh_interval {
+            return false;
+        }
+        r.writes += 1;
+        true
     }
 
     fn pending(&self) -> Option<Migration> {
@@ -294,6 +316,7 @@ impl WearLeveler for SecurityRefresh {
         let region_blocks = self.region_blocks;
         let r = &mut self.regions[idx];
         r.debt -= 1;
+        self.indebted -= usize::from(r.debt == 0);
         r.advance(region_blocks, &mut self.rng);
     }
 
@@ -442,6 +465,44 @@ mod tests {
             "keys should have rotated"
         );
         assert_bijection(&wl);
+    }
+
+    #[test]
+    fn record_write_fast_matches_slow_path() {
+        let make = || {
+            SecurityRefresh::builder(64)
+                .region_blocks(16)
+                .refresh_interval(5)
+                .seed(9)
+                .build()
+        };
+        let pas: Vec<Pa> = (0..2_000u64).map(|i| Pa::new((i * 17) % 64)).collect();
+        let taken = crate::traits::check_fast_recording(&mut make(), &mut make(), &pas);
+        assert!(
+            (1..1_600).contains(&taken),
+            "fast recordings taken: {taken}"
+        );
+    }
+
+    #[test]
+    fn pending_tracks_the_indebted_count() {
+        let mut wl = SecurityRefresh::builder(64)
+            .region_blocks(16)
+            .refresh_interval(2)
+            .seed(4)
+            .build();
+        // Run up debt in three regions, two swaps deep in one of them.
+        for pa in [0, 0, 0, 0, 20, 20, 40, 40] {
+            wl.record_write(Pa::new(pa));
+        }
+        let mut swaps = 0;
+        while wl.pending().is_some() {
+            wl.complete_migration();
+            swaps += 1;
+        }
+        assert_eq!(swaps, 4);
+        assert_eq!(wl.indebted, 0);
+        assert!(wl.regions.iter().all(|r| r.debt == 0));
     }
 
     #[test]

@@ -78,6 +78,7 @@ impl TiledStartGapBuilder {
             tiles,
             randomizer: self.randomizer.build(self.len),
             rr_cursor: 0,
+            indebted: 0,
         }
     }
 }
@@ -108,6 +109,9 @@ pub struct TiledStartGap {
     randomizer: Box<dyn AddressRandomizer>,
     /// Round-robin scan start for serving indebted tiles fairly.
     rr_cursor: usize,
+    /// Tiles owing a gap movement, so that "nothing is owed" — the answer
+    /// on almost every write — needs no scan.
+    indebted: usize,
 }
 
 impl Clone for TiledStartGap {
@@ -118,6 +122,7 @@ impl Clone for TiledStartGap {
             tiles: self.tiles.clone(),
             randomizer: self.randomizer.clone_box(),
             rr_cursor: self.rr_cursor,
+            indebted: self.indebted,
         }
     }
 }
@@ -150,10 +155,12 @@ impl TiledStartGap {
     }
 
     fn first_indebted(&self) -> Option<usize> {
-        let n = self.tiles.len();
-        (0..n)
-            .map(|i| (self.rr_cursor + i) % n)
-            .find(|&t| self.tiles[t].pending().is_some())
+        if self.indebted == 0 {
+            return None;
+        }
+        (self.rr_cursor..self.tiles.len())
+            .chain(0..self.rr_cursor)
+            .find(|&t| self.tiles[t].debt() > 0)
     }
 }
 
@@ -192,7 +199,21 @@ impl WearLeveler for TiledStartGap {
     fn record_write(&mut self, pa: Pa) {
         let ra = self.randomizer.forward(pa.index());
         let (t, local) = self.split(ra);
+        let owed = self.tiles[t].debt() > 0;
         self.tiles[t].record_write(Pa::new(local));
+        self.indebted += usize::from(!owed && self.tiles[t].debt() > 0);
+    }
+
+    #[inline]
+    fn record_write_fast(&mut self, pa: Pa) -> bool {
+        // Another tile's debt keeps `pending()` at `Some` whatever this
+        // write's own tile answers.
+        if self.indebted != 0 {
+            return false;
+        }
+        let ra = self.randomizer.forward(pa.index());
+        let (t, local) = self.split(ra);
+        self.tiles[t].record_write_fast(Pa::new(local))
     }
 
     fn pending(&self) -> Option<Migration> {
@@ -215,6 +236,7 @@ impl WearLeveler for TiledStartGap {
             .first_indebted()
             .expect("complete_migration without a pending one");
         self.tiles[t].complete_migration();
+        self.indebted -= usize::from(self.tiles[t].debt() == 0);
         self.rr_cursor = (t + 1) % self.tiles.len();
     }
 
@@ -326,6 +348,17 @@ mod tests {
             assert!(served < 1_000, "drain did not terminate");
         }
         assert!(served >= 4, "every tile should have migrated");
+    }
+
+    #[test]
+    fn record_write_fast_matches_slow_path() {
+        let pas: Vec<Pa> = (0..2_000u64).map(|i| Pa::new((i * 37) % 128)).collect();
+        let (mut fast, mut slow) = (make(128, 4, 5), make(128, 4, 5));
+        let taken = crate::traits::check_fast_recording(&mut fast, &mut slow, &pas);
+        assert!(
+            (1..1_600).contains(&taken),
+            "fast recordings taken: {taken}"
+        );
     }
 
     #[test]

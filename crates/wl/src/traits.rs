@@ -209,6 +209,43 @@ where
     }
 }
 
+/// The [`WearLeveler::record_write_fast`] contract, checked over `pas` on
+/// two instances in the same state: a decline leaves `fast` untouched, a
+/// fast recording never coexists with a pending migration, and driving
+/// `fast` as the controller does (fast recording first, the full protocol
+/// when it declines) stays state-for-state equal to `slow`'s plain
+/// `record_write`. Every other write leaves its migrations owed until the
+/// next, so the declines while something is pending are exercised too.
+/// Returns how many recordings took the fast exit.
+#[cfg(test)]
+pub(crate) fn check_fast_recording<W: WearLeveler>(
+    fast: &mut W,
+    slow: &mut W,
+    pas: &[Pa],
+) -> usize {
+    let mut taken = 0;
+    for (i, &pa) in pas.iter().enumerate() {
+        let before = format!("{fast:?}");
+        let drain = |wl: &mut W| {
+            while i % 2 == 0 && wl.pending().is_some() {
+                wl.complete_migration();
+            }
+        };
+        if fast.record_write_fast(pa) {
+            assert!(fast.pending().is_none(), "fast recording with work owed");
+            taken += 1;
+        } else {
+            assert_eq!(format!("{fast:?}"), before, "a decline must touch nothing");
+            fast.record_write(pa);
+            drain(fast);
+        }
+        slow.record_write(pa);
+        drain(slow);
+        assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "write {i}");
+    }
+    taken
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

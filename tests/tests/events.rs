@@ -10,6 +10,7 @@
 //! exactly.
 
 use wl_reviver::metrics::TimeSeries;
+use wl_reviver::registry::SchemeRegistry;
 use wl_reviver::sim::{Outcome, Simulation, StopCondition};
 use wl_reviver::{
     EventSink, InvariantSink, NoopSink, RevivedController, ReviverCounters, ReviverEvent,
@@ -195,6 +196,80 @@ fn replaying_recorded_events_reconstructs_counters() {
             "{label}: replaying {} events did not reconstruct the counters",
             recorded.0.len()
         );
+    }
+}
+
+/// Subscribes to quiescent points and does nothing with them — which
+/// alone keeps the controller off its steady-state write path.
+#[derive(Debug)]
+struct QuiescedSink;
+
+impl EventSink for QuiescedSink {
+    fn on_event(&mut self, _ctl: &RevivedController, _ev: &ReviverEvent) {}
+
+    fn wants_quiesced(&self) -> bool {
+        true
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// On/off equivalence of the steady-state write path (the mapped block
+/// or its one-step shadow, then the scheme's fast recording): for every
+/// revivable stack, with and without a remap cache, one seeded stream
+/// driven through the tail of a lifetime leaves the same chip, the same
+/// access counts and the same event counts as the full per-write
+/// protocol, which a quiescence subscriber forces.
+#[test]
+fn steady_state_path_matches_the_full_protocol_on_every_revivable_stack() {
+    for spec in SchemeRegistry::global().revivable() {
+        for cache in [None, Some(1024)] {
+            let run = |full_protocol: bool| {
+                let mut b = Simulation::builder()
+                    .num_blocks(BLOCKS)
+                    .endurance_mean(ENDURANCE)
+                    .gap_interval(PSI)
+                    .stack(spec.name)
+                    .seed(SEED);
+                if let Some(bytes) = cache {
+                    b = b.cache_bytes(bytes);
+                }
+                let mut s = b.build();
+                if full_protocol {
+                    s.controller_mut()
+                        .as_reviver_mut()
+                        .expect("revivable stack")
+                        .add_sink(Box::new(QuiescedSink));
+                }
+                s.run(StopCondition::UsableBelow(0.5));
+                let ctl = s.controller();
+                let r = ctl.as_reviver().expect("revivable stack");
+                (
+                    s.fingerprint(),
+                    ctl.device().stats(),
+                    ctl.request_stats(),
+                    r.counters(),
+                    r.cache_hit_ratio().map(f64::to_bits),
+                )
+            };
+            let (fast, full) = (run(false), run(true));
+            assert!(
+                fast.3.links > 0,
+                "{}: the run never left the healthy era",
+                spec.name
+            );
+            assert_eq!(
+                fast, full,
+                "{} (cache {cache:?}): the steady-state path diverged from the full protocol",
+                spec.name
+            );
+        }
     }
 }
 

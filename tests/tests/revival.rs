@@ -6,6 +6,7 @@
 //!    wear-out, without compromising its leveling effect;
 //! 3. the framework pays almost nothing while the chip is healthy.
 
+use wl_reviver::registry::SchemeRegistry;
 use wl_reviver::sim::StopCondition;
 use wlr_base::stats::Summary;
 use wlr_tests::scenario::{bench_workload, fast_sim};
@@ -134,4 +135,28 @@ fn usable_space_is_full_until_first_failure() {
     assert_eq!(wlr.usable_fraction(), 1.0);
     let freep = fast_sim("freep", 26).build();
     assert!(freep.usable_fraction() < 0.95);
+}
+
+#[test]
+fn failure_era_reads_stay_near_one_pointer_per_write() {
+    // §III-B's promise is one extra step after a failure. Through the
+    // tail of a lifetime (80% → 50% usable) that is at most a pointer
+    // read per software write plus the migrations' and retirement
+    // copies' reads; a chain walk that does not end shows here as
+    // several reads per write.
+    for spec in SchemeRegistry::global().revivable() {
+        let mut sim = fast_sim(spec.name, 27).build();
+        sim.run(StopCondition::UsableBelow(0.8));
+        let (reads, writes) = (sim.controller().device().stats().reads, sim.writes_issued());
+        sim.run(StopCondition::UsableBelow(0.5));
+        let reads = (sim.controller().device().stats().reads - reads) as f64;
+        let writes = (sim.writes_issued() - writes) as f64;
+        assert!(writes > 100_000.0, "{}: tail too short to judge", spec.name);
+        assert!(
+            reads / writes <= 1.5,
+            "{}: {:.2} device reads per software write in the tail",
+            spec.name,
+            reads / writes
+        );
+    }
 }
