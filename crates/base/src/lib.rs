@@ -7,6 +7,8 @@
 //!   distinguishes: application addresses, software-visible *physical
 //!   addresses* (PA), and device addresses (DA), plus OS page identifiers.
 //! * [`geometry`] — the chip/page/block geometry every component agrees on.
+//! * [`mod@env`] — the one strict parser for `WLR_*` environment knobs
+//!   (malformed value → exit 2 naming the variable).
 //! * [`rng`] — a small, seed-stable pseudo-random number generator
 //!   (SplitMix64 for stream derivation, Xoshiro256** for bulk generation).
 //!   We deliberately do not depend on external RNG crates: experiment
@@ -47,6 +49,7 @@
 
 pub mod addr;
 pub mod dense;
+pub mod env;
 pub mod geometry;
 pub mod interleave;
 pub mod pool;

@@ -150,7 +150,7 @@ impl QuantileSet {
     }
 
     /// One `(q, quantile(q))` row per requested probability — the shape
-    /// the fleet reporter writes into `BENCH_fleet.json` CDF rows.
+    /// the fleet reporter writes into its report's CDF rows.
     ///
     /// # Panics
     ///

@@ -9,7 +9,10 @@
 //! Reviver stacks crash at device-write granularity through the seeded
 //! [`FaultPlan`]; baseline stacks model fully-persistent metadata and
 //! crash at software-write boundaries instead (the paper grants them
-//! this), so the same sweep shape covers all nine stacks.
+//! this), so the same sweep shape covers every registered stack.
+//!
+//! Standard output is seed-deterministic and recorded as
+//! `results/crash_sweep.txt` (CI diffs the default sweep against it).
 //!
 //! Knobs (see EXPERIMENTS.md):
 //!
@@ -22,12 +25,15 @@
 //! * `WLR_CRASH_STACKS` — comma-separated registry-name filter (default:
 //!   all registered stacks; unknown names abort with the valid list, and
 //!   `--list-stacks` prints it)
+//! * `WLR_TRACE_DUMP=1` — reviver stacks carry a bounded ring of reviver
+//!   events, dumped to stderr as JSONL at every power-loss point: the
+//!   last things the controller did before the lights went out
 
 use wl_reviver::recovery::RecoveryReport;
 use wl_reviver::registry::{SchemeRegistry, StackSpec};
-use wl_reviver::sim::{Simulation, StopCondition, StopReason};
-use wlr_bench::report::{handle_list_stacks, resolve_stacks_or_exit};
-use wlr_bench::{print_table, run_pooled, PooledJob};
+use wl_reviver::sim::{Simulation, SimulationBuilder, StopCondition, StopReason};
+use wlr_base::env::{env_str, env_u64};
+use wlr_bench::{handle_list_stacks, print_table, resolve_stacks_or_exit, run_pooled, PooledJob};
 use wlr_pcm::FaultPlan;
 
 const BLOCKS: u64 = 1 << 10;
@@ -36,25 +42,14 @@ const BLOCKS: u64 = 1 << 10;
 const ENDURANCE: f64 = 60.0;
 const STOP: u64 = 55_000;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-fn fault_seed() -> u64 {
-    env_u64("WLR_FAULT_SEED", 42)
-}
-
 fn all_stacks() -> Vec<&'static StackSpec> {
-    match std::env::var("WLR_CRASH_STACKS") {
-        Ok(filter) => resolve_stacks_or_exit(&filter),
-        Err(_) => SchemeRegistry::global().iter().collect(),
+    match env_str("WLR_CRASH_STACKS") {
+        Some(filter) => resolve_stacks_or_exit(&filter),
+        None => SchemeRegistry::global().iter().collect(),
     }
 }
 
-fn rig(scheme: &str, seed: u64) -> Simulation {
+fn rig(scheme: &str, seed: u64) -> SimulationBuilder {
     Simulation::builder()
         .num_blocks(BLOCKS)
         .endurance_mean(ENDURANCE)
@@ -63,20 +58,6 @@ fn rig(scheme: &str, seed: u64) -> Simulation {
         .seed(seed)
         .sample_interval(10_000)
         .verify_integrity(true)
-        .build()
-}
-
-fn rig_with_plan(scheme: &str, seed: u64, plan: FaultPlan) -> Simulation {
-    Simulation::builder()
-        .num_blocks(BLOCKS)
-        .endurance_mean(ENDURANCE)
-        .gap_interval(5)
-        .stack(scheme)
-        .seed(seed)
-        .sample_interval(10_000)
-        .verify_integrity(true)
-        .fault_plan(plan)
-        .build()
 }
 
 /// Result of one crash-point replay.
@@ -87,13 +68,22 @@ struct Point {
 }
 
 /// Crash a reviver stack at device-write `k`, recover, finish the run.
-fn reviver_point(scheme: &str, seed: u64, k: u64) -> Point {
-    let mut sim = rig_with_plan(scheme, seed, FaultPlan::new().power_loss_at_write(k));
+fn reviver_point(scheme: &str, seed: u64, k: u64, trace_dump: bool) -> Point {
+    let mut builder = rig(scheme, seed).fault_plan(FaultPlan::new().power_loss_at_write(k));
+    if trace_dump {
+        builder = builder.trace_ring(64);
+    }
+    let mut sim = builder.build();
     let out = sim.run(StopCondition::Writes(STOP));
     let mut violations = 0;
     let mut report = RecoveryReport::default();
     let fired = out.reason == StopReason::PowerLoss;
     if fired {
+        if let Some(dump) = sim.trace_dump() {
+            // One call, so points running on other pool threads cannot
+            // interleave with the block.
+            eprint!("--- {scheme}: events before power loss at write {k} ---\n{dump}");
+        }
         report = sim.recover();
         violations += sim.verify_all();
         sim.run(StopCondition::Writes(STOP));
@@ -109,7 +99,7 @@ fn reviver_point(scheme: &str, seed: u64, k: u64) -> Point {
 
 /// Reboot a baseline stack at software-write boundary `k`, finish the run.
 fn baseline_point(scheme: &str, seed: u64, k: u64) -> Point {
-    let mut sim = rig(scheme, seed);
+    let mut sim = rig(scheme, seed).build();
     let out = sim.run(StopCondition::Writes(k));
     let mut violations = 0;
     let fired = out.reason == StopReason::ConditionMet;
@@ -128,7 +118,8 @@ fn baseline_point(scheme: &str, seed: u64, k: u64) -> Point {
 
 fn main() {
     handle_list_stacks();
-    let seed = fault_seed();
+    let seed = env_u64("WLR_FAULT_SEED", 42);
+    let trace_dump = env_str("WLR_TRACE_DUMP").as_deref() == Some("1");
     let interval = env_u64("WLR_CRASH_INTERVAL", 1_000).max(1);
     let from = env_u64("WLR_CRASH_FROM", 1_000);
     let to = env_u64("WLR_CRASH_TO", 37_000);
@@ -151,7 +142,7 @@ fn main() {
             points.iter().map(move |&k| {
                 Box::new(move || {
                     let p = if is_reviver {
-                        reviver_point(scheme, seed, k)
+                        reviver_point(scheme, seed, k, trace_dump)
                     } else {
                         baseline_point(scheme, seed, k)
                     };

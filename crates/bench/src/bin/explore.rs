@@ -289,7 +289,7 @@ fn run_replicates(args: &Args, cfg: SimConfig, stop: StopCondition, app_blocks: 
 }
 
 fn main() {
-    wlr_bench::report::handle_list_stacks();
+    wlr_bench::handle_list_stacks();
     let args = parse_args();
     let (stack, reserve_frac) = parse_scheme(&args.scheme);
     let cfg = SimConfig {

@@ -1,9 +1,12 @@
 //! Experiment harness for the WL-Reviver reproduction.
 //!
 //! One binary per table/figure of the paper (see `DESIGN.md` §4 for the
-//! index), plus Criterion microbenchmarks. This library hosts what they
-//! share: the scaled experiment configuration, parallel curve running,
-//! and plain-text table/series printing.
+//! index), plus the pass/fail harnesses (`crash_sweep`, `service`,
+//! `chaos`). This library hosts what they share: the scaled experiment
+//! configuration, parallel curve running, plain-text table/series
+//! printing, and the registry CLI helpers. Nothing here reads a clock:
+//! host time is measured in `benchmark/` only, so everything a binary of
+//! this crate prints is seed-deterministic.
 //!
 //! # Scaling
 //!
@@ -20,12 +23,10 @@
 
 #![warn(missing_docs)]
 
-pub mod report;
-pub mod timing;
-
-use std::sync::Arc;
 use wl_reviver::metrics::TimeSeries;
+use wl_reviver::registry::{SchemeRegistry, StackSpec};
 use wl_reviver::sim::{Outcome, Simulation, SimulationBuilder, StopCondition};
+use wlr_base::env::{env_u64, or_exit};
 use wlr_trace::Workload;
 
 pub use wlr_base::pool::run_pooled;
@@ -50,10 +51,33 @@ pub fn scaled_gap_interval(blocks: u64, endurance: f64) -> u64 {
 
 /// The experiment seed (env-overridable for replication studies).
 pub fn exp_seed() -> u64 {
-    std::env::var("WLR_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(EXP_SEED)
+    env_u64("WLR_SEED", EXP_SEED)
+}
+
+/// Resolves a comma-separated stack filter through the scheme registry,
+/// exiting with the valid names on an unknown one — env filters like
+/// `WLR_CRASH_STACKS` and `WLR_FLEET_SCHEMES` must never silently no-op
+/// on a typo.
+pub fn resolve_stacks_or_exit(csv: &str) -> Vec<&'static StackSpec> {
+    let resolved = SchemeRegistry::global().resolve_list(csv);
+    or_exit(resolved.map_err(|e| e.to_string()))
+}
+
+/// Handles a `--list-stacks` argument: prints every registered stack
+/// (name, title, flags, description) and exits. Call first in `main`.
+pub fn handle_list_stacks() {
+    if std::env::args().any(|a| a == "--list-stacks") {
+        for s in SchemeRegistry::global().iter() {
+            println!(
+                "{:<16} {:<32} {:<9} {}",
+                s.name,
+                s.title,
+                if s.revivable { "revivable" } else { "bare" },
+                s.description
+            );
+        }
+        std::process::exit(0);
+    }
 }
 
 /// A simulation builder pre-configured with the scaled experiment
@@ -71,9 +95,6 @@ pub fn exp_builder() -> SimulationBuilder {
 /// state, hence `'static`; the borrowing variant lives in
 /// [`wlr_base::pool`]).
 pub type PooledJob<T> = wlr_base::pool::PooledJob<'static, T>;
-
-/// A seed-parameterized curve factory, for multi-seed sweeps.
-pub type SeededCurveFn = Box<dyn Fn(u64) -> Curve + Send + Sync>;
 
 /// Result of one named curve run.
 #[derive(Debug)]
@@ -146,60 +167,17 @@ impl ReplicatedCurve {
 /// Replicate seeds for multi-seed sweeps: `exp_seed() + r` for
 /// `r in 0..WLR_REPLICATES` (default 1).
 pub fn replicate_seeds() -> Vec<u64> {
-    let reps: u64 = std::env::var("WLR_REPLICATES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+    let reps = env_u64("WLR_REPLICATES", 1).max(1);
     (0..reps).map(|r| exp_seed() + r).collect()
-}
-
-/// Runs every labelled configuration once per seed through the shared
-/// worker pool (all `configs × seeds` jobs interleave across the pool),
-/// aggregating the replicates per configuration in input order.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-pub fn run_replicated(
-    configs: Vec<(String, SeededCurveFn)>,
-    seeds: &[u64],
-) -> Vec<ReplicatedCurve> {
-    assert!(!seeds.is_empty(), "need at least one replicate seed");
-    let mut labels = Vec::with_capacity(configs.len());
-    let mut jobs: Vec<PooledJob<Curve>> = Vec::new();
-    for (label, factory) in configs {
-        let factory = Arc::new(factory);
-        for &seed in seeds {
-            let factory = Arc::clone(&factory);
-            let label = label.clone();
-            jobs.push(Box::new(move || {
-                eprintln!("  running {label} [seed {seed}] …");
-                factory(seed)
-            }));
-        }
-        labels.push(label);
-    }
-    let mut curves = run_pooled(jobs).into_iter();
-    labels
-        .into_iter()
-        .map(|label| ReplicatedCurve {
-            label,
-            replicates: seeds
-                .iter()
-                .map(|_| curves.next().expect("one curve per job"))
-                .collect(),
-        })
-        .collect()
 }
 
 /// A fork-shared replicate sweep: one configuration warmed once, then
 /// one forked future per replicate seed.
 ///
-/// [`run_replicated`] replays the whole run per seed — including the
-/// long fault-free warmup every replicate shares. This variant runs the
-/// warmup once per configuration, takes a [`Simulation::snapshot`], and
-/// forks each replicate from it, diverging only the workload stream.
+/// Replaying the whole run per seed would repeat the long fault-free
+/// warmup every replicate shares. This runs the warmup once per
+/// configuration, takes a [`Simulation::snapshot`], and forks each
+/// replicate from it, diverging only the workload stream.
 ///
 /// The semantics differ from per-seed reruns: replicates share the
 /// device's endurance draws and the entire pre-snapshot history, so the
@@ -231,8 +209,7 @@ pub fn fork_warmup_for(stop: StopCondition) -> StopCondition {
 
 /// Runs every configuration's shared warmup on the worker pool, then its
 /// replicate futures forked from the snapshot, aggregating per
-/// configuration in input order (the fork-based counterpart of
-/// [`run_replicated`]).
+/// configuration in input order.
 ///
 /// # Panics
 ///
@@ -382,42 +359,6 @@ mod tests {
             .collect();
         let out = run_pooled(jobs);
         assert_eq!(out, (0..64u64).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    fn dummy_curve(label: &str, writes: u64) -> Curve {
-        Curve {
-            label: label.to_string(),
-            series: TimeSeries::new(),
-            outcome: Outcome {
-                writes_issued: writes,
-                reason: wl_reviver::sim::StopReason::HardCap,
-                survival: 1.0,
-                usable: 1.0,
-            },
-        }
-    }
-
-    #[test]
-    fn replicated_groups_by_config_and_aggregates() {
-        let configs: Vec<(String, SeededCurveFn)> = (0..3u64)
-            .map(|i| {
-                (
-                    format!("r{i}"),
-                    Box::new(move |seed: u64| dummy_curve("x", 100 * i + seed)) as SeededCurveFn,
-                )
-            })
-            .collect();
-        let reps = run_replicated(configs, &[10, 20, 30]);
-        assert_eq!(reps.len(), 3);
-        for (i, rep) in reps.iter().enumerate() {
-            assert_eq!(rep.label, format!("r{i}"));
-            assert_eq!(rep.replicates.len(), 3);
-            let base = 100.0 * i as f64;
-            let (mean, min, max) = rep.writes_stats();
-            assert_eq!(mean, base + 20.0);
-            assert_eq!(min, base + 10.0);
-            assert_eq!(max, base + 30.0);
-        }
     }
 
     #[test]

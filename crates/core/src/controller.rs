@@ -19,8 +19,10 @@
 //! the page's PAs as virtual spare space.
 
 use core::fmt;
+use wlr_base::dense::DenseMap;
 use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::PcmDevice;
+use wlr_wl::WearLeveler;
 
 use crate::error::ReviverError;
 use crate::recovery::RecoveryReport;
@@ -151,12 +153,12 @@ pub trait Controller: fmt::Debug + Send {
         true
     }
 
-    /// The software PA whose data currently lives in device block `da`,
-    /// if the controller can tell (used to reconcile silent write
-    /// failures). `None` means the block holds no attributable data.
-    fn logical_owner(&self, _da: Da) -> Option<Pa> {
-        None
-    }
+    /// The software PA whose data currently lives in device block `da`
+    /// (used to reconcile silent write failures). `None` means the block
+    /// holds no attributable data. Deliberately without a default: a
+    /// controller that cannot name the owner leaves the address a silent
+    /// failure destroyed in the integrity oracle.
+    fn logical_owner(&self, da: Da) -> Option<Pa>;
 
     /// Deep copy of the controller's full state (device image, leveler,
     /// link tables, spare pool, caches) for [`Simulation`] snapshots.
@@ -192,6 +194,24 @@ pub trait Controller: fmt::Debug + Send {
     fn as_lls(&self) -> Option<&crate::lls::LlsController> {
         None
     }
+}
+
+/// [`Controller::logical_owner`] for the baselines, which all hide a
+/// failure behind a forward `failed DA → replacement DA` link: walks the
+/// links backwards from `da` to the block the mapping designates (the
+/// one no link points at) and inverts the mapping there. Fault path
+/// only — linear in the link table per hop, like the simulator's
+/// `exempt_pa`.
+pub(crate) fn linked_owner(wl: &dyn WearLeveler, links: &DenseMap<Da>, da: Da) -> Option<Pa> {
+    let mut head = da;
+    // Each replacement is handed out once, so the walk cannot cycle.
+    while let Some((from, _)) = links.iter().find(|&(_, &to)| to == head) {
+        head = Da::new(from);
+    }
+    // Reserved slots lie outside the leveler's domain.
+    (head.index() < wl.total_das())
+        .then(|| wl.inverse(head))
+        .flatten()
 }
 
 #[cfg(test)]

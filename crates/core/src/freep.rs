@@ -13,7 +13,7 @@
 //! mapping fossilizes, and every further failure costs the OS a page.
 
 use crate::cache::RemapCache;
-use crate::controller::{Controller, RequestStats, WriteResult};
+use crate::controller::{linked_owner, Controller, RequestStats, WriteResult};
 use wlr_base::dense::DenseMap;
 use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::{PcmDevice, WriteOutcome};
@@ -394,6 +394,10 @@ impl Controller for FreepController {
 
     fn as_freep(&self) -> Option<&FreepController> {
         Some(self)
+    }
+
+    fn logical_owner(&self, da: Da) -> Option<Pa> {
+        linked_owner(self.wl.as_ref(), &self.links, da)
     }
 
     fn fork_box(&self) -> Option<Box<dyn Controller>> {

@@ -28,7 +28,7 @@
 //! which is where the usable-space staircase of Figure 8 comes from.
 
 use crate::cache::RemapCache;
-use crate::controller::{Controller, RequestStats, WriteResult};
+use crate::controller::{linked_owner, Controller, RequestStats, WriteResult};
 use std::collections::VecDeque;
 use wlr_base::dense::DenseMap;
 use wlr_base::{Da, Geometry, Pa, PageId};
@@ -520,6 +520,10 @@ impl Controller for LlsController {
 
     fn as_lls(&self) -> Option<&LlsController> {
         Some(self)
+    }
+
+    fn logical_owner(&self, da: Da) -> Option<Pa> {
+        linked_owner(self.wl.as_ref(), &self.links, da)
     }
 
     fn fork_box(&self) -> Option<Box<dyn Controller>> {

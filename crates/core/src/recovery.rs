@@ -159,7 +159,7 @@ impl PersistedMeta {
 }
 
 /// What a [`crate::reviver::RevivedController::recover`] pass did — the
-/// recovery-cost record the robustness bench aggregates.
+/// recovery-cost record `crash_sweep` aggregates per stack.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// PCM blocks scanned to rebuild volatile state (retired-page

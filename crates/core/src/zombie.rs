@@ -24,7 +24,7 @@
 //!   leveling, which is the paper's whole point.
 
 use crate::cache::RemapCache;
-use crate::controller::{Controller, RequestStats, WriteResult};
+use crate::controller::{linked_owner, Controller, RequestStats, WriteResult};
 use wlr_base::dense::DenseMap;
 use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::{PcmDevice, WriteOutcome};
@@ -372,6 +372,10 @@ impl Controller for ZombieController {
 
     fn reset_request_stats(&mut self) {
         self.req = RequestStats::default();
+    }
+
+    fn logical_owner(&self, da: Da) -> Option<Pa> {
+        linked_owner(self.wl.as_ref(), &self.links, da)
     }
 
     fn fork_box(&self) -> Option<Box<dyn Controller>> {

@@ -2,6 +2,7 @@
 //! variables (documented in EXPERIMENTS.md).
 
 use crate::fleet::ShedPolicy;
+use wlr_base::env::{env_str, env_u64, or_exit};
 
 /// Everything the daemon needs to run, with smoke-friendly defaults.
 #[derive(Debug, Clone)]
@@ -60,26 +61,15 @@ pub struct Config {
     pub verify: bool,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) if !v.is_empty() => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name}={v:?} is not a number")),
-        _ => default,
-    }
-}
-
-fn env_str(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|v| !v.is_empty())
-}
-
 impl Config {
     /// Reads the configuration from the environment.
     pub fn from_env() -> Config {
         let shed_policy = match env_str("WLR_SHED_POLICY").as_deref() {
             None | Some("shed") => ShedPolicy::Shed,
             Some("block") => ShedPolicy::Block,
-            Some(other) => panic!("WLR_SHED_POLICY={other:?}: expected \"shed\" or \"block\""),
+            Some(other) => or_exit(Err(format!(
+                "WLR_SHED_POLICY={other:?}: expected \"shed\" or \"block\""
+            ))),
         };
         let scheme = env_str("WLR_SERVE_SCHEME").unwrap_or_else(|| "reviver-sg".into());
         match wl_reviver::SchemeRegistry::global().resolve(&scheme) {

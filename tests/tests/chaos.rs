@@ -2,24 +2,12 @@
 //! post-quarantine read service across every scheme stack, and the
 //! bounded transient-read retry contract.
 
+use wl_reviver::registry::SchemeRegistry;
 use wl_reviver::sim::EccKind;
 use wlr_mc::{BankChaos, FaultPlan, McFrontend, McReadError, McStopPolicy, McStopReason};
 use wlr_trace::{UniformWorkload, Workload};
 
 const BLOCKS: u64 = 1 << 12;
-
-/// The nine stacks of the original equivalence sweep, by registry name.
-const STACKS: [&str; 9] = [
-    "ecc",
-    "sg",
-    "sr",
-    "freep",
-    "lls",
-    "reviver-sg",
-    "reviver-sr",
-    "reviver-tiled",
-    "reviver-sr2",
-];
 
 /// With no faults firing, the degraded-mode remap layer (logical
 /// encoding, quarantine steering hooks, substitute election) must be
@@ -60,13 +48,14 @@ fn quarantine_remap_is_bit_identical_to_no_fault_run() {
     }
 }
 
-/// Kill a bank under every scheme stack: the array keeps serving at
+/// Kill a bank under every registered stack: the array keeps serving at
 /// N−1, the dead bank's live lines migrate, and afterwards *reads*
 /// return the migrated contents — both the rescued directory lines and
 /// the healthy banks' own lines.
 #[test]
 fn post_quarantine_reads_return_migrated_contents_across_all_stacks() {
-    for name in STACKS {
+    for spec in SchemeRegistry::global().iter() {
+        let name = spec.name;
         let mut mc = McFrontend::builder()
             .banks(4)
             .total_blocks(BLOCKS)
@@ -78,6 +67,11 @@ fn post_quarantine_reads_return_migrated_contents_across_all_stacks() {
             .seed(29)
             .build()
             .unwrap();
+        assert_eq!(
+            mc.banks()[0].sim().controller().as_reviver().is_some(),
+            spec.revivable,
+            "{name}: the registry's revivable flag must describe the built stack"
+        );
         // Freep reserves pages, shrinking the app-visible space below
         // the raw block count — size the address range to what every
         // bank actually exposes and submit directly (`run` insists on

@@ -172,7 +172,7 @@ fn torn_switch_is_repaired_on_recovery() {
 
 #[test]
 fn recovery_reports_scan_and_replay_costs() {
-    // The recovery-cost accounting the `robustness` bench bin reports:
+    // The recovery-cost accounting the `crash_sweep` bin reports:
     // a mid-life crash must actually scan retired pages and recover the
     // links that existed before the cut.
     let plan = FaultPlan::new().power_loss_at_write(30_000);
@@ -249,6 +249,42 @@ fn silent_and_reported_failures_converge() {
             silent_retired, reported_retired,
             "seed {fault_seed}: silent and reported runs retired different pages"
         );
+    }
+}
+
+#[test]
+fn silent_failure_exempts_its_owner_on_every_stack() {
+    // A concealed failure destroys one logical address through no fault
+    // of the controller; the simulator exempts that address from the
+    // oracle through `Controller::logical_owner`. Every registered stack
+    // must be able to name the owner — a stack that cannot leaves the
+    // dead address tracked, and an exhaustive read-back right after the
+    // fault (before any rewrite hides it) finds it.
+    for spec in SchemeRegistry::global().iter() {
+        for k in [3_000u64, 7_000, 12_000] {
+            let mut sim = Simulation::builder()
+                .num_blocks(BLOCKS)
+                .endurance_mean(1e9)
+                .gap_interval(7)
+                .stack(spec.name)
+                .seed(SEED + k)
+                .verify_integrity(true)
+                .fault_plan(FaultPlan::new().silent_failure_at_write(k))
+                .build();
+            sim.run(StopCondition::Writes(k + 50));
+            assert_eq!(
+                sim.controller().device().silent_failures().len(),
+                1,
+                "{} @{k}: the silent fault must fire exactly once",
+                spec.name
+            );
+            assert_eq!(
+                sim.verify_all(),
+                0,
+                "{} @{k}: the destroyed address stayed in the oracle",
+                spec.name
+            );
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use wl_reviver::registry::SchemeRegistry;
 use wl_reviver::sim::{Simulation, StopCondition};
 use wl_reviver::{MetricsSink, RevivalMetrics};
 use wlr_base::stats::registry::{
@@ -21,20 +22,6 @@ const PSI: u64 = 7;
 const SEED: u64 = 7;
 const STOP_WRITES: u64 = 280_000;
 
-/// Every golden stack from `equivalence.rs`: five baselines (no
-/// reviver, so nothing to fold) and the four revived schemes.
-const STACKS: &[&str] = &[
-    "ecc",
-    "sg",
-    "sr",
-    "freep",
-    "lls",
-    "reviver-sg",
-    "reviver-sr",
-    "reviver-tiled",
-    "reviver-sr2",
-];
-
 fn golden_sim(scheme: &str) -> Simulation {
     Simulation::builder()
         .num_blocks(BLOCKS)
@@ -46,26 +33,23 @@ fn golden_sim(scheme: &str) -> Simulation {
 }
 
 /// The live registry fold agrees with the controller's built-in
-/// counters on every golden stack — including across a mid-run reboot,
-/// so the recovery replay is folded too. Baseline stacks have no
+/// counters on every registered stack — including across a mid-run
+/// reboot, so the recovery replay is folded too. Bare stacks have no
 /// reviver, which is itself part of the contract: the sink attaches
-/// only where revival state exists.
+/// only where revival state exists, exactly where the registry says so.
 #[test]
 fn metrics_sink_matches_builtin_counters_on_every_golden_stack() {
-    for &label in STACKS {
+    for spec in SchemeRegistry::global().iter() {
+        let label = spec.name;
         let mut s = golden_sim(label);
         let registry = MetricsRegistry::new();
-        let Some(r) = s.controller_mut().as_reviver_mut() else {
-            assert!(
-                label.starts_with("ecc")
-                    || label.starts_with("sg")
-                    || label.starts_with("sr")
-                    || label.starts_with("freep")
-                    || label.starts_with("lls"),
-                "{label}: unexpected non-reviver stack"
-            );
-            continue;
-        };
+        let reviver = s.controller_mut().as_reviver_mut();
+        assert_eq!(
+            reviver.is_some(),
+            spec.revivable,
+            "{label}: the registry's revivable flag must describe the built stack"
+        );
+        let Some(r) = reviver else { continue };
         r.add_sink(Box::new(MetricsSink::new(RevivalMetrics::register(
             &registry,
         ))));
