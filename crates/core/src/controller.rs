@@ -19,10 +19,8 @@
 //! the page's PAs as virtual spare space.
 
 use core::fmt;
-use wlr_base::dense::DenseMap;
 use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::PcmDevice;
-use wlr_wl::WearLeveler;
 
 use crate::error::ReviverError;
 use crate::recovery::RecoveryReport;
@@ -185,33 +183,10 @@ pub trait Controller: fmt::Debug + Send {
         None
     }
 
-    /// Downcast to the FREE-p controller, when applicable.
-    fn as_freep(&self) -> Option<&crate::freep::FreepController> {
-        None
-    }
-
     /// Downcast to the LLS controller, when applicable.
     fn as_lls(&self) -> Option<&crate::lls::LlsController> {
         None
     }
-}
-
-/// [`Controller::logical_owner`] for the baselines, which all hide a
-/// failure behind a forward `failed DA → replacement DA` link: walks the
-/// links backwards from `da` to the block the mapping designates (the
-/// one no link points at) and inverts the mapping there. Fault path
-/// only — linear in the link table per hop, like the simulator's
-/// `exempt_pa`.
-pub(crate) fn linked_owner(wl: &dyn WearLeveler, links: &DenseMap<Da>, da: Da) -> Option<Pa> {
-    let mut head = da;
-    // Each replacement is handed out once, so the walk cannot cycle.
-    while let Some((from, _)) = links.iter().find(|&(_, &to)| to == head) {
-        head = Da::new(from);
-    }
-    // Reserved slots lie outside the leveler's domain.
-    (head.index() < wl.total_das())
-        .then(|| wl.inverse(head))
-        .flatten()
 }
 
 #[cfg(test)]

@@ -51,6 +51,7 @@ pub mod cache;
 pub mod controller;
 pub mod error;
 pub mod freep;
+pub mod linked;
 pub mod lls;
 pub mod metrics;
 pub mod recovery;

@@ -7,7 +7,7 @@
 //! 1. **Explicit OS support**: reserved space is acquired from the OS in
 //!    large *chunks* (64 MB on the paper's 1 GB chip — 1/16 of the space;
 //!    scaled here to 1/16 of the block count), emitted as
-//!    [`WriteResult::RequestPages`].
+//!    [`crate::WriteResult::RequestPages`].
 //! 2. **Salvage groups**: a failed block may only use a backup block of
 //!    its own group (`da mod groups`), so one hot group exhausts its slots
 //!    while others idle — forcing early chunk acquisitions and wasting
@@ -27,76 +27,51 @@
 //! simultaneously asks the OS to retire an equal amount of software space,
 //! which is where the usable-space staircase of Figure 8 comes from.
 
-use crate::cache::RemapCache;
-use crate::controller::{linked_owner, Controller, RequestStats, WriteResult};
+use crate::linked::{LinkedBuilder, LinkedController, SpareSupply};
 use std::collections::VecDeque;
-use wlr_base::dense::DenseMap;
-use wlr_base::{Da, Geometry, Pa, PageId};
-use wlr_pcm::{PcmDevice, WriteOutcome};
-use wlr_wl::{Migration, WearLeveler};
+use wlr_base::{Da, Geometry, PageId};
+use wlr_pcm::PcmDevice;
+use wlr_wl::WearLeveler;
 
-/// Event counters for the LLS baseline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LlsCounters {
-    /// Failed blocks linked to backup slots.
-    pub links: u64,
-    /// Chunks acquired from the OS.
-    pub chunks: u64,
-    /// Failures exposed to the OS after all chunks were consumed.
-    pub reports: u64,
-    /// Reads of blocks whose data was lost with the failure.
-    pub garbage_reads: u64,
-}
-
-/// Builder for [`LlsController`].
-#[derive(Debug)]
-pub struct LlsControllerBuilder {
-    device: PcmDevice,
-    wl: Box<dyn WearLeveler>,
+/// LLS's spare supply: backup slots acquired from the OS a chunk at a
+/// time and dealt into salvage groups; a failed block may only draw from
+/// the group of the block the mapping designates.
+#[derive(Debug, Clone, Default)]
+pub struct SalvageGroups {
     chunk_blocks: u64,
     max_chunks: u64,
     groups: u64,
-    cache_bytes: Option<usize>,
+    pages_per_chunk: u64,
+    /// First block of the backup region (and, by convention, the bitmap).
+    backup_base: u64,
+    chunks_acquired: u64,
+    /// Free backup slots per salvage group.
+    group_free: Vec<VecDeque<Da>>,
+    /// Set when a failure needs a chunk; the next write surfaces the
+    /// request to the OS.
+    chunk_wanted: bool,
+    /// Next software page to hand to the OS when reserving a chunk
+    /// (descending from the top of the PA space).
+    next_victim_page: u64,
 }
 
-impl LlsControllerBuilder {
-    /// Reservation chunk size in blocks (default: 1/16 of the space).
-    pub fn chunk_blocks(mut self, blocks: u64) -> Self {
-        self.chunk_blocks = blocks;
-        self
+impl SalvageGroups {
+    /// The page list the OS must retire to grant the next chunk, or
+    /// `None` if LLS is out of chunks (or out of software pages).
+    fn next_chunk_pages(&self) -> Option<Vec<PageId>> {
+        if self.chunks_acquired >= self.max_chunks || self.next_victim_page < self.pages_per_chunk {
+            return None;
+        }
+        Some(
+            (self.next_victim_page - self.pages_per_chunk..self.next_victim_page)
+                .map(PageId::new)
+                .collect(),
+        )
     }
+}
 
-    /// Maximum chunks LLS may acquire (default 16 — the whole space).
-    pub fn max_chunks(mut self, chunks: u64) -> Self {
-        self.max_chunks = chunks;
-        self
-    }
-
-    /// Number of salvage groups (default 64).
-    pub fn groups(mut self, groups: u64) -> Self {
-        self.groups = groups;
-        self
-    }
-
-    /// Attaches a remap cache.
-    pub fn cache_bytes(mut self, bytes: usize) -> Self {
-        self.cache_bytes = Some(bytes);
-        self
-    }
-
-    /// Constructs the controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched geometry, a chunk size that is not a whole
-    /// number of pages, or a device lacking the backup region.
-    pub fn build(self) -> LlsController {
-        let geo = *self.device.geometry();
-        assert_eq!(
-            self.wl.len(),
-            geo.num_blocks(),
-            "wear-leveler PA space must match the geometry"
-        );
+impl SpareSupply for SalvageGroups {
+    fn install(&mut self, geo: &Geometry, base: u64, device_blocks: u64) {
         assert!(self.chunk_blocks > 0, "chunk size must be nonzero");
         assert_eq!(
             self.chunk_blocks % geo.blocks_per_page(),
@@ -104,114 +79,81 @@ impl LlsControllerBuilder {
             "chunks must be whole pages"
         );
         assert!(self.groups > 0, "need at least one salvage group");
-        let backup_base = self.wl.total_das();
         assert!(
-            self.device.total_blocks() >= backup_base + self.chunk_blocks * self.max_chunks,
+            device_blocks >= base + self.chunk_blocks * self.max_chunks,
             "device lacks the backup region"
         );
-        let total = self.device.total_blocks();
-        LlsController {
-            geo,
-            device: self.device,
-            wl: self.wl,
-            chunk_blocks: self.chunk_blocks,
-            max_chunks: self.max_chunks,
-            groups: self.groups,
-            backup_base,
-            chunks_acquired: 0,
-            group_free: vec![VecDeque::new(); self.groups as usize],
-            links: DenseMap::with_capacity(total),
-            frozen: false,
-            chunk_wanted: false,
-            next_victim_page: geo.num_pages(),
-            cache: self.cache_bytes.map(RemapCache::with_capacity_bytes),
-            req: RequestStats::default(),
-            counters: LlsCounters::default(),
+        self.pages_per_chunk = self.chunk_blocks / geo.blocks_per_page();
+        self.backup_base = base;
+        self.group_free = vec![VecDeque::new(); self.groups as usize];
+        self.next_victim_page = geo.num_pages();
+    }
+
+    fn take(&mut self, origin: Da) -> Option<Da> {
+        let slot = self.group_free[(origin.index() % self.groups) as usize].pop_front();
+        // An empty group wants the next chunk, while there is one.
+        self.chunk_wanted |= slot.is_none() && self.next_chunk_pages().is_some();
+        slot
+    }
+
+    fn pending_request(&self) -> Option<Vec<PageId>> {
+        self.chunk_wanted.then(|| self.next_chunk_pages()).flatten()
+    }
+
+    /// A cache miss reads the bitmap as well as the failed block.
+    fn lookup_block(&self) -> Option<Da> {
+        Some(Da::new(self.backup_base))
+    }
+
+    /// Chunk grants arrive as retirements of the requested pages; the
+    /// chunk commits when its lowest page lands, its slots dealt
+    /// round-robin into the salvage groups. Failure-triggered retirements
+    /// (post-freeze) carry no benefit.
+    fn page_retired(&mut self, page: PageId, _healthy: impl Iterator<Item = Da>) {
+        if !self.chunk_wanted || page.index() != self.next_victim_page - self.pages_per_chunk {
+            return;
         }
+        let start = self.backup_base + self.chunks_acquired * self.chunk_blocks;
+        for i in 0..self.chunk_blocks {
+            self.group_free[(i % self.groups) as usize].push_back(Da::new(start + i));
+        }
+        self.chunks_acquired += 1;
+        self.next_victim_page -= self.pages_per_chunk;
+        self.chunk_wanted = false;
+    }
+
+    // `reserved_blocks` stays 0: the space cost of acquired chunks is
+    // already visible as retired software pages; counting it here would
+    // double-book it.
+
+    fn label(&self) -> &'static str {
+        "LLS"
     }
 }
 
-/// The LLS controller (see module docs).
-#[derive(Debug)]
-pub struct LlsController {
-    geo: Geometry,
-    device: PcmDevice,
-    wl: Box<dyn WearLeveler>,
-    chunk_blocks: u64,
-    max_chunks: u64,
-    groups: u64,
-    backup_base: u64,
-    chunks_acquired: u64,
-    /// Free backup slots per salvage group.
-    group_free: Vec<VecDeque<Da>>,
-    /// failed DA → backup DA.
-    links: DenseMap<Da>,
-    frozen: bool,
-    /// Set when a failure needs a chunk; the next write surfaces the
-    /// request to the OS.
-    chunk_wanted: bool,
-    /// Next software page to hand to the OS when reserving a chunk
-    /// (descending from the top of the PA space).
-    next_victim_page: u64,
-    cache: Option<RemapCache>,
-    req: RequestStats,
-    counters: LlsCounters,
-}
+/// The LLS controller (see module docs): the direct-link engine over
+/// [`SalvageGroups`].
+pub type LlsController = LinkedController<SalvageGroups>;
 
-impl Clone for LlsController {
-    fn clone(&self) -> Self {
-        LlsController {
-            geo: self.geo,
-            device: self.device.clone(),
-            wl: self.wl.clone_box(),
-            chunk_blocks: self.chunk_blocks,
-            max_chunks: self.max_chunks,
-            groups: self.groups,
-            backup_base: self.backup_base,
-            chunks_acquired: self.chunks_acquired,
-            group_free: self.group_free.clone(),
-            links: self.links.clone(),
-            frozen: self.frozen,
-            chunk_wanted: self.chunk_wanted,
-            next_victim_page: self.next_victim_page,
-            cache: self.cache.clone(),
-            req: self.req,
-            counters: self.counters,
-        }
-    }
-}
-
-impl LlsController {
+impl LinkedController<SalvageGroups> {
     /// Starts building an LLS controller; `wl` should use
-    /// [`wlr_wl::RandomizerKind::HalfRestricted`] per the paper.
-    pub fn builder(device: PcmDevice, wl: Box<dyn WearLeveler>) -> LlsControllerBuilder {
+    /// [`wlr_wl::RandomizerKind::HalfRestricted`] per the paper. Defaults:
+    /// chunks of 1/16 of the space, at most 16 of them, 64 salvage groups.
+    pub fn builder(device: PcmDevice, wl: Box<dyn WearLeveler>) -> LinkedBuilder<SalvageGroups> {
         let blocks = device.geometry().num_blocks();
-        let bpp = device.geometry().blocks_per_page();
-        let chunk_blocks = (blocks / 16).max(bpp);
-        LlsControllerBuilder {
-            device,
-            wl,
+        let chunk_blocks = (blocks / 16).max(device.geometry().blocks_per_page());
+        let supply = SalvageGroups {
             chunk_blocks,
             max_chunks: (blocks / chunk_blocks).min(16),
             groups: 64,
-            cache_bytes: None,
-        }
-    }
-
-    /// Event counters.
-    pub fn counters(&self) -> LlsCounters {
-        self.counters
+            ..SalvageGroups::default()
+        };
+        LinkedBuilder::new(device, wl, supply)
     }
 
     /// Chunks acquired so far.
     pub fn chunks_acquired(&self) -> u64 {
-        self.chunks_acquired
-    }
-
-    /// Whether wear leveling has been crippled (all chunks consumed and a
-    /// failure left unhidden).
-    pub fn frozen(&self) -> bool {
-        self.frozen
+        self.supply.chunks_acquired
     }
 
     /// Read access to the wear-leveler (for inspection and tooling).
@@ -223,321 +165,33 @@ impl LlsController {
     pub fn inject_dead(&mut self, da: Da) {
         self.device.inject_dead(da);
     }
-
-    /// The page list the OS must retire to grant the next chunk, or
-    /// `None` if LLS is out of chunks (or out of software pages).
-    fn next_chunk_pages(&self) -> Option<Vec<PageId>> {
-        if self.chunks_acquired >= self.max_chunks {
-            return None;
-        }
-        let pages_per_chunk = self.chunk_blocks / self.geo.blocks_per_page();
-        if self.next_victim_page < pages_per_chunk {
-            return None;
-        }
-        Some(
-            (self.next_victim_page - pages_per_chunk..self.next_victim_page)
-                .map(PageId::new)
-                .collect(),
-        )
-    }
-
-    /// Commits the chunk after the OS granted its pages: backup slots are
-    /// dealt round-robin into the salvage groups.
-    fn commit_chunk(&mut self) {
-        let start = self.backup_base + self.chunks_acquired * self.chunk_blocks;
-        for i in 0..self.chunk_blocks {
-            let group = (i % self.groups) as usize;
-            self.group_free[group].push_back(Da::new(start + i));
-        }
-        self.chunks_acquired += 1;
-        let pages_per_chunk = self.chunk_blocks / self.geo.blocks_per_page();
-        self.next_victim_page -= pages_per_chunk;
-        self.chunk_wanted = false;
-        self.counters.chunks += 1;
-    }
-
-    fn group_of(&self, da: Da) -> usize {
-        (da.index() % self.groups) as usize
-    }
-
-    /// Resolves a failed block's backup. A cache miss costs two extra PCM
-    /// reads: the failed block and the bitmap.
-    fn resolve_link(&mut self, da: Da, acct: bool) -> Option<Da> {
-        if let Some(c) = &mut self.cache {
-            if let Some(b) = c.get(da.index()) {
-                return Some(Da::new(b));
-            }
-        }
-        let b = self.links.get(da.index()).copied();
-        if let Some(b) = b {
-            self.device.read(da); // the failed block
-            self.device.read(Da::new(self.backup_base)); // the bitmap
-            if acct {
-                self.req.accesses += 2;
-            }
-            if let Some(c) = &mut self.cache {
-                c.insert(da.index(), b.index());
-            }
-        }
-        b
-    }
-
-    /// Takes a free backup slot for `group`. `Err(true)` = a chunk is
-    /// needed (retryable after the OS grants it); `Err(false)` = LLS is
-    /// out of reservable space.
-    fn take_slot(&mut self, group: usize) -> Result<Da, bool> {
-        if let Some(slot) = self.group_free[group].pop_front() {
-            return Ok(slot);
-        }
-        if self.next_chunk_pages().is_some() {
-            self.chunk_wanted = true;
-            Err(true)
-        } else {
-            Err(false)
-        }
-    }
-
-    /// Links `target` to a fresh same-group backup slot and returns it.
-    fn link_to_slot(&mut self, target: Da, group: usize) -> Result<Da, bool> {
-        let slot = self.take_slot(group)?;
-        self.links.insert(target.index(), slot);
-        self.device.write(target); // pointer + bitmap update
-        if let Some(c) = &mut self.cache {
-            c.insert(target.index(), slot.index());
-        }
-        self.counters.links += 1;
-        Ok(slot)
-    }
-
-    /// Writes to the block the mapping designates. `Err(true)` = a chunk
-    /// is needed (retryable); `Err(false)` = unhideable failure.
-    fn write_da(&mut self, da: Da, tag: u64, acct: bool) -> Result<(), bool> {
-        let mut target = da;
-        let group = self.group_of(da);
-        if self.device.is_dead(target) {
-            match self.resolve_link(target, acct) {
-                Some(b) => target = b,
-                // Dead and unlinked: the failure was discovered earlier
-                // while no slot was available; link it now.
-                None => target = self.link_to_slot(target, group)?,
-            }
-        }
-        let mut fuel = self.chunk_blocks * self.max_chunks + 2;
-        loop {
-            assert!(fuel > 0, "backup chain failed to converge at {da}");
-            fuel -= 1;
-            match self.device.write_tagged(target, tag) {
-                WriteOutcome::Ok => {
-                    if acct {
-                        self.req.accesses += 1;
-                    }
-                    return Ok(());
-                }
-                WriteOutcome::AlreadyDead => match self.resolve_link(target, acct) {
-                    Some(next) => target = next,
-                    None => target = self.link_to_slot(target, group)?,
-                },
-                WriteOutcome::NewFailure => {
-                    if acct {
-                        self.req.accesses += 1;
-                    }
-                    // A fresh failure needs a same-group backup slot.
-                    target = self.link_to_slot(target, group)?;
-                }
-                // Injected power loss: drop the write, expose nothing.
-                WriteOutcome::Lost => return Err(false),
-            }
-        }
-    }
-
-    fn migration_read(&mut self, src: Da) -> u64 {
-        if !self.device.is_dead(src) {
-            self.device.read(src);
-            return self.device.tag(src);
-        }
-        match self.follow_links(src, false) {
-            Some(b) => {
-                self.device.read(b);
-                self.device.tag(b)
-            }
-            None => {
-                self.counters.garbage_reads += 1;
-                self.device.read(src);
-                self.device.tag(src)
-            }
-        }
-    }
-
-    /// Walks the backup chain from dead block `da` to the first healthy
-    /// backup, or `None` if the chain dead-ends.
-    fn follow_links(&mut self, da: Da, acct: bool) -> Option<Da> {
-        let mut cur = da;
-        let mut fuel = self.links.len() + 2;
-        while self.device.is_dead(cur) {
-            if fuel == 0 {
-                return None;
-            }
-            fuel -= 1;
-            cur = self.resolve_link(cur, acct)?;
-        }
-        Some(cur)
-    }
-
-    fn run_migrations(&mut self) {
-        while !self.frozen && !self.chunk_wanted {
-            let Some(m) = self.wl.pending() else { break };
-            match m {
-                Migration::Copy { src, dst } => {
-                    let t = self.migration_read(src);
-                    match self.write_da(dst, t, false) {
-                        Ok(()) => self.wl.complete_migration(),
-                        Err(true) => return, // chunk_wanted set; retry later
-                        Err(false) => {
-                            self.frozen = true;
-                            return;
-                        }
-                    }
-                }
-                Migration::Swap { a, b } => {
-                    let ta = self.migration_read(a);
-                    let tb = self.migration_read(b);
-                    self.wl.complete_migration();
-                    let r1 = self.write_da(b, ta, false);
-                    let r2 = self.write_da(a, tb, false);
-                    if matches!(r1, Err(false)) || matches!(r2, Err(false)) {
-                        self.frozen = true;
-                        return;
-                    }
-                    if r1.is_err() || r2.is_err() {
-                        return;
-                    }
-                }
-            }
-        }
-    }
 }
 
-impl Controller for LlsController {
-    fn geometry(&self) -> &Geometry {
-        &self.geo
+impl LinkedBuilder<SalvageGroups> {
+    /// Reservation chunk size in blocks; must be whole pages.
+    pub fn chunk_blocks(mut self, blocks: u64) -> Self {
+        self.supply.chunk_blocks = blocks;
+        self
     }
 
-    fn read(&mut self, pa: Pa) -> u64 {
-        self.req.requests += 1;
-        let da = self.wl.map(pa);
-        if !self.device.is_dead(da) {
-            self.device.read(da);
-            self.req.accesses += 1;
-            return self.device.tag(da);
-        }
-        match self.follow_links(da, true) {
-            Some(b) => {
-                self.device.read(b);
-                self.req.accesses += 1;
-                self.device.tag(b)
-            }
-            None => {
-                self.counters.garbage_reads += 1;
-                self.device.read(da);
-                self.req.accesses += 1;
-                0
-            }
-        }
+    /// Maximum chunks LLS may acquire.
+    pub fn max_chunks(mut self, chunks: u64) -> Self {
+        self.supply.max_chunks = chunks;
+        self
     }
 
-    fn write(&mut self, pa: Pa, tag: u64) -> WriteResult {
-        self.req.requests += 1;
-        if self.chunk_wanted {
-            // Surface the pending chunk request before anything else.
-            if let Some(pages) = self.next_chunk_pages() {
-                return WriteResult::RequestPages(pages);
-            }
-            self.chunk_wanted = false;
-        }
-        let da = self.wl.map(pa);
-        match self.write_da(da, tag, true) {
-            Ok(()) => {
-                if !self.frozen {
-                    self.wl.record_write(pa);
-                    self.run_migrations();
-                }
-                WriteResult::Ok
-            }
-            Err(true) => {
-                // Need a chunk; the write was not serviced — the simulator
-                // retries it after granting the pages.
-                let pages = self
-                    .next_chunk_pages()
-                    .expect("chunk_wanted implies availability");
-                WriteResult::RequestPages(pages)
-            }
-            Err(false) => {
-                self.frozen = true;
-                self.counters.reports += 1;
-                WriteResult::ReportFailure(pa)
-            }
-        }
-    }
-
-    fn on_page_retired(&mut self, page: PageId) {
-        // Chunk grants arrive as retirements of the requested pages; the
-        // chunk commits when its last page lands.
-        if self.chunk_wanted {
-            let pages_per_chunk = self.chunk_blocks / self.geo.blocks_per_page();
-            let lo = self.next_victim_page - pages_per_chunk;
-            if page.index() >= lo && page.index() < self.next_victim_page && page.index() == lo {
-                self.commit_chunk();
-            }
-        }
-        // Failure-triggered retirements (post-freeze) carry no benefit.
-    }
-
-    fn device(&self) -> &PcmDevice {
-        &self.device
-    }
-
-    fn device_mut(&mut self) -> &mut PcmDevice {
-        &mut self.device
-    }
-
-    fn reserved_blocks(&self) -> u64 {
-        // The space cost of acquired chunks is already visible as retired
-        // software pages; counting it here would double-book it.
-        0
-    }
-
-    fn wl_active(&self) -> bool {
-        !self.frozen
-    }
-
-    fn request_stats(&self) -> RequestStats {
-        self.req
-    }
-
-    fn reset_request_stats(&mut self) {
-        self.req = RequestStats::default();
-    }
-
-    fn as_lls(&self) -> Option<&LlsController> {
-        Some(self)
-    }
-
-    fn logical_owner(&self, da: Da) -> Option<Pa> {
-        linked_owner(self.wl.as_ref(), &self.links, da)
-    }
-
-    fn fork_box(&self) -> Option<Box<dyn Controller>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn label(&self) -> String {
-        format!("{}-SG-LLS", self.device.ecc_label())
+    /// Number of salvage groups.
+    pub fn groups(mut self, groups: u64) -> Self {
+        self.supply.groups = groups;
+        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{Controller, WriteResult};
+    use wlr_base::Pa;
     use wlr_pcm::Ecp;
     use wlr_wl::{RandomizerKind, StartGap};
 

@@ -23,70 +23,47 @@
 //! * `WL-Reviver` — same incremental page cost *and* the scheme keeps
 //!   leveling, which is the paper's whole point.
 
-use crate::cache::RemapCache;
-use crate::controller::{linked_owner, Controller, RequestStats, WriteResult};
-use wlr_base::dense::DenseMap;
-use wlr_base::{Da, Geometry, Pa, PageId};
-use wlr_pcm::{PcmDevice, WriteOutcome};
-use wlr_wl::{Migration, WearLeveler};
+use crate::linked::{LinkedBuilder, LinkedController, SpareSupply};
+use wlr_base::{Da, Geometry, PageId};
+use wlr_pcm::PcmDevice;
+use wlr_wl::WearLeveler;
 
-/// Event counters for the Zombie baseline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ZombieCounters {
-    /// Failed blocks linked to spare blocks.
-    pub links: u64,
-    /// Failures reported to the OS (pool empty → page acquisition).
-    pub reports: u64,
-    /// Pages harvested for spares.
-    pub page_grants: u64,
-    /// Reads of blocks whose data was lost with the failure.
-    pub garbage_reads: u64,
+/// Zombie's spare supply: the live blocks of pages the OS has retired,
+/// addressed by the (by then frozen) mapping of their PAs. An empty pool
+/// reports the failure, and the page that costs refills it.
+#[derive(Debug, Clone, Default)]
+pub struct Harvest {
+    spares: Vec<Da>,
+    retired: Vec<bool>,
+    page_grants: u64,
 }
 
-/// Builder for [`ZombieController`].
-#[derive(Debug)]
-pub struct ZombieControllerBuilder {
-    device: PcmDevice,
-    wl: Box<dyn WearLeveler>,
-    cache_bytes: Option<usize>,
-}
+impl SpareSupply for Harvest {
+    const FREEZES_ON_FAILURE: bool = true;
+    const WALKS_BEFORE_WRITE: bool = true;
 
-impl ZombieControllerBuilder {
-    /// Attaches a remap cache.
-    pub fn cache_bytes(mut self, bytes: usize) -> Self {
-        self.cache_bytes = Some(bytes);
-        self
+    fn install(&mut self, geo: &Geometry, _base: u64, _device_blocks: u64) {
+        self.retired = vec![false; geo.num_pages() as usize];
     }
 
-    /// Constructs the controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wear-leveler does not match the geometry.
-    pub fn build(self) -> ZombieController {
-        let geo = *self.device.geometry();
-        assert_eq!(
-            self.wl.len(),
-            geo.num_blocks(),
-            "wear-leveler PA space must match the geometry"
-        );
-        let total = self.device.total_blocks();
-        ZombieController {
-            geo,
-            device: self.device,
-            wl: self.wl,
-            spares: Vec::new(),
-            links: DenseMap::with_capacity(total),
-            frozen: false,
-            retired: vec![false; geo.num_pages() as usize],
-            cache: self.cache_bytes.map(RemapCache::with_capacity_bytes),
-            req: RequestStats::default(),
-            counters: ZombieCounters::default(),
+    fn take(&mut self, _origin: Da) -> Option<Da> {
+        self.spares.pop()
+    }
+
+    fn page_retired(&mut self, page: PageId, healthy: impl Iterator<Item = Da>) {
+        if !std::mem::replace(&mut self.retired[page.as_usize()], true) {
+            self.spares.extend(healthy);
+            self.page_grants += 1;
         }
     }
+
+    fn label(&self) -> &'static str {
+        "Zombie"
+    }
 }
 
-/// The Zombie-adapted controller (see module docs).
+/// The Zombie-adapted controller (see module docs): the direct-link
+/// engine over a [`Harvest`].
 ///
 /// ```
 /// use wlr_base::{Geometry, Pa};
@@ -102,299 +79,30 @@ impl ZombieControllerBuilder {
 /// assert_eq!(ctl.free_spares(), 0);
 /// # Ok::<(), wlr_base::geometry::GeometryError>(())
 /// ```
-#[derive(Debug)]
-pub struct ZombieController {
-    geo: Geometry,
-    device: PcmDevice,
-    wl: Box<dyn WearLeveler>,
-    /// Spare device blocks from retired pages (fixed DAs — the mapping is
-    /// frozen by the time any are used).
-    spares: Vec<Da>,
-    /// failed DA → spare DA (Zombie's direct pairing pointer).
-    links: DenseMap<Da>,
-    frozen: bool,
-    retired: Vec<bool>,
-    cache: Option<RemapCache>,
-    req: RequestStats,
-    counters: ZombieCounters,
-}
+pub type ZombieController = LinkedController<Harvest>;
 
-impl Clone for ZombieController {
-    fn clone(&self) -> Self {
-        ZombieController {
-            geo: self.geo,
-            device: self.device.clone(),
-            wl: self.wl.clone_box(),
-            spares: self.spares.clone(),
-            links: self.links.clone(),
-            frozen: self.frozen,
-            retired: self.retired.clone(),
-            cache: self.cache.clone(),
-            req: self.req,
-            counters: self.counters,
-        }
-    }
-}
-
-impl ZombieController {
+impl LinkedController<Harvest> {
     /// Starts building a Zombie controller over `device` driving `wl`.
-    pub fn builder(device: PcmDevice, wl: Box<dyn WearLeveler>) -> ZombieControllerBuilder {
-        ZombieControllerBuilder {
-            device,
-            wl,
-            cache_bytes: None,
-        }
-    }
-
-    /// Event counters.
-    pub fn counters(&self) -> ZombieCounters {
-        self.counters
+    pub fn builder(device: PcmDevice, wl: Box<dyn WearLeveler>) -> LinkedBuilder<Harvest> {
+        LinkedBuilder::new(device, wl, Harvest::default())
     }
 
     /// Spare blocks currently available.
     pub fn free_spares(&self) -> u64 {
-        self.spares.len() as u64
+        self.supply.spares.len() as u64
     }
 
-    /// Whether wear leveling has been crippled (true from the first
-    /// failure onward — the adaptation's premise).
-    pub fn frozen(&self) -> bool {
-        self.frozen
-    }
-
-    fn resolve_link(&mut self, da: Da, acct: bool) -> Option<Da> {
-        if let Some(c) = &mut self.cache {
-            if let Some(s) = c.get(da.index()) {
-                return Some(Da::new(s));
-            }
-        }
-        let s = self.links.get(da.index()).copied();
-        if let Some(s) = s {
-            self.device.read(da); // pairing pointer lives in the failed block
-            if acct {
-                self.req.accesses += 1;
-            }
-            if let Some(c) = &mut self.cache {
-                c.insert(da.index(), s.index());
-            }
-        }
-        s
-    }
-
-    fn follow_links(&mut self, da: Da, acct: bool) -> Option<Da> {
-        let mut cur = da;
-        let mut fuel = self.links.len() + 2;
-        while self.device.is_dead(cur) {
-            if fuel == 0 {
-                return None;
-            }
-            fuel -= 1;
-            cur = self.resolve_link(cur, acct)?;
-        }
-        Some(cur)
-    }
-
-    /// Writes through the link chain; `Err(())` = needs a page from the OS.
-    fn write_da(&mut self, da: Da, tag: u64, acct: bool) -> Result<(), ()> {
-        let mut target = da;
-        if self.device.is_dead(target) {
-            match self.follow_links(target, acct) {
-                Some(t) => target = t,
-                None => {
-                    // Dead, unlinked end of chain: link it now if we can.
-                    target = self.link_last_dead(target)?;
-                }
-            }
-        }
-        let mut fuel = self.links.len() + self.spares.len() + 4;
-        loop {
-            assert!(fuel > 0, "zombie chain failed to converge at {da}");
-            fuel -= 1;
-            match self.device.write_tagged(target, tag) {
-                WriteOutcome::Ok => {
-                    if acct {
-                        self.req.accesses += 1;
-                    }
-                    return Ok(());
-                }
-                WriteOutcome::AlreadyDead => match self.resolve_link(target, acct) {
-                    Some(next) => target = next,
-                    None => target = self.link_last_dead(target)?,
-                },
-                WriteOutcome::NewFailure => {
-                    if acct {
-                        self.req.accesses += 1;
-                    }
-                    // First failure anywhere freezes the scheme (module
-                    // docs); afterwards spares hide the damage.
-                    self.frozen = true;
-                    target = self.link_last_dead(target)?;
-                }
-                // Injected power loss: drop the write.
-                WriteOutcome::Lost => return Err(()),
-            }
-        }
-    }
-
-    /// Pairs dead block `dead` with a fresh spare, or asks for a page.
-    fn link_last_dead(&mut self, dead: Da) -> Result<Da, ()> {
-        self.frozen = true;
-        let Some(spare) = self.spares.pop() else {
-            return Err(());
-        };
-        self.links.insert(dead.index(), spare);
-        self.device.write(dead); // store the pairing pointer
-        if let Some(c) = &mut self.cache {
-            c.insert(dead.index(), spare.index());
-        }
-        self.counters.links += 1;
-        Ok(spare)
-    }
-
-    fn run_migrations(&mut self) {
-        while !self.frozen {
-            let Some(m) = self.wl.pending() else { break };
-            match m {
-                Migration::Copy { src, dst } => {
-                    let t = self.read_block(src, false);
-                    match self.device.write_tagged(dst, t) {
-                        WriteOutcome::Ok => self.wl.complete_migration(),
-                        _ => {
-                            self.frozen = true;
-                            return;
-                        }
-                    }
-                }
-                Migration::Swap { a, b } => {
-                    let ta = self.read_block(a, false);
-                    let tb = self.read_block(b, false);
-                    self.wl.complete_migration();
-                    let ra = self.device.write_tagged(b, ta);
-                    let rb = self.device.write_tagged(a, tb);
-                    if ra != WriteOutcome::Ok || rb != WriteOutcome::Ok {
-                        self.frozen = true;
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    fn read_block(&mut self, da: Da, acct: bool) -> u64 {
-        if !self.device.is_dead(da) {
-            self.device.read(da);
-            if acct {
-                self.req.accesses += 1;
-            }
-            return self.device.tag(da);
-        }
-        match self.follow_links(da, acct) {
-            Some(t) => {
-                self.device.read(t);
-                if acct {
-                    self.req.accesses += 1;
-                }
-                self.device.tag(t)
-            }
-            None => {
-                self.counters.garbage_reads += 1;
-                self.device.read(da);
-                if acct {
-                    self.req.accesses += 1;
-                }
-                0
-            }
-        }
-    }
-}
-
-impl Controller for ZombieController {
-    fn geometry(&self) -> &Geometry {
-        &self.geo
-    }
-
-    fn read(&mut self, pa: Pa) -> u64 {
-        self.req.requests += 1;
-        let da = self.wl.map(pa);
-        self.read_block(da, true)
-    }
-
-    fn write(&mut self, pa: Pa, tag: u64) -> WriteResult {
-        self.req.requests += 1;
-        let da = self.wl.map(pa);
-        match self.write_da(da, tag, true) {
-            Ok(()) => {
-                if !self.frozen {
-                    self.wl.record_write(pa);
-                    self.run_migrations();
-                }
-                WriteResult::Ok
-            }
-            Err(()) => {
-                self.counters.reports += 1;
-                WriteResult::ReportFailure(pa)
-            }
-        }
-    }
-
-    fn on_page_retired(&mut self, page: PageId) {
-        if self.retired[page.as_usize()] {
-            return;
-        }
-        self.retired[page.as_usize()] = true;
-        // The disabled page's blocks become spares, addressed by the
-        // (now frozen) mapping of its PAs.
-        let healthy: Vec<Da> = self
-            .geo
-            .page_pas(page)
-            .map(|pa| self.wl.map(pa))
-            .filter(|&da| !self.device.is_dead(da) && !self.links.contains_key(da.index()))
-            .collect();
-        self.spares.extend(healthy);
-        self.counters.page_grants += 1;
-    }
-
-    fn device(&self) -> &PcmDevice {
-        &self.device
-    }
-
-    fn device_mut(&mut self) -> &mut PcmDevice {
-        &mut self.device
-    }
-
-    fn wl_active(&self) -> bool {
-        !self.frozen
-    }
-
-    fn request_stats(&self) -> RequestStats {
-        self.req
-    }
-
-    fn reset_request_stats(&mut self) {
-        self.req = RequestStats::default();
-    }
-
-    fn logical_owner(&self, da: Da) -> Option<Pa> {
-        linked_owner(self.wl.as_ref(), &self.links, da)
-    }
-
-    fn fork_box(&self) -> Option<Box<dyn Controller>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn label(&self) -> String {
-        let wl = match self.wl.label().as_str() {
-            "Start-Gap" => "SG-",
-            "Security-Refresh" => "SR-",
-            _ => "",
-        };
-        format!("{}-{}Zombie", self.device.ecc_label(), wl)
+    /// Pages harvested for spares.
+    pub fn page_grants(&self) -> u64 {
+        self.supply.page_grants
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{Controller, WriteResult};
+    use wlr_base::Pa;
     use wlr_pcm::Ecp;
     use wlr_wl::{RandomizerKind, StartGap};
 

@@ -171,7 +171,6 @@ pub struct McFrontendBuilder {
     write_buffer_lines: usize,
     steering: bool,
     steer_epoch: u64,
-    ring_depth: usize,
     max_batch_age: u64,
     drain_workers: usize,
     record_issue: bool,
@@ -272,13 +271,6 @@ impl McFrontendBuilder {
     /// Flushed writes per steering epoch (default 4096).
     pub fn steer_epoch(mut self, writes: u64) -> Self {
         self.steer_epoch = writes;
-        self
-    }
-
-    /// Per-bank SPSC ring capacity in entries, rounded up to a power of
-    /// two (default 4096).
-    pub fn ring_depth(mut self, entries: usize) -> Self {
-        self.ring_depth = entries;
         self
     }
 
@@ -417,7 +409,10 @@ impl McFrontendBuilder {
         let mut producers = Vec::with_capacity(self.banks);
         let mut consumers = Vec::with_capacity(self.banks);
         for _ in 0..self.banks {
-            let (p, c) = spsc::ring(self.ring_depth.max(1));
+            // `flush_bank` syncs with the bank before every flush, so a
+            // ring never holds more than one batch: one queue's worth
+            // (rounded up to a power of two) is all it needs.
+            let (p, c) = spsc::ring(self.queue_depth.max(1));
             producers.push(p);
             consumers.push(Some(c));
         }
@@ -464,7 +459,6 @@ impl McFrontendBuilder {
             oldest_arrival: vec![u64::MAX; self.banks],
             entry_buf: Vec::new(),
             addr_buf: Vec::new(),
-            ring_buf: Vec::new(),
             workers_active: false,
             drain_workers: self.drain_workers,
             pipe: PipeAccum::new(),
@@ -531,8 +525,6 @@ pub struct McFrontend {
     /// Reused address buffer for queue flushes (feeds the ring or the
     /// bank directly).
     addr_buf: Vec<u64>,
-    /// Reused address buffer for inline ring consumption.
-    ring_buf: Vec<u64>,
     /// Whether pinned workers currently own the banks and consumers.
     workers_active: bool,
     drain_workers: usize,
@@ -580,7 +572,6 @@ impl McFrontend {
             write_buffer_lines: 32,
             steering: false,
             steer_epoch: 4096,
-            ring_depth: 4096,
             max_batch_age: 0,
             drain_workers: 0,
             record_issue: false,
@@ -855,9 +846,11 @@ impl McFrontend {
         self.age_probe();
     }
 
-    /// Flushes the write buffer, drains every queue and ring, and
-    /// summarizes the run. The front-end can keep accepting requests
-    /// afterwards; the outcome covers everything submitted so far.
+    /// Flushes the write buffer, drains every queue, and summarizes the
+    /// run. The rings hold nothing to drain: they are fed only while
+    /// workers run, and workers exit only once they are empty. The
+    /// front-end can keep accepting requests afterwards; the outcome
+    /// covers everything submitted so far.
     pub fn finish(&mut self) -> McOutcome {
         let dirty = self.wbuf.flush();
         for line in dirty {
@@ -866,14 +859,9 @@ impl McFrontend {
         for b in 0..self.queues.len() {
             self.flush_bank(b);
         }
-        if !self.workers_active {
-            for phys in 0..self.banks.len() {
-                self.drain_ring_inline(phys);
-            }
-        }
         // End of trace: full (no longer lagged) death reconciliation,
-        // and every ring is drained so outstanding span probes are
-        // all complete.
+        // and every ring is empty so outstanding span probes are all
+        // complete.
         for phys in 0..self.banks.len() {
             if !self.banks[phys].alive() {
                 self.mark_dead(phys);
@@ -1287,23 +1275,6 @@ impl McFrontend {
             }
         } else if !self.banks[phys].alive() {
             self.mark_dead(phys);
-        }
-    }
-
-    /// Pops whatever the ring holds and steps the bank over it on the
-    /// submitting thread (the no-worker consumption path).
-    fn drain_ring_inline(&mut self, phys: usize) {
-        let cons = self.consumers[phys]
-            .as_mut()
-            .expect("consumer is home when no workers are active");
-        self.ring_buf.clear();
-        if cons.pop_into(&mut self.ring_buf) > 0 {
-            self.banks[phys].drain(&self.ring_buf);
-            // Mirror the worker protocol so mode switches stay coherent.
-            let s = &self.sync[phys];
-            s.alive.store(self.banks[phys].alive(), Ordering::Relaxed);
-            s.consumed
-                .fetch_add(self.ring_buf.len() as u64, Ordering::Release);
         }
     }
 

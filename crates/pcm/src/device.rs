@@ -173,8 +173,12 @@ struct BlockState {
 
 /// The simulated PCM chip.
 ///
-/// See the crate-level example for typical use.
-#[derive(Debug)]
+/// See the crate-level example for typical use. `Clone` is a deep copy of
+/// the full device state — wear counters, failure thresholds, ECC
+/// resources, content image, armed faults. The block table is a flat vec
+/// of plain data, so it is a bulk memcpy: the device half of
+/// `Simulation::snapshot`-style forking.
+#[derive(Debug, Clone)]
 pub struct PcmDevice {
     geometry: Geometry,
     total_blocks: u64,
@@ -190,29 +194,6 @@ pub struct PcmDevice {
     /// Present only when a fault plan is armed; `None` keeps the access
     /// hot paths fault-free beyond one discriminant check.
     fault: Option<FaultInjector>,
-}
-
-impl Clone for PcmDevice {
-    /// Deep copy of the full device state — wear counters, failure
-    /// thresholds, ECC resources, content image, armed faults. The block
-    /// table is a flat vec of plain data, so this is a bulk memcpy; it is
-    /// the device half of [`Simulation::snapshot`]-style forking.
-    ///
-    /// [`Simulation::snapshot`]: https://docs.rs/wlr-core
-    fn clone(&self) -> Self {
-        PcmDevice {
-            geometry: self.geometry,
-            total_blocks: self.total_blocks,
-            lifetime: self.lifetime.clone(),
-            ecc: self.ecc.clone_box(),
-            blocks: self.blocks.clone(),
-            contents: self.contents.clone(),
-            dead_count: self.dead_count,
-            visible_dead: self.visible_dead,
-            stats: self.stats,
-            fault: self.fault.clone(),
-        }
-    }
 }
 
 impl PcmDevice {

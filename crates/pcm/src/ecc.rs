@@ -55,6 +55,12 @@ pub trait ErrorCorrection: fmt::Debug + Send {
     fn clone_box(&self) -> Box<dyn ErrorCorrection>;
 }
 
+impl Clone for Box<dyn ErrorCorrection> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// Error-Correcting Pointers with a fixed number of entries per block.
 ///
 /// ```

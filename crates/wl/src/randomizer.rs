@@ -50,6 +50,12 @@ pub trait AddressRandomizer: fmt::Debug + Send {
     fn clone_box(&self) -> Box<dyn AddressRandomizer>;
 }
 
+impl Clone for Box<dyn AddressRandomizer> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// Declarative randomizer choice, for builders and experiment configs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RandomizerKind {

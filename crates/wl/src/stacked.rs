@@ -42,19 +42,10 @@ use wlr_base::{Da, Pa};
 /// let da = wl.map(Pa::new(17));
 /// assert_eq!(wl.inverse(da), Some(Pa::new(17)));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Stacked {
     inner: Box<dyn WearLeveler>,
     outer: Box<dyn WearLeveler>,
-}
-
-impl Clone for Stacked {
-    fn clone(&self) -> Self {
-        Stacked {
-            inner: self.inner.clone_box(),
-            outer: self.outer.clone_box(),
-        }
-    }
 }
 
 impl Stacked {

@@ -93,7 +93,7 @@ impl StartGapBuilder {
 /// wl.complete_migration();
 /// assert_eq!(wl.map(Pa::new(7)), Da::new(8));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StartGap {
     len: u64,
     start: u64,
@@ -105,20 +105,6 @@ pub struct StartGap {
     /// defers migrations, e.g. WL-Reviver's delayed space acquisition).
     debt: u64,
     randomizer: Box<dyn AddressRandomizer>,
-}
-
-impl Clone for StartGap {
-    fn clone(&self) -> Self {
-        StartGap {
-            len: self.len,
-            start: self.start,
-            gap: self.gap,
-            gap_interval: self.gap_interval,
-            writes_since_move: self.writes_since_move,
-            debt: self.debt,
-            randomizer: self.randomizer.clone_box(),
-        }
-    }
 }
 
 impl StartGap {

@@ -101,7 +101,7 @@ impl TiledStartGapBuilder {
 /// for _ in 0..10 { wl.record_write(Pa::new(5)); }
 /// assert!(wl.pending().is_some());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TiledStartGap {
     len: u64,
     tile_len: u64,
@@ -112,19 +112,6 @@ pub struct TiledStartGap {
     /// Tiles owing a gap movement, so that "nothing is owed" — the answer
     /// on almost every write — needs no scan.
     indebted: usize,
-}
-
-impl Clone for TiledStartGap {
-    fn clone(&self) -> Self {
-        TiledStartGap {
-            len: self.len,
-            tile_len: self.tile_len,
-            tiles: self.tiles.clone(),
-            randomizer: self.randomizer.clone_box(),
-            rr_cursor: self.rr_cursor,
-            indebted: self.indebted,
-        }
-    }
 }
 
 impl TiledStartGap {

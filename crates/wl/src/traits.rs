@@ -196,6 +196,12 @@ pub trait WearLeveler: fmt::Debug + Send {
     fn clone_box(&self) -> Box<dyn WearLeveler>;
 }
 
+impl Clone for Box<dyn WearLeveler> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// Drives `wl` until no migration is pending, applying each migration with
 /// `apply`. Test/bootstrap helper for callers that never defer migrations.
 pub fn drain_migrations<W, F>(wl: &mut W, mut apply: F)

@@ -1,0 +1,28 @@
+#!/usr/bin/env bash
+# Regenerates every recorded experiment output and diffs it against
+# results/, byte for byte: table1 fig5 fig6 fig7 fig8 table2 ablation
+# leveling (about 70 s in all on the 2-core reference box). Every bin is
+# seed-deterministic and reads no clock, so any difference is a behaviour
+# change. crash_sweep.txt and fleet.json have their own CI legs.
+#
+# Usage: scripts/check_results.sh [dir-with-release-bins]
+set -euo pipefail
+
+BIN="${1:-target/release}"
+OUT="$(mktemp -d)"
+trap 'rm -rf "$OUT"' EXIT
+
+status=0
+for name in table1 fig5 fig6 fig7 fig8 table2 ablation leveling; do
+  args=()
+  if [ "$name" = ablation ]; then args=(all); fi
+  "$BIN/$name" "${args[@]}" >"$OUT/$name.txt" 2>/dev/null
+  if diff "results/$name.txt" "$OUT/$name.txt" >"$OUT/$name.diff"; then
+    echo "ok    results/$name.txt"
+  else
+    echo "DIFF  results/$name.txt"
+    head -n 20 "$OUT/$name.diff"
+    status=1
+  fi
+done
+exit $status

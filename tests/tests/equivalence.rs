@@ -95,12 +95,33 @@ const GOLDEN: &[(&str, u64)] = &[
 ];
 
 /// Goldens for integrity-oracle runs (exercises the verification-order
-/// path: key picks must match the seed engine's sort-then-index picks).
+/// path: key picks must match the seed engine's sort-then-index picks;
+/// for the four direct-link baselines, their read and garbage-read path).
 const GOLDEN_ORACLE: &[(&str, u64)] = &[
+    ("sg", 0xa1ad4347288e80a6),
+    ("freep", 0x4cceadb27d564d07),
+    ("lls", 0x6830750d33733226),
+    ("zombie", 0x050ef7b877e1253a),
     ("reviver-sg", 0x2788c618225eac3e),
     ("reviver-sr", 0xdec389ce3669ea13),
     ("softwear-wlr", 0xff2345f943fd3c54),
     ("adaptive-sg-wlr", 0x3ffca1b8797cc82f),
+];
+
+/// End-of-run `(device reads, device writes, requests, accesses)` of the
+/// eight non-revivable stacks, which all run the one direct-link engine
+/// (`wl_reviver::linked`). The fingerprints above see `RequestStats` only
+/// through `avg_access_time` and the device's `AccessStats` not at all;
+/// this table is what holds that engine to "the same device accesses".
+const GOLDEN_ACCESS: &[(&str, [u64; 4])] = &[
+    ("ecc", [0, 135860, 135860, 135860]),
+    ("sg", [16683, 140192, 123509, 123509]),
+    ("sr", [29504, 138419, 108915, 108915]),
+    ("softwear", [15992, 98853, 82862, 82861]),
+    ("adaptive-sg", [4650, 136889, 132239, 132239]),
+    ("freep", [18085, 136274, 119088, 120122]),
+    ("lls", [169449, 231459, 198348, 319438]),
+    ("zombie", [22506, 166671, 148812, 155223]),
 ];
 
 fn run_fingerprint(scheme: &str, verify: bool) -> u64 {
@@ -143,6 +164,29 @@ fn oracle_runs_match_seed_engine_goldens() {
             continue;
         }
         assert_eq!(fp, golden, "{label}: oracle-mode run diverged");
+    }
+}
+
+#[test]
+fn baseline_access_counts_match_goldens() {
+    let capture = std::env::var("WLR_CAPTURE_GOLDEN").is_ok_and(|v| v == "1");
+    for spec in SchemeRegistry::global().iter().filter(|s| !s.revivable) {
+        let label = spec.name;
+        let mut s = sim(label, false);
+        s.run(StopCondition::Writes(STOP_WRITES));
+        let dev = s.controller().device().stats();
+        let req = s.controller().request_stats();
+        let got = [dev.reads, dev.writes, req.requests, req.accesses];
+        if capture {
+            println!("    (\"{label}\", {got:?}),");
+            continue;
+        }
+        let golden = GOLDEN_ACCESS
+            .iter()
+            .find(|(l, _)| *l == label)
+            .unwrap_or_else(|| panic!("no access golden for {label}"))
+            .1;
+        assert_eq!(got, golden, "{label}: device/request access counts moved");
     }
 }
 
