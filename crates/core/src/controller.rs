@@ -1,15 +1,18 @@
 //! The memory-controller interface the simulator drives.
 //!
 //! A controller owns the PCM device and a wear-leveling scheme and serves
-//! software block reads/writes by PA. The four implementations mirror the
+//! software block reads/writes by PA. The implementations mirror the
 //! paper's evaluation matrix:
 //!
 //! * [`crate::reviver::RevivedController`] — the paper's contribution:
 //!   wear leveling keeps running across failures (`*-WLR` curves).
-//! * [`crate::freep::FreepController`] — FREE-p adapted with a pre-reserved
-//!   remap region (Figure 7); with a 0% reserve it degenerates into the
-//!   plain `ECP6-SG` / `PAYG-SG` baseline that halts on the first failure.
-//! * [`crate::lls::LlsController`] — the LLS baseline (Figure 8, Table II).
+//! * [`crate::linked::LinkedController`] — every comparison column, as one
+//!   direct-link engine over three spare supplies:
+//!   [`crate::freep::FreepController`] (FREE-p adapted with a pre-reserved
+//!   remap region, Figure 7; with a 0% reserve the plain `ECP6-SG` /
+//!   `PAYG-SG` baseline that halts on the first failure),
+//!   [`crate::lls::LlsController`] (Figure 8, Table II) and
+//!   [`crate::zombie::ZombieController`] (§I-C).
 //!
 //! Controllers never talk to the OS directly — that is the paper's
 //! point. They *return* what should be reported ([`WriteResult`]), and the
@@ -135,9 +138,9 @@ pub trait Controller: fmt::Debug + Send {
 
     /// Recovers from a power cut: restores device power and rebuilds
     /// volatile state from whatever survived, reporting the cost. The
-    /// baselines' metadata is modeled as fully persistent (they crash
-    /// only at software-write boundaries), so the default is a plain
-    /// reboot; WL-Reviver overrides this with its §III-B scan.
+    /// baselines' metadata is modeled as fully persistent (a cut drops
+    /// the write in flight and tears nothing of theirs), so the default
+    /// is a plain reboot; WL-Reviver overrides this with its §III-B scan.
     fn recover(&mut self) -> RecoveryReport {
         self.device_mut().restore_power();
         self.simulate_reboot();

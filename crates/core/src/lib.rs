@@ -13,13 +13,16 @@
 //! The crate layers:
 //!
 //! * [`reviver::RevivedController`] — the framework (§III of the paper);
-//! * [`freep::FreepController`] — the FREE-p-adapted baseline (Figure 7)
-//!   which, at 0% reserve, is also the plain `ECC+WL` baseline that halts
-//!   on the first failure (Figures 5 and 6);
-//! * [`lls::LlsController`] — the LLS baseline (Figure 8, Table II);
-//! * [`zombie::ZombieController`] — the Zombie-adapted baseline (§I-C):
-//!   incremental page acquisition like WL-Reviver, but direct DA links
-//!   that force wear leveling to freeze;
+//! * [`linked::LinkedController`] — the one engine behind the comparison
+//!   columns, which all hide a failed block behind a direct link to a
+//!   replacement block and differ only in their [`linked::SpareSupply`]:
+//!   * [`freep::FreepController`] — the FREE-p-adapted baseline
+//!     (Figure 7) which, at 0% reserve, is also the plain `ECC+WL`
+//!     baseline that halts on the first failure (Figures 5 and 6);
+//!   * [`lls::LlsController`] — the LLS baseline (Figure 8, Table II);
+//!   * [`zombie::ZombieController`] — the Zombie-adapted baseline
+//!     (§I-C): incremental page acquisition like WL-Reviver, but direct
+//!     DA links that force wear leveling to freeze;
 //! * [`cache::RemapCache`] — the 32 KB remap cache of Table II;
 //! * [`sim::Simulation`] — the trace-driven simulation loop binding a
 //!   workload (`wlr-trace`), the OS model (`wlr-os`), a controller, and
@@ -64,6 +67,7 @@ pub use cache::RemapCache;
 pub use controller::{Controller, RequestStats, WriteResult};
 pub use error::{BuilderError, ReviverError};
 pub use freep::FreepController;
+pub use linked::{LinkedBuilder, LinkedController, SpareSupply};
 pub use lls::LlsController;
 pub use metrics::{WearHistogram, WearReport};
 pub use recovery::{PersistedMeta, RecoveryReport, TornMeta};

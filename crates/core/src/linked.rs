@@ -24,6 +24,7 @@ use core::fmt;
 
 use crate::cache::RemapCache;
 use crate::controller::{Controller, RequestStats, WriteResult};
+use crate::error::ReviverError;
 use wlr_base::dense::DenseMap;
 use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::{PcmDevice, WriteOutcome};
@@ -80,7 +81,8 @@ pub trait SpareSupply: Clone + fmt::Debug + Send + 'static {
     fn label(&self) -> &'static str;
 }
 
-/// A write that was not stored: a failure on its way found no replacement.
+/// A write that was not stored: a failure on its way found no replacement,
+/// or the power was cut.
 #[derive(Debug, Clone, Copy)]
 struct Unstored;
 
@@ -265,6 +267,10 @@ impl<S: SpareSupply> LinkedController<S> {
                     }
                     target = self.link(target, da)?;
                 }
+                // Injected power cut: the write is dropped. All baseline
+                // state is modelled persistent, so there is nothing to
+                // tear; callers tell a cut from a shortage by asking the
+                // device.
                 WriteOutcome::Lost => return Err(Unstored),
             }
         }
@@ -314,7 +320,8 @@ impl<S: SpareSupply> LinkedController<S> {
                 }
             };
             if moved.is_err() {
-                self.frozen |= self.supply.pending_request().is_none();
+                // A power cut is not a failure: it freezes nothing.
+                self.frozen |= !self.device.power_lost() && self.supply.pending_request().is_none();
                 return;
             }
         }
@@ -340,9 +347,13 @@ impl<S: SpareSupply> Controller for LinkedController<S> {
         }
         let da = self.wl.map(pa);
         if self.write_da(da, tag, true).is_err() {
-            // Not serviced. Either the simulator retries the write after
+            // Not serviced. A power cut costs this one write and nothing
+            // else. Otherwise either the simulator retries the write after
             // granting the pages the supply waits for, or nothing hides
             // this failure and the OS gets to see it.
+            if self.device.power_lost() {
+                return WriteResult::Dropped(ReviverError::PowerLoss);
+            }
             if let Some(pages) = self.supply.pending_request() {
                 return WriteResult::RequestPages(pages);
             }

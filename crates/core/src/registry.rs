@@ -24,6 +24,13 @@
 //! 3. Run the registry-completeness suite (`tests/tests/registry.rs`) and
 //!    capture goldens (`WLR_CAPTURE_GOLDEN=1`); the new names appear in
 //!    `--list-stacks`, `WLR_CRASH_STACKS`, `WLR_FLEET_SCHEMES`, etc.
+//!
+//! A failure-tolerant *baseline* that hides a failed block behind a direct
+//! link to a replacement block (FREE-p, LLS, Zombie) is not a new
+//! controller either: implement [`crate::linked::SpareSupply`] and build
+//! the stack with [`crate::linked::LinkedBuilder::new`]. Every bare stack
+//! here is that engine over an empty FREE-p reserve
+//! ([`StackCtx::freeze_on_failure`]).
 
 use crate::controller::Controller;
 use crate::freep::FreepController;

@@ -34,8 +34,8 @@ use wlr_wl::WearLeveler;
 #[derive(Debug, Clone, Default)]
 pub struct Harvest {
     spares: Vec<Da>,
+    /// Pages already harvested: a page yields its blocks once.
     retired: Vec<bool>,
-    page_grants: u64,
 }
 
 impl SpareSupply for Harvest {
@@ -53,7 +53,6 @@ impl SpareSupply for Harvest {
     fn page_retired(&mut self, page: PageId, healthy: impl Iterator<Item = Da>) {
         if !std::mem::replace(&mut self.retired[page.as_usize()], true) {
             self.spares.extend(healthy);
-            self.page_grants += 1;
         }
     }
 
@@ -90,11 +89,6 @@ impl LinkedController<Harvest> {
     /// Spare blocks currently available.
     pub fn free_spares(&self) -> u64 {
         self.supply.spares.len() as u64
-    }
-
-    /// Pages harvested for spares.
-    pub fn page_grants(&self) -> u64 {
-        self.supply.page_grants
     }
 }
 

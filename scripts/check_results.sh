@@ -16,8 +16,11 @@ status=0
 for name in table1 fig5 fig6 fig7 fig8 table2 ablation leveling; do
   args=()
   if [ "$name" = ablation ]; then args=(all); fi
-  "$BIN/$name" "${args[@]}" >"$OUT/$name.txt" 2>/dev/null
-  if diff "results/$name.txt" "$OUT/$name.txt" >"$OUT/$name.diff"; then
+  if ! "$BIN/$name" "${args[@]}" >"$OUT/$name.txt" 2>"$OUT/$name.err"; then
+    echo "FAIL  $name exited non-zero"
+    tail -n 20 "$OUT/$name.err"
+    status=1
+  elif diff "results/$name.txt" "$OUT/$name.txt" >"$OUT/$name.diff"; then
     echo "ok    results/$name.txt"
   else
     echo "DIFF  results/$name.txt"

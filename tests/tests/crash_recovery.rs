@@ -13,8 +13,9 @@
 //! recovery that "works" by luck still fails here.
 //!
 //! Baseline stacks model fully-persistent metadata (the paper grants
-//! them this); they crash only at software-write boundaries, which the
-//! boundary sweep below still exercises through the same oracle.
+//! them this); the sweep reboots them at software-write boundaries,
+//! through the same oracle, and `power_cut_is_not_reported_as_a_failure`
+//! cuts them mid-write.
 //!
 //! The full ≥200-point CrashMonkey-style sweep lives in the release-mode
 //! `crash_sweep` bench bin (see EXPERIMENTS.md); this suite keeps a
@@ -329,4 +330,60 @@ fn double_crash_recovers_twice() {
     }
     assert_eq!(crashes, 2, "both scheduled cuts should fire");
     assert_eq!(sim.verify_all(), 0);
+}
+
+#[test]
+fn power_cut_is_not_reported_as_a_failure() {
+    // A power cut is not a cell failure. On a chip where no cell ever
+    // fails, a cut costs the one write in flight and nothing else: no
+    // failure report, no retired page, no frozen leveler — on bare and
+    // baseline stacks exactly as on revived ones. The eight indices
+    // straddle a ψ = 7 migration, so the cut lands on software writes
+    // and on migration writes alike.
+    let mut failures = Vec::new();
+    for spec in SchemeRegistry::global().iter() {
+        for k in 3_000u64..3_008 {
+            let mut sim = Simulation::builder()
+                .num_blocks(BLOCKS)
+                .endurance_mean(1e9)
+                .gap_interval(7)
+                .stack(spec.name)
+                .seed(SEED)
+                .verify_integrity(true)
+                .fault_plan(FaultPlan::new().power_loss_at_write(k))
+                .build();
+            let out = sim.run(StopCondition::Writes(10_000));
+            assert_eq!(
+                out.reason,
+                StopReason::PowerLoss,
+                "{} @{k}: the cut never fired",
+                spec.name
+            );
+            sim.recover();
+            sim.run(StopCondition::Writes(10_000));
+            let got = (
+                sim.os().retired_pages(),
+                sim.os().failure_reports(),
+                sim.controller().wl_active(),
+                sim.lost_writes() <= 1,
+                sim.verify_all(),
+            );
+            if got != (0, 0, true, true, 0) {
+                failures.push(format!(
+                    "{} @{k}: retired {}, reports {}, leveling {}, lost {}, mismatches {}",
+                    spec.name,
+                    got.0,
+                    got.1,
+                    got.2,
+                    sim.lost_writes(),
+                    got.4
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "a power cut was answered as a failure:\n{}",
+        failures.join("\n")
+    );
 }

@@ -124,6 +124,11 @@ const GOLDEN_ACCESS: &[(&str, [u64; 4])] = &[
     ("zombie", [22506, 166671, 148812, 155223]),
 ];
 
+/// Whether this run prints fresh goldens instead of asserting them.
+fn capturing() -> bool {
+    std::env::var("WLR_CAPTURE_GOLDEN").is_ok_and(|v| v == "1")
+}
+
 fn run_fingerprint(scheme: &str, verify: bool) -> u64 {
     let mut s = sim(scheme, verify);
     let out = s.run(StopCondition::Writes(STOP_WRITES));
@@ -135,7 +140,7 @@ fn run_fingerprint(scheme: &str, verify: bool) -> u64 {
 
 #[test]
 fn outcomes_match_seed_engine_goldens() {
-    let capture = std::env::var("WLR_CAPTURE_GOLDEN").is_ok_and(|v| v == "1");
+    let capture = capturing();
     for label in SchemeRegistry::global().names() {
         let fp = run_fingerprint(label, false);
         if capture {
@@ -156,7 +161,7 @@ fn outcomes_match_seed_engine_goldens() {
 
 #[test]
 fn oracle_runs_match_seed_engine_goldens() {
-    let capture = std::env::var("WLR_CAPTURE_GOLDEN").is_ok_and(|v| v == "1");
+    let capture = capturing();
     for &(label, golden) in GOLDEN_ORACLE {
         let fp = run_fingerprint(label, true);
         if capture {
@@ -169,7 +174,7 @@ fn oracle_runs_match_seed_engine_goldens() {
 
 #[test]
 fn baseline_access_counts_match_goldens() {
-    let capture = std::env::var("WLR_CAPTURE_GOLDEN").is_ok_and(|v| v == "1");
+    let capture = capturing();
     for spec in SchemeRegistry::global().iter().filter(|s| !s.revivable) {
         let label = spec.name;
         let mut s = sim(label, false);
