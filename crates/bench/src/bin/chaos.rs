@@ -132,11 +132,14 @@ fn reboot(seed: u64, snaps: &[BankSnap], qimg: &Option<QuarantineImage>) -> McFr
                 for &p in &s.retirements {
                     sim.os_mut().retire_page(PageId::new(p));
                 }
-                let meta = PersistedMeta::from_bytes(&s.meta).expect("captured meta parses");
+                let blocks = sim.controller().device().total_blocks();
+                let meta =
+                    PersistedMeta::from_bytes(&s.meta, blocks).expect("captured meta parses");
                 sim.controller_mut()
                     .as_reviver_mut()
                     .expect("chaos harness runs a reviver scheme")
-                    .restore_from(meta);
+                    .restore_from(meta)
+                    .expect("captured meta matches the rebuilt bank");
             }) as PooledJob<()>
         })
         .collect();

@@ -162,17 +162,13 @@ pub trait Controller: fmt::Debug + Send {
     fn logical_owner(&self, da: Da) -> Option<Pa>;
 
     /// Deep copy of the controller's full state (device image, leveler,
-    /// link tables, spare pool, caches) for [`Simulation`] snapshots.
-    /// The default returns `None` (the controller cannot be forked); all
-    /// shipped controllers override it. A returned copy must behave
-    /// bit-identically to the original under the same request sequence,
-    /// except that attached event sinks are intentionally *not* carried
-    /// over (observers are per-run, not part of the simulated state).
+    /// link tables, spare pool, caches) — what a [`Simulation`] snapshot
+    /// holds. The copy must behave bit-identically to the original under
+    /// the same request sequence; what it may leave behind is observers
+    /// (see the reviver's `SinkStack`), never simulated state.
     ///
     /// [`Simulation`]: crate::sim::Simulation
-    fn fork_box(&self) -> Option<Box<dyn Controller>> {
-        None
-    }
+    fn fork_box(&self) -> Box<dyn Controller>;
 
     /// Downcast to the WL-Reviver controller, when that is what this is
     /// (gives experiments access to the framework's event counters).
@@ -189,6 +185,12 @@ pub trait Controller: fmt::Debug + Send {
     /// Downcast to the LLS controller, when applicable.
     fn as_lls(&self) -> Option<&crate::lls::LlsController> {
         None
+    }
+}
+
+impl Clone for Box<dyn Controller> {
+    fn clone(&self) -> Self {
+        self.fork_box()
     }
 }
 

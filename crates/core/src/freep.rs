@@ -181,6 +181,28 @@ mod tests {
         assert_eq!(ctl.counters().reports, 1);
     }
 
+    /// A decision, not an accident (PR 20's difference (4)): a block that
+    /// is already dead when software first writes it — no earlier write
+    /// ever failed on it — is linked on the spot while the reserve has a
+    /// slot, with nothing reported and leveling still on. Only an empty
+    /// reserve exposes it.
+    #[test]
+    fn already_dead_block_is_linked_on_its_next_write() {
+        let pa = Pa::new(9);
+        let mut ctl = make(8, 1e9, 1_000_000, 9);
+        let da = ctl.wl.map(pa);
+        ctl.device.inject_dead(da);
+        assert_eq!(ctl.write(pa, 7), WriteResult::Ok);
+        assert_eq!((ctl.counters().links, ctl.counters().reports), (1, 0));
+        assert!(ctl.wl_active());
+        assert_eq!(ctl.read(pa), 7);
+
+        let mut bare = make(0, 1e9, 1_000_000, 9);
+        let da = bare.wl.map(pa);
+        bare.device.inject_dead(da);
+        assert_eq!(bare.write(pa, 7), WriteResult::ReportFailure(pa));
+    }
+
     #[test]
     fn exhausted_reserve_eventually_freezes() {
         let mut ctl = make(2, 200.0, 1_000_000, 4);

@@ -26,7 +26,12 @@
 //! * [`cache::RemapCache`] — the 32 KB remap cache of Table II;
 //! * [`sim::Simulation`] — the trace-driven simulation loop binding a
 //!   workload (`wlr-trace`), the OS model (`wlr-os`), a controller, and
-//!   the PCM device (`wlr-pcm`) together;
+//!   the PCM device (`wlr-pcm`) together. `sim/` holds it in four files:
+//!   the state and the one write loop (`mod.rs`; a snapshot is the
+//!   state's `Clone`), the builder, the OS side of the failure protocol,
+//!   and the integrity oracle;
+//! * [`registry`] — the one table of controller stacks, and
+//!   [`registry::StackKnobs`], the one copy of the stack knobs' defaults;
 //! * [`metrics`] — time-series sampling of survival rate, usable space,
 //!   and average access time — the y-axes of the paper's figures.
 //!

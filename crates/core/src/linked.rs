@@ -421,8 +421,8 @@ impl<S: SpareSupply> Controller for LinkedController<S> {
             .flatten()
     }
 
-    fn fork_box(&self) -> Option<Box<dyn Controller>> {
-        Some(Box::new(self.clone()))
+    fn fork_box(&self) -> Box<dyn Controller> {
+        Box::new(self.clone())
     }
 
     fn label(&self) -> String {

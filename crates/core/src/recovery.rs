@@ -96,10 +96,14 @@ impl PersistedMeta {
         words.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 
-    /// Parses a serialized image, rejecting torn (truncated or
-    /// inconsistent) data — the graceful-suspension path for a corrupt
-    /// metadata region.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TornMeta> {
+    /// Parses a serialized image of a `total_blocks`-block device,
+    /// rejecting torn (truncated or inconsistent) data — the
+    /// graceful-suspension path for a corrupt metadata region. Every
+    /// length the image declares is checked before anything is allocated
+    /// from it: the counted sections against the words that remain, and
+    /// the table capacity — which the image's size cannot bound — against
+    /// the device the caller is restoring.
+    pub fn from_bytes(bytes: &[u8], total_blocks: u64) -> Result<Self, TornMeta> {
         if !bytes.len().is_multiple_of(8) {
             return Err(TornMeta("image is not a whole number of words".into()));
         }
@@ -117,8 +121,23 @@ impl PersistedMeta {
         }
         let cap = next("ptr capacity")?;
         let ptr_len = next("ptr length")?;
-        let pages = next("page count")? as usize;
+        let pages = next("page count")?;
         let journal_len = next("journal length")?;
+        if cap != total_blocks {
+            return Err(TornMeta(format!(
+                "image of a {cap}-block device, expected {total_blocks}"
+            )));
+        }
+        // The body is exactly these three sections; a declared length that
+        // disagrees with the words present is torn, whichever way.
+        let body =
+            2 * u128::from(ptr_len) + u128::from(pages.div_ceil(64)) + 2 * u128::from(journal_len);
+        if ptr_len > cap || body != (words.len() - 5) as u128 {
+            return Err(TornMeta(
+                "declared lengths disagree with the image size".into(),
+            ));
+        }
+        let pages = pages as usize;
         let mut ptr = DenseMap::with_capacity(cap);
         for _ in 0..ptr_len {
             let da = next("ptr key")?;
@@ -126,7 +145,9 @@ impl PersistedMeta {
             if da >= cap || v >= cap {
                 return Err(TornMeta(format!("pointer {da}->{v} outside device")));
             }
-            ptr.insert(da, Pa::new(v));
+            if ptr.insert(da, Pa::new(v)).is_some() {
+                return Err(TornMeta(format!("block {da} has two pointers")));
+            }
         }
         let mut retired = vec![false; pages];
         for chunk in 0..pages.div_ceil(64) {
@@ -146,9 +167,6 @@ impl PersistedMeta {
                 return Err(TornMeta(format!("journal target {da} outside device")));
             }
             journal.push_back((Da::new(da), tag));
-        }
-        if it.next().is_some() {
-            return Err(TornMeta("trailing garbage".into()));
         }
         Ok(PersistedMeta {
             ptr,
@@ -228,7 +246,7 @@ mod tests {
     fn round_trips_through_bytes() {
         let m = sample();
         let bytes = m.to_bytes();
-        let back = PersistedMeta::from_bytes(&bytes).expect("clean image parses");
+        let back = PersistedMeta::from_bytes(&bytes, 300).expect("clean image parses");
         assert_eq!(back.to_bytes(), bytes);
         assert_eq!(back.retired, m.retired);
         assert_eq!(back.journal, m.journal);
@@ -241,7 +259,7 @@ mod tests {
     #[test]
     fn empty_meta_round_trips() {
         let m = PersistedMeta::new(64, 1);
-        let back = PersistedMeta::from_bytes(&m.to_bytes()).unwrap();
+        let back = PersistedMeta::from_bytes(&m.to_bytes(), 64).unwrap();
         assert!(back.ptr.is_empty());
         assert_eq!(back.retired, vec![false]);
         assert!(back.journal.is_empty());
@@ -252,7 +270,7 @@ mod tests {
         let bytes = sample().to_bytes();
         for cut in [0, 8, 16, bytes.len() - 8, bytes.len() - 1] {
             assert!(
-                PersistedMeta::from_bytes(&bytes[..cut]).is_err(),
+                PersistedMeta::from_bytes(&bytes[..cut], 300).is_err(),
                 "cut at {cut} must be rejected"
             );
         }
@@ -262,11 +280,11 @@ mod tests {
     fn bad_magic_and_garbage_rejected() {
         let mut bytes = sample().to_bytes();
         bytes[0] ^= 0xFF;
-        assert!(PersistedMeta::from_bytes(&bytes).is_err());
+        assert!(PersistedMeta::from_bytes(&bytes, 300).is_err());
         let mut ok = sample().to_bytes();
         ok.extend_from_slice(&[0u8; 8]);
         assert!(
-            PersistedMeta::from_bytes(&ok).is_err(),
+            PersistedMeta::from_bytes(&ok, 300).is_err(),
             "trailing garbage must be rejected"
         );
     }
@@ -280,8 +298,66 @@ mod tests {
         // journal, key, value) to exceed the capacity.
         let off = 6 * 8;
         bytes[off..off + 8].copy_from_slice(&10_000u64.to_le_bytes());
-        let err = PersistedMeta::from_bytes(&bytes).unwrap_err();
+        let err = PersistedMeta::from_bytes(&bytes, 300).unwrap_err();
         assert!(err.to_string().contains("outside device"), "{err}");
+    }
+
+    /// ROADMAP 1(c), first decoder: a real image from a worn run, with
+    /// every word replaced by each of six hostile values and every
+    /// word-aligned truncation. `from_bytes` answers `Ok` or `TornMeta` —
+    /// it never panics and never allocates from a length it has not
+    /// checked (`u64::MAX` in words 1–4 is the proof) — and whatever
+    /// parses either restores or is refused by `restore_from`.
+    #[test]
+    fn mutated_images_parse_or_are_torn_and_never_panic() {
+        use crate::sim::{Simulation, StopCondition};
+        let mut sim = Simulation::builder()
+            .num_blocks(1 << 10)
+            .endurance_mean(1_500.0)
+            .gap_interval(10)
+            .stack("reviver-sg")
+            .seed(5)
+            .build();
+        sim.run(StopCondition::DeadFraction(0.05));
+        let snap = sim.snapshot();
+        let blocks = sim.controller().device().total_blocks();
+        let live = sim.controller().as_reviver().unwrap();
+        assert!(live.linked_blocks() > 20, "the image must hold real links");
+        let image = live.persisted_meta().to_bytes();
+        assert!(PersistedMeta::from_bytes(&image, blocks).is_ok());
+        assert!(PersistedMeta::from_bytes(&image, blocks + 1).is_err());
+
+        for cut in (0..image.len()).step_by(8) {
+            assert!(
+                PersistedMeta::from_bytes(&image[..cut], blocks).is_err(),
+                "truncation to {cut} bytes must be torn"
+            );
+        }
+        let (mut parsed, mut restored) = (0, 0);
+        for at in (0..image.len()).step_by(8) {
+            let word = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+            for hostile in [0, 1, u64::MAX, word ^ 1, word ^ (1 << 31), word ^ (1 << 63)] {
+                let mut bytes = image.clone();
+                bytes[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+                let Ok(meta) = PersistedMeta::from_bytes(&bytes, blocks) else {
+                    continue;
+                };
+                parsed += 1;
+                let mut fork = Simulation::fork(&snap);
+                let ctl = fork.controller_mut().as_reviver_mut().unwrap();
+                restored += u32::from(ctl.restore_from(meta).is_ok());
+            }
+        }
+        assert!(
+            parsed > 0 && restored > 0,
+            "{parsed} parsed, {restored} restored"
+        );
+
+        // A well-formed image of some other device is refused, not indexed.
+        let other = PersistedMeta::new(blocks, 3);
+        let mut fork = Simulation::fork(&snap);
+        let ctl = fork.controller_mut().as_reviver_mut().unwrap();
+        assert!(ctl.restore_from(other).is_err());
     }
 
     #[test]

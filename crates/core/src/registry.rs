@@ -31,6 +31,13 @@
 //! the stack with [`crate::linked::LinkedBuilder::new`]. Every bare stack
 //! here is that engine over an empty FREE-p reserve
 //! ([`StackCtx::freeze_on_failure`]).
+//!
+//! A failure-tolerant design that is neither a leveler nor a link table —
+//! a decoder-reprogramming controller, say — is a [`Controller`] impl of
+//! its own, registered the same way. It must implement
+//! [`Controller::fork_box`] (and a new workload `Workload::clone_box`):
+//! neither has a default, so a backend the fleet could not snapshot does
+//! not compile.
 
 use crate::controller::Controller;
 use crate::freep::FreepController;
@@ -44,6 +51,56 @@ use wlr_wl::{
     TiledStartGap, WearLeveler,
 };
 
+/// The stack knobs [`crate::sim::SimulationBuilder`]'s setters write and
+/// the build fns read, with the one copy of their defaults.
+#[derive(Debug, Clone, Copy)]
+pub struct StackKnobs {
+    /// ψ: writes per leveler migration step (a Start-Gap gap movement, a
+    /// Security Refresh or SoftWear swap).
+    pub gap_interval: u64,
+    /// Remap-cache size, if any.
+    pub cache_bytes: Option<usize>,
+    /// Experiment seed.
+    pub seed: u64,
+    /// Start-Gap randomizer override; see [`Self::randomizer`].
+    pub sg_randomizer: Option<RandomizerKind>,
+    /// Tile count for tiled Start-Gap.
+    pub sg_tiles: u64,
+    /// WL-Reviver: per-request invariant checking.
+    pub check_invariants: bool,
+    /// WL-Reviver: inverse-pointer width in bytes.
+    pub reviver_pointer_bytes: u64,
+    /// WL-Reviver: one-step chain switching.
+    pub reviver_chain_switching: bool,
+    /// WL-Reviver: proactive page acquisition.
+    pub reviver_proactive: bool,
+}
+
+impl Default for StackKnobs {
+    fn default() -> Self {
+        StackKnobs {
+            gap_interval: 100,
+            cache_bytes: None,
+            seed: 0,
+            sg_randomizer: None,
+            sg_tiles: 16,
+            check_invariants: false,
+            reviver_pointer_bytes: 4,
+            reviver_chain_switching: true,
+            reviver_proactive: false,
+        }
+    }
+}
+
+impl StackKnobs {
+    /// Start-Gap's static randomizer: the override, else a Feistel
+    /// network keyed by the experiment seed.
+    pub fn randomizer(&self) -> RandomizerKind {
+        self.sg_randomizer
+            .unwrap_or(RandomizerKind::Feistel { seed: self.seed })
+    }
+}
+
 /// Everything a stack builder may consult, pre-resolved by
 /// [`crate::sim::SimulationBuilder::build`]: the visible geometry, the
 /// scheme/pacing knobs, and the one-shot device ingredients (ECC, fault
@@ -56,25 +113,8 @@ pub struct StackCtx {
     pub reserve_blocks: u64,
     /// Blocks per OS page.
     pub bpp: u64,
-    /// ψ: writes per leveler migration step (a Start-Gap gap movement, a
-    /// Security Refresh or SoftWear swap).
-    pub gap_interval: u64,
-    /// Remap-cache size, if any.
-    pub cache_bytes: Option<usize>,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Start-Gap randomizer (already defaulted to a seeded Feistel).
-    pub sg_randomizer: RandomizerKind,
-    /// Tile count for tiled Start-Gap.
-    pub sg_tiles: u64,
-    /// WL-Reviver: per-request invariant checking.
-    pub check_invariants: bool,
-    /// WL-Reviver: inverse-pointer width in bytes.
-    pub reviver_pointer_bytes: u64,
-    /// WL-Reviver: one-step chain switching.
-    pub reviver_chain_switching: bool,
-    /// WL-Reviver: proactive page acquisition.
-    pub reviver_proactive: bool,
+    /// The scheme and framework knobs.
+    pub knobs: StackKnobs,
     geo: Geometry,
     endurance_mean: f64,
     endurance_cov: f64,
@@ -104,20 +144,18 @@ impl StackCtx {
     /// Assembles a context. Called by
     /// [`crate::sim::SimulationBuilder::build`]; exposed for harnesses
     /// that drive stack construction directly.
-    pub fn new(visible: u64, reserve_blocks: u64, bpp: u64, parts: DeviceParts) -> Self {
+    pub fn new(
+        visible: u64,
+        reserve_blocks: u64,
+        bpp: u64,
+        knobs: StackKnobs,
+        parts: DeviceParts,
+    ) -> Self {
         StackCtx {
             visible,
             reserve_blocks,
             bpp,
-            gap_interval: 100,
-            cache_bytes: None,
-            seed: 0,
-            sg_randomizer: RandomizerKind::Feistel { seed: 0 },
-            sg_tiles: 16,
-            check_invariants: false,
-            reviver_pointer_bytes: 4,
-            reviver_chain_switching: true,
-            reviver_proactive: false,
+            knobs,
             geo: parts.geo,
             endurance_mean: parts.endurance_mean,
             endurance_cov: parts.endurance_cov,
@@ -139,7 +177,7 @@ impl StackCtx {
             .extra_blocks(extra_blocks)
             .endurance_mean(self.endurance_mean)
             .endurance_cov(self.endurance_cov)
-            .seed(self.seed)
+            .seed(self.knobs.seed)
             .ecc(ecc)
             .track_contents(self.track_contents);
         if let Some(plan) = self.fault_plan.take() {
@@ -151,7 +189,7 @@ impl StackCtx {
     /// A Start-Gap leveler over the visible space with the configured
     /// randomizer.
     pub fn start_gap(&self) -> Box<dyn WearLeveler> {
-        self.start_gap_with(self.sg_randomizer)
+        self.start_gap_with(self.knobs.randomizer())
     }
 
     /// A Start-Gap leveler with an explicit randomizer (LLS uses the
@@ -159,7 +197,7 @@ impl StackCtx {
     pub fn start_gap_with(&self, kind: RandomizerKind) -> Box<dyn WearLeveler> {
         Box::new(
             StartGap::builder(self.visible)
-                .gap_interval(self.gap_interval)
+                .gap_interval(self.knobs.gap_interval)
                 .randomizer(kind)
                 .build(),
         )
@@ -171,7 +209,7 @@ impl StackCtx {
         Box::new(
             SecurityRefresh::builder(self.visible)
                 .region_blocks(self.visible & self.visible.wrapping_neg())
-                .refresh_interval(self.gap_interval)
+                .refresh_interval(self.knobs.gap_interval)
                 .seed(seed)
                 .build(),
         )
@@ -182,7 +220,7 @@ impl StackCtx {
     pub fn soft_wear(&self) -> Box<dyn WearLeveler> {
         Box::new(
             SoftWear::builder(self.visible)
-                .swap_interval(self.gap_interval)
+                .swap_interval(self.knobs.gap_interval)
                 .build(),
         )
     }
@@ -192,8 +230,8 @@ impl StackCtx {
     /// visible space in writes).
     pub fn adaptive_start_gap(&self) -> Box<dyn WearLeveler> {
         let inner = StartGap::builder(self.visible)
-            .gap_interval(self.gap_interval)
-            .randomizer(self.sg_randomizer)
+            .gap_interval(self.knobs.gap_interval)
+            .randomizer(self.knobs.randomizer())
             .build();
         Box::new(Adaptive::builder(inner).build())
     }
@@ -212,17 +250,13 @@ impl StackCtx {
     /// knobs (invariants, pointer width, chain switching, proactive
     /// acquisition, remap cache).
     pub fn revive(&mut self, extra_blocks: u64, wl: Box<dyn WearLeveler>) -> Box<dyn Controller> {
-        let check = self.check_invariants;
-        let pointer = self.reviver_pointer_bytes;
-        let chain = self.reviver_chain_switching;
-        let proactive = self.reviver_proactive;
-        let cache = self.cache_bytes;
+        let k = self.knobs;
         let mut b = RevivedController::builder(self.device(extra_blocks), wl)
-            .check_invariants(check)
-            .pointer_bytes(pointer)
-            .chain_switching(chain)
-            .proactive_acquisition(proactive);
-        if let Some(bytes) = cache {
+            .check_invariants(k.check_invariants)
+            .pointer_bytes(k.reviver_pointer_bytes)
+            .chain_switching(k.reviver_chain_switching)
+            .proactive_acquisition(k.reviver_proactive);
+        if let Some(bytes) = k.cache_bytes {
             b = b.cache_bytes(bytes);
         }
         Box::new(b.build())
@@ -272,7 +306,7 @@ fn build_start_gap_only(ctx: &mut StackCtx) -> Box<dyn Controller> {
 }
 
 fn build_security_refresh_only(ctx: &mut StackCtx) -> Box<dyn Controller> {
-    let wl = ctx.security_refresh(ctx.seed);
+    let wl = ctx.security_refresh(ctx.knobs.seed);
     ctx.freeze_on_failure(0, wl)
 }
 
@@ -290,7 +324,7 @@ fn build_freep(ctx: &mut StackCtx) -> Box<dyn Controller> {
     let wl = ctx.start_gap();
     let reserve = ctx.reserve_blocks;
     let mut b = FreepController::builder(ctx.device(1 + reserve), wl, reserve);
-    if let Some(bytes) = ctx.cache_bytes {
+    if let Some(bytes) = ctx.knobs.cache_bytes {
         b = b.cache_bytes(bytes);
     }
     Box::new(b.build())
@@ -301,11 +335,13 @@ fn build_lls(ctx: &mut StackCtx) -> Box<dyn Controller> {
     // controller's default 64 salvage groups.
     const CHUNKS: u64 = 16;
     let chunk = ((ctx.visible / CHUNKS) / ctx.bpp).max(1) * ctx.bpp;
-    let wl = ctx.start_gap_with(RandomizerKind::HalfRestricted { seed: ctx.seed });
+    let wl = ctx.start_gap_with(RandomizerKind::HalfRestricted {
+        seed: ctx.knobs.seed,
+    });
     let mut b = LlsController::builder(ctx.device(1 + chunk * CHUNKS), wl)
         .chunk_blocks(chunk)
         .max_chunks(CHUNKS);
-    if let Some(bytes) = ctx.cache_bytes {
+    if let Some(bytes) = ctx.knobs.cache_bytes {
         b = b.cache_bytes(bytes);
     }
     Box::new(b.build())
@@ -314,7 +350,7 @@ fn build_lls(ctx: &mut StackCtx) -> Box<dyn Controller> {
 fn build_zombie(ctx: &mut StackCtx) -> Box<dyn Controller> {
     let wl = ctx.start_gap();
     let mut b = ZombieController::builder(ctx.device(1), wl);
-    if let Some(bytes) = ctx.cache_bytes {
+    if let Some(bytes) = ctx.knobs.cache_bytes {
         b = b.cache_bytes(bytes);
     }
     Box::new(b.build())
@@ -326,17 +362,17 @@ fn build_reviver_start_gap(ctx: &mut StackCtx) -> Box<dyn Controller> {
 }
 
 fn build_reviver_security_refresh(ctx: &mut StackCtx) -> Box<dyn Controller> {
-    let wl = ctx.security_refresh(ctx.seed);
+    let wl = ctx.security_refresh(ctx.knobs.seed);
     ctx.revive(0, wl)
 }
 
 fn build_reviver_tiled_start_gap(ctx: &mut StackCtx) -> Box<dyn Controller> {
     let wl = TiledStartGap::builder(ctx.visible)
-        .tiles(ctx.sg_tiles)
-        .gap_interval(ctx.gap_interval)
-        .randomizer(ctx.sg_randomizer)
+        .tiles(ctx.knobs.sg_tiles)
+        .gap_interval(ctx.knobs.gap_interval)
+        .randomizer(ctx.knobs.randomizer())
         .build();
-    let tiles = ctx.sg_tiles;
+    let tiles = ctx.knobs.sg_tiles;
     ctx.revive(tiles, Box::new(wl))
 }
 
@@ -345,9 +381,9 @@ fn build_reviver_two_level_sr(ctx: &mut StackCtx) -> Box<dyn Controller> {
     let wl = Stacked::two_level_security_refresh(
         ctx.visible,
         inner_region,
-        ctx.gap_interval,
-        ctx.gap_interval * 4,
-        ctx.seed,
+        ctx.knobs.gap_interval,
+        ctx.knobs.gap_interval * 4,
+        ctx.knobs.seed,
     );
     ctx.revive(0, Box::new(wl))
 }

@@ -196,6 +196,33 @@ pub trait EventSink: std::fmt::Debug + Send {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
+/// The sinks stacked on one controller, in attachment order, with the
+/// cached answer to "does any of them want [`ReviverEvent::Quiesced`]"
+/// (so the per-write emission skips the fan-out without a dispatch).
+///
+/// Observers are per-run (trace rings, metric exporters), not part of the
+/// simulated machine: `Clone` yields the *empty* stack. That one rule is
+/// everything a controller copy — and so a simulation snapshot or fork —
+/// leaves behind; the folded [`ReviverCounters`] are state and are copied.
+#[derive(Debug, Default)]
+pub(super) struct SinkStack {
+    pub(super) list: Vec<Box<dyn EventSink>>,
+    pub(super) wants_quiesced: bool,
+}
+
+impl Clone for SinkStack {
+    fn clone(&self) -> Self {
+        SinkStack::default()
+    }
+}
+
+impl SinkStack {
+    pub(super) fn push(&mut self, sink: Box<dyn EventSink>) {
+        self.wants_quiesced |= sink.wants_quiesced();
+        self.list.push(sink);
+    }
+}
+
 /// The zero-cost default sink: observes everything, records nothing.
 /// Exists so harnesses can prove that merely *dispatching* events is
 /// behavior-neutral (golden-equivalence satellite).

@@ -147,7 +147,7 @@ impl Controller for RevivedController {
         // fire, so sinks that don't subscribe to quiescent points lose
         // nothing here.
         if !self.check
-            && !self.quiesced_subscribed
+            && !self.sinks.wants_quiesced
             && self.pending_meta.is_empty()
             && self.mig_buf.is_empty()
             && self.write_steady(da, tag)
@@ -233,8 +233,8 @@ impl Controller for RevivedController {
         Some(self)
     }
 
-    fn fork_box(&self) -> Option<Box<dyn Controller>> {
-        Some(Box::new(self.clone()))
+    fn fork_box(&self) -> Box<dyn Controller> {
+        Box::new(self.clone())
     }
 
     fn as_reviver_mut(&mut self) -> Option<&mut RevivedController> {

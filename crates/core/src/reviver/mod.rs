@@ -76,6 +76,7 @@ use crate::cache::RemapCache;
 use crate::controller::RequestStats;
 use crate::error::BuilderError;
 use crate::recovery::PersistedMeta;
+use events::SinkStack;
 use link_table::LinkTable;
 use spare_pool::SparePool;
 use std::collections::VecDeque;
@@ -93,7 +94,7 @@ pub struct RevivedControllerBuilder {
     pointer_bytes: u64,
     chain_switching: bool,
     proactive_acquisition: bool,
-    sinks: Vec<Box<dyn EventSink>>,
+    sinks: SinkStack,
 }
 
 impl RevivedControllerBuilder {
@@ -205,7 +206,6 @@ impl RevivedControllerBuilder {
             pending_meta: Vec::new(),
             persist: PersistedMeta::new(total, geo.num_pages()),
             degraded: false,
-            quiesced_subscribed: self.sinks.iter().any(|s| s.wants_quiesced()),
             sinks: self.sinks,
         })
     }
@@ -262,7 +262,7 @@ impl RevivedControllerBuilder {
 /// assert!(ctl.spare_pas() > 0);
 /// # Ok::<(), wlr_base::geometry::GeometryError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RevivedController {
     geo: Geometry,
     device: PcmDevice,
@@ -296,44 +296,9 @@ pub struct RevivedController {
     /// Set when an access hit torn metadata it could not repair (fuel
     /// exhaustion, unlinked dead read outside check mode).
     degraded: bool,
-    /// The stacked event sinks; empty by default (zero-cost emission).
-    sinks: Vec<Box<dyn EventSink>>,
-    /// Whether any stacked sink subscribed to per-write `Quiesced`
-    /// markers ([`EventSink::wants_quiesced`]); cached so the per-write
-    /// emission can skip the fan-out without a dynamic dispatch.
-    quiesced_subscribed: bool,
-}
-
-impl Clone for RevivedController {
-    /// Deep copy of the full revived-controller state for simulation
-    /// snapshots. Event sinks are deliberately *not* carried over — they
-    /// are per-run observers (trace rings, metric exporters), not part of
-    /// the simulated machine — so the copy starts with an empty sink
-    /// stack and zero-cost emission. The folded [`ReviverCounters`] *are*
-    /// copied: they are observable state.
-    fn clone(&self) -> Self {
-        RevivedController {
-            geo: self.geo,
-            device: self.device.clone(),
-            wl: self.wl.clone_box(),
-            links: self.links.clone(),
-            pool: self.pool.clone(),
-            suspended: self.suspended,
-            mig_buf: self.mig_buf.clone(),
-            req: self.req,
-            counters: self.counters,
-            check: self.check,
-            ptrs_per_block: self.ptrs_per_block,
-            switching: self.switching,
-            proactive: self.proactive,
-            in_write_da: self.in_write_da,
-            pending_meta: self.pending_meta.clone(),
-            persist: self.persist.clone(),
-            degraded: self.degraded,
-            sinks: Vec::new(),
-            quiesced_subscribed: false,
-        }
-    }
+    /// The stacked event sinks; empty by default (zero-cost emission),
+    /// and empty again in every clone.
+    sinks: SinkStack,
 }
 
 impl RevivedController {
@@ -347,7 +312,7 @@ impl RevivedController {
             pointer_bytes: 4,
             chain_switching: true,
             proactive_acquisition: false,
-            sinks: Vec::new(),
+            sinks: SinkStack::default(),
         }
     }
 
@@ -358,8 +323,8 @@ impl RevivedController {
     /// draw, so sinks can never perturb a run's observable behavior.
     pub(super) fn emit(&mut self, ev: ReviverEvent) {
         self.counters.apply(&ev);
-        if self.sinks.is_empty()
-            || (!self.quiesced_subscribed && matches!(ev, ReviverEvent::Quiesced))
+        if self.sinks.list.is_empty()
+            || (!self.sinks.wants_quiesced && matches!(ev, ReviverEvent::Quiesced))
         {
             // `Quiesced` fires once per serviced write; unless a sink
             // opted in, skip the fan-out — a metrics or tracing sink
@@ -368,27 +333,27 @@ impl RevivedController {
         }
         // Detach the sink stack so each sink can receive `&self` as a
         // read-only context while being called mutably itself.
-        let mut sinks = std::mem::take(&mut self.sinks);
+        let mut sinks = std::mem::take(&mut self.sinks.list);
         for s in sinks.iter_mut() {
             s.on_event(self, &ev);
         }
-        self.sinks = sinks;
+        self.sinks.list = sinks;
     }
 
     /// Stacks an event sink at runtime (observes subsequent events only).
     pub fn add_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.quiesced_subscribed |= sink.wants_quiesced();
         self.sinks.push(sink);
     }
 
     /// The stacked event sinks, in attachment order.
     pub fn sinks(&self) -> &[Box<dyn EventSink>] {
-        &self.sinks
+        &self.sinks.list
     }
 
     /// The first stacked sink of concrete type `T`, if any.
     pub fn sink<T: EventSink + 'static>(&self) -> Option<&T> {
         self.sinks
+            .list
             .iter()
             .find_map(|s| s.as_any().downcast_ref::<T>())
     }
@@ -396,6 +361,7 @@ impl RevivedController {
     /// Mutable access to the first stacked sink of concrete type `T`.
     pub fn sink_mut<T: EventSink + 'static>(&mut self) -> Option<&mut T> {
         self.sinks
+            .list
             .iter_mut()
             .find_map(|s| s.as_any_mut().downcast_mut::<T>())
     }

@@ -5,7 +5,7 @@
 use super::events::{RecoveryPhase, ReviverEvent};
 use super::RevivedController;
 use crate::cache::RemapCache;
-use crate::recovery::{PersistedMeta, RecoveryReport};
+use crate::recovery::{PersistedMeta, RecoveryReport, TornMeta};
 use wlr_base::dense::{DenseMap, DenseSet};
 use wlr_base::{Da, Pa, PageId};
 
@@ -50,9 +50,30 @@ impl RevivedController {
     /// Replaces the durable metadata wholesale and recovers from it —
     /// the deserialization end of the persistence round trip
     /// ([`PersistedMeta::from_bytes`]).
-    pub fn restore_from(&mut self, meta: PersistedMeta) -> RecoveryReport {
+    ///
+    /// # Errors
+    ///
+    /// [`TornMeta`] when `meta` does not describe this controller's device
+    /// (table capacity, page count) or holds a pointer that is not a
+    /// software PA; the controller is left untouched.
+    pub fn restore_from(&mut self, meta: PersistedMeta) -> Result<RecoveryReport, TornMeta> {
+        let (blocks, pages) = (self.device.total_blocks(), self.geo.num_pages());
+        if meta.ptr.capacity() != blocks || meta.retired.len() as u64 != pages {
+            return Err(TornMeta(format!(
+                "metadata of a {}-block, {}-page device restored into one of {blocks} blocks, \
+                 {pages} pages",
+                meta.ptr.capacity(),
+                meta.retired.len()
+            )));
+        }
+        let visible = self.geo.num_blocks();
+        if let Some((da, v)) = meta.ptr.iter().find(|(_, v)| v.index() >= visible) {
+            return Err(TornMeta(format!(
+                "pointer {da}->{v} outside the software-visible space"
+            )));
+        }
         self.persist = meta;
-        self.recover()
+        Ok(self.recover())
     }
 
     /// Rebuilds all volatile state from the durable metadata after a

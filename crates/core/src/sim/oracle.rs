@@ -1,0 +1,176 @@
+//! The data-integrity oracle: the expected content of every application
+//! block, the spot and full read-back checks against it, the exemptions
+//! injected faults earn (a silently-failed line, a relocation copy a
+//! power cut dropped), and application-level reads.
+
+use super::{AppRead, Simulation};
+use wlr_base::dense::DenseMap;
+use wlr_base::{AppAddr, Pa};
+
+/// The integrity oracle's store: a dense app-address → tag table plus an
+/// incrementally-maintained sorted key list. The seed-state engine
+/// re-sorted the key set at every sample to make verification traffic
+/// deterministic; keeping the list sorted across inserts (most writes hit
+/// an existing key and touch only the table) preserves the exact same
+/// pick sequence at O(log n) amortized instead of O(n log n) per sample.
+#[derive(Debug, Clone)]
+pub(super) struct Oracle {
+    pub(super) map: DenseMap<u64>,
+    /// The present keys in ascending order, kept in lockstep with `map`.
+    pub(super) keys: Vec<u64>,
+}
+
+impl Oracle {
+    pub(super) fn with_capacity(capacity: u64) -> Self {
+        Oracle {
+            map: DenseMap::with_capacity(capacity),
+            keys: Vec::new(),
+        }
+    }
+
+    pub(super) fn insert(&mut self, k: u64, v: u64) {
+        if self.map.insert(k, v).is_none() {
+            let pos = self.keys.binary_search(&k).unwrap_err();
+            self.keys.insert(pos, k);
+        }
+    }
+
+    pub(super) fn remove(&mut self, k: u64) {
+        if self.map.remove(k).is_some() {
+            let pos = self
+                .keys
+                .binary_search(&k)
+                .expect("oracle key list out of sync");
+            self.keys.remove(pos);
+        }
+    }
+}
+
+impl Simulation {
+    /// Removes from the oracle the application address currently mapped
+    /// to `pa` (a relocation copy that never landed because of an
+    /// injected fault). Fault paths only — linear in tracked addresses.
+    pub(super) fn exempt_pa(&mut self, pa: Pa) {
+        let Some(oracle) = &self.expected else {
+            return;
+        };
+        let hit = oracle.keys.iter().copied().find(|&k| {
+            self.os
+                .translate(AppAddr::new(k))
+                .is_some_and(|cand| cand == pa)
+        });
+        if let Some(k) = hit {
+            self.expected.as_mut().unwrap().remove(k);
+        }
+    }
+
+    /// Reconciles newly-logged silent write failures with the oracle: the
+    /// device reported those writes as stored but the block died, so
+    /// whichever logical address owns the block has lost its data through
+    /// no fault of the controller. The owner is resolved through the
+    /// controller's current mapping and exempted from verification; the
+    /// failure itself surfaces later as a normal (reported) failure when
+    /// the block is next touched.
+    pub(super) fn reconcile_silent_failures(&mut self) {
+        let log_len = self.controller.device().silent_failures().len();
+        while self.silent_seen < log_len {
+            let da = self.controller.device().silent_failures()[self.silent_seen];
+            self.silent_seen += 1;
+            if let Some(pa) = self.controller.logical_owner(da) {
+                self.exempt_pa(pa);
+            }
+        }
+    }
+
+    /// Reads back `count` random tracked addresses and compares with the
+    /// oracle; increments [`Self::integrity_errors`] on mismatch.
+    pub(super) fn verify_some(&mut self, count: usize) {
+        let Some(oracle) = &self.expected else {
+            return;
+        };
+        // The key list is kept sorted so verification traffic is
+        // deterministic, exactly as the seed-state engine's per-sample
+        // sort made it.
+        if oracle.keys.is_empty() {
+            return;
+        }
+        let mut picks = Vec::with_capacity(count);
+        for _ in 0..count.min(oracle.keys.len()) {
+            let k = oracle.keys[self.verify_rng.gen_range(oracle.keys.len() as u64) as usize];
+            picks.push(k);
+        }
+        for k in picks {
+            let addr = AppAddr::new(k);
+            let Some(pa) = self.os.translate(addr) else {
+                continue;
+            };
+            let want = self.expected.as_ref().unwrap().map[k];
+            let got = self.controller.read(pa);
+            if got != want {
+                self.integrity_errors += 1;
+            }
+        }
+    }
+
+    /// Reads back *every* tracked address (expensive; tests only) and
+    /// returns each mismatch as `(app address, expected tag, observed tag)`.
+    pub fn find_mismatches(&mut self) -> Vec<(u64, u64, u64)> {
+        let pairs: Vec<(u64, u64)> = match &self.expected {
+            Some(o) => o.map.iter().map(|(k, &v)| (k, v)).collect(),
+            None => return Vec::new(),
+        };
+        let mut out = Vec::new();
+        for (k, want) in pairs {
+            let addr = AppAddr::new(k);
+            let Some(pa) = self.os.translate(addr) else {
+                continue;
+            };
+            let got = self.controller.read(pa);
+            if got != want {
+                out.push((k, want, got));
+            }
+        }
+        out
+    }
+
+    /// [`Self::find_mismatches`], counted: adds this pass's mismatches to
+    /// [`Self::integrity_errors`] and returns their number.
+    pub fn verify_all(&mut self) -> u64 {
+        let errors = self.find_mismatches().len() as u64;
+        self.integrity_errors += errors;
+        errors
+    }
+
+    /// Application-level read of `addr`: translate through the OS, read
+    /// through the controller, and classify any injected transient error
+    /// the block's ECC could not absorb. The returned tag is meaningful
+    /// only in integrity-oracle mode (content tracking on); otherwise it
+    /// is 0.
+    pub fn read_app(&mut self, addr: AppAddr) -> AppRead {
+        let Some(pa) = self.os.translate(addr) else {
+            return AppRead::Unmapped;
+        };
+        let uncorrectable = |sim: &Self| {
+            let counters = sim.controller.device().fault_counters();
+            counters.map_or(0, |c| c.transients_uncorrectable)
+        };
+        let before = uncorrectable(self);
+        let tag = self.controller.read(pa);
+        if uncorrectable(self) > before {
+            AppRead::Transient
+        } else {
+            AppRead::Ok(tag)
+        }
+    }
+
+    /// Snapshot of the integrity oracle: every tracked application
+    /// address with its expected tag, in ascending address order. Empty
+    /// when integrity verification is off. This is what degraded-mode
+    /// quarantine evacuates from a dying bank.
+    pub fn tracked_lines(&self) -> Vec<(u64, u64)> {
+        match &self.expected {
+            Some(o) => o.keys.iter().map(|&k| (k, o.map[k])).collect(),
+            None => Vec::new(),
+        }
+    }
+}

@@ -1,0 +1,194 @@
+//! Playing the OS (paper §III-A): the guarded per-write protocol, the
+//! write-retry loop, failure reports and page requests turned into page
+//! retirements with their relocation copies, and the retirement
+//! transaction a power cut can roll back.
+
+use super::{Simulation, StepOutcome};
+use crate::controller::WriteResult;
+use wlr_base::{AppAddr, Pa, PageId};
+use wlr_os::OsMemory;
+
+impl Simulation {
+    /// One software write under the full protocol an armed fault plan or
+    /// the integrity oracle needs; [`Simulation::step_addr`] has already
+    /// counted it. Out of line so the plain path stays small.
+    #[inline(never)]
+    pub(super) fn step_guarded(&mut self, addr: AppAddr) -> StepOutcome {
+        let tag = self.seq;
+        // In integrity mode, writes to dropped pages are discarded rather
+        // than redirected: a redirect shares a victim page's blocks between
+        // two application addresses, which the oracle cannot model (and
+        // which real compaction would resolve with separate storage).
+        let translated = if self.expected.is_some() {
+            if self.os.mapped_app_pages() == 0 {
+                None
+            } else {
+                let t = self.os.translate(addr);
+                if t.is_none() {
+                    self.lost_writes += 1;
+                    return StepOutcome::Discarded;
+                }
+                t
+            }
+        } else {
+            self.os.translate_or_redirect(addr)
+        };
+        let Some(pa) = translated else {
+            return StepOutcome::Exhausted;
+        };
+        let placed = self.pa_write(pa, tag, 0);
+        if self.fault_active && self.controller.device().power_lost() {
+            // The in-flight write is torn by definition: neither its old
+            // nor its new content is promised across the crash, so the
+            // oracle stops tracking the address (it resumes on the next
+            // post-recovery write).
+            if let Some(oracle) = &mut self.expected {
+                oracle.remove(addr.index());
+            }
+            self.reconcile_silent_failures();
+            return StepOutcome::PowerLost;
+        }
+        if let Some(oracle) = &mut self.expected {
+            // The data survives iff the address still translates (its page
+            // was kept or relocated with copies) — and, under fault
+            // injection, iff the write actually landed somewhere.
+            if self.os.translate(addr).is_some() && (placed || !self.fault_active) {
+                oracle.insert(addr.index(), tag);
+            } else {
+                oracle.remove(addr.index());
+            }
+        }
+        if self.fault_active {
+            self.reconcile_silent_failures();
+        }
+        StepOutcome::Serviced
+    }
+
+    /// Writes `tag` to `pa`, playing the OS on failure reports and page
+    /// requests. Retirement copies recurse (bounded by `depth`). Returns
+    /// whether the data ended up stored somewhere (always ignored in
+    /// fault-free runs, whose oracle keys off translation alone).
+    fn pa_write(&mut self, pa: Pa, tag: u64, depth: u8) -> bool {
+        if depth > 8 {
+            self.lost_writes += 1;
+            return false;
+        }
+        let first = self.controller.write(pa, tag);
+        self.pa_write_rest(first, pa, tag, depth)
+    }
+
+    /// The write-retry protocol given the first attempt's result — split
+    /// out so the plain write path issues the first controller write
+    /// itself and only pays for this on failure. Handles up to 4 write
+    /// attempts in total.
+    pub(super) fn pa_write_rest(
+        &mut self,
+        first: WriteResult,
+        pa: Pa,
+        tag: u64,
+        depth: u8,
+    ) -> bool {
+        let mut res = first;
+        let mut attempts = 1u8;
+        loop {
+            match res {
+                WriteResult::Ok => return true,
+                WriteResult::ReportFailure(rep) => {
+                    return self.handle_report(rep, (pa, tag), depth);
+                }
+                WriteResult::RequestPages(pages) => {
+                    for page in pages {
+                        let snap = self.fault_active.then(|| self.os.clone());
+                        // A page already retired, or backing no application
+                        // page, has nothing to copy; the controller is
+                        // granted it all the same.
+                        let ret = self.os.retire_page(page);
+                        self.retirements += u64::from(ret.is_some());
+                        self.controller.on_page_retired(page);
+                        if self.rolled_back_retirement(page, snap) {
+                            return false;
+                        }
+                        self.grants += 1;
+                        for (src, dst) in ret.map(|r| r.copies).unwrap_or_default() {
+                            let t = self.controller.read(src);
+                            let ok = self.pa_write(dst, t, depth + 1);
+                            if self.fault_active && !ok {
+                                self.exempt_pa(dst);
+                            }
+                        }
+                    }
+                    // Retry the original write now that the pages landed.
+                }
+                WriteResult::Dropped(_) => {
+                    // Power cut or degraded metadata: nothing stored,
+                    // nothing to report. The run loop notices the power
+                    // state; degraded accesses just lose this write.
+                    self.lost_writes += 1;
+                    return false;
+                }
+            }
+            if attempts == 4 {
+                break;
+            }
+            attempts += 1;
+            res = self.controller.write(pa, tag);
+        }
+        self.lost_writes += 1;
+        false
+    }
+
+    /// OS exception handler: retire the page, grant it to the controller,
+    /// and relocate its data — substituting the freshly-written tag for
+    /// the failing block's stale content. Returns whether the fresh data
+    /// got placed.
+    fn handle_report(&mut self, rep: Pa, fresh: (Pa, u64), depth: u8) -> bool {
+        let snap = self.fault_active.then(|| self.os.clone());
+        let Some(ret) = self.os.handle_failure(rep) else {
+            // Stale report: the page is already gone; so is the data.
+            self.lost_writes += 1;
+            return false;
+        };
+        self.controller.on_page_retired(ret.retired);
+        if self.rolled_back_retirement(ret.retired, snap) {
+            self.lost_writes += 1;
+            return false;
+        }
+        self.retirements += 1;
+        self.grants += 1;
+        if ret.copies.is_empty() {
+            // Pool dry: the application page was dropped.
+            self.lost_writes += 1;
+            return false;
+        }
+        let mut fresh_placed = false;
+        for (src, dst) in ret.copies {
+            let (t, is_fresh) = if src == fresh.0 {
+                (fresh.1, true)
+            } else {
+                (self.controller.read(src), false)
+            };
+            let ok = self.pa_write(dst, t, depth + 1);
+            if is_fresh {
+                fresh_placed = ok;
+            }
+            if self.fault_active && !ok && !is_fresh {
+                self.exempt_pa(dst);
+            }
+        }
+        fresh_placed
+    }
+
+    /// Retirement transaction check: if a power cut struck before the
+    /// retirement's durable commit (`Controller::retirement_persisted`),
+    /// the grant never happened as far as recovery is concerned — roll the
+    /// OS back to the pre-retirement snapshot so both sides agree. Returns
+    /// true when the rollback fired. No-op (and no snapshot is ever taken)
+    /// without an active fault plan.
+    fn rolled_back_retirement(&mut self, page: PageId, snap: Option<OsMemory>) -> bool {
+        if !self.fault_active || self.controller.retirement_persisted(page) {
+            return false;
+        }
+        self.os = snap.expect("snapshot taken when faults are active");
+        true
+    }
+}

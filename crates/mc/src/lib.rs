@@ -160,12 +160,9 @@ impl Drop for ShutdownOnDrop<'_> {
 pub struct McFrontendBuilder {
     banks: usize,
     total_blocks: u64,
-    endurance_mean: f64,
-    endurance_cov: f64,
-    stack: &'static StackSpec,
-    gap_interval: u64,
-    sample_interval: u64,
-    seed: u64,
+    /// The per-bank configuration the setters fill in; `local_blocks` is
+    /// worked out by [`Self::build`].
+    cfg: BankConfig,
     interleave: Interleave,
     queue_depth: usize,
     write_buffer_lines: usize,
@@ -177,8 +174,6 @@ pub struct McFrontendBuilder {
     span_sample: u64,
     stop_policy: McStopPolicy,
     degraded: bool,
-    verify_integrity: bool,
-    ecc: Option<EccKind>,
     retry: degrade::RetryPolicy,
 }
 
@@ -199,13 +194,13 @@ impl McFrontendBuilder {
 
     /// Mean cell endurance per bank (default 10⁴).
     pub fn endurance_mean(mut self, mean: f64) -> Self {
-        self.endurance_mean = mean;
+        self.cfg.endurance_mean = mean;
         self
     }
 
     /// Cell-lifetime CoV (default 0.2).
     pub fn endurance_cov(mut self, cov: f64) -> Self {
-        self.endurance_cov = cov;
+        self.cfg.endurance_cov = cov;
         self
     }
 
@@ -219,26 +214,26 @@ impl McFrontendBuilder {
     /// taking untrusted input should pre-validate through
     /// [`wl_reviver::SchemeRegistry::resolve`].
     pub fn stack(mut self, name: &str) -> Self {
-        self.stack = SchemeRegistry::global().expect(name);
+        self.cfg.stack = SchemeRegistry::global().expect(name);
         self
     }
 
     /// ψ, writes per leveler migration step, for every bank (default 100).
     pub fn gap_interval(mut self, psi: u64) -> Self {
-        self.gap_interval = psi;
+        self.cfg.gap_interval = psi;
         self
     }
 
     /// Per-bank time-series sample interval (default: the simulation's
     /// own default).
     pub fn sample_interval(mut self, writes: u64) -> Self {
-        self.sample_interval = writes;
+        self.cfg.sample_interval = writes;
         self
     }
 
     /// Experiment seed; each bank derives its own stream from it.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
@@ -327,14 +322,14 @@ impl McFrontendBuilder {
     /// migrate line *contents* and for [`McFrontend::read`] to return
     /// meaningful tags.
     pub fn verify_integrity(mut self, on: bool) -> Self {
-        self.verify_integrity = on;
+        self.cfg.verify_integrity = on;
         self
     }
 
     /// Per-bank error-correction scheme (default: the simulation's own
     /// default, ECP6).
     pub fn ecc(mut self, ecc: EccKind) -> Self {
-        self.ecc = Some(ecc);
+        self.cfg.ecc = Some(ecc);
         self
     }
 
@@ -372,14 +367,7 @@ impl McFrontendBuilder {
         let local_blocks = map.local_space(self.total_blocks)?;
         let cfg = BankConfig {
             local_blocks,
-            endurance_mean: self.endurance_mean,
-            endurance_cov: self.endurance_cov,
-            stack: self.stack,
-            gap_interval: self.gap_interval,
-            sample_interval: self.sample_interval,
-            seed: self.seed,
-            verify_integrity: self.verify_integrity,
-            ecc: self.ecc,
+            ..self.cfg
         };
         if self.degraded {
             // Ring entries carry the logical bank in bits 48+; the local
@@ -561,12 +549,17 @@ impl McFrontend {
         McFrontendBuilder {
             banks: 4,
             total_blocks: 1 << 14,
-            endurance_mean: 1e4,
-            endurance_cov: 0.2,
-            stack: SchemeRegistry::global().expect("reviver-sg"),
-            gap_interval: 100,
-            sample_interval: 0,
-            seed: 0,
+            cfg: BankConfig {
+                local_blocks: 0,
+                endurance_mean: 1e4,
+                endurance_cov: 0.2,
+                stack: SchemeRegistry::global().expect("reviver-sg"),
+                gap_interval: 100,
+                sample_interval: 0,
+                seed: 0,
+                verify_integrity: false,
+                ecc: None,
+            },
             interleave: Interleave::CacheLine,
             queue_depth: 64,
             write_buffer_lines: 32,
@@ -578,8 +571,6 @@ impl McFrontend {
             span_sample: 0,
             stop_policy: McStopPolicy::FirstBankDead,
             degraded: false,
-            verify_integrity: false,
-            ecc: None,
             retry: degrade::RetryPolicy::default(),
         }
     }

@@ -108,7 +108,10 @@ fn main() {
                 }
                 lifetime_serviced = img.serviced;
                 let t = Instant::now();
-                let reports = state::restore(&mut mc, &img);
+                let reports = state::restore(&mut mc, &img).unwrap_or_else(|e| {
+                    eprintln!("wlr-serve: cannot restore {path}: {e}");
+                    std::process::exit(2);
+                });
                 m.recovery_ms.set(t.elapsed().as_millis() as u64);
                 m.restores.inc();
                 shared.recovered.store(true, Ordering::Relaxed);

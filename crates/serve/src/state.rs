@@ -25,7 +25,7 @@
 use std::io;
 use std::path::Path;
 
-use wl_reviver::{PersistedMeta, RecoveryReport};
+use wl_reviver::{PersistedMeta, RecoveryReport, TornMeta};
 use wlr_base::pool::{run_pooled, PooledJob};
 use wlr_base::PageId;
 use wlr_mc::{McFrontend, QuarantineImage};
@@ -335,13 +335,18 @@ pub fn capture(mc: &mut McFrontend, cfg_identity: [u64; 6], serviced: u64) -> St
 /// back, any persisted quarantine state is re-applied so a degraded
 /// array resumes serving at N−k without rediscovering the deaths.
 /// Returns the per-bank recovery reports, in bank order.
-pub fn restore(mc: &mut McFrontend, img: &StateImage) -> Vec<RecoveryReport> {
+///
+/// # Errors
+///
+/// [`TornMeta`] when a bank's reviver metadata does not parse or does not
+/// fit the bank it is restored into (the first such bank's error).
+pub fn restore(mc: &mut McFrontend, img: &StateImage) -> Result<Vec<RecoveryReport>, TornMeta> {
     assert_eq!(
         img.per_bank.len(),
         mc.num_banks(),
         "image bank count matches the front-end"
     );
-    let jobs: Vec<PooledJob<RecoveryReport>> = mc
+    let jobs: Vec<PooledJob<Result<RecoveryReport, TornMeta>>> = mc
         .banks_mut()
         .iter_mut()
         .zip(&img.per_bank)
@@ -355,28 +360,30 @@ pub fn restore(mc: &mut McFrontend, img: &StateImage) -> Vec<RecoveryReport> {
                 for &page in &bank_img.retirements {
                     sim.os_mut().retire_page(PageId::new(page));
                 }
-                let meta = PersistedMeta::from_bytes(&bank_img.meta)
-                    .expect("committed image carries parseable reviver metadata");
+                let blocks = sim.controller().device().total_blocks();
+                let meta = PersistedMeta::from_bytes(&bank_img.meta, blocks)?;
                 let report = sim
                     .controller_mut()
                     .as_reviver_mut()
                     .expect("wlr-serve requires a reviver scheme")
-                    .restore_from(meta);
+                    .restore_from(meta)?;
                 let dev = sim.controller().device();
                 let dead: Vec<u64> = dev.dead_iter().map(|da| da.index()).collect();
                 assert_eq!(
                     dead, bank_img.dead,
                     "bank {b}: wear replay must reproduce the captured death set"
                 );
-                report
-            }) as PooledJob<RecoveryReport>
+                Ok(report)
+            }) as PooledJob<Result<RecoveryReport, TornMeta>>
         })
         .collect();
-    let reports = run_pooled(jobs);
+    let reports = run_pooled(jobs)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     if let Some(q) = &img.quarantine {
         mc.restore_quarantine(q);
     }
-    reports
+    Ok(reports)
 }
 
 /// Atomically writes `img` to `path` (temp file + rename).
@@ -498,7 +505,7 @@ mod tests {
         let (mut worn, n) = worn_frontend(23);
         let img = capture(&mut worn, identity(), n);
         let mut fresh = fresh_like(23);
-        let reports = restore(&mut fresh, &img);
+        let reports = restore(&mut fresh, &img).expect("a captured image restores");
         assert_eq!(reports.len(), 2, "one report per bank");
         let scanned: u64 = reports.iter().map(|r| r.blocks_scanned).sum();
         assert!(scanned > 0, "recovery actually scanned");

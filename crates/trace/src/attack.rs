@@ -77,8 +77,8 @@ impl Workload for RepeatAttack {
         format!("repeat-attack({})", self.targets.len())
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
     }
 }
 
@@ -165,8 +165,8 @@ impl Workload for BirthdayAttack {
         format!("birthday-attack({}x{})", self.set_size, self.epoch_writes)
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
     }
 }
 

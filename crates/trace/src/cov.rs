@@ -144,8 +144,8 @@ impl Workload for CovTargetedWorkload {
         self.label.clone()
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
     }
 
     fn exact_cov_opt(&self) -> Option<f64> {

@@ -419,8 +419,8 @@ impl Workload for TraceWorkload {
         format!("trace({} records)", self.records.len())
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
     }
 }
 

@@ -25,13 +25,9 @@ pub trait Workload: fmt::Debug + Send {
     fn label(&self) -> String;
 
     /// Deep copy of the generator's current stream position, for
-    /// simulation snapshots. The default returns `None` (the workload
-    /// cannot be snapshotted); all shipped generators override it. A
-    /// returned copy must produce the identical address stream as the
-    /// original from this point on.
-    fn clone_box(&self) -> Option<Box<dyn Workload>> {
-        None
-    }
+    /// simulation snapshots. The copy must produce the identical address
+    /// stream as the original from this point on.
+    fn clone_box(&self) -> Box<dyn Workload>;
 
     /// The exact coefficient of variation of the generator's stationary
     /// per-block write distribution, when known analytically (from its
@@ -51,11 +47,17 @@ pub trait Workload: fmt::Debug + Send {
     }
 }
 
+impl Clone for Box<dyn Workload> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct Fixed;
 
     impl Workload for Fixed {
@@ -67,6 +69,9 @@ mod tests {
         }
         fn label(&self) -> String {
             "fixed".into()
+        }
+        fn clone_box(&self) -> Box<dyn Workload> {
+            Box::new(self.clone())
         }
     }
 

@@ -53,8 +53,8 @@ impl Workload for UniformWorkload {
         "uniform".to_string()
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
     }
 
     fn exact_cov_opt(&self) -> Option<f64> {
@@ -121,8 +121,8 @@ impl Workload for ZipfWorkload {
         format!("zipf(s={})", self.exponent)
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
     }
 
     fn exact_cov_opt(&self) -> Option<f64> {
@@ -197,8 +197,8 @@ impl Workload for HotRegionWorkload {
         )
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
     }
 
     fn exact_cov_opt(&self) -> Option<f64> {

@@ -231,7 +231,8 @@ fn persistence_round_trip_preserves_state_all_stacks() {
             let meta = r.persisted_meta();
             // The serialized image parses back to the identical mirror.
             let image = meta.to_bytes();
-            let back = PersistedMeta::from_bytes(&image).expect("clean image parses");
+            let back =
+                PersistedMeta::from_bytes(&image, meta.ptr.capacity()).expect("clean image parses");
             assert_eq!(back.to_bytes(), image, "{label}: lossy serialization");
             (image, r.linked_blocks(), r.spare_pas())
         });
@@ -283,12 +284,14 @@ fn restore_from_serialized_image_matches_live_state() {
         (r.linked_blocks(), r.spare_pas())
     };
 
-    let meta = PersistedMeta::from_bytes(&image).expect("clean image parses");
+    let blocks = s.controller().device().total_blocks();
+    let meta = PersistedMeta::from_bytes(&image, blocks).expect("clean image parses");
     let report = s
         .controller_mut()
         .as_reviver_mut()
         .expect("reviver stack")
-        .restore_from(meta);
+        .restore_from(meta)
+        .expect("the image is this controller's own");
     assert!(report.blocks_scanned > 0, "restore scanned nothing");
     assert_eq!(report.links_recovered, links, "links not all recovered");
 

@@ -14,7 +14,7 @@ use wlr_trace::Workload;
 /// blocks: under cache-line interleave (`bank = addr mod banks`) most
 /// addresses land on banks 0 and 1, while staying spread over many
 /// distinct blocks so queue coalescing cannot flatten the skew.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct BankSkewedWorkload {
     banks: u64,
     len: u64,
@@ -40,6 +40,10 @@ impl Workload for BankSkewedWorkload {
 
     fn label(&self) -> String {
         "bank-skewed".into()
+    }
+
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
     }
 }
 

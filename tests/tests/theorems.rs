@@ -80,36 +80,15 @@ fn fuzz_scheme(scheme: &str, stream: u64, cases: u64, max_cov: f64, dead: f64) {
 
 /// The framework is scheme-agnostic: whatever the registry calls
 /// revivable — today's six stacks and any backend registered later —
-/// holds the theorems and loses no data under random seeds and skews.
+/// holds the theorems and loses no data under random seeds and harsh
+/// skews, every stack to the bar the paper's own two schemes were held to.
 #[test]
 fn fuzzed_every_revivable_stack() {
-    for (i, spec) in SchemeRegistry::global().revivable().enumerate() {
-        fuzz_scheme(spec.name, 16 + i as u64, 3, 12.0, 0.03);
-    }
-}
-
-/// The paper's own two schemes to a deeper bar (more cases, harsher
-/// skew, more dead blocks): WL-Reviver over Start-Gap…
-#[test]
-fn fuzzed_start_gap() {
-    fuzz_scheme("reviver-sg", 0, 6, 20.0, 0.04);
-}
-
-/// …and over Security Refresh.
-#[test]
-fn fuzzed_security_refresh() {
-    fuzz_scheme("reviver-sr", 1, 6, 20.0, 0.04);
-}
-
-/// The two composed levelers on their original seed streams:
-/// region-tiled Start-Gap…
-#[test]
-fn fuzzed_tiled_start_gap() {
-    fuzz_scheme("reviver-tiled", 2, 3, 12.0, 0.03);
-}
-
-/// …and the stacked two-level Security Refresh.
-#[test]
-fn fuzzed_two_level_sr() {
-    fuzz_scheme("reviver-sr2", 3, 3, 12.0, 0.03);
+    // One thread per stack: the cases are independent, and serially this
+    // one test would be most of tier-1's wall time.
+    std::thread::scope(|s| {
+        for (i, spec) in SchemeRegistry::global().revivable().enumerate() {
+            s.spawn(move || fuzz_scheme(spec.name, i as u64, 6, 20.0, 0.04));
+        }
+    });
 }
