@@ -23,10 +23,8 @@
 //! cycles, default 3).
 
 use wl_reviver::sim::EccKind;
-use wl_reviver::PersistedMeta;
+use wl_reviver::DurableImage;
 use wlr_base::env::env_u64;
-use wlr_base::pool::{run_pooled, PooledJob};
-use wlr_base::PageId;
 use wlr_mc::{
     BankChaos, CrashPoint, FaultPlan, McFrontend, McOutcome, McStopPolicy, McStopReason,
     QuarantineImage,
@@ -84,68 +82,20 @@ fn arm_storm(mc: &McFrontend, round: u64) {
     }
 }
 
-/// Everything the §III-B durable-state story says survives a reboot.
-struct BankSnap {
-    wear: Vec<u32>,
-    retirements: Vec<u64>,
-    meta: Vec<u8>,
-}
-
-fn capture(mc: &mut McFrontend) -> (Vec<BankSnap>, Option<QuarantineImage>) {
-    let snaps = (0..mc.num_banks())
-        .map(|b| {
-            let sim = mc.bank_sim_mut(b);
-            BankSnap {
-                wear: sim.controller().device().wear_snapshot(),
-                retirements: sim
-                    .os()
-                    .retirement_log()
-                    .iter()
-                    .map(|p| p.index())
-                    .collect(),
-                meta: sim
-                    .controller()
-                    .as_reviver()
-                    .expect("chaos harness runs a reviver scheme")
-                    .persisted_meta()
-                    .to_bytes(),
-            }
-        })
-        .collect();
-    (snaps, mc.quarantine_image())
-}
-
-/// A daemon reboot: fresh front-end, parallel per-bank recovery scans,
-/// quarantine re-applied.
-fn reboot(seed: u64, snaps: &[BankSnap], qimg: &Option<QuarantineImage>) -> McFrontend {
+/// A daemon reboot: a fresh front-end, every bank rebooted from its
+/// durable image (§III-B: wear, retirement order, reviver metadata —
+/// core's `restore_durable`), quarantine re-applied.
+fn reboot(seed: u64, snaps: &[DurableImage], qimg: &Option<QuarantineImage>) -> McFrontend {
     let mut fresh = build(seed);
-    let jobs: Vec<PooledJob<()>> = fresh
-        .banks_mut()
-        .iter_mut()
-        .zip(snaps)
-        .map(|(bank, s)| {
-            Box::new(move || {
-                let sim = bank.sim_mut();
-                sim.controller_mut()
-                    .device_mut()
-                    .restore_wear_image(&s.wear);
-                for &p in &s.retirements {
-                    sim.os_mut().retire_page(PageId::new(p));
-                }
-                let blocks = sim.controller().device().total_blocks();
-                let meta =
-                    PersistedMeta::from_bytes(&s.meta, blocks).expect("captured meta parses");
-                sim.controller_mut()
-                    .as_reviver_mut()
-                    .expect("chaos harness runs a reviver scheme")
-                    .restore_from(meta)
-                    .expect("captured meta matches the rebuilt bank");
-            }) as PooledJob<()>
-        })
-        .collect();
-    run_pooled(jobs);
+    for (bank, snap) in fresh.banks_mut().iter_mut().zip(snaps) {
+        bank.sim_mut()
+            .restore_durable(snap)
+            .expect("a captured image restores into the rebuilt bank");
+    }
     if let Some(q) = qimg {
-        fresh.restore_quarantine(q);
+        fresh
+            .restore_quarantine(q)
+            .expect("a captured quarantine image fits the rebuilt front-end");
     }
     fresh
 }
@@ -250,7 +200,7 @@ fn main() {
     violations += verify_directory(&mut mc);
     let qimg_before = mc.quarantine_image().expect("two banks quarantined");
 
-    // Reboot cycles: capture → fresh build → parallel restore → verify →
+    // Reboot cycles: capture → fresh build → restore → verify →
     // keep serving.
     for cycle in 0..cycles {
         let gen_out = mc.finish();
@@ -258,7 +208,8 @@ fn main() {
         prior_retries += gen_out.read_retries;
         prior_redirected += gen_out.redirected;
         prior_migrated += gen_out.migrated_lines;
-        let (snaps, qimg) = capture(&mut mc);
+        let snaps: Vec<DurableImage> = mc.banks().iter().map(|b| b.sim().durable_image()).collect();
+        let qimg = mc.quarantine_image();
         mc = reboot(seed, &snaps, &qimg);
         assert_eq!(
             mc.quarantine_image().as_ref(),

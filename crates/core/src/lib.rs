@@ -75,7 +75,7 @@ pub use freep::FreepController;
 pub use linked::{LinkedBuilder, LinkedController, SpareSupply};
 pub use lls::LlsController;
 pub use metrics::{WearHistogram, WearReport};
-pub use recovery::{PersistedMeta, RecoveryReport, TornMeta};
+pub use recovery::{DurableImage, PersistedMeta, RecoveryReport, TornMeta};
 pub use registry::{SchemeRegistry, StackSpec, UnknownStack};
 #[cfg(feature = "trace-events")]
 pub use reviver::JsonlSink;

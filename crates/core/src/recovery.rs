@@ -176,6 +176,28 @@ impl PersistedMeta {
     }
 }
 
+/// One simulation's durable state — everything the paper models as
+/// surviving a power-off, in the form a daemon writes to disk: captured by
+/// [`crate::sim::Simulation::durable_image`], replayed into a freshly built
+/// simulation of the same configuration by
+/// [`crate::sim::Simulation::restore_durable`]. Volatile state (leveler
+/// registers, caches, the oracle) is deliberately absent: a reboot loses
+/// it and recovery rebuilds what §III-B says is rebuildable.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DurableImage {
+    /// Full device wear snapshot (reviver-reserved blocks included);
+    /// replayed exactly by `PcmDevice::restore_wear_image`.
+    pub wear: Vec<u32>,
+    /// Dead block indices at capture time. Deaths replay
+    /// deterministically from `wear`; restore checks they came out the same.
+    pub dead: Vec<u64>,
+    /// OS page retirements in retirement order — the page table is a pure
+    /// function of that order.
+    pub retirements: Vec<u64>,
+    /// Serialized [`PersistedMeta`].
+    pub meta: Vec<u8>,
+}
+
 /// What a [`crate::reviver::RevivedController::recover`] pass did — the
 /// recovery-cost record `crash_sweep` aggregates per stack.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -31,11 +31,11 @@ pub use builder::{EccKind, SimulationBuilder};
 
 use crate::controller::{Controller, WriteResult};
 use crate::metrics::{SamplePoint, TimeSeries};
-use crate::recovery::RecoveryReport;
+use crate::recovery::{DurableImage, PersistedMeta, RecoveryReport, TornMeta};
 use crate::reviver::{ReviverCounters, TraceRingSink};
 use oracle::Oracle;
 use wlr_base::rng::Rng;
-use wlr_base::{AppAddr, Geometry};
+use wlr_base::{AppAddr, Geometry, PageId};
 use wlr_os::OsMemory;
 use wlr_pcm::FaultPlan;
 use wlr_trace::Workload;
@@ -402,6 +402,85 @@ impl Simulation {
             self.reconcile_silent_failures();
         }
         report
+    }
+
+    /// Captures the durable state of a quiescent simulation: wear image,
+    /// OS retirement order and the reviver's persisted metadata.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the stack is not a revived one (only
+    /// [`crate::reviver::RevivedController`] keeps durable metadata).
+    pub fn durable_image(&self) -> DurableImage {
+        let dev = self.controller.device();
+        DurableImage {
+            wear: dev.wear_snapshot(),
+            dead: dev.dead_iter().map(|da| da.index()).collect(),
+            retirements: self.os.retirement_log().iter().map(|p| p.index()).collect(),
+            meta: self
+                .controller
+                .as_reviver()
+                .expect("a durable image needs a revived stack")
+                .persisted_meta()
+                .to_bytes(),
+        }
+    }
+
+    /// Reboots a *freshly built* simulation from `img`: wear image → OS
+    /// retirement order → reviver metadata, the last through
+    /// `restore_from`, whose §III-B recovery scan emits into whatever
+    /// sinks are attached. `img` is treated as bytes off a disk: its
+    /// lengths and indices are checked against this simulation's device
+    /// and geometry before anything is replayed.
+    ///
+    /// # Errors
+    ///
+    /// [`TornMeta`] when the wear vector covers a different device, a
+    /// retired page lies outside the geometry, the metadata does not parse
+    /// or fit (see `restore_from`), or the replayed wear does not
+    /// reproduce the recorded death set. The simulation may be partly
+    /// restored by then and must be discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the stack is not a revived one, or the device is not
+    /// fresh.
+    pub fn restore_durable(&mut self, img: &DurableImage) -> Result<RecoveryReport, TornMeta> {
+        let blocks = self.controller.device().total_blocks();
+        if img.wear.len() as u64 != blocks {
+            return Err(TornMeta(format!(
+                "wear image of {} blocks, device has {blocks}",
+                img.wear.len()
+            )));
+        }
+        let pages = self.geo.num_pages();
+        if let Some(&page) = img.retirements.iter().find(|&&p| p >= pages) {
+            return Err(TornMeta(format!(
+                "retired page {page} outside the {pages}-page geometry"
+            )));
+        }
+        let meta = PersistedMeta::from_bytes(&img.meta, blocks)?;
+        self.controller.device_mut().restore_wear_image(&img.wear);
+        for &page in &img.retirements {
+            self.os.retire_page(PageId::new(page));
+        }
+        let report = self
+            .controller
+            .as_reviver_mut()
+            .expect("a durable image needs a revived stack")
+            .restore_from(meta)?;
+        if !self
+            .controller
+            .device()
+            .dead_iter()
+            .map(|da| da.index())
+            .eq(img.dead.iter().copied())
+        {
+            return Err(TornMeta(
+                "replayed wear does not reproduce the recorded death set".into(),
+            ));
+        }
+        Ok(report)
     }
 
     /// Arms an additional fault plan on the *running* simulation. Indices

@@ -318,6 +318,47 @@ fn reboot_preserves_data_and_revival() {
 }
 
 #[test]
+fn durable_image_reboots_a_fresh_simulation_or_is_refused() {
+    let build = || {
+        Simulation::builder()
+            .num_blocks(1 << 10)
+            .endurance_mean(1_500.0)
+            .gap_interval(10)
+            .stack("reviver-sg")
+            .seed(20)
+            .build()
+    };
+    let mut worn = build();
+    worn.run(StopCondition::DeadFraction(0.05));
+    let img = worn.durable_image();
+    assert!(!img.dead.is_empty() && !img.retirements.is_empty());
+
+    let mut fresh = build();
+    let report = fresh.restore_durable(&img).expect("its own image restores");
+    assert!(report.links_recovered > 20, "{report:?}");
+    assert_eq!(
+        fresh.durable_image(),
+        img,
+        "durable state survives the reboot"
+    );
+
+    // An image off a disk is checked against this device, not trusted.
+    let refused = |edit: &dyn Fn(&mut DurableImage)| {
+        let mut bad = img.clone();
+        edit(&mut bad);
+        build().restore_durable(&bad).is_err()
+    };
+    assert!(refused(&|i| {
+        i.wear.pop();
+    }));
+    assert!(refused(&|i| i.retirements.push(u64::MAX)));
+    assert!(refused(&|i| {
+        i.dead.pop();
+    }));
+    assert!(refused(&|i| i.meta.truncate(8)));
+}
+
+#[test]
 fn tiled_start_gap_revives_cleanly() {
     let mut sim = Simulation::builder()
         .num_blocks(1 << 10)

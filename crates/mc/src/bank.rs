@@ -54,8 +54,10 @@ pub struct Bank {
 }
 
 impl Bank {
-    /// Wraps `sim` as bank `id`; `record_issue` enables the issue log.
-    pub fn new(id: usize, sim: Simulation, record_issue: bool) -> Self {
+    /// Wraps `sim` as bank `id`; `record_issue` enables the issue log,
+    /// `degraded` the degraded-mode drain protocol (logical-encoded
+    /// batches, park-on-death).
+    pub fn new(id: usize, sim: Simulation, record_issue: bool, degraded: bool) -> Self {
         Bank {
             id,
             sim,
@@ -65,7 +67,7 @@ impl Bank {
             recoveries: 0,
             issue_log: record_issue.then(Vec::new),
             scratch: Vec::new(),
-            degraded: false,
+            degraded,
             kill_at: None,
             chaos: Arc::new(ChaosSlot::default()),
             wreckage: Arc::new(Wreckage::default()),
@@ -124,17 +126,6 @@ impl Bank {
     /// state restoration between runs, never mid-drain.
     pub fn sim_mut(&mut self) -> &mut Simulation {
         &mut self.sim
-    }
-
-    /// Switches the bank's drain path onto the degraded-mode protocol
-    /// (logical-encoded batches, park-on-death). Set at build time.
-    pub(crate) fn set_degraded(&mut self, on: bool) {
-        self.degraded = on;
-    }
-
-    /// Installs the transient-read retry policy.
-    pub(crate) fn set_retry(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
     }
 
     /// The bank's chaos mailbox (shared with the front-end's inject API).

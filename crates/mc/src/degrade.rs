@@ -37,7 +37,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
+use wl_reviver::TornMeta;
 use wlr_pcm::FaultPlan;
+
+use crate::McFrontend;
 
 /// Ring entries in degraded mode carry the *logical* bank in bits 48+ so
 /// parked writes can be re-keyed to global addresses at rescue time.
@@ -200,6 +203,242 @@ pub struct QuarantineImage {
     pub directory: Vec<(u64, u64)>,
     /// Tag counter for redirected writes.
     pub dir_seq: u64,
+}
+
+impl McFrontend {
+    /// Reads global line `global` as the array currently serves it: the
+    /// degraded-mode directory first (migrated and redirected lines),
+    /// then the owning bank's stack, with transient errors retried per
+    /// the bank's [`RetryPolicy`]. This is the post-flush PCM +
+    /// directory view — the write buffer and queues are not consulted —
+    /// and it addresses banks by their identity (unsteered) home.
+    /// `Ok(None)` means the line is not currently tracked anywhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics while pinned workers own the banks.
+    pub fn read(&mut self, global: u64) -> Result<Option<u64>, McReadError> {
+        assert!(!self.workers_active, "banks are owned by drain workers");
+        if let Some(q) = &self.degrade {
+            if let Some(&tag) = q.directory.get(&global) {
+                return Ok(Some(tag));
+            }
+        }
+        let (bank, local) = self.map.split(global);
+        let home = bank as usize;
+        if self.bank_dead[home] {
+            // Everything the dead bank still held was migrated into the
+            // directory at quarantine time.
+            return Ok(None);
+        }
+        self.banks[home].read_local(local)
+    }
+
+    /// Snapshots the quarantine state for persistence; `None` outside
+    /// degraded mode.
+    pub fn quarantine_image(&self) -> Option<QuarantineImage> {
+        let q = self.degrade.as_ref()?;
+        Some(QuarantineImage {
+            dead: self.bank_dead.clone(),
+            substitutes: q
+                .substitute
+                .iter()
+                .map(|s| s.map_or(u64::MAX, |b| b as u64))
+                .collect(),
+            directory: q.directory.iter().map(|(&k, &v)| (k, v)).collect(),
+            dir_seq: q.dir_seq,
+        })
+    }
+
+    /// Re-applies persisted quarantine state after a restart: marks the
+    /// recorded banks dead *without* re-running the quarantine
+    /// transition (their wreckage was already rescued in the previous
+    /// life), reinstates the substitute chain and directory, and
+    /// re-evaluates the stop policy.
+    ///
+    /// # Errors
+    ///
+    /// [`TornMeta`] when `img` — bytes off a disk — does not fit this
+    /// front-end: a `dead` or `substitutes` list of another bank count, or
+    /// a substitute that is neither a bank nor `u64::MAX`. The front-end
+    /// is left untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside degraded mode or while workers own the banks.
+    pub fn restore_quarantine(&mut self, img: &QuarantineImage) -> Result<(), TornMeta> {
+        assert!(!self.workers_active, "banks are owned by drain workers");
+        let n = self.bank_dead.len();
+        let bad = |why: String| Err(TornMeta(format!("quarantine image: {why}")));
+        if img.dead.len() != n || img.substitutes.len() != n {
+            let (d, s) = (img.dead.len(), img.substitutes.len());
+            return bad(format!("{d} dead flags and {s} substitutes for {n} banks"));
+        }
+        if let Some(s) = img
+            .substitutes
+            .iter()
+            .find(|&&s| s != u64::MAX && s >= n as u64)
+        {
+            return bad(format!("substitute {s} is not one of {n} banks"));
+        }
+        let q = self
+            .degrade
+            .as_mut()
+            .expect("restore_quarantine requires degraded mode");
+        q.substitute = img
+            .substitutes
+            .iter()
+            .map(|&s| (s != u64::MAX).then_some(s as usize))
+            .collect();
+        q.directory = img.directory.iter().copied().collect();
+        q.dir_seq = img.dir_seq.max(DIR_TAG_BASE);
+        for (phys, &dead) in img.dead.iter().enumerate() {
+            if dead && !self.bank_dead[phys] {
+                self.bank_dead[phys] = true;
+                self.dead_count += 1;
+                self.banks[phys].force_dead();
+                self.sync[phys].alive.store(false, Ordering::Relaxed);
+                if let Some(st) = &mut self.steer {
+                    st.exclude(phys);
+                }
+            }
+        }
+        self.check_stop();
+        Ok(())
+    }
+
+    /// Follows the quarantine substitute chain from `home` to the bank
+    /// that will actually service a batch routed there; `None` when
+    /// every bank in the chain is quarantined. Outside degraded mode the
+    /// home bank always services its own traffic.
+    pub(crate) fn resolve_bank(&self, home: usize) -> Option<usize> {
+        let Some(q) = &self.degrade else {
+            return Some(home);
+        };
+        let mut cur = home;
+        // Substitutes are elected among then-healthy banks, so a chain
+        // visits a bank at most once; one restored from a corrupt image
+        // that does not is a chain with no live bank in it.
+        for _ in 0..q.substitute.len() {
+            if !self.bank_dead[cur] {
+                return Some(cur);
+            }
+            cur = q.substitute[cur]?;
+        }
+        (!self.bank_dead[cur]).then_some(cur)
+    }
+
+    /// Services a batch whose resolved bank is quarantined: every entry
+    /// lands in the directory under a fresh tag, with its service cost
+    /// charged to the substitute's clock — which is what makes N−1
+    /// throughput a measured quantity. With no healthy substitute left
+    /// (`target == None`) the directory still absorbs the content.
+    pub(crate) fn redirect_batch(&mut self, logical: usize, target: Option<usize>, k: u64) {
+        let start = match target {
+            Some(t) => self.tick.max(self.busy_until[t]),
+            None => self.tick,
+        };
+        let entries = std::mem::take(&mut self.entry_buf);
+        {
+            let q = self
+                .degrade
+                .as_mut()
+                .expect("redirects only happen in degraded mode");
+            for (i, &(addr, arrival)) in entries.iter().enumerate() {
+                let tag = q.next_dir_tag();
+                q.directory.insert(self.map.join(logical as u64, addr), tag);
+                self.latency
+                    .push((start + i as u64).saturating_sub(arrival));
+            }
+            q.redirected += k;
+        }
+        self.entry_buf = entries;
+        if let Some(t) = target {
+            self.busy_until[t] = start + k;
+            if let Some(s) = &mut self.steer {
+                s.note_flush(logical, t, k);
+            }
+        }
+        // A redirected batch is provably serviced the moment it lands in
+        // the directory, so a pending span completes here.
+        if let Some(t0) = self.span_pending[logical].take() {
+            self.record_span(t0);
+        }
+    }
+
+    /// Marks physical bank `phys` dead in the lagged mirror (idempotent).
+    /// In degraded mode the first observation of a death also runs the
+    /// quarantine transition.
+    pub(crate) fn mark_dead(&mut self, phys: usize) {
+        if !self.bank_dead[phys] {
+            self.bank_dead[phys] = true;
+            self.dead_count += 1;
+            if self.degrade.is_some() {
+                self.quarantine(phys);
+            }
+        }
+    }
+
+    /// The quarantine transition for a freshly-observed bank death:
+    /// elects the least-loaded healthy bank as substitute, excludes the
+    /// dead bank from steering rotations, and replays its wreckage into
+    /// the directory — evacuated oracle lines first, then parked writes,
+    /// so a parked rewrite of a migrated line wins (it is newer).
+    ///
+    /// The lag-one death protocol guarantees the wreckage is complete
+    /// and quiescent here: the death was observed only after the bank's
+    /// worker provably consumed every batch flushed at it.
+    ///
+    /// Directory keys are exact under identity routing. With steering
+    /// enabled, evacuated lines are keyed as if the dead physical bank
+    /// were its own logical home — an approximation, since earlier
+    /// rotations may have steered other logical stripes there; parked
+    /// writes carry their logical bank in-band and are always exact.
+    fn quarantine(&mut self, phys: usize) {
+        let n = self.flushed.len();
+        // `flushed` is the front-end's own wear proxy — usable even
+        // while pinned workers own the banks.
+        let substitute = (0..n)
+            .filter(|&b| !self.bank_dead[b])
+            .min_by_key(|&b| (self.flushed[b], b));
+        if let Some(s) = &mut self.steer {
+            s.exclude(phys);
+        }
+        let evac: Vec<(u64, u64)> = std::mem::take(
+            &mut *self.wreckage[phys]
+                .evacuated
+                .lock()
+                .expect("wreckage poisoned"),
+        );
+        let parked: Vec<u64> = std::mem::take(
+            &mut *self.wreckage[phys]
+                .parked
+                .lock()
+                .expect("wreckage poisoned"),
+        );
+        let moved = parked.len() as u64;
+        let q = self
+            .degrade
+            .as_mut()
+            .expect("quarantine requires degraded mode");
+        q.substitute[phys] = substitute;
+        q.quarantines += 1;
+        for (local, tag) in evac {
+            q.directory.insert(self.map.join(phys as u64, local), tag);
+            q.migrated_lines += 1;
+        }
+        for e in parked {
+            let (logical, local) = (e >> LOGICAL_SHIFT, e & LOCAL_MASK);
+            let tag = q.next_dir_tag();
+            q.directory.insert(self.map.join(logical, local), tag);
+        }
+        q.redirected += moved;
+        if let Some(sub) = substitute {
+            // The rescue replay is real service work: charge it to the
+            // substitute's clock so degraded throughput reflects it.
+            self.busy_until[sub] += moved;
+        }
+    }
 }
 
 #[cfg(test)]

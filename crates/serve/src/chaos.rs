@@ -8,6 +8,7 @@
 //! bank<B>:die@<N>              kill bank B after N more issued writes
 //! bank<B>:reads@<I>+<L>        transient-read burst: L consecutive reads
 //!                              starting I reads from now on bank B
+//!                              (L ≤ 2²⁰: the plan holds one entry per read)
 //! bank<B>:torn@<point>:<K>     power loss at the K-th upcoming crash
 //!                              point (switch|migration|retire|link) on
 //!                              bank B — a torn-metadata window the
@@ -23,6 +24,11 @@
 //! never half-applies.
 
 use wlr_mc::{BankChaos, CrashPoint, FaultPlan};
+
+/// Longest transient-read burst a clause may arm. A `FaultPlan` stores a
+/// burst one entry per read, so the length is an allocation size chosen
+/// by whoever can reach `/chaos`; the chaos harness arms bursts of tens.
+const MAX_READ_BURST: u64 = 1 << 20;
 
 /// One parsed chaos clause.
 #[derive(Debug)]
@@ -64,10 +70,14 @@ fn parse_clause(clause: &str) -> Result<ChaosCmd, String> {
         BankChaos::KillAfter(parse_u64(n, clause)?)
     } else if let Some(burst) = action.strip_prefix("reads@") {
         let (start, len) = burst.split_once('+').ok_or_else(bad)?;
-        BankChaos::Faults(
-            FaultPlan::new()
-                .transient_read_burst(parse_u64(start, clause)?, parse_u64(len, clause)?),
-        )
+        let (start, len) = (parse_u64(start, clause)?, parse_u64(len, clause)?);
+        if len > MAX_READ_BURST || start.checked_add(len).is_none() {
+            return Err(format!(
+                "read burst {start}+{len} in chaos clause {clause:?} is longer than \
+                 {MAX_READ_BURST} or runs past the last read index"
+            ));
+        }
+        BankChaos::Faults(FaultPlan::new().transient_read_burst(start, len))
     } else if let Some(torn) = action.strip_prefix("torn@") {
         let (point, k) = torn.split_once(':').ok_or_else(bad)?;
         let point = match point {
@@ -161,6 +171,8 @@ mod tests {
             "daemon:kill@",
             "bank0:torn@gap:1",
             "bank0:reads@100",
+            "bank0:reads@0+18446744073709551615",
+            "bank0:reads@18446744073709551615+2",
             "nonsense",
         ] {
             assert!(parse_plan(bad).is_err(), "{bad:?} must be rejected");

@@ -29,8 +29,6 @@ pub struct Config {
     pub scheme: String,
     /// `WLR_SERVE_ENDURANCE` — mean cell endurance per bank.
     pub endurance_mean: f64,
-    /// `WLR_SERVE_USERS` — simulated client population.
-    pub users: u64,
     /// `WLR_SERVE_STATE` — device-image path for crash persistence
     /// (empty/unset = no persistence).
     pub state_path: Option<String>,
@@ -39,22 +37,11 @@ pub struct Config {
     pub trace_dump: Option<String>,
     /// `WLR_SERVE_PUBLISH_MS` — metrics publication interval.
     pub publish_ms: u64,
-    /// ψ, writes per leveler migration step (fixed; part of the
-    /// persisted-image identity).
-    pub gap_interval: u64,
-    /// Per-bank trace-ring capacity in events.
-    pub trace_ring: usize,
     /// Admission-ring capacity in requests.
     pub admission_depth: usize,
     /// `WLR_CHAOS_PLAN` — chaos clauses armed at boot (see
     /// [`crate::chaos`]); empty/unset = no injected faults.
     pub chaos_plan: Option<String>,
-    /// `WLR_RETRY_MAX` — transient-read retries before the typed error
-    /// surfaces.
-    pub retry_max: u32,
-    /// `WLR_RETRY_BACKOFF` — base spin count for the exponential
-    /// retry backoff.
-    pub retry_backoff: u32,
     /// `WLR_SERVE_VERIFY` — enable the per-bank integrity oracle (costs
     /// DRAM proportional to the live line count; chaos smoke turns it on
     /// to prove zero integrity violations under fault storms).
@@ -107,16 +94,11 @@ impl Config {
             seed: env_u64("WLR_SERVE_SEED", 7),
             scheme,
             endurance_mean: env_u64("WLR_SERVE_ENDURANCE", 1_000_000) as f64,
-            users: env_u64("WLR_SERVE_USERS", 1_000_000),
             state_path: env_str("WLR_SERVE_STATE"),
             trace_dump: env_str("WLR_TRACE_DUMP"),
             publish_ms: env_u64("WLR_SERVE_PUBLISH_MS", 250),
-            gap_interval: env_u64("WLR_SERVE_GAP_INTERVAL", 100),
-            trace_ring: env_u64("WLR_SERVE_TRACE_RING", 512) as usize,
             admission_depth: env_u64("WLR_SERVE_ADMISSION_DEPTH", 1 << 16) as usize,
             chaos_plan: env_str("WLR_CHAOS_PLAN"),
-            retry_max: env_u64("WLR_RETRY_MAX", 3) as u32,
-            retry_backoff: env_u64("WLR_RETRY_BACKOFF", 64) as u32,
             verify: env_str("WLR_SERVE_VERIFY").as_deref() == Some("1"),
         }
     }

@@ -1,25 +1,21 @@
-//! The open-loop client fleet: a generator thread simulating a large
-//! user population issuing writes at a configured arrival rate,
-//! independent of how fast the service drains them.
+//! The open-loop client fleet: a generator thread issuing writes at a
+//! configured arrival rate, independent of how fast the service drains
+//! them. This module owns pacing and shedding; *which* lines are written
+//! comes from a [`wlr_trace::Workload`], like every other load in the
+//! repo.
 //!
 //! Arrivals flow through a bounded SPSC admission ring. When the ring
 //! fills, the fleet either sheds the arrival (open-loop honesty: the
 //! request is lost and counted) or blocks until there is room
 //! (closed-loop backpressure), per [`ShedPolicy`].
-//!
-//! Traffic model: 80% of arrivals come from a contiguous *hot set* of
-//! users (1/64th of the population) whose window shifts periodically;
-//! the rest are uniform over the population. Each user hashes to a fixed
-//! block address, so hot users create hot blocks — the access pattern
-//! wear leveling exists to survive.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wlr_base::rng::{Rng, SplitMix64};
 use wlr_base::spsc::Producer;
 use wlr_base::stats::registry::Counter;
+use wlr_trace::Workload;
 
 /// What to do with an arrival when the admission ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,20 +27,14 @@ pub enum ShedPolicy {
 }
 
 /// Fleet parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FleetConfig {
-    /// Global block-address space arrivals map into.
-    pub space: u64,
-    /// Simulated user population.
-    pub users: u64,
+    /// The address stream, over the front-end's global block space.
+    pub workload: Box<dyn Workload>,
     /// Arrivals per second (0 = unpaced, as fast as the ring accepts).
     pub rate: u64,
     /// Total arrivals to generate (0 = until stopped).
     pub total: u64,
-    /// Arrivals between hot-set shifts.
-    pub hot_shift: u64,
-    /// RNG seed for the traffic stream.
-    pub seed: u64,
     /// Full-ring behavior.
     pub policy: ShedPolicy,
 }
@@ -76,16 +66,10 @@ pub struct FleetCounters {
     pub shed: Counter,
 }
 
-/// Derives the block address a user's writes land on.
-#[inline]
-pub fn user_address(seed: u64, user: u64, space: u64) -> u64 {
-    SplitMix64::mix(seed ^ 0x5EED_F1EE7, user) % space
-}
-
 /// Spawns the generator. It runs until `total` arrivals are produced or
 /// `stop` is raised, then sets its done flag and exits.
 pub fn spawn(
-    cfg: FleetConfig,
+    mut cfg: FleetConfig,
     mut ring: Producer,
     counters: FleetCounters,
     stop: Arc<AtomicBool>,
@@ -95,17 +79,19 @@ pub fn spawn(
     let handle = std::thread::Builder::new()
         .name("wlr-fleet".into())
         .spawn(move || {
-            generate(&cfg, &mut ring, &counters, &stop);
+            generate(&mut cfg, &mut ring, &counters, &stop);
             done_flag.store(true, Ordering::Release);
         })
         .expect("spawn fleet generator");
     Fleet { handle, done }
 }
 
-fn generate(cfg: &FleetConfig, ring: &mut Producer, counters: &FleetCounters, stop: &AtomicBool) {
-    let mut rng = Rng::stream(cfg.seed, 0xF1EE7);
-    let hot_width = (cfg.users / 64).max(1);
-    let mut hot_start: u64 = 0;
+fn generate(
+    cfg: &mut FleetConfig,
+    ring: &mut Producer,
+    counters: &FleetCounters,
+    stop: &AtomicBool,
+) {
     let mut generated: u64 = 0;
     let started = Instant::now();
     loop {
@@ -130,17 +116,9 @@ fn generate(cfg: &FleetConfig, ring: &mut Producer, counters: &FleetCounters, st
             if cfg.total != 0 && generated >= cfg.total {
                 return;
             }
-            let user = if rng.gen_bool(0.8) {
-                hot_start + rng.gen_range(hot_width)
-            } else {
-                rng.gen_range(cfg.users)
-            };
-            let addr = user_address(cfg.seed, user % cfg.users, cfg.space);
+            let addr = cfg.workload.next_write().index();
             generated += 1;
             counters.generated.inc();
-            if cfg.hot_shift != 0 && generated.is_multiple_of(cfg.hot_shift) {
-                hot_start = (hot_start + hot_width / 2) % cfg.users;
-            }
             if !ring.push(addr) {
                 match cfg.policy {
                     ShedPolicy::Shed => counters.shed.inc(),
@@ -163,6 +141,7 @@ fn generate(cfg: &FleetConfig, ring: &mut Producer, counters: &FleetCounters, st
 mod tests {
     use super::*;
     use wlr_base::spsc;
+    use wlr_trace::UniformWorkload;
 
     fn counters() -> FleetCounters {
         FleetCounters {
@@ -178,12 +157,9 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let fleet = spawn(
             FleetConfig {
-                space: 4096,
-                users: 10_000,
+                workload: Box::new(UniformWorkload::new(4096, 11)),
                 rate: 0,
                 total: 2_000,
-                hot_shift: 500,
-                seed: 11,
                 policy: ShedPolicy::Shed,
             },
             prod,
@@ -212,12 +188,9 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let fleet = spawn(
             FleetConfig {
-                space: 1024,
-                users: 100,
+                workload: Box::new(UniformWorkload::new(1024, 3)),
                 rate: 0,
                 total: 1_000,
-                hot_shift: 0,
-                seed: 3,
                 policy: ShedPolicy::Shed,
             },
             prod,
@@ -227,45 +200,5 @@ mod tests {
         fleet.join();
         assert_eq!(c.generated.get(), 1_000);
         assert!(c.shed.get() >= 1_000 - 8, "shed {}", c.shed.get());
-    }
-
-    #[test]
-    fn traffic_is_hot_set_skewed() {
-        let (prod, mut cons) = spsc::ring(1 << 14);
-        let c = counters();
-        let stop = Arc::new(AtomicBool::new(false));
-        let fleet = spawn(
-            FleetConfig {
-                space: 1 << 12,
-                users: 1 << 16,
-                rate: 0,
-                total: 10_000,
-                hot_shift: 0, // fixed hot set for a clean skew measurement
-                seed: 5,
-                policy: ShedPolicy::Block,
-            },
-            prod,
-            c.clone(),
-            Arc::clone(&stop),
-        );
-        fleet.join();
-        let hot_width = (1u64 << 16) / 64;
-        let hot: std::collections::HashSet<u64> = (0..hot_width)
-            .map(|u| user_address(5, u, 1 << 12))
-            .collect();
-        let mut buf = Vec::new();
-        let (mut hot_hits, mut n) = (0u64, 0u64);
-        while cons.pop_into(&mut buf) > 0 {
-            for &a in &buf {
-                n += 1;
-                if hot.contains(&a) {
-                    hot_hits += 1;
-                }
-            }
-            buf.clear();
-        }
-        assert_eq!(n, 10_000);
-        // ~80% of traffic targets the hot set (plus uniform spillover).
-        assert!(hot_hits > n * 7 / 10, "hot hits {hot_hits}/{n}");
     }
 }

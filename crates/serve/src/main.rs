@@ -49,11 +49,18 @@ use std::time::{Duration, Instant};
 use wl_reviver::{MetricsSink, TraceRingSink};
 use wlr_base::spsc::{self, Consumer};
 use wlr_mc::{McFrontend, McStopPolicy, PipelineSnapshot};
+use wlr_trace::HotRegionWorkload;
 
 use chaos::ChaosCmd;
 use config::Config;
 use fleet::{FleetConfig, FleetCounters};
 use metrics::ServeMetrics;
+
+/// ψ, writes per leveler migration step (part of the persisted-image
+/// identity).
+const GAP_INTERVAL: u64 = 100;
+/// Per-bank trace-ring capacity in events.
+const TRACE_RING: usize = 512;
 
 fn main() {
     let cfg = Config::from_env();
@@ -79,7 +86,7 @@ fn main() {
             .as_reviver_mut()
             .expect("wlr-serve requires a reviver scheme");
         r.add_sink(Box::new(MetricsSink::new(m.revival.clone())));
-        r.add_sink(Box::new(TraceRingSink::new(cfg.trace_ring)));
+        r.add_sink(Box::new(TraceRingSink::new(TRACE_RING)));
     }
 
     let shared = Arc::new(http::Shared::new(Arc::clone(&m.registry)));
@@ -90,19 +97,21 @@ fn main() {
             .name,
     );
 
+    // The configuration identity a persisted image is only accepted under.
+    let identity = [
+        cfg.banks as u64,
+        cfg.total_blocks,
+        cfg.seed,
+        cfg.endurance_mean.to_bits(),
+        GAP_INTERVAL,
+        state::scheme_hash(&cfg.scheme),
+    ];
     // Restore a persisted image, replaying recovery into the live sinks.
     let mut lifetime_serviced = 0u64;
     if let Some(path) = &cfg.state_path {
         match state::load(path) {
             Ok(Some(img)) => {
-                if !img.matches(
-                    cfg.banks,
-                    cfg.total_blocks,
-                    cfg.seed,
-                    cfg.endurance_mean,
-                    cfg.gap_interval,
-                    &cfg.scheme,
-                ) {
+                if !img.matches(identity) {
                     eprintln!("wlr-serve: {path} was captured under a different configuration");
                     std::process::exit(2);
                 }
@@ -181,12 +190,17 @@ fn main() {
     let fleet_stop = Arc::new(AtomicBool::new(false));
     let fleet = fleet::spawn(
         FleetConfig {
-            space: cfg.total_blocks,
-            users: cfg.users,
+            // 80 % of arrivals on 1/16th of the lines — hot blocks, yet
+            // too many for the 32-line write buffer to keep off the PCM
+            // (64 lines even at the smoke's 1,024 blocks).
+            workload: Box::new(HotRegionWorkload::new(
+                cfg.total_blocks,
+                0.8,
+                1.0 / 16.0,
+                cfg.seed,
+            )),
             rate: cfg.arrival_rate,
             total: cfg.requests,
-            hot_shift: (cfg.requests / 8).max(1 << 14),
-            seed: cfg.seed,
             policy: cfg.shed_policy,
         },
         producer,
@@ -227,15 +241,7 @@ fn main() {
         dump_traces(&mut mc, prefix, cfg.banks);
     }
     if let Some(path) = &cfg.state_path {
-        let identity = [
-            cfg.banks as u64,
-            cfg.total_blocks,
-            cfg.seed,
-            cfg.endurance_mean.to_bits(),
-            cfg.gap_interval,
-            state::scheme_hash(&cfg.scheme),
-        ];
-        let img = state::capture(&mut mc, identity, lifetime_serviced + serviced);
+        let img = state::capture(&mc, identity, lifetime_serviced + serviced);
         match state::save(path, &img) {
             Ok(()) => eprintln!("wlr-serve: persisted {path}"),
             Err(e) => {
@@ -265,7 +271,7 @@ fn build_frontend(cfg: &Config) -> McFrontend {
         .total_blocks(cfg.total_blocks)
         .endurance_mean(cfg.endurance_mean)
         .stack(&cfg.scheme)
-        .gap_interval(cfg.gap_interval)
+        .gap_interval(GAP_INTERVAL)
         .seed(cfg.seed)
         .span_sample(cfg.metrics_sample)
         // A service keeps serving while any bank survives.
@@ -273,8 +279,6 @@ fn build_frontend(cfg: &Config) -> McFrontend {
         // Bank deaths quarantine and the array keeps serving at N−k;
         // bit-identical to a plain run when no faults fire.
         .degraded(true)
-        .retry_limit(cfg.retry_max)
-        .retry_backoff(cfg.retry_backoff)
         .verify_integrity(cfg.verify)
         .build()
         .unwrap_or_else(|e| {

@@ -1,15 +1,14 @@
 //! Crash persistence: the device image the daemon writes on shutdown
 //! and replays at boot.
 //!
-//! The image captures, per bank, everything the paper models as durable:
-//! the PCM wear state (replayed exactly through
-//! `PcmDevice::restore_wear_image`), the OS page-retirement *order*
-//! (replayed through `OsMemory::retire_page` — the table is a pure
-//! function of that order), and the reviver's persisted metadata
-//! (`PersistedMeta`, restored via `RevivedController::restore_from`,
-//! which runs the full §III-B recovery scan and emits every phase into
-//! the live sinks). Volatile state — wear-leveling registers, caches,
-//! queue contents — is deliberately *not* captured: a restart loses it,
+//! The image carries, per bank, a [`DurableImage`] — everything the
+//! paper models as durable (wear state, OS page-retirement order, the
+//! reviver's persisted metadata); core owns what is in it and the
+//! §III-B reboot that replays it
+//! (`Simulation::{durable_image, restore_durable}`), whose recovery scan
+//! emits every phase into the live sinks. This module owns the file
+//! format. Volatile state — wear-leveling registers, caches, queue
+//! contents — is deliberately *not* captured: a restart loses it,
 //! exactly as a power cut would, and recovery rebuilds what the paper
 //! says is rebuildable.
 //!
@@ -25,9 +24,8 @@
 use std::io;
 use std::path::Path;
 
-use wl_reviver::{PersistedMeta, RecoveryReport, TornMeta};
+use wl_reviver::{DurableImage, RecoveryReport, TornMeta};
 use wlr_base::pool::{run_pooled, PooledJob};
-use wlr_base::PageId;
 use wlr_mc::{McFrontend, QuarantineImage};
 
 const MAGIC: u64 = 0x574c_5253_4552_5633; // "WLRSERV3"
@@ -42,20 +40,6 @@ pub fn scheme_hash(name: &str) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// One bank's durable state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BankImage {
-    /// Full device wear snapshot (including reviver-reserved blocks).
-    pub wear: Vec<u32>,
-    /// Dead block indices at capture time (verification only — deaths
-    /// replay deterministically from the wear image).
-    pub dead: Vec<u64>,
-    /// OS page retirements, in retirement order.
-    pub retirements: Vec<u64>,
-    /// Serialized [`PersistedMeta`].
-    pub meta: Vec<u8>,
 }
 
 /// The whole daemon image: the configuration identity it was captured
@@ -80,27 +64,22 @@ pub struct StateImage {
     /// not running in degraded mode).
     pub quarantine: Option<QuarantineImage>,
     /// Per-bank durable state, in bank order.
-    pub per_bank: Vec<BankImage>,
+    pub per_bank: Vec<DurableImage>,
 }
 
 impl StateImage {
-    /// Whether this image was captured under the same configuration.
-    #[allow(clippy::too_many_arguments)]
-    pub fn matches(
-        &self,
-        banks: usize,
-        total_blocks: u64,
-        seed: u64,
-        endurance_mean: f64,
-        gap_interval: u64,
-        scheme: &str,
-    ) -> bool {
-        self.banks == banks as u64
-            && self.total_blocks == total_blocks
-            && self.seed == seed
-            && self.endurance_bits == endurance_mean.to_bits()
-            && self.gap_interval == gap_interval
-            && self.scheme == scheme_hash(scheme)
+    /// Whether this image was captured under the configuration `identity`
+    /// (the six words [`capture`] takes, in that order).
+    pub fn matches(&self, identity: [u64; 6]) -> bool {
+        identity
+            == [
+                self.banks,
+                self.total_blocks,
+                self.seed,
+                self.endurance_bits,
+                self.gap_interval,
+                self.scheme,
+            ]
     }
 
     /// Serializes to the on-disk byte layout.
@@ -204,7 +183,7 @@ impl StateImage {
             let retirements = r.vec()?;
             let meta_len = r.word()? as usize;
             let meta = r.take(meta_len)?.to_vec();
-            per_bank.push(BankImage {
+            per_bank.push(DurableImage {
                 wear,
                 dead,
                 retirements,
@@ -273,10 +252,11 @@ impl Reader<'_> {
         (0..n).map(|_| self.word()).collect()
     }
     fn take(&mut self, n: usize) -> io::Result<&[u8]> {
-        let end = self.pos + n;
-        if end > self.bytes.len() {
-            return Err(corrupt("truncated"));
-        }
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or_else(|| corrupt("truncated"))?;
         let slice = &self.bytes[self.pos..end];
         self.pos = (end + 7) & !7; // skip the word padding
         Ok(slice)
@@ -286,33 +266,7 @@ impl Reader<'_> {
 /// Captures the durable state of every bank. Requires the pipeline to be
 /// quiescent (no workers active, queues and rings drained — i.e. after
 /// [`McFrontend::finish`]).
-pub fn capture(mc: &mut McFrontend, cfg_identity: [u64; 6], serviced: u64) -> StateImage {
-    let per_bank = (0..mc.num_banks())
-        .map(|b| {
-            let sim = mc.bank_sim_mut(b);
-            let dev = sim.controller().device();
-            let wear = dev.wear_snapshot();
-            let dead = dev.dead_iter().map(|da| da.index()).collect();
-            let retirements = sim
-                .os()
-                .retirement_log()
-                .iter()
-                .map(|p| p.index())
-                .collect();
-            let meta = sim
-                .controller()
-                .as_reviver()
-                .expect("wlr-serve requires a reviver scheme")
-                .persisted_meta()
-                .to_bytes();
-            BankImage {
-                wear,
-                dead,
-                retirements,
-                meta,
-            }
-        })
-        .collect();
+pub fn capture(mc: &McFrontend, cfg_identity: [u64; 6], serviced: u64) -> StateImage {
     let [banks, total_blocks, seed, endurance_bits, gap_interval, scheme] = cfg_identity;
     StateImage {
         banks,
@@ -323,65 +277,46 @@ pub fn capture(mc: &mut McFrontend, cfg_identity: [u64; 6], serviced: u64) -> St
         scheme,
         serviced,
         quarantine: mc.quarantine_image(),
-        per_bank,
+        per_bank: mc.banks().iter().map(|b| b.sim().durable_image()).collect(),
     }
 }
 
-/// Replays an image into a *freshly built* front-end: per bank, wear
-/// image → OS retirement order → reviver metadata, the last via
-/// `restore_from`, whose recovery scan emits into whatever sinks are
-/// already attached. Banks are independent stacks, so their recovery
-/// scans run in parallel on the shared worker pool; once every bank is
-/// back, any persisted quarantine state is re-applied so a degraded
-/// array resumes serving at N−k without rediscovering the deaths.
-/// Returns the per-bank recovery reports, in bank order.
+/// Replays an image into a *freshly built* front-end. Banks are
+/// independent stacks, so their reboots (and the recovery scans inside
+/// them, emitting into whatever sinks are already attached) run in
+/// parallel on the shared worker pool; once every bank is back, any
+/// persisted quarantine state is re-applied so a degraded array resumes
+/// serving at N−k without rediscovering the deaths. Returns the per-bank
+/// recovery reports, in bank order.
 ///
 /// # Errors
 ///
-/// [`TornMeta`] when a bank's reviver metadata does not parse or does not
-/// fit the bank it is restored into (the first such bank's error).
+/// [`TornMeta`] when the image holds another number of banks, a bank's
+/// durable image does not fit the bank it is restored into (the first
+/// such bank's error), or the quarantine section does not fit the
+/// front-end.
 pub fn restore(mc: &mut McFrontend, img: &StateImage) -> Result<Vec<RecoveryReport>, TornMeta> {
-    assert_eq!(
-        img.per_bank.len(),
-        mc.num_banks(),
-        "image bank count matches the front-end"
-    );
+    if img.per_bank.len() != mc.num_banks() {
+        return Err(TornMeta(format!(
+            "image of {} banks, front-end has {}",
+            img.per_bank.len(),
+            mc.num_banks()
+        )));
+    }
     let jobs: Vec<PooledJob<Result<RecoveryReport, TornMeta>>> = mc
         .banks_mut()
         .iter_mut()
         .zip(&img.per_bank)
         .map(|(bank, bank_img)| {
-            Box::new(move || {
-                let b = bank.id();
-                let sim = bank.sim_mut();
-                sim.controller_mut()
-                    .device_mut()
-                    .restore_wear_image(&bank_img.wear);
-                for &page in &bank_img.retirements {
-                    sim.os_mut().retire_page(PageId::new(page));
-                }
-                let blocks = sim.controller().device().total_blocks();
-                let meta = PersistedMeta::from_bytes(&bank_img.meta, blocks)?;
-                let report = sim
-                    .controller_mut()
-                    .as_reviver_mut()
-                    .expect("wlr-serve requires a reviver scheme")
-                    .restore_from(meta)?;
-                let dev = sim.controller().device();
-                let dead: Vec<u64> = dev.dead_iter().map(|da| da.index()).collect();
-                assert_eq!(
-                    dead, bank_img.dead,
-                    "bank {b}: wear replay must reproduce the captured death set"
-                );
-                Ok(report)
-            }) as PooledJob<Result<RecoveryReport, TornMeta>>
+            Box::new(move || bank.sim_mut().restore_durable(bank_img))
+                as PooledJob<Result<RecoveryReport, TornMeta>>
         })
         .collect();
     let reports = run_pooled(jobs)
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
     if let Some(q) = &img.quarantine {
-        mc.restore_quarantine(q);
+        mc.restore_quarantine(q)?;
     }
     Ok(reports)
 }
@@ -455,26 +390,34 @@ mod tests {
 
     #[test]
     fn image_round_trips_through_bytes() {
-        let (mut mc, n) = worn_frontend(23);
-        let img = capture(&mut mc, identity(), n);
+        let (mc, n) = worn_frontend(23);
+        let img = capture(&mc, identity(), n);
         assert!(
             img.per_bank.iter().any(|b| !b.retirements.is_empty()),
             "a worn run retires pages (endurance 300 over 400k writes)"
         );
         let back = StateImage::from_bytes(&img.to_bytes()).expect("round trip");
         assert_eq!(back, img);
-        assert!(back.matches(2, 1 << 10, 23, 300.0, 16, "reviver-sg"));
-        assert!(!back.matches(4, 1 << 10, 23, 300.0, 16, "reviver-sg"));
+        let [banks, blocks, seed, endurance, psi, scheme] = identity();
+        assert!(back.matches(identity()));
+        assert!(!back.matches([4, blocks, seed, endurance, psi, scheme]));
         assert!(
-            !back.matches(2, 1 << 10, 23, 300.0, 16, "softwear-wlr"),
+            !back.matches([
+                banks,
+                blocks,
+                seed,
+                endurance,
+                psi,
+                scheme_hash("softwear-wlr")
+            ]),
             "an image never restores into a different stack"
         );
     }
 
     #[test]
     fn quarantine_section_round_trips() {
-        let (mut mc, n) = worn_frontend(23);
-        let mut img = capture(&mut mc, identity(), n);
+        let (mc, n) = worn_frontend(23);
+        let mut img = capture(&mc, identity(), n);
         assert!(
             img.quarantine.is_none(),
             "plain front-end has no quarantine"
@@ -491,8 +434,8 @@ mod tests {
 
     #[test]
     fn truncated_or_uncommitted_images_are_rejected() {
-        let (mut mc, n) = worn_frontend(23);
-        let bytes = capture(&mut mc, identity(), n).to_bytes();
+        let (mc, n) = worn_frontend(23);
+        let bytes = capture(&mc, identity(), n).to_bytes();
         assert!(StateImage::from_bytes(&bytes[..bytes.len() - 8]).is_err());
         assert!(StateImage::from_bytes(&bytes[..64]).is_err());
         let mut flipped = bytes.clone();
@@ -503,7 +446,7 @@ mod tests {
     #[test]
     fn restore_reproduces_the_durable_state() {
         let (mut worn, n) = worn_frontend(23);
-        let img = capture(&mut worn, identity(), n);
+        let img = capture(&worn, identity(), n);
         let mut fresh = fresh_like(23);
         let reports = restore(&mut fresh, &img).expect("a captured image restores");
         assert_eq!(reports.len(), 2, "one report per bank");
@@ -534,10 +477,107 @@ mod tests {
         }
     }
 
+    /// ROADMAP 1(c), `StateImage` and `QuarantineImage`: a real image of a
+    /// worn 4-bank front-end with one bank quarantined, every word
+    /// replaced by each of six hostile values and every word-aligned
+    /// truncation. `from_bytes` answers `Ok` or `InvalidData`, and what
+    /// parses is replayed the way `main` does it — identity check, then
+    /// `restore` — and either comes back or is refused with the typed
+    /// error. Nothing panics, nothing allocates from an unchecked length.
+    #[test]
+    fn mutated_images_restore_or_are_refused_and_never_panic() {
+        let build = || {
+            McFrontend::builder()
+                .banks(4)
+                .total_blocks(1 << 10)
+                .endurance_mean(300.0)
+                .gap_interval(16)
+                .seed(29)
+                .degraded(true)
+                .stop_policy(wlr_mc::McStopPolicy::Quorum(1.0))
+                .build()
+                .unwrap()
+        };
+        // Wear every bank into links and its first retirement, then kill
+        // bank 2 and let a little traffic park and redirect at it.
+        let mut worn = build();
+        let mut rng = Rng::seed_from(29);
+        for _ in 0..155_000 {
+            worn.submit(rng.gen_range(1 << 10));
+        }
+        worn.finish();
+        worn.inject_chaos(2, wlr_mc::BankChaos::KillAfter(0));
+        for _ in 0..400 {
+            worn.submit(rng.gen_range(1 << 10));
+        }
+        worn.finish();
+        let ident = [
+            4,
+            1 << 10,
+            29,
+            (300.0f64).to_bits(),
+            16,
+            scheme_hash("reviver-sg"),
+        ];
+        let img = capture(&worn, ident, 155_400);
+        let q = img.quarantine.as_ref().expect("degraded front-end");
+        assert_eq!(q.dead, [false, false, true, false]);
+        assert!(
+            !q.directory.is_empty(),
+            "redirected writes live in the directory"
+        );
+        for b in &img.per_bank {
+            assert!(!b.dead.is_empty() && !b.retirements.is_empty(), "worn");
+        }
+        let bytes = img.to_bytes();
+
+        for cut in (0..bytes.len()).step_by(8) {
+            let err = StateImage::from_bytes(&bytes[..cut]).expect_err("truncated");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
+        }
+        // `(parsed, restored)` over the mutants of the words in `range`.
+        let sweep = |range: std::ops::Range<usize>| {
+            let (mut parsed, mut restored) = (0u32, 0u32);
+            for at in range.step_by(8) {
+                let word = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+                for hostile in [0, 1, u64::MAX, word ^ 1, word ^ (1 << 31), word ^ (1 << 63)] {
+                    let mut mutant = bytes.clone();
+                    mutant[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+                    let back = match StateImage::from_bytes(&mutant) {
+                        Ok(back) => back,
+                        Err(e) => {
+                            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "word {at}");
+                            continue;
+                        }
+                    };
+                    parsed += 1;
+                    if back.matches(ident) {
+                        restored += u32::from(restore(&mut build(), &back).is_ok());
+                    }
+                }
+            }
+            (parsed, restored)
+        };
+        // Some 9,000 reboots: one half of the image per core.
+        let half = bytes.len() / 16 * 8;
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| sweep(0..half));
+            (
+                sweep(half..bytes.len()),
+                a.join().expect("no mutant panics"),
+            )
+        });
+        let (parsed, restored) = (a.0 + b.0, a.1 + b.1);
+        assert!(
+            restored > 0 && restored < parsed,
+            "{parsed} parsed, {restored} restored"
+        );
+    }
+
     #[test]
     fn save_and_load_round_trip_on_disk() {
-        let (mut mc, n) = worn_frontend(23);
-        let img = capture(&mut mc, identity(), n);
+        let (mc, n) = worn_frontend(23);
+        let img = capture(&mc, identity(), n);
         let dir = std::env::temp_dir();
         let path = dir
             .join(format!("wlr_serve_state_test_{}", std::process::id()))

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Regenerates every recorded experiment output and diffs it against
 # results/, byte for byte: table1 fig5 fig6 fig7 fig8 table2 ablation
-# leveling (about 70 s in all on the 2-core reference box). Every bin is
-# seed-deterministic and reads no clock, so any difference is a behaviour
-# change. crash_sweep.txt and fleet.json have their own CI legs.
+# leveling service chaos (56 s in all on the 2-core reference box; the
+# last two add under a second). Every bin is seed-deterministic and
+# reads no clock, so any difference is a behaviour change. crash_sweep.txt
+# and fleet.json have their own CI legs.
 #
 # Usage: scripts/check_results.sh [dir-with-release-bins]
 set -euo pipefail
@@ -13,10 +14,13 @@ OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
 
 status=0
-for name in table1 fig5 fig6 fig7 fig8 table2 ablation leveling; do
+for name in table1 fig5 fig6 fig7 fig8 table2 ablation leveling service chaos; do
   args=()
   if [ "$name" = ablation ]; then args=(all); fi
-  if ! "$BIN/$name" "${args[@]}" >"$OUT/$name.txt" 2>"$OUT/$name.err"; then
+  # The recorded storm is the thinned one CI's chaos-smoke leg runs.
+  vars=()
+  if [ "$name" = chaos ]; then vars=(WLR_CHAOS_WINDOW=60000); fi
+  if ! env "${vars[@]}" "$BIN/$name" "${args[@]}" >"$OUT/$name.txt" 2>"$OUT/$name.err"; then
     echo "FAIL  $name exited non-zero"
     tail -n 20 "$OUT/$name.err"
     status=1

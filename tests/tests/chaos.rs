@@ -4,7 +4,9 @@
 
 use wl_reviver::registry::SchemeRegistry;
 use wl_reviver::sim::EccKind;
-use wlr_mc::{BankChaos, FaultPlan, McFrontend, McReadError, McStopPolicy, McStopReason};
+use wlr_mc::{
+    BankChaos, FaultPlan, McFrontend, McReadError, McStopPolicy, McStopReason, RetryPolicy,
+};
 use wlr_trace::{UniformWorkload, Workload};
 
 const BLOCKS: u64 = 1 << 12;
@@ -121,53 +123,47 @@ fn post_quarantine_reads_return_migrated_contents_across_all_stacks() {
     }
 }
 
-/// The bounded-retry contract, across retry budgets: a burst within the
-/// budget is absorbed, a burst past it surfaces a typed error carrying
-/// exactly `limit + 1` attempts, and the counters account for both.
+/// The bounded-retry contract: a burst within the budget is absorbed, a
+/// burst past it surfaces a typed error carrying exactly `limit + 1`
+/// attempts, and the counters account for both.
 #[test]
-fn transient_retry_budget_is_exact_across_limits() {
-    for limit in [1u32, 2, 4] {
-        let mut mc = McFrontend::builder()
-            .banks(2)
-            .total_blocks(BLOCKS)
-            .endurance_mean(1e9)
-            .ecc(EccKind::Ecp(0))
-            .verify_integrity(true)
-            .degraded(true)
-            .retry_limit(limit)
-            .retry_backoff(1)
-            .stop_policy(McStopPolicy::Quorum(1.0))
-            .seed(61)
-            .build()
-            .unwrap();
-        let mut w = UniformWorkload::new(BLOCKS, 61);
-        mc.run(&mut w, 5_000);
-        let (local, tag) = mc.banks()[1].sim().tracked_lines()[0];
-        let global = mc.map().join(1, local);
+fn transient_retry_budget_is_exact() {
+    let limit = RetryPolicy::default().max_retries;
+    let mut mc = McFrontend::builder()
+        .banks(2)
+        .total_blocks(BLOCKS)
+        .endurance_mean(1e9)
+        .ecc(EccKind::Ecp(0))
+        .verify_integrity(true)
+        .degraded(true)
+        .stop_policy(McStopPolicy::Quorum(1.0))
+        .seed(61)
+        .build()
+        .unwrap();
+    let mut w = UniformWorkload::new(BLOCKS, 61);
+    mc.run(&mut w, 5_000);
+    let (local, tag) = mc.banks()[1].sim().tracked_lines()[0];
+    let global = mc.map().join(1, local);
 
-        mc.arm_bank_faults(1, FaultPlan::new().transient_read_burst(0, limit as u64));
-        assert_eq!(
-            mc.read(global),
-            Ok(Some(tag)),
-            "limit={limit}: a burst inside the budget is absorbed"
-        );
-        mc.arm_bank_faults(
-            1,
-            FaultPlan::new().transient_read_burst(0, 8 + limit as u64),
-        );
-        assert_eq!(
-            mc.read(global),
-            Err(McReadError::Transient {
-                bank: 1,
-                attempts: limit + 1
-            }),
-            "limit={limit}: an over-budget burst surfaces typed"
-        );
-        let out = mc.finish();
-        assert!(
-            out.read_retries >= (2 * limit) as u64,
-            "limit={limit}: {out:?}"
-        );
-        assert_eq!(out.retry_exhausted, 1, "limit={limit}");
-    }
+    mc.arm_bank_faults(1, FaultPlan::new().transient_read_burst(0, limit as u64));
+    assert_eq!(
+        mc.read(global),
+        Ok(Some(tag)),
+        "a burst inside the budget is absorbed"
+    );
+    mc.arm_bank_faults(
+        1,
+        FaultPlan::new().transient_read_burst(0, 8 + limit as u64),
+    );
+    assert_eq!(
+        mc.read(global),
+        Err(McReadError::Transient {
+            bank: 1,
+            attempts: limit + 1
+        }),
+        "an over-budget burst surfaces typed"
+    );
+    let out = mc.finish();
+    assert!(out.read_retries >= (2 * limit) as u64, "{out:?}");
+    assert_eq!(out.retry_exhausted, 1);
 }

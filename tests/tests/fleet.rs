@@ -140,7 +140,9 @@ fn snapshot_under_quarantine_round_trips() {
     for (bank, snap) in snaps.iter().enumerate() {
         *restored.bank_sim_mut(bank) = Simulation::fork(snap);
     }
-    restored.restore_quarantine(&img);
+    restored
+        .restore_quarantine(&img)
+        .expect("its own quarantine image");
 
     // Phase 2: drive both with the identical divergent stream.
     let mut w2 = UniformWorkload::new(BLOCKS, 77);
