@@ -9,13 +9,60 @@
 //! O(1) unhashed lookups, and ascending-key iteration that is
 //! deterministic across runs (a `HashMap`'s order is not).
 //!
-//! Memory is `capacity × size_of::<V>()` plus one bit per key, paid up
-//! front — the right trade at the simulator's scaled geometries (a 2¹⁶
-//! block device costs 512 KiB per `u64`-valued table).
+//! Memory is `capacity × size_of::<V::Packed>()` plus one bit per key, paid
+//! up front — the right trade at the simulator's scaled geometries. A value
+//! sits in its slot in the form its [`Slot`] impl names: block addresses
+//! ([`Pa`], [`Da`]) as `u32`, so a 2¹⁶-block link table costs 256 KiB where
+//! a `u64`-valued one costs 512 — and half as much again every time a
+//! simulation is forked, since a fork copies every slot, used or not.
 
+use crate::addr::{Da, Pa};
 use core::fmt;
 
 const WORD_BITS: usize = 64;
+
+/// How a value is held in a [`DenseMap`] slot.
+pub trait Slot: Copy {
+    /// The stored form.
+    type Packed: Copy + Default;
+    /// Value → stored form.
+    ///
+    /// # Panics
+    ///
+    /// May panic if the value has no stored form (a block index past 2³²).
+    fn pack(self) -> Self::Packed;
+    /// Stored form → value.
+    fn unpack(packed: Self::Packed) -> Self;
+}
+
+impl Slot for u64 {
+    type Packed = u64;
+    #[inline]
+    fn pack(self) -> u64 {
+        self
+    }
+    #[inline]
+    fn unpack(packed: u64) -> u64 {
+        packed
+    }
+}
+
+macro_rules! slot_as_u32 {
+    ($($ty:ident),*) => {$(
+        impl Slot for $ty {
+            type Packed = u32;
+            #[inline]
+            fn pack(self) -> u32 {
+                u32::try_from(self.index()).expect("block index past 2^32 in a dense table")
+            }
+            #[inline]
+            fn unpack(packed: u32) -> $ty {
+                $ty::new(u64::from(packed))
+            }
+        }
+    )*};
+}
+slot_as_u32!(Pa, Da);
 
 /// A map from `u64` keys in `[0, capacity)` to values, backed by a flat
 /// slot array and a presence bitset.
@@ -25,23 +72,23 @@ const WORD_BITS: usize = 64;
 /// let mut m: DenseMap<u64> = DenseMap::with_capacity(128);
 /// assert_eq!(m.insert(7, 700), None);
 /// assert_eq!(m.insert(7, 701), Some(700));
-/// assert_eq!(m.get(7), Some(&701));
+/// assert_eq!(m.get(7), Some(701));
 /// assert_eq!(m.remove(7), Some(701));
 /// assert!(m.is_empty());
 /// ```
 #[derive(Clone)]
-pub struct DenseMap<V> {
-    slots: Vec<V>,
+pub struct DenseMap<V: Slot> {
+    slots: Vec<V::Packed>,
     present: Vec<u64>,
     len: usize,
 }
 
-impl<V: Copy + Default> DenseMap<V> {
+impl<V: Slot> DenseMap<V> {
     /// An empty map accepting keys in `[0, capacity)`.
     pub fn with_capacity(capacity: u64) -> Self {
         let cap = usize::try_from(capacity).expect("capacity exceeds address space");
         DenseMap {
-            slots: vec![V::default(); cap],
+            slots: vec![V::Packed::default(); cap],
             present: vec![0u64; cap.div_ceil(WORD_BITS)],
             len: 0,
         }
@@ -82,12 +129,22 @@ impl<V: Copy + Default> DenseMap<V> {
 
     /// The value at `k`, if present.
     #[inline]
-    pub fn get(&self, k: u64) -> Option<&V> {
+    pub fn get(&self, k: u64) -> Option<V> {
         if self.contains_key(k) {
-            Some(&self.slots[k as usize])
+            Some(V::unpack(self.slots[k as usize]))
         } else {
             None
         }
+    }
+
+    /// The value at `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is absent.
+    #[inline]
+    pub fn at(&self, k: u64) -> V {
+        self.get(k).expect("key not present in dense map")
     }
 
     /// Inserts `v` at `k`, returning the previous value if any.
@@ -95,13 +152,13 @@ impl<V: Copy + Default> DenseMap<V> {
     pub fn insert(&mut self, k: u64, v: V) -> Option<V> {
         let (w, m) = self.bit(k);
         let old = if self.present[w] & m != 0 {
-            Some(self.slots[k as usize])
+            Some(V::unpack(self.slots[k as usize]))
         } else {
             self.present[w] |= m;
             self.len += 1;
             None
         };
-        self.slots[k as usize] = v;
+        self.slots[k as usize] = v.pack();
         old
     }
 
@@ -114,12 +171,19 @@ impl<V: Copy + Default> DenseMap<V> {
         }
         self.present[w] &= !m;
         self.len -= 1;
-        Some(self.slots[k as usize])
+        Some(V::unpack(self.slots[k as usize]))
+    }
+
+    /// Removes every entry, keeping the slot array: one pass over the
+    /// presence words (a slot is only ever read behind its bit).
+    pub fn clear(&mut self) {
+        self.present.fill(0);
+        self.len = 0;
     }
 
     /// Entries in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        iter_bits(&self.present).map(move |k| (k, &self.slots[k as usize]))
+    pub fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
+        iter_bits(&self.present).map(move |k| (k, V::unpack(self.slots[k as usize])))
     }
 
     /// Keys in ascending order.
@@ -128,15 +192,7 @@ impl<V: Copy + Default> DenseMap<V> {
     }
 }
 
-impl<V: Copy + Default> std::ops::Index<u64> for DenseMap<V> {
-    type Output = V;
-
-    fn index(&self, k: u64) -> &V {
-        self.get(k).expect("key not present in dense map")
-    }
-}
-
-impl<V: Copy + Default + fmt::Debug> fmt::Debug for DenseMap<V> {
+impl<V: Slot + fmt::Debug> fmt::Debug for DenseMap<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
     }
@@ -290,7 +346,7 @@ mod tests {
         assert_eq!(m.insert(3, 30), None);
         assert_eq!(m.insert(199, 40), None);
         assert_eq!(m.len(), 2);
-        assert_eq!(m.get(3), Some(&30));
+        assert_eq!(m.get(3), Some(30));
         assert_eq!(m.get(4), None);
         assert!(m.contains_key(199));
         assert_eq!(m.insert(3, 31), Some(30));
@@ -298,7 +354,40 @@ mod tests {
         assert_eq!(m.remove(3), Some(31));
         assert_eq!(m.remove(3), None);
         assert_eq!(m.len(), 1);
-        assert_eq!(m[199], 40);
+        assert_eq!(m.at(199), 40);
+    }
+
+    #[test]
+    fn map_clear_empties_and_keeps_its_capacity() {
+        let mut m: DenseMap<u64> = DenseMap::with_capacity(200);
+        for k in [0, 63, 64, 199] {
+            m.insert(k, k + 1);
+        }
+        m.clear();
+        assert!(m.is_empty());
+        assert_eq!(m.capacity(), 200);
+        assert_eq!(m.iter().count(), 0);
+        for k in [0, 63, 64, 199] {
+            assert_eq!(m.get(k), None, "a cleared slot is not readable");
+            assert_eq!(m.insert(k, 7), None, "a cleared key inserts as new");
+        }
+        assert_eq!(m.len(), 4);
+    }
+
+    #[test]
+    fn block_addresses_round_trip_through_their_narrow_slots() {
+        let mut m: DenseMap<Pa> = DenseMap::with_capacity(8);
+        let top = Pa::new(u64::from(u32::MAX));
+        assert_eq!(m.insert(3, top), None);
+        assert_eq!(m.insert(3, Pa::new(5)), Some(top));
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![(3, Pa::new(5))]);
+        assert_eq!(size_of::<<Da as Slot>::Packed>(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "past 2^32")]
+    fn a_block_index_too_wide_for_its_slot_is_refused() {
+        DenseMap::<Da>::with_capacity(8).insert(0, Da::new(1 << 32));
     }
 
     #[test]
@@ -309,7 +398,7 @@ mod tests {
         }
         let keys: Vec<u64> = m.keys().collect();
         assert_eq!(keys, vec![0, 3, 64, 65, 512, 1023]);
-        let pairs: Vec<(u64, u64)> = m.iter().map(|(k, &v)| (k, v)).collect();
+        let pairs: Vec<(u64, u64)> = m.iter().collect();
         assert!(pairs.iter().all(|&(k, v)| v == k * 10));
     }
 
@@ -327,13 +416,13 @@ mod tests {
                     assert_eq!(dense.insert(k, v), model.insert(k, v));
                 }
                 1 => assert_eq!(dense.remove(k), model.remove(&k)),
-                _ => assert_eq!(dense.get(k), model.get(&k)),
+                _ => assert_eq!(dense.get(k), model.get(&k).copied()),
             }
             assert_eq!(dense.len(), model.len());
         }
         let mut expect: Vec<(u64, u64)> = model.into_iter().collect();
         expect.sort_unstable();
-        let got: Vec<(u64, u64)> = dense.iter().map(|(k, &v)| (k, v)).collect();
+        let got: Vec<(u64, u64)> = dense.iter().collect();
         assert_eq!(got, expect, "iteration must be the sorted entry set");
     }
 
@@ -359,7 +448,7 @@ mod tests {
 
     #[test]
     fn boundary_keys_work() {
-        let mut m: DenseMap<u8> = DenseMap::with_capacity(64);
+        let mut m: DenseMap<u64> = DenseMap::with_capacity(64);
         m.insert(0, 1);
         m.insert(63, 2);
         assert_eq!(m.keys().collect::<Vec<_>>(), vec![0, 63]);
@@ -373,6 +462,6 @@ mod tests {
     #[should_panic(expected = "key not present")]
     fn index_of_absent_key_panics() {
         let m: DenseMap<u64> = DenseMap::with_capacity(8);
-        let _ = m[3];
+        let _ = m.at(3);
     }
 }

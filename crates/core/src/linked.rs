@@ -187,7 +187,7 @@ impl<S: SpareSupply> LinkedController<S> {
         if let Some(to) = self.cache.as_mut().and_then(|c| c.get(da.index())) {
             return Some(Da::new(to));
         }
-        let to = *self.links.get(da.index())?;
+        let to = self.links.get(da.index())?;
         self.device.read(da);
         let extra = self.supply.lookup_block().map(|b| self.device.read(b));
         if acct {
@@ -412,7 +412,7 @@ impl<S: SpareSupply> Controller for LinkedController<S> {
     /// the simulator's `exempt_pa`.
     fn logical_owner(&self, da: Da) -> Option<Pa> {
         let mut head = da;
-        while let Some((from, _)) = self.links.iter().find(|&(_, &to)| to == head) {
+        while let Some((from, _)) = self.links.iter().find(|&(_, to)| to == head) {
             head = Da::new(from);
         }
         // Reserved replacements lie outside the leveler's domain.

@@ -7,7 +7,7 @@
 //! `sample_interval` writes; the bench harness prints the series.
 
 /// One sample of the simulation's observable state.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SamplePoint {
     /// Software writes issued so far.
     pub writes: u64,
@@ -25,15 +25,23 @@ pub struct SamplePoint {
 }
 
 /// An append-only series of [`SamplePoint`]s.
+///
+/// A clone keeps the original's room to grow: a forked simulation records
+/// its next sample in place — unless the original would have grown there
+/// too — instead of first moving the whole history to a bigger buffer.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
-    points: Vec<SamplePoint>,
+    /// The `len` samples, then headroom. The headroom is initialised
+    /// slots rather than a `Vec`'s spare capacity because a derived
+    /// `Clone` copies elements, not capacity.
+    slots: Vec<SamplePoint>,
+    len: usize,
 }
 
 impl TimeSeries {
     /// An empty series.
     pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
+        TimeSeries::default()
     }
 
     /// Appends a sample.
@@ -42,28 +50,33 @@ impl TimeSeries {
     ///
     /// Panics if `point.writes` is not monotonically non-decreasing.
     pub fn push(&mut self, point: SamplePoint) {
-        if let Some(last) = self.points.last() {
+        if let Some(last) = self.points().last() {
             assert!(
                 point.writes >= last.writes,
                 "samples must be recorded in write order"
             );
         }
-        self.points.push(point);
+        if self.len == self.slots.len() {
+            let slots = (2 * self.len).max(16);
+            self.slots.resize(slots, SamplePoint::default());
+        }
+        self.slots[self.len] = point;
+        self.len += 1;
     }
 
     /// The recorded samples.
     pub fn points(&self) -> &[SamplePoint] {
-        &self.points
+        &self.slots[..self.len]
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.len
     }
 
     /// Whether no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.len == 0
     }
 
     /// Linearly interpolated write count at which `survival` first drops
@@ -80,7 +93,7 @@ impl TimeSeries {
 
     fn crossing(&self, target: f64, metric: impl Fn(&SamplePoint) -> f64) -> Option<u64> {
         let mut prev: Option<&SamplePoint> = None;
-        for p in &self.points {
+        for p in self.points() {
             let v = metric(p);
             if v <= target {
                 return Some(match prev {
@@ -107,7 +120,7 @@ impl<'a> IntoIterator for &'a TimeSeries {
     type IntoIter = std::slice::Iter<'a, SamplePoint>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.points.iter()
+        self.points().iter()
     }
 }
 
@@ -134,6 +147,24 @@ mod tests {
         assert!(!s.is_empty());
         let writes: Vec<u64> = (&s).into_iter().map(|p| p.writes).collect();
         assert_eq!(writes, vec![0, 100]);
+    }
+
+    #[test]
+    fn a_clone_records_its_next_sample_in_place() {
+        let mut s = TimeSeries::new();
+        let mut grew = Vec::new();
+        for i in 1..=300 {
+            s.push(pt(i, 1.0, 1.0));
+            let mut fork = s.clone();
+            fork.push(pt(i, 0.5, 0.5));
+            if fork.slots.len() != s.slots.len() {
+                grew.push(i);
+            }
+            assert_eq!(fork.len(), s.len() + 1);
+            assert_eq!(fork.points()[..s.len()], *s.points());
+        }
+        // Only where the original is full and grows on its next push too.
+        assert_eq!(grew, [16, 32, 64, 128, 256]);
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl PersistedMeta {
         words.push(self.ptr.len() as u64);
         words.push(self.retired.len() as u64);
         words.push(self.journal.len() as u64);
-        for (da, &v) in self.ptr.iter() {
+        for (da, v) in self.ptr.iter() {
             words.push(da);
             words.push(v.index());
         }

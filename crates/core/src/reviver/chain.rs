@@ -131,7 +131,7 @@ impl RevivedController {
             // Linked virtual shadow: the block is its head's shadow and
             // holds the head's data — unless the head *is* this block
             // (a PA–DA loop), which holds nothing.
-            Some(&d0) => d0 != src,
+            Some(d0) => d0 != src,
             // Unlinked reserved PA: a spare (garbage) or a pointer-section
             // block (live metadata).
             None => self.pool.section_pas.contains(p.index()),
@@ -169,7 +169,7 @@ impl RevivedController {
             let v = if software {
                 self.resolve_ptr(cur, true)
             } else {
-                let v = self.links.ptr.get(cur.index()).copied();
+                let v = self.links.ptr.get(cur.index());
                 if v.is_some() {
                     self.dev_read(cur, false); // pointer read, past the cache
                 }
@@ -339,7 +339,7 @@ impl RevivedController {
         if !self.is_reserved(p) {
             return;
         }
-        let Some(&d0) = self.links.inv.get(p.index()) else {
+        let Some(d0) = self.links.inv.get(p.index()) else {
             return;
         };
         // Locating the chain head requires reading the inverse pointer.

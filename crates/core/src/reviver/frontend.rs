@@ -22,7 +22,7 @@ impl RevivedController {
             // Only failed blocks are linked. A PA–DA loop (`map(v) == da`)
             // and a dead shadow both decline in `write_fast`, as does a
             // healthy shadow about to lose a cell.
-            let Some(&v) = self.links.ptr.get(da.index()) else {
+            let Some(v) = self.links.ptr.get(da.index()) else {
                 return false;
             };
             if !self.device.write_fast(self.wl.map(v), tag) {

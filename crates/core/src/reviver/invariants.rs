@@ -16,7 +16,7 @@ impl RevivedController {
     ///
     /// Panics if any invariant is violated.
     pub fn assert_invariants(&self) {
-        for (da_idx, &v) in self.links.ptr.iter() {
+        for (da_idx, v) in self.links.ptr.iter() {
             let da = Da::new(da_idx);
             assert!(self.device.is_dead(da), "linked block {da} is not dead");
             assert!(
@@ -25,7 +25,7 @@ impl RevivedController {
             );
             assert_eq!(
                 self.links.inv.get(v.index()),
-                Some(&da),
+                Some(da),
                 "inverse pointer of {v} is inconsistent"
             );
             let sda = self.wl.map(v);

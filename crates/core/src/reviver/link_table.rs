@@ -87,8 +87,8 @@ impl RevivedController {
     /// both blocks claiming the same shadow — the torn-switch state
     /// [`RevivedController::recover`] detects and repairs.
     pub(super) fn switch(&mut self, d0: Da, d1: Da) {
-        let v0 = self.links.ptr[d0.index()];
-        let v1 = self.links.ptr[d1.index()];
+        let v0 = self.links.ptr.at(d0.index());
+        let v1 = self.links.ptr.at(d1.index());
         self.links.ptr.insert(d0.index(), v1);
         self.links.ptr.insert(d1.index(), v0);
         self.links.inv.insert(v1.index(), d0);
@@ -130,7 +130,7 @@ impl RevivedController {
                 return Some(Pa::new(v));
             }
         }
-        let v = self.links.ptr.get(da.index()).copied();
+        let v = self.links.ptr.get(da.index());
         if let Some(v) = v {
             self.dev_read(da, acct); // pointer read
             if let Some(c) = &mut self.links.cache {
@@ -165,7 +165,7 @@ impl RevivedController {
     }
 
     pub(super) fn do_meta_write(&mut self, v: Pa) {
-        let Some(slot) = self.pool.ptr_slot.get(v.index()).copied() else {
+        let Some(slot) = self.pool.ptr_slot.get(v.index()) else {
             // `v` predates any grant (possible only in hand-built tests).
             self.emit(ReviverEvent::MetaSkipped { skipped: 1 });
             return;
@@ -201,7 +201,7 @@ impl RevivedController {
     /// Reads the inverse-pointer block covering reserved PA `v`
     /// (accounting only; the simulator's `inv` map is authoritative).
     pub(super) fn meta_read(&mut self, v: Pa) {
-        if let Some(slot) = self.pool.ptr_slot.get(v.index()).copied() {
+        if let Some(slot) = self.pool.ptr_slot.get(v.index()) {
             let da = self.wl.map(slot);
             self.device.read(da);
         }

@@ -388,7 +388,7 @@ impl RevivedController {
         self.links
             .ptr
             .iter()
-            .filter(|&(da, &v)| self.wl.map(v).index() == da)
+            .filter(|&(da, v)| self.wl.map(v).index() == da)
             .count() as u64
     }
 
@@ -396,7 +396,7 @@ impl RevivedController {
     /// the shadow block it currently resolves to, and whether that shadow
     /// is itself dead. `None` if `da` is not linked.
     pub fn chain_info(&self, da: Da) -> Option<(Pa, Da, bool)> {
-        let v = *self.links.ptr.get(da.index())?;
+        let v = self.links.ptr.get(da.index())?;
         let sda = self.wl.map(v);
         Some((v, sda, self.device.is_dead(sda)))
     }
@@ -404,13 +404,13 @@ impl RevivedController {
     /// The virtual shadow PA of failed block `da`, if linked. Pure table
     /// lookup — no device access, safe from event sinks.
     pub fn shadow_of(&self, da: Da) -> Option<Pa> {
-        self.links.ptr.get(da.index()).copied()
+        self.links.ptr.get(da.index())
     }
 
     /// The failed block whose virtual shadow is `v`, if any (the inverse
     /// pointer of Figure 4). Pure table lookup.
     pub fn linked_head_of(&self, v: Pa) -> Option<Da> {
-        self.links.inv.get(v.index()).copied()
+        self.links.inv.get(v.index())
     }
 
     /// Whether `pa` lies in a retired page (reserved space).
@@ -438,7 +438,7 @@ impl RevivedController {
             .map(|d| {
                 let mut cur = Da::new(d);
                 let mut steps = 0u32;
-                while let Some(&v) = self.links.ptr.get(cur.index()) {
+                while let Some(v) = self.links.ptr.get(cur.index()) {
                     let next = self.wl.map(v);
                     steps += 1;
                     if next == cur || !self.device.is_dead(next) {

@@ -6,7 +6,6 @@ use super::events::{RecoveryPhase, ReviverEvent};
 use super::RevivedController;
 use crate::cache::RemapCache;
 use crate::recovery::{PersistedMeta, RecoveryReport, TornMeta};
-use wlr_base::dense::{DenseMap, DenseSet};
 use wlr_base::{Da, Pa, PageId};
 
 impl RevivedController {
@@ -39,7 +38,7 @@ impl RevivedController {
         if !self.is_reserved(p) {
             return Some(p);
         }
-        let head = *self.links.inv.get(p.index())?;
+        let head = self.links.inv.get(p.index())?;
         if head == da {
             return None; // loop block: holds no data
         }
@@ -115,9 +114,9 @@ impl RevivedController {
             *c = RemapCache::with_capacity_bytes(c.capacity() * crate::cache::ENTRY_BYTES);
         }
         // 1. Retired-page layout: a pure function of the persisted bitmap.
-        self.pool.retired = self.persist.retired.clone();
-        self.pool.ptr_slot = DenseMap::with_capacity(self.geo.num_blocks());
-        self.pool.section_pas = DenseSet::with_capacity(self.geo.num_blocks());
+        self.pool.retired.clone_from(&self.persist.retired);
+        self.pool.ptr_slot.clear();
+        self.pool.section_pas.clear();
         let retired_pages: Vec<PageId> = self
             .pool
             .retired
@@ -136,9 +135,10 @@ impl RevivedController {
         });
         // 2. Links from the persisted failed-block pointers; the inverse
         // table is their mirror image (the paper's §III-B scan).
-        self.links.ptr = DenseMap::with_capacity(self.device.total_blocks());
-        self.links.inv = DenseMap::with_capacity(self.geo.num_blocks());
-        let entries: Vec<(u64, Pa)> = self.persist.ptr.iter().map(|(k, &v)| (k, v)).collect();
+        self.links.ptr.clear();
+        self.links.inv.clear();
+        let mut entries = Vec::with_capacity(self.persist.ptr.len());
+        entries.extend(self.persist.ptr.iter());
         let mut collisions: Vec<(Da, Da, Pa)> = Vec::new();
         for (da_idx, v) in entries {
             report.blocks_scanned += 1;
@@ -188,7 +188,8 @@ impl RevivedController {
             items: report.spares_recovered,
         });
         // 5. Heal unlinked software-accessible dead blocks.
-        let dead: Vec<Da> = self.device.dead_iter().collect();
+        let mut dead = Vec::with_capacity(self.device.dead_blocks() as usize);
+        dead.extend(self.device.dead_iter());
         for da in dead {
             if self.links.ptr.contains_key(da.index()) {
                 continue;
@@ -221,7 +222,7 @@ impl RevivedController {
         // a journaled migration line holds the *newest* data for its
         // target, and replaying it through `write_da` already re-links
         // and switches whatever the cut tore on that chain.
-        self.mig_buf = self.persist.journal.clone();
+        self.mig_buf.clone_from(&self.persist.journal);
         report.migration_replays = self.mig_buf.len() as u64;
         self.emit(ReviverEvent::RecoveryStep {
             phase: RecoveryPhase::JournalReplay,
@@ -241,10 +242,11 @@ impl RevivedController {
         // on its next touch.
         let mut collapsed = 0u64;
         if self.switching && !self.suspended {
-            let heads: Vec<u64> = self.links.ptr.iter().map(|(k, _)| k).collect();
+            let mut heads = Vec::with_capacity(self.links.ptr.len());
+            heads.extend(self.links.ptr.keys());
             for da_idx in heads {
                 let da = Da::new(da_idx);
-                let Some(&v) = self.links.ptr.get(da_idx) else {
+                let Some(v) = self.links.ptr.get(da_idx) else {
                     continue;
                 };
                 let sda = self.wl.map(v);

@@ -34,6 +34,7 @@ use crate::metrics::{SamplePoint, TimeSeries};
 use crate::recovery::{DurableImage, PersistedMeta, RecoveryReport, TornMeta};
 use crate::reviver::{ReviverCounters, TraceRingSink};
 use oracle::Oracle;
+use std::sync::Once;
 use wlr_base::rng::Rng;
 use wlr_base::{AppAddr, Geometry, PageId};
 use wlr_os::OsMemory;
@@ -128,6 +129,30 @@ pub struct Simulation {
 /// behind (attached event sinks, nothing else).
 #[derive(Debug)]
 pub struct SimSnapshot(Simulation);
+
+/// Asks the allocator, once per process, to keep what dropped forks free.
+///
+/// A fork is some thirty tables allocated together and freed together — a
+/// megabyte in all at 2¹⁴ blocks — and a crash harness forks and drops
+/// thousands a second. glibc returns the free top of the heap to the
+/// kernel once it exceeds twice the largest block it has seen freed
+/// (mallopt(3) under `M_MMAP_THRESHOLD`: both thresholds are dynamic), and
+/// a state made of 64–200 KiB tables never shows it a block anywhere near
+/// its own total. So unless some unrelated live allocation happens to sit
+/// above the fork, every drop returns the megabyte and every fork faults
+/// it back in page by page: 290 µs of a 640 µs crash cycle on the
+/// reference box, decided by heap-layout luck (DESIGN.md §10). Freeing one
+/// large block — never touched, so an `mmap`/`munmap` pair and no memory —
+/// raises both thresholds by glibc's own rule, to what a process that had
+/// ever freed a 16 MiB buffer runs with. An allocator without the rule,
+/// or with thresholds pinned through `MALLOC_*_THRESHOLD_`, ignores it.
+fn keep_fork_memory() {
+    /// Forks of up to twice this are recycled in-process (the rule itself
+    /// stops at 32 MiB blocks).
+    const SHOWN_BYTES: usize = 16 << 20;
+    static SHOWN: Once = Once::new();
+    SHOWN.call_once(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(SHOWN_BYTES))));
+}
 
 impl SimSnapshot {
     /// Software writes the captured run had issued at snapshot time.
@@ -486,8 +511,16 @@ impl Simulation {
     /// Arms an additional fault plan on the *running* simulation. Indices
     /// in `plan` are relative to the device accesses serviced so far (see
     /// [`wlr_pcm::FaultInjector::arm`]), so `power_loss_at_write(0)` cuts
-    /// power on the very next device write. Every later write takes the
-    /// guarded protocol, permanently; a no-op for an empty plan.
+    /// power on the very next device write. A no-op for an empty plan.
+    ///
+    /// Every later write takes the guarded protocol, permanently — also
+    /// once the plan is spent. What that still costs per write: the
+    /// power-loss probe and the silent-failure log length (one `device()`
+    /// fetch for both), an OS snapshot around each page retirement, and
+    /// the device's quiet-index check in place of its unarmed fast write
+    /// (`PcmDevice::write_fast`). It does not cost the steady-state write
+    /// itself: between scheduled events an armed device serves writes on
+    /// the same path as an unarmed one.
     pub fn arm_faults(&mut self, plan: FaultPlan) {
         if plan.is_empty() {
             return;
@@ -609,6 +642,7 @@ impl Simulation {
     /// bulk memcpys — no per-entry work — and [`Simulation::fork`]-then-
     /// replay is bit-identical to continuing the original run.
     pub fn snapshot(&self) -> SimSnapshot {
+        keep_fork_memory();
         SimSnapshot(self.clone())
     }
 

@@ -104,7 +104,7 @@ impl Simulation {
             let Some(pa) = self.os.translate(addr) else {
                 continue;
             };
-            let want = self.expected.as_ref().unwrap().map[k];
+            let want = self.expected.as_ref().unwrap().map.at(k);
             let got = self.controller.read(pa);
             if got != want {
                 self.integrity_errors += 1;
@@ -116,7 +116,7 @@ impl Simulation {
     /// returns each mismatch as `(app address, expected tag, observed tag)`.
     pub fn find_mismatches(&mut self) -> Vec<(u64, u64, u64)> {
         let pairs: Vec<(u64, u64)> = match &self.expected {
-            Some(o) => o.map.iter().map(|(k, &v)| (k, v)).collect(),
+            Some(o) => o.map.iter().collect(),
             None => return Vec::new(),
         };
         let mut out = Vec::new();
@@ -169,7 +169,7 @@ impl Simulation {
     /// quarantine evacuates from a dying bank.
     pub fn tracked_lines(&self) -> Vec<(u64, u64)> {
         match &self.expected {
-            Some(o) => o.keys.iter().map(|&k| (k, o.map[k])).collect(),
+            Some(o) => o.keys.iter().map(|&k| (k, o.map.at(k))).collect(),
             None => Vec::new(),
         }
     }

@@ -36,8 +36,17 @@ impl Simulation {
         let Some(pa) = translated else {
             return StepOutcome::Exhausted;
         };
+        let mapping = self.retirements + self.grants;
         let placed = self.pa_write(pa, tag, 0);
-        if self.fault_active && self.controller.device().power_lost() {
+        // The power check runs after every write, whatever it returned: a
+        // cut inside a migration still reports `WriteResult::Ok`.
+        let (power_lost, silent_logged) = if self.fault_active {
+            let device = self.controller.device();
+            (device.power_lost(), device.silent_failures().len())
+        } else {
+            (false, 0)
+        };
+        if power_lost {
             // The in-flight write is torn by definition: neither its old
             // nor its new content is promised across the crash, so the
             // oracle stops tracking the address (it resumes on the next
@@ -51,14 +60,20 @@ impl Simulation {
         if let Some(oracle) = &mut self.expected {
             // The data survives iff the address still translates (its page
             // was kept or relocated with copies) — and, under fault
-            // injection, iff the write actually landed somewhere.
-            if self.os.translate(addr).is_some() && (placed || !self.fault_active) {
+            // injection, iff the write actually landed somewhere. It
+            // translated before the write, and a mapping moves only when a
+            // page retires or is granted (a rolled-back retirement
+            // restores the OS wholesale), so the lookup is repeated only
+            // when one of those counters moved.
+            let mapped =
+                self.retirements + self.grants == mapping || self.os.translate(addr).is_some();
+            if mapped && (placed || !self.fault_active) {
                 oracle.insert(addr.index(), tag);
             } else {
                 oracle.remove(addr.index());
             }
         }
-        if self.fault_active {
+        if silent_logged > self.silent_seen {
             self.reconcile_silent_failures();
         }
         StepOutcome::Serviced
@@ -74,7 +89,9 @@ impl Simulation {
             return false;
         }
         let first = self.controller.write(pa, tag);
-        self.pa_write_rest(first, pa, tag, depth)
+        // As on the plain path, the retry protocol is entered only when
+        // the first attempt asks for it.
+        first == WriteResult::Ok || self.pa_write_rest(first, pa, tag, depth)
     }
 
     /// The write-retry protocol given the first attempt's result — split

@@ -446,7 +446,7 @@ fn oracle_key_list_tracks_sorted_key_set() {
     }
     assert_eq!(oracle.map.len(), model.len());
     for (k, &v) in &model {
-        assert_eq!(oracle.map.get(*k), Some(&v));
+        assert_eq!(oracle.map.get(*k), Some(v));
     }
 }
 

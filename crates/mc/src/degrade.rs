@@ -260,8 +260,8 @@ impl McFrontend {
     ///
     /// [`TornMeta`] when `img` — bytes off a disk — does not fit this
     /// front-end: a `dead` or `substitutes` list of another bank count, or
-    /// a substitute that is neither a bank nor `u64::MAX`. The front-end
-    /// is left untouched.
+    /// a substitute that is neither a bank nor `u64::MAX`, or a tag
+    /// counter with no next tag. The front-end is left untouched.
     ///
     /// # Panics
     ///
@@ -280,6 +280,10 @@ impl McFrontend {
             .find(|&&s| s != u64::MAX && s >= n as u64)
         {
             return bad(format!("substitute {s} is not one of {n} banks"));
+        }
+        if img.dir_seq == u64::MAX {
+            // The next redirected write would overflow `next_dir_tag`.
+            return bad("tag counter at its last value".into());
         }
         let q = self
             .degrade

@@ -525,6 +525,10 @@ fn quarantine_images_off_a_disk_are_checked_not_trusted() {
         img(vec![false; 3], vec![none; 4]),
         img(vec![false; 4], vec![none; 5]),
         img(vec![true, false, false, false], vec![4, none, none, none]),
+        QuarantineImage {
+            dir_seq: u64::MAX,
+            ..img(vec![false; 4], vec![none; 4])
+        },
     ] {
         assert!(build().restore_quarantine(&bad).is_err(), "{bad:?}");
     }

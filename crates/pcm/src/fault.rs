@@ -133,10 +133,10 @@ impl FaultPlan {
     /// Schedules a burst of `count` consecutive transient read errors
     /// starting at device-read index `start` — the error-burst shape the
     /// chaos harness arms against live banks.
+    /// A burst that would run past the last read index stops there.
     pub fn transient_read_burst(mut self, start: u64, count: u64) -> Self {
-        for i in 0..count {
-            self.transient_reads.push(start + i);
-        }
+        self.transient_reads
+            .extend((0..count).map_while(|i| start.checked_add(i)));
         self
     }
 
@@ -321,6 +321,9 @@ impl FaultInjector {
 
     /// Consults the schedule for the write about to be serviced on `da`.
     pub fn on_write(&mut self, da: Da) -> WriteFault {
+        if self.on_quiet_write() {
+            return WriteFault::None;
+        }
         if !self.powered {
             self.counters.writes_lost += 1;
             return WriteFault::Lost;
@@ -334,13 +337,29 @@ impl FaultInjector {
             self.counters.writes_lost += 1;
             return WriteFault::Lost;
         }
-        if self.silent_writes.get(self.next_silent) == Some(&idx) {
-            self.next_silent += 1;
-            self.counters.silent_failures += 1;
-            self.silent_log.push(da);
-            return WriteFault::Silent;
-        }
-        WriteFault::None
+        // Powered, not quiet, not a power loss: the next silent failure.
+        debug_assert_eq!(self.silent_writes.get(self.next_silent), Some(&idx));
+        self.next_silent += 1;
+        self.counters.silent_failures += 1;
+        self.silent_log.push(da);
+        WriteFault::Silent
+    }
+
+    /// Counts the write about to be serviced iff its index is *quiet* —
+    /// power is on and neither the next scheduled power loss nor the next
+    /// silent failure sits at it — and returns whether it was. This is the
+    /// whole of what [`Self::on_write`] does on such an index before it
+    /// returns [`WriteFault::None`], so a device may service the write on
+    /// its steady-state path; on `false` nothing changed and the write
+    /// must go through [`Self::on_write`], the only place a fault fires.
+    #[inline]
+    pub fn on_quiet_write(&mut self) -> bool {
+        let idx = self.writes_seen;
+        let quiet = self.powered
+            && self.power_loss_writes.get(self.next_power) != Some(&idx)
+            && self.silent_writes.get(self.next_silent) != Some(&idx);
+        self.writes_seen += u64::from(quiet);
+        quiet
     }
 
     /// Consults the schedule for the read about to be serviced.
@@ -490,6 +509,49 @@ mod tests {
             assert_eq!(inj.on_read(), ReadFault::Transient);
         }
         assert_eq!(inj.on_read(), ReadFault::None);
+    }
+
+    #[test]
+    fn transient_burst_stops_at_the_last_read_index() {
+        // `start + i` used to overflow here: a panic in the dev profile,
+        // and in release a wrap that scheduled errors at reads 0, 1, ….
+        let plan = FaultPlan::new().transient_read_burst(u64::MAX - 1, 5);
+        assert_eq!(
+            plan,
+            FaultPlan::new()
+                .transient_read_at(u64::MAX - 1)
+                .transient_read_at(u64::MAX)
+        );
+        let mut inj = FaultInjector::new(plan);
+        assert_eq!(inj.on_read(), ReadFault::None, "nothing wrapped to read 0");
+    }
+
+    #[test]
+    fn quiet_writes_count_exactly_as_on_write_does() {
+        let plan = FaultPlan::new()
+            .silent_failure_at_write(1)
+            .power_loss_at_write(3);
+        let mut quiet = FaultInjector::new(plan.clone());
+        let mut full = FaultInjector::new(plan);
+        // Take the quiet exit wherever it is offered, `on_write` elsewhere.
+        let mut seen = Vec::new();
+        for i in 0..6 {
+            let q = quiet.on_quiet_write();
+            let fault = full.on_write(Da::new(i));
+            seen.push(q);
+            assert_eq!(q, fault == WriteFault::None && full.powered(), "write {i}");
+            if !q {
+                assert_eq!(quiet.on_write(Da::new(i)), fault, "write {i}");
+            }
+            assert_eq!(quiet.counters(), full.counters(), "write {i}");
+            assert_eq!(quiet.powered(), full.powered(), "write {i}");
+            if i == 4 {
+                quiet.restore_power();
+                full.restore_power();
+            }
+        }
+        assert_eq!(seen, [true, false, true, false, false, true]);
+        assert_eq!(quiet.silent_log(), full.silent_log());
     }
 
     #[test]

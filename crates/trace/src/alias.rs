@@ -4,6 +4,7 @@
 //! simulated write; the alias method makes that a single random draw and
 //! one table lookup regardless of the distribution's shape.
 
+use std::sync::Arc;
 use wlr_base::rng::Rng;
 
 /// A pre-processed discrete distribution supporting O(1) sampling.
@@ -24,9 +25,10 @@ use wlr_base::rng::Rng;
 #[derive(Debug, Clone)]
 pub struct AliasTable {
     /// Acceptance probability per bucket, scaled to u64 for a branch-cheap
-    /// integer comparison in the hot path.
-    prob: Vec<u64>,
-    alias: Vec<u32>,
+    /// integer comparison in the hot path. Like `alias`, fixed once built:
+    /// a clone shares both.
+    prob: Arc<[u64]>,
+    alias: Arc<[u32]>,
 }
 
 impl AliasTable {
@@ -86,7 +88,10 @@ impl AliasTable {
             // Leftovers from floating-point drift: accept always.
             prob[s as usize] = u64::MAX;
         }
-        AliasTable { prob, alias }
+        AliasTable {
+            prob: prob.into(),
+            alias: alias.into(),
+        }
     }
 
     /// Number of buckets.
@@ -135,6 +140,13 @@ mod tests {
             counts[t.sample(&mut rng) as usize] += 1;
         }
         counts.iter().map(|&c| c as f64 / draws as f64).collect()
+    }
+
+    #[test]
+    fn a_clone_shares_the_tables() {
+        let t = AliasTable::new(&[1.0, 0.0, 3.0]);
+        let c = t.clone();
+        assert!(Arc::ptr_eq(&t.prob, &c.prob) && Arc::ptr_eq(&t.alias, &c.alias));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use crate::alias::AliasTable;
 use crate::generator::Workload;
+use std::sync::Arc;
 use wlr_base::rng::Rng;
 use wlr_base::stats::{coefficient_of_variation, normal_inv_cdf};
 use wlr_base::AppAddr;
@@ -58,7 +59,8 @@ pub struct CovTargetedWorkload {
     achieved_cov: f64,
     sigma: f64,
     table: AliasTable,
-    weights: Vec<f64>,
+    /// Fixed once laid out, like the alias table: a clone shares both.
+    weights: Arc<[f64]>,
     rng: Rng,
     label: String,
 }
@@ -107,7 +109,7 @@ impl CovTargetedWorkload {
             achieved_cov: achieved,
             sigma,
             table,
-            weights,
+            weights: weights.into(),
             rng: Rng::stream(seed, 0xC0F),
             label,
         }
@@ -292,6 +294,17 @@ mod tests {
     fn deterministic_stream() {
         let mut a = CovTargetedWorkload::new(256, 5.0, SpatialMode::Scattered, 9);
         let mut b = CovTargetedWorkload::new(256, 5.0, SpatialMode::Scattered, 9);
+        for _ in 0..64 {
+            assert_eq!(a.next_write(), b.next_write());
+        }
+    }
+
+    #[test]
+    fn a_clone_shares_the_tables_and_continues_the_stream() {
+        let mut a = CovTargetedWorkload::new(256, 5.0, SpatialMode::Scattered, 9);
+        a.next_write();
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.weights, &b.weights));
         for _ in 0..64 {
             assert_eq!(a.next_write(), b.next_write());
         }

@@ -20,6 +20,7 @@
 //!   concentrated writes from spreading across the whole chip under LLS.
 
 use core::fmt;
+use std::sync::Arc;
 use wlr_base::rng::{Rng, SplitMix64};
 
 /// An invertible mapping on the block-address domain `[0, len)`.
@@ -153,11 +154,12 @@ impl AddressRandomizer for IdentityRandomizer {
 /// An explicit random permutation (Fisher–Yates) with a stored inverse.
 ///
 /// Exact and fast, at 16 bytes per address — fine at the scaled default
-/// geometry; use [`FeistelRandomizer`] at paper scale.
+/// geometry; use [`FeistelRandomizer`] at paper scale. The tables never
+/// change once built, so a clone shares them.
 #[derive(Debug, Clone)]
 pub struct TableRandomizer {
-    forward: Vec<u64>,
-    backward: Vec<u64>,
+    forward: Arc<[u64]>,
+    backward: Arc<[u64]>,
 }
 
 impl TableRandomizer {
@@ -175,7 +177,10 @@ impl TableRandomizer {
         for (i, &v) in forward.iter().enumerate() {
             backward[usize::try_from(v).expect("fits")] = i as u64;
         }
-        TableRandomizer { forward, backward }
+        TableRandomizer {
+            forward: forward.into(),
+            backward: backward.into(),
+        }
     }
 }
 
@@ -310,7 +315,8 @@ const MEMOIZE_MAX_DOMAIN: u64 = 1 << 20;
 /// Produces the *identical* bijection as the wrapped randomizer — it is a
 /// pure evaluation-speed trade (two `Vec` indexings per mapping instead of
 /// whatever the inner randomizer computes), so swapping it in cannot
-/// change any simulation outcome.
+/// change any simulation outcome. The tables never change once built, so
+/// a clone (a leveler snapshot, a forked simulation) shares them.
 ///
 /// ```
 /// use wlr_wl::randomizer::{AddressRandomizer, FeistelRandomizer, MemoizedRandomizer};
@@ -323,8 +329,8 @@ const MEMOIZE_MAX_DOMAIN: u64 = 1 << 20;
 /// ```
 #[derive(Clone)]
 pub struct MemoizedRandomizer {
-    forward: Vec<u64>,
-    backward: Vec<u64>,
+    forward: Arc<[u64]>,
+    backward: Arc<[u64]>,
     inner: &'static str,
 }
 
@@ -345,8 +351,8 @@ impl MemoizedRandomizer {
             backward[usize::try_from(y).expect("bijection stays in domain")] = x;
         }
         MemoizedRandomizer {
-            forward,
-            backward,
+            forward: forward.into(),
+            backward: backward.into(),
             inner: core::any::type_name::<R>(),
         }
     }
@@ -559,6 +565,21 @@ mod tests {
                 assert_eq!(memo.backward(x), inner.backward(x));
             }
         }
+    }
+
+    /// What a leveler snapshot (so a forked simulation) copies of a table
+    /// randomizer is two pointers: `clone_box` is `Box::new(self.clone())`.
+    #[test]
+    fn clones_share_their_tables() {
+        let memo = MemoizedRandomizer::new(FeistelRandomizer::new(1000, 29));
+        let fork = memo.clone();
+        assert!(Arc::ptr_eq(&memo.forward, &fork.forward));
+        assert!(Arc::ptr_eq(&memo.backward, &fork.backward));
+        let table = TableRandomizer::new(1000, 29);
+        let fork = table.clone();
+        assert!(Arc::ptr_eq(&table.forward, &fork.forward));
+        assert!(Arc::ptr_eq(&table.backward, &fork.backward));
+        assert_eq!(fork.clone_box().forward(7), table.forward(7));
     }
 
     #[test]

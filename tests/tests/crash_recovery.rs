@@ -387,3 +387,94 @@ fn power_cut_is_not_reported_as_a_failure() {
         failures.join("\n")
     );
 }
+
+/// The rig with the steady-state write available: no per-write invariant
+/// scan, so `write_steady` — and, under an armed plan, the device's
+/// quiet-index fast write — serves what it can. [`rig`] itself is the
+/// reference: `check_invariants(true)` refuses `write_steady`, so every
+/// write of such a run takes the full protocol through
+/// `FaultInjector::on_write`.
+fn steady_rig(scheme: &str) -> SimulationBuilder {
+    rig(scheme).check_invariants(false)
+}
+
+/// Everything two runs of one stream must agree on, whichever write path
+/// served them.
+fn observed(sim: &Simulation) -> impl PartialEq + std::fmt::Debug {
+    let reviver = sim.controller().as_reviver().expect("reviver stack");
+    let device = sim.controller().device();
+    (
+        sim.writes_issued(),
+        sim.fingerprint(),
+        device.stats(),
+        reviver.counters(),
+        reviver.persisted_meta().to_bytes(),
+        device.silent_failures().to_vec(),
+    )
+}
+
+#[test]
+fn an_armed_but_quiet_plan_changes_nothing() {
+    // A plan whose only event is out of reach: the run must be the unarmed
+    // run, bit for bit, down to the durable metadata image.
+    for spec in SchemeRegistry::global().revivable() {
+        let label = spec.name;
+        let mut unarmed = steady_rig(label).build();
+        let plan = FaultPlan::new().power_loss_at_write(u64::MAX / 2);
+        let mut armed = steady_rig(label).fault_plan(plan).build();
+        let out = unarmed.run(StopCondition::Writes(STOP));
+        assert_eq!(armed.run(StopCondition::Writes(STOP)), out, "{label}");
+        assert_eq!(observed(&armed), observed(&unarmed), "{label}");
+        assert_eq!(
+            (armed.verify_all(), unarmed.verify_all()),
+            (0, 0),
+            "{label}"
+        );
+        let counters = armed.controller().device().fault_counters();
+        assert_eq!(counters, Some(Default::default()), "{label}: a fault fired");
+    }
+}
+
+#[test]
+fn the_fast_path_cuts_where_the_slow_path_cuts() {
+    // Cut points from the healthy era into deep wear-out (this rig's
+    // memory is gone by device write ~36 500), and one plan
+    // that conceals a failure first: with the quiet-index fast write
+    // available the schedule must fire on the same device writes, leave
+    // the same durable image behind, and recover to the same state as the
+    // full protocol does.
+    let mut plans: Vec<(String, FaultPlan)> = [9_000u64, 17_001, 24_000, 30_999]
+        .iter()
+        .map(|&k| (format!("cut@{k}"), FaultPlan::new().power_loss_at_write(k)))
+        .collect();
+    plans.push((
+        "silent@20000 cut@26000".into(),
+        FaultPlan::new()
+            .silent_failure_at_write(20_000)
+            .power_loss_at_write(26_000),
+    ));
+    for spec in SchemeRegistry::global().revivable() {
+        for (what, plan) in &plans {
+            let label = format!("{} {what}", spec.name);
+            let mut fast = steady_rig(spec.name).fault_plan(plan.clone()).build();
+            let mut slow = rig(spec.name).fault_plan(plan.clone()).build();
+            let cut = fast.run(StopCondition::Writes(STOP));
+            assert_eq!(cut, slow.run(StopCondition::Writes(STOP)), "{label}");
+            assert_eq!(cut.reason, StopReason::PowerLoss, "{label}: never fired");
+            assert_eq!(observed(&fast), observed(&slow), "{label}: at the cut");
+            let device = |sim: &Simulation| sim.controller().device().fault_counters();
+            assert_eq!(device(&fast), device(&slow), "{label}");
+            assert_eq!(fast.recover(), slow.recover(), "{label}");
+            let end = fast.run(StopCondition::Writes(STOP));
+            assert_eq!(end, slow.run(StopCondition::Writes(STOP)), "{label}");
+            assert_eq!(observed(&fast), observed(&slow), "{label}: at the end");
+            assert_eq!(device(&fast), device(&slow), "{label}");
+            assert_eq!((fast.verify_all(), slow.verify_all()), (0, 0), "{label}");
+        }
+    }
+    let silent = &plans.last().expect("pushed above").1;
+    let mut sim = steady_rig("reviver-sg").fault_plan(silent.clone()).build();
+    sim.run(StopCondition::Writes(STOP));
+    let log = sim.controller().device().silent_failures();
+    assert_eq!(log.len(), 1, "the concealed failure never fired");
+}
