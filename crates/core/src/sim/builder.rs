@@ -3,12 +3,12 @@
 //! and a workload.
 
 use super::oracle::Oracle;
-use super::Simulation;
+use super::{Simulation, LOOKAHEAD};
 use crate::metrics::TimeSeries;
 use crate::registry::{DeviceParts, SchemeRegistry, StackCtx, StackKnobs, StackSpec};
 use crate::reviver::TraceRingSink;
 use wlr_base::rng::Rng;
-use wlr_base::Geometry;
+use wlr_base::{AppAddr, Geometry};
 use wlr_os::OsMemory;
 use wlr_pcm::{Ecp, ErrorCorrection, FaultPlan, Payg};
 use wlr_trace::{UniformWorkload, Workload};
@@ -337,6 +337,8 @@ impl SimulationBuilder {
             os,
             controller,
             workload,
+            lookahead: [AppAddr::new(0); LOOKAHEAD],
+            drawn_at: LOOKAHEAD,
             writes_issued: 0,
             seq: 0,
             series: TimeSeries::new(),
