@@ -13,10 +13,12 @@
 //!
 //! # Adding a backend
 //!
-//! 1. Implement [`WearLeveler`] (in `crates/wl`). Algebraic mappings
-//!    (Start-Gap registers, Security Refresh keys) and table-mapped ones
-//!    (SoftWear's indirection table) are both fine — the framework only
-//!    needs `map`/`inverse` and the migration protocol.
+//! 1. Implement [`WearLeveler`] (in `crates/wl`) and add one
+//!    `leveler_laws` call to its tests, which checks the eight laws of
+//!    the trait's contract. Algebraic mappings (Start-Gap registers,
+//!    Security Refresh keys) and table-mapped ones (SoftWear's
+//!    indirection table) are both fine — the framework only needs
+//!    `map`/`inverse` and the migration protocol.
 //! 2. Append a [`StackSpec`] to [`SPECS`] — usually two: the bare stack
 //!    (frozen on the first failure) and the revived one via
 //!    [`StackCtx::revive`]. Scheme parameters nobody sweeps are constants

@@ -54,6 +54,8 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
+#[cfg(test)]
+mod laws;
 pub mod none;
 pub mod randomizer;
 pub mod security_refresh;
@@ -74,7 +76,7 @@ pub use softwear::SoftWear;
 pub use stacked::Stacked;
 pub use start_gap::StartGap;
 pub use tiled::TiledStartGap;
-pub use traits::{Migration, MigrationDas, WearLeveler};
+pub use traits::{Migration, WearLeveler};
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
@@ -86,5 +88,5 @@ pub mod prelude {
     pub use crate::stacked::Stacked;
     pub use crate::start_gap::StartGap;
     pub use crate::tiled::TiledStartGap;
-    pub use crate::traits::{Migration, MigrationDas, WearLeveler};
+    pub use crate::traits::{Migration, WearLeveler};
 }

@@ -333,78 +333,22 @@ impl WearLeveler for SecurityRefresh {
 mod tests {
     use super::*;
 
-    fn assert_bijection(wl: &SecurityRefresh) {
-        let mut hit = vec![false; wl.total_das() as usize];
-        for pa in 0..wl.len() {
-            let da = wl.map(Pa::new(pa));
-            assert!(da.index() < wl.total_das());
-            assert!(!hit[da.as_usize()], "two PAs map to {da}");
-            hit[da.as_usize()] = true;
-            assert_eq!(wl.inverse(da), Some(Pa::new(pa)), "inverse broken at {da}");
-        }
-        assert!(hit.iter().all(|&h| h), "mapping must be onto");
-    }
-
-    fn drive(wl: &mut SecurityRefresh, data: &mut [Option<u64>]) {
-        while let Some(m) = wl.pending() {
-            match m {
-                Migration::Swap { a, b } => data.swap(a.as_usize(), b.as_usize()),
-                Migration::Copy { .. } => panic!("SR emits swaps only"),
-            }
-            wl.complete_migration();
-        }
-    }
-
     #[test]
-    fn initial_mapping_is_bijective() {
-        let wl = SecurityRefresh::builder(64)
-            .region_blocks(16)
-            .seed(5)
-            .build();
-        assert_bijection(&wl);
-        assert_eq!(wl.num_regions(), 4);
-    }
-
-    #[test]
-    fn mapping_stays_bijective_through_rounds() {
-        let mut wl = SecurityRefresh::builder(32)
-            .region_blocks(8)
-            .refresh_interval(1)
-            .seed(7)
-            .build();
-        for step in 0..200 {
-            wl.record_write(Pa::new((step * 13) % 32));
-            while wl.pending().is_some() {
-                wl.complete_migration();
-                assert_bijection(&wl);
-            }
-        }
-    }
-
-    #[test]
-    fn swaps_preserve_data() {
-        let n = 64u64;
-        let mut wl = SecurityRefresh::builder(n)
-            .region_blocks(16)
-            .refresh_interval(1)
-            .seed(11)
-            .build();
-        // data[da] = the PA whose data lives there.
-        let mut data: Vec<Option<u64>> = vec![None; n as usize];
-        for pa in 0..n {
-            data[wl.map(Pa::new(pa)).as_usize()] = Some(pa);
-        }
-        for step in 0..500u64 {
-            wl.record_write(Pa::new(step % n));
-            drive(&mut wl, &mut data);
-            for pa in 0..n {
-                assert_eq!(
-                    data[wl.map(Pa::new(pa)).as_usize()],
-                    Some(pa),
-                    "data for PA {pa} lost at step {step}"
-                );
-            }
-        }
+    fn obeys_every_law() {
+        crate::laws::leveler_laws(
+            |n| {
+                SecurityRefresh::builder(n)
+                    .region_blocks(n & n.wrapping_neg())
+                    .refresh_interval(crate::laws::PSI)
+                    .seed(7)
+                    .build()
+            },
+            // A round swaps each block of an R-block region once, so a
+            // block waits at most R - 1 swaps: ψ(R - 1) writes to its
+            // region, which round-robin delivers R per sweep of N. A
+            // one-block region (odd N) never swaps.
+            |n| (n % 2 == 0).then_some((crate::laws::PSI + 1) * n),
+        );
     }
 
     #[test]
@@ -441,47 +385,6 @@ mod tests {
         if let Migration::Swap { a, b } = m {
             assert!(a.index() >= 16 && b.index() >= 16, "swap in wrong region");
         }
-    }
-
-    #[test]
-    fn keys_rotate_at_round_end() {
-        let mut wl = SecurityRefresh::builder(8)
-            .region_blocks(8)
-            .refresh_interval(1)
-            .seed(13)
-            .build();
-        let k1_before = wl.regions[0].k1;
-        // A round needs at most region_blocks swaps; drive well past it.
-        for _ in 0..64 {
-            wl.record_write(Pa::new(0));
-            while wl.pending().is_some() {
-                wl.complete_migration();
-            }
-        }
-        let r = &wl.regions[0];
-        assert_ne!(
-            (r.k0, r.k1),
-            (k1_before, k1_before),
-            "keys should have rotated"
-        );
-        assert_bijection(&wl);
-    }
-
-    #[test]
-    fn record_write_fast_matches_slow_path() {
-        let make = || {
-            SecurityRefresh::builder(64)
-                .region_blocks(16)
-                .refresh_interval(5)
-                .seed(9)
-                .build()
-        };
-        let pas: Vec<Pa> = (0..2_000u64).map(|i| Pa::new((i * 17) % 64)).collect();
-        let taken = crate::traits::check_fast_recording(&mut make(), &mut make(), &pas);
-        assert!(
-            (1..1_600).contains(&taken),
-            "fast recordings taken: {taken}"
-        );
     }
 
     #[test]
@@ -528,45 +431,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "without a pending")]
-    fn completing_nothing_panics() {
-        SecurityRefresh::builder(8)
-            .region_blocks(8)
-            .build()
-            .complete_migration();
-    }
-
-    #[test]
     fn label_and_sizes() {
         let wl = SecurityRefresh::builder(64).region_blocks(16).build();
         assert_eq!(wl.label(), "Security-Refresh");
         assert_eq!(wl.len(), 64);
         assert_eq!(wl.total_das(), 64);
         assert_eq!(wl.region_blocks(), 16);
-    }
-
-    #[test]
-    fn data_never_lost_under_random_traffic() {
-        let mut rng = wlr_base::rng::Rng::stream(0x5EC2, 0);
-        for _ in 0..24 {
-            let seed = rng.next_u64();
-            let n = 64u64;
-            let mut wl = SecurityRefresh::builder(n)
-                .region_blocks(16)
-                .refresh_interval(3)
-                .seed(seed)
-                .build();
-            let mut data: Vec<Option<u64>> = vec![None; n as usize];
-            for pa in 0..n {
-                data[wl.map(Pa::new(pa)).as_usize()] = Some(pa);
-            }
-            for _ in 0..rng.gen_range(300) {
-                wl.record_write(Pa::new(rng.gen_range(n)));
-                drive(&mut wl, &mut data);
-            }
-            for pa in 0..n {
-                assert_eq!(data[wl.map(Pa::new(pa)).as_usize()], Some(pa));
-            }
-        }
+        assert_eq!(wl.num_regions(), 4);
     }
 }

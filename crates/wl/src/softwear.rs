@@ -32,8 +32,10 @@ use wlr_base::{Da, Pa};
 pub struct SoftWearBuilder {
     len: u64,
     swap_interval: u64,
-    scan_window: u64,
 }
+
+/// Frames examined per cold scan (clamped to the space).
+const SCAN_WINDOW: u64 = 16;
 
 impl SoftWearBuilder {
     /// Serviced writes between successive hot↔cold swaps (default 100).
@@ -42,26 +44,19 @@ impl SoftWearBuilder {
         self
     }
 
-    /// Frames examined per cold scan (default 16, clamped to the space).
-    pub fn scan_window(mut self, window: u64) -> Self {
-        self.scan_window = window;
-        self
-    }
-
     /// Builds the scheme.
     ///
     /// # Panics
     ///
-    /// Panics if the space is empty or either interval/window is zero.
+    /// Panics if the space or the swap interval is zero.
     pub fn build(self) -> SoftWear {
         assert!(self.len > 0, "SoftWear needs a nonzero PA space");
         assert!(self.swap_interval > 0, "swap interval must be nonzero");
-        assert!(self.scan_window > 0, "scan window must be nonzero");
         let n = self.len as usize;
         SoftWear {
             len: self.len,
             swap_interval: self.swap_interval,
-            scan_window: self.scan_window.min(self.len),
+            scan_window: SCAN_WINDOW.min(self.len),
             table: (0..self.len).collect(),
             inverse: (0..self.len).collect(),
             wear: vec![0; n],
@@ -125,7 +120,6 @@ impl SoftWear {
         SoftWearBuilder {
             len,
             swap_interval: 100,
-            scan_window: 16,
         }
     }
 
@@ -270,68 +264,15 @@ impl WearLeveler for SoftWear {
 mod tests {
     use super::*;
 
-    fn assert_bijection(wl: &SoftWear) {
-        let mut hit = vec![false; wl.total_das() as usize];
-        for pa in 0..wl.len() {
-            let da = wl.map(Pa::new(pa));
-            assert!(da.index() < wl.total_das());
-            assert!(!hit[da.as_usize()], "two PAs map to {da}");
-            hit[da.as_usize()] = true;
-            assert_eq!(wl.inverse(da), Some(Pa::new(pa)), "inverse broken at {da}");
-        }
-        assert!(hit.iter().all(|&h| h), "mapping must be onto");
-    }
-
-    fn drive(wl: &mut SoftWear, data: &mut [Option<u64>]) {
-        while let Some(m) = wl.pending() {
-            match m {
-                Migration::Swap { a, b } => data.swap(a.as_usize(), b.as_usize()),
-                Migration::Copy { .. } => panic!("SoftWear emits swaps only"),
-            }
-            wl.complete_migration();
-        }
-    }
-
     #[test]
-    fn initial_mapping_is_identity_and_bijective() {
-        let wl = SoftWear::builder(64).build();
-        for pa in 0..64 {
-            assert_eq!(wl.map(Pa::new(pa)), Da::new(pa));
-        }
-        assert_bijection(&wl);
-    }
-
-    #[test]
-    fn mapping_stays_bijective_through_swaps() {
-        let mut wl = SoftWear::builder(32).swap_interval(1).build();
-        for step in 0..300 {
-            wl.record_write(Pa::new((step * 13) % 32));
-            while wl.pending().is_some() {
-                wl.complete_migration();
-                assert_bijection(&wl);
-            }
-        }
-    }
-
-    #[test]
-    fn swaps_preserve_data() {
-        let n = 64u64;
-        let mut wl = SoftWear::builder(n).swap_interval(2).build();
-        let mut data: Vec<Option<u64>> = vec![None; n as usize];
-        for pa in 0..n {
-            data[wl.map(Pa::new(pa)).as_usize()] = Some(pa);
-        }
-        for step in 0..800u64 {
-            wl.record_write(Pa::new(step % 7)); // skewed
-            drive(&mut wl, &mut data);
-            for pa in 0..n {
-                assert_eq!(
-                    data[wl.map(Pa::new(pa)).as_usize()],
-                    Some(pa),
-                    "data for PA {pa} lost at step {step}"
-                );
-            }
-        }
+    fn obeys_every_law() {
+        crate::laws::leveler_laws(
+            |n| SoftWear::builder(n).swap_interval(crate::laws::PSI).build(),
+            // No bound: swaps follow wear imbalance, and round-robin writes
+            // leave none, so at N = 3, 24 and 48 some blocks are never a
+            // migration target (where it rotates, the worst wait is 5N).
+            |_| None,
+        );
     }
 
     #[test]
@@ -372,7 +313,7 @@ mod tests {
 
     #[test]
     fn cold_scan_prefers_least_worn_frame() {
-        let mut wl = SoftWear::builder(8).swap_interval(4).scan_window(8).build();
+        let mut wl = SoftWear::builder(8).swap_interval(4).build();
         // Wear frames 0..4 heavily via their identity-mapped PAs, but keep
         // PA 0 hottest; frames 4..8 stay cold.
         for _ in 0..4 {
@@ -382,26 +323,6 @@ mod tests {
         if let Migration::Swap { a, b } = m {
             assert_eq!(a, Da::new(0), "hot side must be PA 0's frame");
             assert!(b.index() >= 1, "cold side must be an untouched frame");
-        }
-    }
-
-    #[test]
-    fn record_write_fast_matches_slow_path() {
-        let mut fast = SoftWear::builder(32).swap_interval(5).build();
-        let mut slow = SoftWear::builder(32).swap_interval(5).build();
-        for i in 0..200u64 {
-            let pa = Pa::new((i * 17) % 32);
-            if !fast.record_write_fast(pa) {
-                fast.record_write(pa);
-                while fast.pending().is_some() {
-                    fast.complete_migration();
-                }
-            }
-            slow.record_write(pa);
-            while slow.pending().is_some() {
-                slow.complete_migration();
-            }
-            assert_eq!(fast.table, slow.table, "divergence at write {i}");
         }
     }
 
@@ -432,66 +353,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "without a pending")]
-    fn completing_nothing_panics() {
-        SoftWear::builder(8).build().complete_migration();
-    }
-
-    #[test]
     fn label_and_sizes() {
         let wl = SoftWear::builder(64).build();
         assert_eq!(wl.label(), "SoftWear");
         assert_eq!(wl.len(), 64);
         assert_eq!(wl.total_das(), 64);
         assert_eq!(wl.swap_interval(), 100);
-    }
-
-    #[test]
-    fn clone_box_is_independent_and_identical() {
-        let mut wl = SoftWear::builder(32).swap_interval(3).build();
-        for i in 0..50u64 {
-            wl.record_write(Pa::new(i % 5));
-            while wl.pending().is_some() {
-                wl.complete_migration();
-            }
-        }
-        let mut a = wl.clone_box();
-        let mut b = wl.clone_box();
-        for i in 0..50u64 {
-            let pa = Pa::new(i % 32);
-            a.record_write(pa);
-            b.record_write(pa);
-            while a.pending().is_some() {
-                a.complete_migration();
-            }
-            while b.pending().is_some() {
-                b.complete_migration();
-            }
-            for pa in 0..32 {
-                assert_eq!(a.map(Pa::new(pa)), b.map(Pa::new(pa)));
-            }
-        }
-    }
-
-    #[test]
-    fn fuzzed_data_never_lost() {
-        let mut rng = wlr_base::rng::Rng::stream(0x50F7, 0);
-        for _ in 0..16 {
-            let n = 64u64;
-            let mut wl = SoftWear::builder(n)
-                .swap_interval(1 + rng.gen_range(5))
-                .build();
-            let mut data: Vec<Option<u64>> = vec![None; n as usize];
-            for pa in 0..n {
-                data[wl.map(Pa::new(pa)).as_usize()] = Some(pa);
-            }
-            for _ in 0..rng.gen_range(400) {
-                wl.record_write(Pa::new(rng.gen_range(n)));
-                drive(&mut wl, &mut data);
-            }
-            for pa in 0..n {
-                assert_eq!(data[wl.map(Pa::new(pa)).as_usize()], Some(pa));
-            }
-        }
     }
 }

@@ -45,73 +45,6 @@ pub enum Migration {
     },
 }
 
-/// Up to two device blocks named by a [`Migration`], stored inline.
-///
-/// A migration touches one block (`Copy`) or two (`Swap`); returning this
-/// instead of a `Vec<Da>` keeps [`Migration::write_targets`] and
-/// [`Migration::read_sources`] allocation-free on the write hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MigrationDas {
-    das: [Da; 2],
-    len: u8,
-}
-
-impl MigrationDas {
-    fn one(da: Da) -> Self {
-        MigrationDas {
-            das: [da, da],
-            len: 1,
-        }
-    }
-
-    fn two(a: Da, b: Da) -> Self {
-        MigrationDas {
-            das: [a, b],
-            len: 2,
-        }
-    }
-
-    /// The blocks as a slice (length 1 or 2).
-    pub fn as_slice(&self) -> &[Da] {
-        &self.das[..self.len as usize]
-    }
-}
-
-impl core::ops::Deref for MigrationDas {
-    type Target = [Da];
-
-    fn deref(&self) -> &[Da] {
-        self.as_slice()
-    }
-}
-
-impl IntoIterator for MigrationDas {
-    type Item = Da;
-    type IntoIter = core::iter::Take<core::array::IntoIter<Da, 2>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.das.into_iter().take(self.len as usize)
-    }
-}
-
-impl Migration {
-    /// The device blocks this migration writes into.
-    pub fn write_targets(&self) -> MigrationDas {
-        match *self {
-            Migration::Copy { dst, .. } => MigrationDas::one(dst),
-            Migration::Swap { a, b } => MigrationDas::two(a, b),
-        }
-    }
-
-    /// The device blocks this migration reads from.
-    pub fn read_sources(&self) -> MigrationDas {
-        match *self {
-            Migration::Copy { src, .. } => MigrationDas::one(src),
-            Migration::Swap { a, b } => MigrationDas::two(a, b),
-        }
-    }
-}
-
 impl fmt::Display for Migration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -125,12 +58,30 @@ impl fmt::Display for Migration {
 ///
 /// # Contract
 ///
-/// * `map` is a bijection from the `len()` PAs into the `total_das()`
-///   device blocks; `inverse(map(pa)) == Some(pa)` at every instant.
-/// * `pending()` is stable until `complete_migration()` or the next
-///   `record_write` that arms further work; completing with no pending
-///   migration panics (a protocol violation).
-/// * After `complete_migration()`, `map` reflects the migrated layout.
+/// Eight laws, each checked for every scheme by the crate's law suite
+/// (`laws.rs`; every scheme's tests call `leveler_laws` once):
+///
+/// 1. **bijection**: `map` is injective into `[0, total_das())`,
+///    `inverse(map(pa)) == Some(pa)`, and the `total_das() − len()`
+///    unmapped blocks invert to `None`, at every instant.
+/// 2. **pending_stable**: `pending()` answers the same until the state
+///    changes (`record_write`, a `true` `record_write_fast`,
+///    `complete_migration`); completing with nothing pending panics.
+/// 3. **copy_into_buffer**: a [`Migration::Copy`]'s `dst` is unmapped
+///    until it completes (Theorem 3's premise); afterwards `src`'s PA
+///    maps to `dst` and `src` is unmapped.
+/// 4. **moves_only_named**: a [`Migration::Swap`] exchanges exactly its
+///    two blocks' PAs; no migration moves any other PA.
+/// 5. **data_follows_mapping**: moving each migration's data on the
+///    device keeps the last data written to every `pa` at `map(pa)`.
+/// 6. **fast_recording**: the [`record_write_fast`](Self::record_write_fast)
+///    contract below.
+/// 7. **clone_identical**: a [`clone_box`](Self::clone_box) driven with
+///    the same ops stays state-equal to the original.
+/// 8. **every_da_rotates**: under round-robin writes, every device block
+///    is a migration target within a bound on writes stated per scheme
+///    (none for [`crate::NoWearLeveling`], nor for [`crate::SoftWear`],
+///    whose cold scan can pass a block over indefinitely).
 pub trait WearLeveler: fmt::Debug + Send {
     /// Number of physical addresses (software-visible blocks) managed.
     fn len(&self) -> u64;
@@ -172,6 +123,7 @@ pub trait WearLeveler: fmt::Debug + Send {
     /// The default declines, which is always correct; schemes override it
     /// purely as an optimization. A `true` return must be bit-identical
     /// to `record_write(pa)` with `pending()` staying `None` throughout.
+    /// The law suite checks both halves on every write it drives.
     fn record_write_fast(&mut self, _pa: Pa) -> bool {
         false
     }
@@ -202,80 +154,9 @@ impl Clone for Box<dyn WearLeveler> {
     }
 }
 
-/// Drives `wl` until no migration is pending, applying each migration with
-/// `apply`. Test/bootstrap helper for callers that never defer migrations.
-pub fn drain_migrations<W, F>(wl: &mut W, mut apply: F)
-where
-    W: WearLeveler + ?Sized,
-    F: FnMut(Migration),
-{
-    while let Some(m) = wl.pending() {
-        apply(m);
-        wl.complete_migration();
-    }
-}
-
-/// The [`WearLeveler::record_write_fast`] contract, checked over `pas` on
-/// two instances in the same state: a decline leaves `fast` untouched, a
-/// fast recording never coexists with a pending migration, and driving
-/// `fast` as the controller does (fast recording first, the full protocol
-/// when it declines) stays state-for-state equal to `slow`'s plain
-/// `record_write`. Every other write leaves its migrations owed until the
-/// next, so the declines while something is pending are exercised too.
-/// Returns how many recordings took the fast exit.
-#[cfg(test)]
-pub(crate) fn check_fast_recording<W: WearLeveler>(
-    fast: &mut W,
-    slow: &mut W,
-    pas: &[Pa],
-) -> usize {
-    let mut taken = 0;
-    for (i, &pa) in pas.iter().enumerate() {
-        let before = format!("{fast:?}");
-        let drain = |wl: &mut W| {
-            while i % 2 == 0 && wl.pending().is_some() {
-                wl.complete_migration();
-            }
-        };
-        if fast.record_write_fast(pa) {
-            assert!(fast.pending().is_none(), "fast recording with work owed");
-            taken += 1;
-        } else {
-            assert_eq!(format!("{fast:?}"), before, "a decline must touch nothing");
-            fast.record_write(pa);
-            drain(fast);
-        }
-        slow.record_write(pa);
-        drain(slow);
-        assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "write {i}");
-    }
-    taken
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn migration_targets_and_sources() {
-        let c = Migration::Copy {
-            src: Da::new(1),
-            dst: Da::new(2),
-        };
-        assert_eq!(c.write_targets().as_slice(), &[Da::new(2)]);
-        assert_eq!(c.read_sources().as_slice(), &[Da::new(1)]);
-        let s = Migration::Swap {
-            a: Da::new(3),
-            b: Da::new(4),
-        };
-        assert_eq!(s.write_targets().as_slice(), &[Da::new(3), Da::new(4)]);
-        assert_eq!(s.read_sources().as_slice(), &[Da::new(3), Da::new(4)]);
-        assert_eq!(s.write_targets().into_iter().count(), 2);
-        assert_eq!(
-            c.read_sources().into_iter().collect::<Vec<_>>(),
-            vec![Da::new(1)]
-        );
-    }
 
     #[test]
     fn migration_display() {
