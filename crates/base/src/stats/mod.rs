@@ -5,14 +5,10 @@ pub mod hist;
 pub mod normal;
 pub mod order;
 pub mod quantile;
-pub mod registry;
 pub mod summary;
 
 pub use hist::{LatencyHistogram, WearHistogram};
 pub use normal::{normal_cdf, normal_inv_cdf};
 pub use order::OrderStatistics;
 pub use quantile::QuantileSet;
-pub use registry::{
-    parse_exposition, Counter, Gauge, HistogramSnapshot, LogHistogram, MetricsRegistry, Sample,
-};
 pub use summary::{coefficient_of_variation, mean, percentile, variance, Histogram, Summary};

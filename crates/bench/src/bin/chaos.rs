@@ -25,10 +25,7 @@
 use wl_reviver::sim::EccKind;
 use wl_reviver::DurableImage;
 use wlr_base::env::env_u64;
-use wlr_mc::{
-    BankChaos, CrashPoint, FaultPlan, McFrontend, McOutcome, McStopPolicy, McStopReason,
-    QuarantineImage,
-};
+use wlr_mc::{BankChaos, CrashPoint, FaultPlan, McFrontend, McOutcome, McStopPolicy, McStopReason};
 use wlr_trace::UniformWorkload;
 
 const BANKS: usize = 8;
@@ -80,24 +77,6 @@ fn arm_storm(mc: &McFrontend, round: u64) {
             .power_loss_at_point(CrashPoint::MidSwitch, 5 + (b as u64 % 3));
         mc.inject_chaos(b, BankChaos::Faults(plan));
     }
-}
-
-/// A daemon reboot: a fresh front-end, every bank rebooted from its
-/// durable image (§III-B: wear, retirement order, reviver metadata —
-/// core's `restore_durable`), quarantine re-applied.
-fn reboot(seed: u64, snaps: &[DurableImage], qimg: &Option<QuarantineImage>) -> McFrontend {
-    let mut fresh = build(seed);
-    for (bank, snap) in fresh.banks_mut().iter_mut().zip(snaps) {
-        bank.sim_mut()
-            .restore_durable(snap)
-            .expect("a captured image restores into the rebuilt bank");
-    }
-    if let Some(q) = qimg {
-        fresh
-            .restore_quarantine(q)
-            .expect("a captured quarantine image fits the rebuilt front-end");
-    }
-    fresh
 }
 
 /// Directory read-back: every line the quarantine rescued or redirected
@@ -210,7 +189,11 @@ fn main() {
         prior_migrated += gen_out.migrated_lines;
         let snaps: Vec<DurableImage> = mc.banks().iter().map(|b| b.sim().durable_image()).collect();
         let qimg = mc.quarantine_image();
-        mc = reboot(seed, &snaps, &qimg);
+        // A fresh front-end, every bank rebooted from its durable image
+        // (§III-B), quarantine re-applied.
+        mc = build(seed);
+        mc.reboot(&snaps, qimg.as_ref())
+            .expect("a captured image reboots the rebuilt front-end");
         assert_eq!(
             mc.quarantine_image().as_ref(),
             qimg.as_ref(),

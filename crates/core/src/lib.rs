@@ -80,8 +80,8 @@ pub use registry::{SchemeRegistry, StackSpec, UnknownStack};
 #[cfg(feature = "trace-events")]
 pub use reviver::JsonlSink;
 pub use reviver::{
-    EventSink, InvariantSink, MetricsSink, NoopSink, RecoveryPhase, RevivalMetrics,
-    RevivedController, ReviverCounters, ReviverEvent, TraceRingSink, ViolationKind,
+    EventSink, InvariantSink, NoopSink, RecoveryPhase, RevivedController, ReviverCounters,
+    ReviverEvent, TraceRingSink, ViolationKind,
 };
 pub use sim::{AppRead, BatchStatus, SimSnapshot, Simulation, StopCondition};
 pub use zombie::ZombieController;

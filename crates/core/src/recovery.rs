@@ -177,7 +177,7 @@ impl PersistedMeta {
 }
 
 /// One simulation's durable state — everything the paper models as
-/// surviving a power-off, in the form a daemon writes to disk: captured by
+/// surviving a power-off: captured by
 /// [`crate::sim::Simulation::durable_image`], replayed into a freshly built
 /// simulation of the same configuration by
 /// [`crate::sim::Simulation::restore_durable`]. Volatile state (leveler

@@ -7,7 +7,7 @@
 //! `(WearLeveler, Controller)` pair from a [`StackCtx`] — and the
 //! [`SchemeRegistry`] is the single source of truth consumed by
 //! [`crate::sim::SimulationBuilder`], every bench bin, `wlr-fleet`,
-//! `wlr-mc`, `wlr-serve`, and the test harnesses. Adding a scheme is one
+//! `wlr-mc` and the test harnesses. Adding a scheme is one
 //! `WearLeveler` impl plus one entry in [`SPECS`]; every sweep, golden,
 //! crash harness and fleet campaign picks it up by iteration.
 //!

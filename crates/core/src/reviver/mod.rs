@@ -53,7 +53,6 @@
 //!   request-facing surface).
 
 pub mod events;
-pub mod obs;
 
 mod chain;
 mod frontend;
@@ -70,7 +69,6 @@ pub use events::{
     EventSink, NoopSink, RecoveryPhase, ReviverCounters, ReviverEvent, TraceRingSink, ViolationKind,
 };
 pub use invariants::InvariantSink;
-pub use obs::{MetricsSink, RevivalMetrics};
 
 use crate::cache::RemapCache;
 use crate::controller::RequestStats;

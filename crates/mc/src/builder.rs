@@ -13,9 +13,7 @@ use wlr_base::Geometry;
 
 use crate::degrade::{ChaosSlot, Quarantine, Wreckage, LOCAL_MASK, LOGICAL_SHIFT};
 use crate::pipeline::BankSync;
-use crate::{
-    Bank, LatencyHistogram, McFrontend, McStopPolicy, PipeAccum, Steering, WriteBuffer, WriteQueue,
-};
+use crate::{Bank, LatencyHistogram, McFrontend, McStopPolicy, Steering, WriteBuffer, WriteQueue};
 
 /// Per-bank seed streams are derived as `mix(seed, SALT ^ bank)` so the
 /// banks' endurance maps and keys are independent of each other and of
@@ -68,7 +66,6 @@ pub struct McFrontendBuilder {
     steering: bool,
     drain_workers: usize,
     record_issue: bool,
-    span_sample: u64,
     stop_policy: McStopPolicy,
     degraded: bool,
 }
@@ -94,7 +91,6 @@ impl McFrontend {
             steering: false,
             drain_workers: 0,
             record_issue: false,
-            span_sample: 0,
             stop_policy: McStopPolicy::FirstBankDead,
             degraded: false,
         }
@@ -189,15 +185,6 @@ impl McFrontendBuilder {
     /// memory proportional to issued writes; default off).
     pub fn record_issue(mut self, on: bool) -> Self {
         self.record_issue = on;
-        self
-    }
-
-    /// Sample one in `n` submits for wall-clock span timing
-    /// (enqueue → provably serviced); 0 (default) disables sampling.
-    /// Spans land in the histogram installed via
-    /// [`McFrontend::set_span_histogram`].
-    pub fn span_sample(mut self, n: u64) -> Self {
-        self.span_sample = n;
         self
     }
 
@@ -325,12 +312,6 @@ impl McFrontendBuilder {
             addr_buf: Vec::new(),
             workers_active: false,
             drain_workers: self.drain_workers,
-            pipe: PipeAccum::new(),
-            span_sample: self.span_sample,
-            span_countdown: self.span_sample.max(1),
-            span_hist: None,
-            span_pending: vec![None; self.banks],
-            span_probes: vec![None; self.banks],
             steer: self
                 .steering
                 .then(|| Steering::new(self.banks, STEER_EPOCH)),

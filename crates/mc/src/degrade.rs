@@ -363,11 +363,6 @@ impl McFrontend {
                 s.note_flush(logical, t, k);
             }
         }
-        // A redirected batch is provably serviced the moment it lands in
-        // the directory, so a pending span completes here.
-        if let Some(t0) = self.span_pending[logical].take() {
-            self.record_span(t0);
-        }
     }
 
     /// Marks physical bank `phys` dead in the lagged mirror (idempotent).

@@ -1,6 +1,6 @@
 //! The submit-side flush path: routing a line to its queue, the
 //! round-robin age probe, flushing a queue toward its bank, the lag-one
-//! death sync, span probes, and the stop policy.
+//! death sync, and the stop policy.
 
 use std::sync::atomic::Ordering;
 
@@ -18,21 +18,6 @@ impl McFrontend {
         }
         if self.queues[b].is_empty() {
             self.oldest_arrival[b] = self.tick;
-        }
-        if self.span_sample != 0 {
-            // Countdown instead of `requests % span_sample`: a hardware
-            // division per request costs double-digit percent of the
-            // whole service loop at high bank counts.
-            self.span_countdown -= 1;
-            if self.span_countdown == 0 {
-                self.span_countdown = self.span_sample;
-                if self.span_pending[b].is_none() {
-                    // Stamp this enqueue; the stamp rides the bank's next
-                    // flush and completes when the bank provably serviced
-                    // that batch.
-                    self.span_pending[b] = Some(std::time::Instant::now());
-                }
-            }
         }
         self.queues[b].push(local, self.tick);
     }
@@ -62,7 +47,6 @@ impl McFrontend {
         if self.queues[logical].is_empty() {
             return;
         }
-        let age = self.tick.saturating_sub(self.oldest_arrival[logical]);
         self.queues[logical].take_into(&mut self.entry_buf);
         self.oldest_arrival[logical] = u64::MAX;
         let home = self.steer.as_ref().map_or(logical, |s| s.route(logical));
@@ -70,13 +54,9 @@ impl McFrontend {
         // batch (the deterministic lag; see crate docs), then decide
         // whether the fleet as a whole is dead.
         self.sync_bank(home);
-        // `sync_bank` just proved the bank consumed every prior batch, so
-        // any outstanding span probe on it is complete.
-        self.complete_span_probe(home);
         self.check_stop();
         self.drains += 1;
         let k = self.entry_buf.len() as u64;
-        self.pipe.note_flush(k, age);
         // Resolve the quarantine substitute chain *after* the sync: if
         // the sync just quarantined the home bank, this very batch
         // already reroutes instead of landing on a dead ring.
@@ -107,11 +87,6 @@ impl McFrontend {
             s.note_flush(logical, phys, k);
         }
         self.flushed[phys] += k;
-        if self.span_sample != 0 {
-            if let Some(t0) = self.span_pending[logical].take() {
-                self.span_probes[phys] = Some((self.flushed[phys], t0));
-            }
-        }
         if self.workers_active {
             let mut pushed = 0usize;
             loop {
@@ -124,27 +99,6 @@ impl McFrontend {
             }
         } else {
             pipeline::service(&mut self.banks[phys], &self.sync[phys], &self.addr_buf);
-        }
-    }
-
-    /// Completes the bank's outstanding span probe if its batch has been
-    /// consumed, recording enqueue→serviced wall-clock nanoseconds.
-    pub(crate) fn complete_span_probe(&mut self, phys: usize) {
-        if self.span_sample == 0 {
-            return;
-        }
-        if let Some((target, t0)) = self.span_probes[phys] {
-            if self.sync[phys].consumed.load(Ordering::Acquire) >= target {
-                self.record_span(t0);
-                self.span_probes[phys] = None;
-            }
-        }
-    }
-
-    /// Records one sampled enqueue→serviced span, in nanoseconds.
-    pub(crate) fn record_span(&self, t0: std::time::Instant) {
-        if let Some(h) = &self.span_hist {
-            h.record(t0.elapsed().as_nanos() as u64);
         }
     }
 

@@ -41,12 +41,13 @@
 //!
 //! # Files
 //!
-//! * this file — the [`McFrontend`] state, accessors, `submit` / `finish` / `run`;
+//! * this file — the [`McFrontend`] state, accessors, `submit` / `finish` / `run`
+//!   and the array `reboot`;
 //! * `builder` — [`McFrontendBuilder`]: configuration, setters, `build`;
 //! * `pipeline` — the bank hand-off protocol, written once; `with_pipeline`;
 //! * `flush` — `enqueue`, age probe, `flush_bank`, death sync, stop policy;
 //! * [`degrade`] — quarantine types and the front-end methods acting on them;
-//! * [`bank`], [`queue`], [`wbuf`], [`steer`], [`stats`], [`obs`] — as above.
+//! * [`bank`], [`queue`], [`wbuf`], [`steer`], [`stats`] — as above.
 //!
 //! # Example
 //!
@@ -72,7 +73,6 @@ pub mod bank;
 mod builder;
 pub mod degrade;
 mod flush;
-pub mod obs;
 mod pipeline;
 pub mod queue;
 pub mod stats;
@@ -82,7 +82,6 @@ pub mod wbuf;
 pub use bank::Bank;
 pub use builder::McFrontendBuilder;
 pub use degrade::{BankChaos, ChaosSlot, McReadError, QuarantineImage, RetryPolicy, DIR_TAG_BASE};
-pub use obs::{BankPipeStat, PipeAccum, PipelineSnapshot};
 pub use queue::{QueueEntry, WriteQueue};
 pub use stats::{BankReport, LatencyHistogram, McOutcome, McStopPolicy, McStopReason};
 pub use steer::Steering;
@@ -91,17 +90,15 @@ pub use wbuf::WriteBuffer;
 // `arm_bank_faults` without a direct wlr-pcm dependency.
 pub use wlr_pcm::{CrashPoint, FaultPlan};
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use wl_reviver::metrics::WearHistogram;
-use wl_reviver::Simulation;
+use wl_reviver::{DurableImage, RecoveryReport, Simulation, TornMeta};
 
 use builder::BankConfig;
 use degrade::{Quarantine, Wreckage};
 use pipeline::BankSync;
 use wlr_base::interleave::InterleaveMap;
 use wlr_base::spsc::{Consumer, Producer};
-use wlr_base::stats::registry::LogHistogram;
 use wlr_trace::Workload;
 
 /// The multi-bank memory-controller front-end. See the crate docs.
@@ -155,24 +152,6 @@ pub struct McFrontend {
     /// Whether pinned workers currently own the banks and consumers.
     workers_active: bool,
     drain_workers: usize,
-    /// Always-on flush-path accumulators (batch sizes, flush ages).
-    pipe: PipeAccum,
-    /// Span sampling period (0 = off); see
-    /// [`McFrontendBuilder::span_sample`].
-    span_sample: u64,
-    /// Requests until the next sampled span (counts down from
-    /// `span_sample`; unused when sampling is off).
-    span_countdown: u64,
-    /// Destination for sampled span timings (nanoseconds).
-    span_hist: Option<LogHistogram>,
-    /// Per *logical* bank: wall-clock stamp of a sampled enqueue waiting
-    /// to ride the bank's next flush.
-    span_pending: Vec<Option<std::time::Instant>>,
-    /// Per *physical* bank: an in-flight probe `(flushed target, t0)` —
-    /// completed once the bank's `consumed` count reaches the target.
-    /// `sync_bank` guarantees at most one batch is in flight per bank,
-    /// so a probe is always complete by the bank's next flush.
-    span_probes: Vec<Option<(u64, std::time::Instant)>>,
     steer: Option<Steering>,
     /// Quarantine state; present only in degraded mode.
     degrade: Option<Quarantine>,
@@ -214,13 +193,6 @@ impl McFrontend {
         self.flushed.len()
     }
 
-    /// Installs the destination histogram for sampled span timings (see
-    /// [`McFrontendBuilder::span_sample`]). Spans are recorded in
-    /// nanoseconds.
-    pub fn set_span_histogram(&mut self, hist: LogHistogram) {
-        self.span_hist = Some(hist);
-    }
-
     /// Mutable access to bank `bank`'s simulation — for sink attachment
     /// and state restoration between runs.
     ///
@@ -230,50 +202,6 @@ impl McFrontend {
     pub fn bank_sim_mut(&mut self, bank: usize) -> &mut Simulation {
         assert!(!self.workers_active, "banks are owned by drain workers");
         self.banks[bank].sim_mut()
-    }
-
-    /// Assembles a point-in-time [`PipelineSnapshot`]. Safe to call
-    /// while pinned workers are live: per-bank progress comes from the
-    /// same `BankSync` publication the death-lag protocol maintains, so
-    /// per-bank numbers may lag the workers by the in-flight batch but
-    /// are never torn.
-    pub fn pipeline_snapshot(&self) -> PipelineSnapshot {
-        let banks = (0..self.flushed.len())
-            .map(|i| {
-                let consumed = self.sync[i].consumed.load(Ordering::Acquire);
-                BankPipeStat {
-                    bank: i,
-                    flushed: self.flushed[i],
-                    consumed,
-                    occupancy: self.flushed[i].saturating_sub(consumed),
-                    busy_until: self.busy_until[i],
-                    dead: self.bank_dead[i],
-                }
-            })
-            .collect();
-        let (p50, p99, p999) = if self.latency.is_empty() {
-            (0, 0, 0)
-        } else {
-            (self.latency.p50(), self.latency.p99(), self.latency.p999())
-        };
-        PipelineSnapshot {
-            requests: self.requests,
-            ticks: self.tick,
-            drains: self.drains,
-            accum: self.pipe.clone(),
-            steer_rotations: self.steer.as_ref().map_or(0, Steering::rotations),
-            p50_ticks: p50,
-            p99_ticks: p99,
-            p999_ticks: p999,
-            quarantines: self.degrade.as_ref().map_or(0, |q| q.quarantines),
-            redirected: self.degrade.as_ref().map_or(0, |q| q.redirected),
-            migrated_lines: self.degrade.as_ref().map_or(0, |q| q.migrated_lines),
-            directory_lines: self
-                .degrade
-                .as_ref()
-                .map_or(0, |q| q.directory.len() as u64),
-            banks,
-        }
     }
 
     /// A fresh standalone simulation configured identically to bank
@@ -316,6 +244,47 @@ impl McFrontend {
         &mut self.banks
     }
 
+    /// Reboots a *freshly built* front-end from what survived the power-off:
+    /// each bank from its [`DurableImage`] through
+    /// [`Simulation::restore_durable`] (whose recovery scan emits into any
+    /// attached sinks), then the quarantine state, so a degraded array
+    /// resumes serving at N−k without rediscovering its deaths. Returns the
+    /// per-bank recovery reports, in bank order.
+    ///
+    /// # Errors
+    ///
+    /// [`TornMeta`] when `images` holds another number of banks, a bank's
+    /// image does not fit it (the first such bank's error), or the
+    /// quarantine image does not fit the front-end.
+    ///
+    /// # Panics
+    ///
+    /// Panics while pinned workers own the banks, or when given a
+    /// quarantine image outside degraded mode.
+    pub fn reboot(
+        &mut self,
+        images: &[DurableImage],
+        quarantine: Option<&QuarantineImage>,
+    ) -> Result<Vec<RecoveryReport>, TornMeta> {
+        if images.len() != self.num_banks() {
+            return Err(TornMeta(format!(
+                "images of {} banks, front-end has {}",
+                images.len(),
+                self.num_banks()
+            )));
+        }
+        let reports = self
+            .banks_mut()
+            .iter_mut()
+            .zip(images)
+            .map(|(bank, img)| bank.sim_mut().restore_durable(img))
+            .collect::<Result<Vec<_>, _>>()?;
+        if let Some(q) = quarantine {
+            self.restore_quarantine(q)?;
+        }
+        Ok(reports)
+    }
+
     /// Submits one write request for global block `global`. May flush
     /// the target bank's batch when its queue is full.
     ///
@@ -343,14 +312,11 @@ impl McFrontend {
     /// covers everything submitted so far.
     pub fn finish(&mut self) -> McOutcome {
         self.run_dry();
-        // End of trace: full (no longer lagged) death reconciliation,
-        // and every ring is empty so outstanding span probes are all
-        // complete.
+        // End of trace: full (no longer lagged) death reconciliation.
         for phys in 0..self.banks.len() {
             if !self.banks[phys].alive() {
                 self.mark_dead(phys);
             }
-            self.complete_span_probe(phys);
         }
         self.check_stop();
         let mut wear = WearHistogram::new();

@@ -86,10 +86,9 @@ impl McFrontend {
     /// nothing extra happens — [`finish`](Self::finish) completes the
     /// drain in every mode.
     ///
-    /// [`run`](Self::run) is this around a workload loop; the service
-    /// daemon drives its admission ring through it directly and can keep
-    /// calling it (or `finish`, which leaves the front-end usable)
-    /// across service intervals.
+    /// [`run`](Self::run) is this around a workload loop; a caller that
+    /// submits its own requests drives them through it directly and can
+    /// keep calling it (or `finish`, which leaves the front-end usable).
     pub fn with_pipeline<R>(&mut self, drive: impl FnOnce(&mut Self) -> R) -> R {
         let workers = self.worker_threads();
         if workers <= 1 {

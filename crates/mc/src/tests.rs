@@ -204,42 +204,10 @@ fn with_pipeline_matches_run_bit_for_bit() {
 }
 
 #[test]
-fn span_sampling_records_and_snapshot_reflects_progress() {
-    let mut mc = McFrontend::builder()
-        .banks(2)
-        .total_blocks(1 << 12)
-        .endurance_mean(1e9)
-        .write_buffer_lines(0)
-        .span_sample(16)
-        .seed(21)
-        .build()
-        .unwrap();
-    let hist = LogHistogram::new();
-    mc.set_span_histogram(hist.clone());
-    let mut w = UniformWorkload::new(1 << 12, 21);
-    let out = mc.run(&mut w, 10_000);
-    assert!(out.conserves_writes());
-    let spans = hist.snapshot();
-    assert!(spans.count > 0, "sampled spans must have completed");
-    let snap = mc.pipeline_snapshot();
-    assert_eq!(snap.requests, 10_000);
-    assert_eq!(snap.drains, out.drains);
-    assert_eq!(snap.accum.batches, out.drains);
-    // Coalesced rewrites never leave the queue as distinct entries.
-    assert_eq!(snap.accum.batch_entries, out.issued);
-    assert_eq!(snap.total_occupancy(), 0, "finish() ran the rings dry");
-    assert_eq!(snap.p999_ticks, out.latency.p999());
-    assert!(snap.accum.mean_batch() > 1.0);
-    for b in &snap.banks {
-        assert_eq!(b.flushed, b.consumed);
-    }
-}
-
-#[test]
 fn publication_reads_the_same_inline_and_threaded() {
-    // One service function publishes for both modes, so the snapshot the
-    // daemon scrapes — not only the outcome — must agree bank by bank,
-    // on a run in which a bank dies and later batches park at it.
+    // One service function publishes for both modes, so a run in which a
+    // bank dies and later batches park at it must end the same bank by
+    // bank whether a worker or the submitting thread serviced it.
     let run = |workers: usize| {
         let mut mc = McFrontend::builder()
             .banks(4)
@@ -253,43 +221,21 @@ fn publication_reads_the_same_inline_and_threaded() {
             .unwrap();
         mc.inject_chaos(1, BankChaos::KillAfter(64));
         let mut w = UniformWorkload::new(1 << 12, 33);
-        let out = mc.run(&mut w, 20_000);
-        assert_eq!(out.quarantines, 1);
-        mc.pipeline_snapshot()
+        mc.run(&mut w, 20_000)
     };
     let inline = run(1);
     let threaded = run(2);
-    assert_eq!(inline.banks, threaded.banks);
-    assert_eq!(inline.dead_banks(), 1);
-    for b in &inline.banks {
-        assert_eq!(b.consumed, b.flushed, "bank {}", b.bank);
-        assert_eq!(b.occupancy, 0, "bank {}", b.bank);
-        assert_eq!(b.dead, b.bank == 1);
+    for out in [&inline, &threaded] {
+        assert_eq!(out.quarantines, 1);
+        for b in &out.banks {
+            assert_eq!(b.alive, b.bank != 1, "bank {}", b.bank);
+        }
     }
-}
-
-#[test]
-fn span_sampling_does_not_change_outcomes() {
-    let run = |sample: u64| {
-        let mut mc = McFrontend::builder()
-            .banks(4)
-            .total_blocks(1 << 12)
-            .endurance_mean(2_000.0)
-            .gap_interval(8)
-            .span_sample(sample)
-            .seed(11)
-            .build()
-            .unwrap();
-        let mut w = UniformWorkload::new(1 << 12, 11);
-        mc.run(&mut w, 40_000)
-    };
-    let on = run(64);
-    let off = run(0);
-    assert_eq!(on.issued, off.issued);
-    assert_eq!(on.ticks, off.ticks);
-    for (x, y) in on.banks.iter().zip(&off.banks) {
-        assert_eq!(x.fingerprint, y.fingerprint, "bank {} diverged", x.bank);
+    for (i, t) in inline.banks.iter().zip(&threaded.banks) {
+        assert_eq!(i.fingerprint, t.fingerprint, "bank {} diverged", i.bank);
+        assert_eq!(i.writes_issued, t.writes_issued, "bank {}", i.bank);
     }
+    assert_eq!(inline.issued, threaded.issued);
 }
 
 #[test]
@@ -404,13 +350,10 @@ fn quarantine_rescues_lines_and_keeps_serving() {
     assert_eq!(out.dropped, 0);
     assert!(out.redirected > 0);
     assert!(out.migrated_lines > 0);
-    let snap = mc.pipeline_snapshot();
-    assert_eq!(snap.quarantines, 1);
-    assert!(snap.directory_lines > 0);
-    assert_eq!(snap.dead_banks(), 1);
     // Every directory line reads back with its recorded tag.
     let img = mc.quarantine_image().unwrap();
-    assert!(img.dead[1]);
+    assert_eq!(img.dead, [false, true, false, false]);
+    assert!(!img.directory.is_empty());
     for &(global, tag) in &img.directory {
         assert_eq!(mc.read(global), Ok(Some(tag)));
     }

@@ -80,7 +80,7 @@ pub struct OsMemory {
     /// (`free.pop()`) and page-drop compaction (`swap_remove`) depend
     /// only on this order, so replaying it through [`Self::retire_page`]
     /// on a fresh instance reconstructs the whole table — the restart
-    /// path of the service daemon.
+    /// path of `Simulation::restore_durable`.
     retire_log: Vec<PageId>,
 }
 
