@@ -164,8 +164,7 @@ pub trait Controller: fmt::Debug + Send {
     /// Deep copy of the controller's full state (device image, leveler,
     /// link tables, spare pool, caches) — what a [`Simulation`] snapshot
     /// holds. The copy must behave bit-identically to the original under
-    /// the same request sequence; what it may leave behind is observers
-    /// (see the reviver's `SinkStack`), never simulated state.
+    /// the same request sequence.
     ///
     /// [`Simulation`]: crate::sim::Simulation
     fn fork_box(&self) -> Box<dyn Controller>;

@@ -77,11 +77,8 @@ pub use lls::LlsController;
 pub use metrics::{WearHistogram, WearReport};
 pub use recovery::{DurableImage, PersistedMeta, RecoveryReport, TornMeta};
 pub use registry::{SchemeRegistry, StackSpec, UnknownStack};
-#[cfg(feature = "trace-events")]
-pub use reviver::JsonlSink;
 pub use reviver::{
-    EventSink, InvariantSink, NoopSink, RecoveryPhase, RevivedController, ReviverCounters,
-    ReviverEvent, TraceRingSink, ViolationKind,
+    EventRing, RecoveryPhase, RevivedController, ReviverCounters, ReviverEvent, ViolationKind,
 };
 pub use sim::{AppRead, BatchStatus, SimSnapshot, Simulation, StopCondition};
 pub use zombie::ZombieController;

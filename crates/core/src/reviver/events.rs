@@ -1,25 +1,20 @@
 //! The typed event spine: every state transition the revival framework
-//! performs is emitted as a [`ReviverEvent`] into a stack of
-//! [`EventSink`]s.
+//! performs is emitted as a [`ReviverEvent`].
 //!
-//! The controller itself consumes its own events — [`ReviverCounters`]
-//! is folded inline on every emission — and any number of additional
-//! sinks can be stacked on top: the incremental invariant checker
-//! ([`super::InvariantSink`]), the bounded post-mortem ring buffer
-//! ([`TraceRingSink`]), or the JSONL file tracer (`JsonlSink`, behind
-//! the `trace-events` cargo feature). With no sinks attached, emission
-//! costs one match arm per event (the counter fold) and an empty-vec
-//! check — the hot path stays event-emission-free of allocations and
-//! device accesses by construction.
+//! The controller consumes its own events: [`ReviverCounters`] is folded
+//! inline on every emission, and the event is then pushed to the bounded
+//! post-mortem [`EventRing`] if one is attached
+//! ([`super::RevivedController::record_events`]). Without a ring,
+//! emission costs one match arm per event (the counter fold) and a
+//! `None` check — no allocation and no device access by construction.
 
-use super::RevivedController;
 use wlr_base::{Da, Pa, PageId};
 use wlr_pcm::CrashPoint;
 
 /// One state transition of the revival framework (paper §III).
 ///
 /// Events are plain data: emitting one performs no device access and no
-/// RNG draw, so an attached sink can never perturb a run's observable
+/// RNG draw, so recording them can never perturb a run's observable
 /// behavior (the golden-equivalence suite pins this down).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReviverEvent {
@@ -113,6 +108,8 @@ pub enum ReviverEvent {
         at: CrashPoint,
     },
     /// One phase of [`RevivedController::recover`] completed.
+    ///
+    /// [`RevivedController::recover`]: super::RevivedController::recover
     RecoveryStep {
         /// The recovery phase.
         phase: RecoveryPhase,
@@ -133,13 +130,11 @@ pub enum ReviverEvent {
         /// What was broken.
         kind: ViolationKind,
     },
-    /// The controller reached a quiescent point: no chain repair in
-    /// flight, not suspended, power on. Incremental checkers validate
-    /// their accumulated deltas here.
-    Quiesced,
 }
 
 /// The phases of [`RevivedController::recover`], in execution order.
+///
+/// [`RevivedController::recover`]: super::RevivedController::recover
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPhase {
     /// Re-deriving the retired-page layout from the persisted bitmap.
@@ -168,86 +163,12 @@ pub enum ViolationKind {
     UnlinkedDeadRead,
 }
 
-/// A consumer of [`ReviverEvent`]s.
-///
-/// Sinks are stacked on the controller ([`RevivedController::add_sink`]
-/// or [`super::RevivedControllerBuilder::sink`]) and called in order at
-/// every emission, with a read-only view of the controller for context.
-/// A sink must never access the device: events are observability, not
-/// behavior.
-pub trait EventSink: std::fmt::Debug + Send {
-    /// Observes one event. `ctl` is the emitting controller *after* the
-    /// transition the event describes.
-    fn on_event(&mut self, ctl: &RevivedController, ev: &ReviverEvent);
-
-    /// Whether this sink subscribes to [`ReviverEvent::Quiesced`]
-    /// markers. They fire once per serviced write — by far the
-    /// highest-volume event — so the controller skips the sink fan-out
-    /// for them entirely unless a stacked sink opts in. A sink that
-    /// ignores the marker must not cost a dynamic dispatch per write.
-    fn wants_quiesced(&self) -> bool {
-        false
-    }
-
-    /// Upcast for [`RevivedController::sink`] downcasting.
-    fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable upcast for [`RevivedController::sink_mut`] downcasting.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-}
-
-/// The sinks stacked on one controller, in attachment order, with the
-/// cached answer to "does any of them want [`ReviverEvent::Quiesced`]"
-/// (so the per-write emission skips the fan-out without a dispatch).
-///
-/// Observers are per-run (trace rings, metric exporters), not part of the
-/// simulated machine: `Clone` yields the *empty* stack. That one rule is
-/// everything a controller copy — and so a simulation snapshot or fork —
-/// leaves behind; the folded [`ReviverCounters`] are state and are copied.
-#[derive(Debug, Default)]
-pub(super) struct SinkStack {
-    pub(super) list: Vec<Box<dyn EventSink>>,
-    pub(super) wants_quiesced: bool,
-}
-
-impl Clone for SinkStack {
-    fn clone(&self) -> Self {
-        SinkStack::default()
-    }
-}
-
-impl SinkStack {
-    pub(super) fn push(&mut self, sink: Box<dyn EventSink>) {
-        self.wants_quiesced |= sink.wants_quiesced();
-        self.list.push(sink);
-    }
-}
-
-/// The zero-cost default sink: observes everything, records nothing.
-/// Exists so harnesses can prove that merely *dispatching* events is
-/// behavior-neutral (golden-equivalence satellite).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl EventSink for NoopSink {
-    fn on_event(&mut self, _ctl: &RevivedController, _ev: &ReviverEvent) {}
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 /// Event counters exposed for the experiments and ablations.
 ///
 /// The counters are a pure fold over the event stream
 /// ([`ReviverCounters::apply`]): the controller folds them inline on
-/// every emission, and the same fold is available as an [`EventSink`] so
-/// a recorded stream can be replayed into a fresh instance and compared
-/// (the event-replay property test).
+/// every emission, so a recorded stream replayed into a fresh instance
+/// reconstructs them (the event-replay property test).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReviverCounters {
     /// Failed blocks linked to virtual shadow blocks.
@@ -304,8 +225,7 @@ impl ReviverCounters {
             | ReviverEvent::MigrationResumed
             | ReviverEvent::PowerCut { .. }
             | ReviverEvent::RecoveryStep { .. }
-            | ReviverEvent::InvariantViolation { .. }
-            | ReviverEvent::Quiesced => {}
+            | ReviverEvent::InvariantViolation { .. } => {}
         }
     }
 
@@ -325,42 +245,35 @@ impl ReviverCounters {
     }
 }
 
-impl EventSink for ReviverCounters {
-    fn on_event(&mut self, _ctl: &RevivedController, ev: &ReviverEvent) {
-        self.apply(ev);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 /// A bounded ring buffer of the most recent events, for post-mortem
 /// dumps after a power cut or an invariant violation.
 ///
-/// [`ReviverEvent::Quiesced`] markers are not recorded — they fire once
-/// per successful request and would flush the interesting transitions
-/// out of a bounded window.
-#[derive(Debug)]
-pub struct TraceRingSink {
+/// The capacity only bounds eviction: the buffer grows as events arrive,
+/// so a huge capacity costs nothing until it is filled.
+#[derive(Debug, Clone)]
+pub struct EventRing {
     cap: usize,
     seq: u64,
     buf: std::collections::VecDeque<(u64, ReviverEvent)>,
 }
 
-impl TraceRingSink {
+impl EventRing {
     /// A ring holding the last `capacity` events (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        TraceRingSink {
-            cap,
+        EventRing {
+            cap: capacity.max(1),
             seq: 0,
-            buf: std::collections::VecDeque::with_capacity(cap),
+            buf: std::collections::VecDeque::new(),
         }
+    }
+
+    /// Records one event, evicting the oldest once the ring is full.
+    pub fn push(&mut self, ev: ReviverEvent) {
+        if self.buf.len() == self.cap {
+            self.buf.pop_front();
+        }
+        self.buf.push_back((self.seq, ev));
+        self.seq += 1;
     }
 
     /// Events currently held, oldest first, with their sequence numbers.
@@ -391,27 +304,6 @@ impl TraceRingSink {
             out.push('\n');
         }
         out
-    }
-}
-
-impl EventSink for TraceRingSink {
-    fn on_event(&mut self, _ctl: &RevivedController, ev: &ReviverEvent) {
-        if matches!(ev, ReviverEvent::Quiesced) {
-            return;
-        }
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back((self.seq, *ev));
-        self.seq += 1;
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -478,53 +370,8 @@ pub fn event_json(seq: u64, ev: &ReviverEvent) -> String {
             "\"event\":\"InvariantViolation\",\"da\":{},\"kind\":\"{kind:?}\"",
             da.index()
         ),
-        ReviverEvent::Quiesced => "\"event\":\"Quiesced\"".to_string(),
     };
     format!("{{\"seq\":{seq},{body}}}")
-}
-
-/// Appends every event as one JSON line to a file — the heavyweight
-/// tracing backend, compiled in only with the `trace-events` feature and
-/// switched on per run via the `WLR_TRACE_EVENTS` environment variable
-/// (the path to write).
-#[cfg(feature = "trace-events")]
-#[derive(Debug)]
-pub struct JsonlSink {
-    out: std::io::BufWriter<std::fs::File>,
-    seq: u64,
-}
-
-#[cfg(feature = "trace-events")]
-impl JsonlSink {
-    /// Creates (truncating) the trace file at `path`.
-    pub fn create(path: &str) -> std::io::Result<Self> {
-        Ok(JsonlSink {
-            out: std::io::BufWriter::new(std::fs::File::create(path)?),
-            seq: 0,
-        })
-    }
-}
-
-#[cfg(feature = "trace-events")]
-impl EventSink for JsonlSink {
-    fn on_event(&mut self, _ctl: &RevivedController, ev: &ReviverEvent) {
-        use std::io::Write;
-        let _ = writeln!(self.out, "{}", event_json(self.seq, ev));
-        self.seq += 1;
-    }
-
-    // The JSONL stream is a complete record, quiescent points included.
-    fn wants_quiesced(&self) -> bool {
-        true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -543,7 +390,7 @@ mod tests {
             dead_shadow: Da::new(5),
         });
         c.apply(&ReviverEvent::MetaSkipped { skipped: 4 });
-        c.apply(&ReviverEvent::Quiesced);
+        c.apply(&ReviverEvent::MigrationResumed);
         assert_eq!(c.links, 1);
         assert_eq!(c.switches, 1);
         assert_eq!(c.meta_skips, 4);
@@ -570,25 +417,10 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_newest_window() {
-        let mut ring = TraceRingSink::new(2);
-        // Feed events without a controller: exercise the buffer directly.
-        let evs = [
-            ReviverEvent::MigrationSuspended,
-            ReviverEvent::MigrationResumed,
-            ReviverEvent::Quiesced, // not recorded
-            ReviverEvent::LoopFormed { da: Da::new(1) },
-        ];
-        for ev in &evs {
-            // Mirror on_event's logic sans controller context.
-            if matches!(ev, ReviverEvent::Quiesced) {
-                continue;
-            }
-            if ring.buf.len() == ring.cap {
-                ring.buf.pop_front();
-            }
-            ring.buf.push_back((ring.seq, *ev));
-            ring.seq += 1;
-        }
+        let mut ring = EventRing::new(2);
+        ring.push(ReviverEvent::MigrationSuspended);
+        ring.push(ReviverEvent::MigrationResumed);
+        ring.push(ReviverEvent::LoopFormed { da: Da::new(1) });
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.seen(), 3);
         let kept: Vec<ReviverEvent> = ring.events().map(|(_, e)| e).collect();

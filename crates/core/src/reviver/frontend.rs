@@ -40,7 +40,7 @@ impl RevivedController {
 
     /// The protocol after a software write to `pa` landed: tell the
     /// scheme, run the migrations that arms, flush deferred metadata and
-    /// mark the quiescent point.
+    /// check the invariants if asked to.
     fn finish_write(&mut self, pa: Pa) -> WriteResult {
         self.wl.record_write(pa);
         self.run_migrations();
@@ -49,11 +49,8 @@ impl RevivedController {
         // invariants are re-checked after the grant. After a power cut
         // the volatile tables legitimately diverge from the frozen
         // durable state, so checking waits for recovery.
-        if !self.suspended && self.device.powered() {
-            if self.check {
-                self.assert_invariants();
-            }
-            self.emit(ReviverEvent::Quiesced);
+        if self.check && !self.suspended && self.device.powered() {
+            self.assert_invariants();
         }
         WriteResult::Ok
     }
@@ -139,15 +136,11 @@ impl Controller for RevivedController {
         // exits, the write is provably equivalent to the full protocol
         // below: `write_da` would return `Ok` from its first `dev_write`
         // (on `da`, or one pointer hop away on its shadow),
-        // `run_migrations` and `flush_meta` would be no-ops, and the only
-        // event the full path would emit is `Quiesced` — a counters no-op
-        // that sinks see only when one subscribes via `wants_quiesced`.
-        // Every other event rides a rare transition (failure, migration,
-        // metadata flush) that diverts off this path before it could
-        // fire, so sinks that don't subscribe to quiescent points lose
-        // nothing here.
+        // `run_migrations` and `flush_meta` would be no-ops, and the full
+        // path would emit no event: every event rides a rare transition
+        // (failure, migration, metadata flush) that diverts off this path
+        // before it could fire, so an attached ring loses nothing here.
         if !self.check
-            && !self.sinks.wants_quiesced
             && self.pending_meta.is_empty()
             && self.mig_buf.is_empty()
             && self.write_steady(da, tag)
@@ -203,9 +196,6 @@ impl Controller for RevivedController {
             if self.check && !self.suspended && self.device.powered() {
                 self.assert_invariants();
             }
-        }
-        if !self.suspended && self.device.powered() {
-            self.emit(ReviverEvent::Quiesced);
         }
     }
 

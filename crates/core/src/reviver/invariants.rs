@@ -1,10 +1,7 @@
-//! Theorems 1–3 as runtime checks: the full-scan assertion
-//! ([`RevivedController::assert_invariants`]) and the incremental
-//! per-event checker ([`InvariantSink`]).
+//! Theorems 1–3 as one runtime check: the full-scan assertion
+//! [`RevivedController::assert_invariants`].
 
-use super::events::{EventSink, ReviverEvent};
 use super::RevivedController;
-use crate::controller::Controller;
 use wlr_base::Da;
 
 impl RevivedController {
@@ -83,142 +80,5 @@ impl RevivedController {
                 }
             }
         }
-    }
-}
-
-/// An incremental Theorem-1 checker driven by the event spine.
-///
-/// Instead of rescanning every link after each request (what
-/// [`RevivedController::assert_invariants`] in `check_invariants` mode
-/// does), the sink accumulates the device addresses each link-mutating
-/// event touched and validates only that *dirty set* when the controller
-/// reaches a quiescent point ([`ReviverEvent::Quiesced`]). Violations
-/// are recorded (inspect with [`InvariantSink::violations`]); the sink
-/// never panics, so it is safe on ablation runs that break the
-/// invariants on purpose.
-///
-/// `strict` mode drops the transient-state tolerances *and* the
-/// switching gate: any linked block whose shadow resolves to another
-/// dead block is flagged. That is exactly what the chain-growth ablation
-/// (`chain_switching(false)`) produces, which the regression suite uses
-/// to prove the sink catches seeded violations.
-#[derive(Debug, Default)]
-pub struct InvariantSink {
-    strict: bool,
-    dirty: Vec<Da>,
-    violations: Vec<String>,
-    checks: u64,
-}
-
-impl InvariantSink {
-    /// A checker with the same tolerance rules as
-    /// [`RevivedController::assert_invariants`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A checker with zero tolerance for multi-step chains (see the type
-    /// docs); pair with the `chain_switching(false)` ablation to verify
-    /// the sink actually fires.
-    pub fn strict() -> Self {
-        InvariantSink {
-            strict: true,
-            ..Self::default()
-        }
-    }
-
-    /// Violations recorded so far, in detection order.
-    pub fn violations(&self) -> &[String] {
-        &self.violations
-    }
-
-    /// Quiescent-point validations performed.
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
-    fn mark(&mut self, da: Da) {
-        if !self.dirty.contains(&da) {
-            self.dirty.push(da);
-        }
-    }
-
-    /// Marks `da` dirty plus — if some linked head's chain now resolves
-    /// *into* `da` — that head too (a link appearing at `da` can turn the
-    /// head's one-step chain into a two-step one). O(1): one mapping
-    /// inverse plus one table lookup.
-    fn mark_with_head(&mut self, ctl: &RevivedController, da: Da) {
-        self.mark(da);
-        if let Some(p) = ctl.safe_inverse(da) {
-            if ctl.is_reserved_pa(p) {
-                if let Some(head) = ctl.linked_head_of(p) {
-                    if head != da {
-                        self.mark(head);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Validates one dirty address against the Theorem-1 chain shape.
-    fn check_da(&mut self, ctl: &RevivedController, da: Da) {
-        let Some(v) = ctl.shadow_of(da) else {
-            return; // unlinked since it was marked
-        };
-        let sda = ctl.wear_leveler().map(v);
-        if sda == da || !ctl.device().is_dead(sda) {
-            return; // loop block or healthy shadow: one-step by definition
-        }
-        if self.strict {
-            self.violations.push(format!(
-                "strict: linked block {da} has dead shadow {sda} (multi-step chain)"
-            ));
-            return;
-        }
-        // Mirror assert_invariants' tolerances exactly: only an unlinked,
-        // discovered dead shadow of a software-accessible head violates.
-        let accessible = ctl.safe_inverse(da).is_some_and(|p| !ctl.is_reserved_pa(p));
-        let tolerated = ctl.shadow_of(sda).is_some()
-            || ctl.is_undiscovered(sda)
-            || ctl.device().silent_failures().contains(&sda);
-        if ctl.switching_enabled() && accessible && !tolerated {
-            self.violations
-                .push(format!("two-step chain at {da}: shadow {sda} is dead"));
-        }
-    }
-}
-
-impl EventSink for InvariantSink {
-    fn on_event(&mut self, ctl: &RevivedController, ev: &ReviverEvent) {
-        match ev {
-            ReviverEvent::LinkCreated { da, .. } => self.mark_with_head(ctl, *da),
-            ReviverEvent::Relinked { da, .. } => self.mark(*da),
-            ReviverEvent::ChainSwitched { head, dead_shadow } => {
-                self.mark(*head);
-                self.mark(*dead_shadow);
-            }
-            ReviverEvent::LoopFormed { da } => self.mark(*da),
-            ReviverEvent::Quiesced => {
-                self.checks += 1;
-                let dirty = std::mem::take(&mut self.dirty);
-                for da in dirty {
-                    self.check_da(ctl, da);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // Quiescent points are this sink's validation trigger.
-    fn wants_quiesced(&self) -> bool {
-        true
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

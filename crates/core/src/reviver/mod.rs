@@ -28,26 +28,25 @@
 //!   find the chain head during the Figure 3 switch. Their reads/writes
 //!   are charged to the device like any other access.
 //!
-//! Theorems 1–3 of the paper are encoded as runtime invariants
-//! ([`RevivedControllerBuilder::check_invariants`] mode and the
-//! incremental [`InvariantSink`]) and exercised by this module's tests
-//! and the cross-crate integration suite.
+//! Theorems 1–3 of the paper are encoded as one runtime check,
+//! [`RevivedController::assert_invariants`] (run after every request in
+//! [`RevivedControllerBuilder::check_invariants`] mode), and exercised by
+//! this module's tests and the cross-crate integration suite.
 //!
 //! # Module layout
 //!
 //! The controller is a thin orchestrator over focused submodules, wired
 //! together by the typed event spine of [`events`]:
 //!
-//! * [`events`] — [`ReviverEvent`], the [`EventSink`] trait and the
-//!   stock sinks (counters, ring buffer, JSONL tracer);
+//! * [`events`] — [`ReviverEvent`], the [`ReviverCounters`] fold and the
+//!   post-mortem [`EventRing`];
 //! * `link_table` — the failed-DA→PA link table, inverse pointers and
 //!   the pointer-metadata write machinery;
 //! * `spare_pool` — reactive spare acquisition, parking, and the
 //!   retired-page layout;
 //! * `chain` — the write chain: failure discovery, one-step switching,
 //!   migrations and the Theorem-3 repair;
-//! * `invariants` — Theorems 1–3 as a full-scan assertion and as the
-//!   incremental per-event [`InvariantSink`];
+//! * `invariants` — Theorems 1–3 as a full-scan assertion;
 //! * `recover` — crash recovery from the durable metadata mirror;
 //! * `frontend` — the [`crate::Controller`] trait implementation (the
 //!   request-facing surface).
@@ -63,18 +62,12 @@ mod spare_pool;
 #[cfg(test)]
 mod tests;
 
-#[cfg(feature = "trace-events")]
-pub use events::JsonlSink;
-pub use events::{
-    EventSink, NoopSink, RecoveryPhase, ReviverCounters, ReviverEvent, TraceRingSink, ViolationKind,
-};
-pub use invariants::InvariantSink;
+pub use events::{EventRing, RecoveryPhase, ReviverCounters, ReviverEvent, ViolationKind};
 
 use crate::cache::RemapCache;
 use crate::controller::RequestStats;
 use crate::error::BuilderError;
 use crate::recovery::PersistedMeta;
-use events::SinkStack;
 use link_table::LinkTable;
 use spare_pool::SparePool;
 use std::collections::VecDeque;
@@ -92,7 +85,6 @@ pub struct RevivedControllerBuilder {
     pointer_bytes: u64,
     chain_switching: bool,
     proactive_acquisition: bool,
-    sinks: SinkStack,
 }
 
 impl RevivedControllerBuilder {
@@ -131,13 +123,6 @@ impl RevivedControllerBuilder {
     /// the next software write as a (possibly fake) failure report.
     pub fn proactive_acquisition(mut self, on: bool) -> Self {
         self.proactive_acquisition = on;
-        self
-    }
-
-    /// Stacks an [`EventSink`] onto the controller's event spine; may be
-    /// called repeatedly, sinks observe events in attachment order.
-    pub fn sink(mut self, sink: Box<dyn EventSink>) -> Self {
-        self.sinks.push(sink);
         self
     }
 
@@ -204,7 +189,7 @@ impl RevivedControllerBuilder {
             pending_meta: Vec::new(),
             persist: PersistedMeta::new(total, geo.num_pages()),
             degraded: false,
-            sinks: self.sinks,
+            ring: None,
         })
     }
 
@@ -294,9 +279,9 @@ pub struct RevivedController {
     /// Set when an access hit torn metadata it could not repair (fuel
     /// exhaustion, unlinked dead read outside check mode).
     degraded: bool,
-    /// The stacked event sinks; empty by default (zero-cost emission),
-    /// and empty again in every clone.
-    sinks: SinkStack,
+    /// The post-mortem event ring, if one is attached
+    /// ([`Self::record_events`]); a clone carries its parent's ring.
+    ring: Option<Box<EventRing>>,
 }
 
 impl RevivedController {
@@ -310,58 +295,31 @@ impl RevivedController {
             pointer_bytes: 4,
             chain_switching: true,
             proactive_acquisition: false,
-            sinks: SinkStack::default(),
         }
     }
 
     // ----- the event spine --------------------------------------------
 
-    /// Emits one event: folds it into the counters and dispatches it to
-    /// every stacked sink. Emission performs no device access and no RNG
-    /// draw, so sinks can never perturb a run's observable behavior.
+    /// Emits one event: folds it into the counters and pushes it to the
+    /// ring if one is attached. Emission performs no device access and no
+    /// RNG draw, so recording can never perturb a run's observable
+    /// behavior.
     pub(super) fn emit(&mut self, ev: ReviverEvent) {
         self.counters.apply(&ev);
-        if self.sinks.list.is_empty()
-            || (!self.sinks.wants_quiesced && matches!(ev, ReviverEvent::Quiesced))
-        {
-            // `Quiesced` fires once per serviced write; unless a sink
-            // opted in, skip the fan-out — a metrics or tracing sink
-            // must not cost a dynamic dispatch on the per-write path.
-            return;
+        if let Some(ring) = &mut self.ring {
+            ring.push(ev);
         }
-        // Detach the sink stack so each sink can receive `&self` as a
-        // read-only context while being called mutably itself.
-        let mut sinks = std::mem::take(&mut self.sinks.list);
-        for s in sinks.iter_mut() {
-            s.on_event(self, &ev);
-        }
-        self.sinks.list = sinks;
     }
 
-    /// Stacks an event sink at runtime (observes subsequent events only).
-    pub fn add_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.sinks.push(sink);
+    /// Attaches a fresh ring recording the last `capacity` events
+    /// (subsequent events only), replacing any ring already attached.
+    pub fn record_events(&mut self, capacity: usize) {
+        self.ring = Some(Box::new(EventRing::new(capacity)));
     }
 
-    /// The stacked event sinks, in attachment order.
-    pub fn sinks(&self) -> &[Box<dyn EventSink>] {
-        &self.sinks.list
-    }
-
-    /// The first stacked sink of concrete type `T`, if any.
-    pub fn sink<T: EventSink + 'static>(&self) -> Option<&T> {
-        self.sinks
-            .list
-            .iter()
-            .find_map(|s| s.as_any().downcast_ref::<T>())
-    }
-
-    /// Mutable access to the first stacked sink of concrete type `T`.
-    pub fn sink_mut<T: EventSink + 'static>(&mut self) -> Option<&mut T> {
-        self.sinks
-            .list
-            .iter_mut()
-            .find_map(|s| s.as_any_mut().downcast_mut::<T>())
+    /// The attached event ring, if any.
+    pub fn events(&self) -> Option<&EventRing> {
+        self.ring.as_deref()
     }
 
     // ----- inspection --------------------------------------------------
@@ -388,43 +346,6 @@ impl RevivedController {
             .iter()
             .filter(|&(da, v)| self.wl.map(v).index() == da)
             .count() as u64
-    }
-
-    /// Diagnostic view of a failed block's chain: its virtual shadow PA,
-    /// the shadow block it currently resolves to, and whether that shadow
-    /// is itself dead. `None` if `da` is not linked.
-    pub fn chain_info(&self, da: Da) -> Option<(Pa, Da, bool)> {
-        let v = self.links.ptr.get(da.index())?;
-        let sda = self.wl.map(v);
-        Some((v, sda, self.device.is_dead(sda)))
-    }
-
-    /// The virtual shadow PA of failed block `da`, if linked. Pure table
-    /// lookup — no device access, safe from event sinks.
-    pub fn shadow_of(&self, da: Da) -> Option<Pa> {
-        self.links.ptr.get(da.index())
-    }
-
-    /// The failed block whose virtual shadow is `v`, if any (the inverse
-    /// pointer of Figure 4). Pure table lookup.
-    pub fn linked_head_of(&self, v: Pa) -> Option<Da> {
-        self.links.inv.get(v.index())
-    }
-
-    /// Whether `pa` lies in a retired page (reserved space).
-    pub fn is_reserved_pa(&self, pa: Pa) -> bool {
-        self.is_reserved(pa)
-    }
-
-    /// Whether `da` is parked in Theorem 2's undiscovered-failure state.
-    pub fn is_undiscovered(&self, da: Da) -> bool {
-        self.pool.undiscovered.contains(da.index())
-    }
-
-    /// Whether §III-B one-step-chain switching is enabled (true outside
-    /// the chain-growth ablation).
-    pub fn switching_enabled(&self) -> bool {
-        self.switching
     }
 
     /// Length of every linked block's chain (steps to a healthy block or

@@ -96,9 +96,9 @@ impl RevivedController {
     ///
     /// Each phase emits a [`ReviverEvent::RecoveryStep`], the links and
     /// switches restored along the way emit their ordinary events, and
-    /// the whole pass ends in [`ReviverEvent::RecoveryCompleted`] — so
-    /// attached sinks observe recovery through the same spine as normal
-    /// operation.
+    /// the whole pass ends in [`ReviverEvent::RecoveryCompleted`] — so an
+    /// attached event ring records recovery through the same spine as
+    /// normal operation.
     pub fn recover(&mut self) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         self.device.restore_power();
@@ -282,9 +282,6 @@ impl RevivedController {
             healed: report.healed_links,
             unhealed: report.unhealed_dead,
         });
-        if !self.suspended && self.device.powered() {
-            self.emit(ReviverEvent::Quiesced);
-        }
         report
     }
 

@@ -6,7 +6,6 @@ use super::oracle::Oracle;
 use super::{Simulation, LOOKAHEAD};
 use crate::metrics::TimeSeries;
 use crate::registry::{DeviceParts, SchemeRegistry, StackCtx, StackKnobs, StackSpec};
-use crate::reviver::TraceRingSink;
 use wlr_base::rng::Rng;
 use wlr_base::{AppAddr, Geometry};
 use wlr_os::OsMemory;
@@ -196,10 +195,12 @@ impl SimulationBuilder {
         self
     }
 
-    /// Attaches a bounded [`TraceRingSink`] of `events` capacity to a
+    /// Attaches a bounded [`EventRing`] of `events` capacity to a
     /// WL-Reviver controller, retaining the newest events for post-mortem
     /// dumps ([`Simulation::trace_dump`]) after a power loss or an
     /// invariant violation. Ignored by non-reviver schemes.
+    ///
+    /// [`EventRing`]: crate::reviver::EventRing
     pub fn trace_ring(mut self, events: usize) -> Self {
         self.trace_ring = Some(events);
         self
@@ -291,22 +292,8 @@ impl SimulationBuilder {
             },
         );
         let mut controller = self.stack.build_stack(&mut ctx);
-        if let Some(r) = controller.as_reviver_mut() {
-            if let Some(cap) = self.trace_ring {
-                r.add_sink(Box::new(TraceRingSink::new(cap)));
-            }
-            // Heavyweight JSONL tracing: compiled in only with the
-            // `trace-events` feature, armed per run via WLR_TRACE_EVENTS
-            // (the path to write).
-            #[cfg(feature = "trace-events")]
-            if let Ok(path) = std::env::var("WLR_TRACE_EVENTS") {
-                if !path.is_empty() {
-                    match crate::reviver::JsonlSink::create(&path) {
-                        Ok(sink) => r.add_sink(Box::new(sink)),
-                        Err(e) => eprintln!("WLR_TRACE_EVENTS: cannot open {path}: {e}"),
-                    }
-                }
-            }
+        if let (Some(r), Some(cap)) = (controller.as_reviver_mut(), self.trace_ring) {
+            r.record_events(cap);
         }
 
         let os = OsMemory::builder(geo)

@@ -32,7 +32,7 @@ pub use builder::{EccKind, SimulationBuilder};
 use crate::controller::{Controller, WriteResult};
 use crate::metrics::{SamplePoint, TimeSeries};
 use crate::recovery::{DurableImage, PersistedMeta, RecoveryReport, TornMeta};
-use crate::reviver::{ReviverCounters, TraceRingSink};
+use crate::reviver::{EventRing, ReviverCounters};
 use oracle::Oracle;
 use std::sync::Once;
 use wlr_base::rng::Rng;
@@ -140,8 +140,8 @@ pub struct Simulation {
 /// leveler, the OS page tables, the workload stream position and the
 /// addresses already drawn from it but not yet issued, the oracle and
 /// every RNG stream, so the original simulation and all forks evolve
-/// fully independently. See `DESIGN.md` §10 for what a clone leaves
-/// behind (attached event sinks, nothing else).
+/// fully independently; an attached event ring is copied too
+/// (`DESIGN.md` §10).
 #[derive(Debug)]
 pub struct SimSnapshot(Simulation);
 
@@ -269,8 +269,8 @@ impl Simulation {
     pub fn trace_dump(&self) -> Option<String> {
         self.controller
             .as_reviver()
-            .and_then(|r| r.sink::<TraceRingSink>())
-            .map(TraceRingSink::dump)
+            .and_then(|r| r.events())
+            .map(EventRing::dump)
     }
 
     /// Software writes issued so far.
@@ -481,8 +481,8 @@ impl Simulation {
 
     /// Reboots a *freshly built* simulation from `img`: wear image → OS
     /// retirement order → reviver metadata, the last through
-    /// `restore_from`, whose §III-B recovery scan emits into whatever
-    /// sinks are attached. `img` is treated as bytes off a disk: its
+    /// `restore_from`, whose §III-B recovery scan emits into the event
+    /// ring if one is attached. `img` is treated as bytes off a disk: its
     /// lengths and indices are checked against this simulation's device
     /// and geometry before anything is replayed.
     ///

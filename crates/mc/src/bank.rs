@@ -122,8 +122,8 @@ impl Bank {
         &self.sim
     }
 
-    /// Mutable access to the bank's simulation — sink attachment and
-    /// state restoration between runs, never mid-drain.
+    /// Mutable access to the bank's simulation — event-ring attachment
+    /// and state restoration between runs, never mid-drain.
     pub fn sim_mut(&mut self) -> &mut Simulation {
         &mut self.sim
     }

@@ -193,8 +193,8 @@ impl McFrontend {
         self.flushed.len()
     }
 
-    /// Mutable access to bank `bank`'s simulation — for sink attachment
-    /// and state restoration between runs.
+    /// Mutable access to bank `bank`'s simulation — for attaching an
+    /// event ring and for state restoration between runs.
     ///
     /// # Panics
     ///
@@ -246,8 +246,8 @@ impl McFrontend {
 
     /// Reboots a *freshly built* front-end from what survived the power-off:
     /// each bank from its [`DurableImage`] through
-    /// [`Simulation::restore_durable`] (whose recovery scan emits into any
-    /// attached sinks), then the quarantine state, so a degraded array
+    /// [`Simulation::restore_durable`] (whose recovery scan emits into an
+    /// attached event ring), then the quarantine state, so a degraded array
     /// resumes serving at N−k without rediscovering its deaths. Returns the
     /// per-bank recovery reports, in bank order.
     ///
