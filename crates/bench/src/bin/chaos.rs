@@ -1,8 +1,9 @@
 //! `chaos` — fault-storm harness for degraded-mode survival, pass/fail.
 //!
 //! Drives the degraded-mode multi-bank front-end through a storm of
-//! runtime-injected faults — mid-drain power losses, torn-metadata crash
-//! points, uncorrectable transient-read bursts, bank kills — plus full
+//! faults armed between traffic windows — mid-drain power losses,
+//! torn-metadata crash points, uncorrectable transient-read bursts, bank
+//! kills — plus full
 //! capture/restore reboot cycles, and asserts the service survives all
 //! of it with **zero** data-integrity violations:
 //!
@@ -25,7 +26,7 @@
 use wl_reviver::sim::EccKind;
 use wl_reviver::DurableImage;
 use wlr_base::env::env_u64;
-use wlr_mc::{BankChaos, CrashPoint, FaultPlan, McFrontend, McOutcome, McStopPolicy, McStopReason};
+use wlr_mc::{CrashPoint, FaultPlan, McFrontend, McOutcome, McStopPolicy, McStopReason};
 use wlr_trace::UniformWorkload;
 
 const BANKS: usize = 8;
@@ -64,7 +65,7 @@ fn window(mc: &mut McFrontend, w: &mut UniformWorkload, n: u64) -> McOutcome {
 
 /// Arms a storm round on every live bank: two mid-drain power losses
 /// plus a torn-metadata window at the next wear-leveling switch.
-fn arm_storm(mc: &McFrontend, round: u64) {
+fn arm_storm(mc: &mut McFrontend, round: u64) {
     for b in 0..mc.num_banks() {
         if !mc.banks()[b].alive() {
             continue;
@@ -75,7 +76,7 @@ fn arm_storm(mc: &McFrontend, round: u64) {
             .power_loss_at_write(3_500 + 53 * b as u64 + 17 * round)
             .power_loss_at_point(CrashPoint::MidSwitch, 1 + (b as u64 % 3))
             .power_loss_at_point(CrashPoint::MidSwitch, 5 + (b as u64 % 3));
-        mc.inject_chaos(b, BankChaos::Faults(plan));
+        mc.arm_bank_faults(b, plan);
     }
 }
 
@@ -130,12 +131,12 @@ fn main() {
     // Storm rounds at full width: power losses and torn-metadata crash
     // points on every bank, recovered in place mid-drain.
     for round in 0..4 {
-        arm_storm(&mc, round);
+        arm_storm(&mut mc, round);
         window(&mut mc, &mut w, win);
     }
 
     // Kill a bank mid-window, then serve a clean N−1 window.
-    mc.inject_chaos(2, BankChaos::KillAfter(1_000));
+    mc.kill_bank_after(2, 1_000);
     kills += 1;
     let out = window(&mut mc, &mut w, win);
     assert_eq!(out.quarantines, 1, "first kill quarantines: {out:?}");
@@ -143,10 +144,10 @@ fn main() {
 
     // More storms on the survivors, then a second kill → N−2.
     for round in 4..8 {
-        arm_storm(&mc, round);
+        arm_storm(&mut mc, round);
         window(&mut mc, &mut w, win);
     }
-    mc.inject_chaos(5, BankChaos::KillAfter(1_000));
+    mc.kill_bank_after(5, 1_000);
     kills += 1;
     let out = window(&mut mc, &mut w, win);
     assert_eq!(out.quarantines, 2, "second kill quarantines: {out:?}");

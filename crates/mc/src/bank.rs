@@ -11,9 +11,9 @@
 //! In degraded mode ([`crate::McFrontendBuilder::degraded`]) a dying
 //! bank additionally parks its un-issued tail and evacuates its tracked
 //! lines into the shared [`Wreckage`] buffers for the front-end's
-//! quarantine to harvest, and chaos commands posted through the bank's
-//! [`ChaosSlot`] (kill points, runtime fault plans) are applied at batch
-//! boundaries — even while a pinned worker owns the bank.
+//! quarantine to harvest. A kill point armed through
+//! [`crate::McFrontend::kill_bank_after`] kills a bank, whatever its wear,
+//! once it has issued that many more writes.
 
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ use wl_reviver::sim::BatchStatus;
 use wl_reviver::{AppRead, Simulation};
 use wlr_base::AppAddr;
 
-use crate::degrade::{BankChaos, ChaosSlot, McReadError, RetryPolicy, Wreckage, LOCAL_MASK};
+use crate::degrade::{McReadError, Wreckage, LOCAL_MASK, READ_RETRIES};
 
 /// A bank's simulation stack plus the front-end's per-bank bookkeeping.
 #[derive(Debug)]
@@ -44,11 +44,8 @@ pub struct Bank {
     /// Pending injected kill point: the bank dies once `issued` reaches
     /// this count.
     kill_at: Option<u64>,
-    /// Mailbox for runtime chaos commands.
-    chaos: Arc<ChaosSlot>,
     /// Where a dying bank leaves parked writes and evacuated lines.
     wreckage: Arc<Wreckage>,
-    retry: RetryPolicy,
     read_retries: u64,
     retry_exhausted: u64,
 }
@@ -69,9 +66,7 @@ impl Bank {
             scratch: Vec::new(),
             degraded,
             kill_at: None,
-            chaos: Arc::new(ChaosSlot::default()),
             wreckage: Arc::new(Wreckage::default()),
-            retry: RetryPolicy::default(),
             read_retries: 0,
             retry_exhausted: 0,
         }
@@ -128,11 +123,6 @@ impl Bank {
         &mut self.sim
     }
 
-    /// The bank's chaos mailbox (shared with the front-end's inject API).
-    pub(crate) fn chaos_slot(&self) -> Arc<ChaosSlot> {
-        Arc::clone(&self.chaos)
-    }
-
     /// The bank's wreckage buffers (shared with quarantine).
     pub(crate) fn wreckage(&self) -> Arc<Wreckage> {
         Arc::clone(&self.wreckage)
@@ -144,13 +134,18 @@ impl Bank {
         self.alive = false;
     }
 
+    /// Arms a kill point: the bank dies once it has issued `n` more
+    /// writes (0 = before the next one).
+    pub(crate) fn kill_after(&mut self, n: u64) {
+        self.kill_at = Some(self.issued.saturating_add(n));
+    }
+
     /// Issues a drained batch of bank-local addresses (logical-encoded in
     /// degraded mode). Power losses are recovered in place and the batch
     /// continues; memory exhaustion, the hard cap, or an injected kill
     /// point kills the bank — dropping the rest of the batch, or parking
     /// it (plus the bank's live lines) for quarantine in degraded mode.
     pub fn drain(&mut self, batch: &[u64]) {
-        self.poll_chaos();
         if !self.alive {
             self.absorb_dead(batch);
             return;
@@ -203,8 +198,8 @@ impl Bank {
         self.scratch = addrs;
     }
 
-    /// Reads the bank-local line `local`, retrying transient errors with
-    /// bounded exponential backoff per the installed [`RetryPolicy`].
+    /// Reads the bank-local line `local`, retrying a transient error up
+    /// to [`READ_RETRIES`] times.
     /// `Ok(None)` means the line is not currently mapped.
     pub fn read_local(&mut self, local: u64) -> Result<Option<u64>, McReadError> {
         let mut attempts = 0u32;
@@ -214,7 +209,7 @@ impl Bank {
                 AppRead::Unmapped => return Ok(None),
                 AppRead::Transient => {
                     attempts += 1;
-                    if attempts > self.retry.max_retries {
+                    if attempts > READ_RETRIES {
                         self.retry_exhausted += 1;
                         return Err(McReadError::Transient {
                             bank: self.id,
@@ -222,21 +217,7 @@ impl Bank {
                         });
                     }
                     self.read_retries += 1;
-                    for _ in 0..(u64::from(self.retry.backoff_spins) << attempts.min(16)) {
-                        std::hint::spin_loop();
-                    }
                 }
-            }
-        }
-    }
-
-    /// Applies any chaos commands posted since the last batch. One
-    /// relaxed load when the mailbox is idle.
-    fn poll_chaos(&mut self) {
-        for cmd in self.chaos.take() {
-            match cmd {
-                BankChaos::KillAfter(n) => self.kill_at = Some(self.issued + n),
-                BankChaos::Faults(plan) => self.sim.arm_faults(plan),
             }
         }
     }

@@ -11,7 +11,7 @@ use wlr_base::rng::SplitMix64;
 use wlr_base::spsc;
 use wlr_base::Geometry;
 
-use crate::degrade::{ChaosSlot, Quarantine, Wreckage, LOCAL_MASK, LOGICAL_SHIFT};
+use crate::degrade::{Quarantine, Wreckage, LOCAL_MASK, LOGICAL_SHIFT};
 use crate::pipeline::BankSync;
 use crate::{Bank, LatencyHistogram, McFrontend, McStopPolicy, Steering, WriteBuffer, WriteQueue};
 
@@ -258,7 +258,6 @@ impl McFrontendBuilder {
         let banks: Vec<Bank> = (0..self.banks)
             .map(|i| Bank::new(i, cfg.build_sim(i), self.record_issue, self.degraded))
             .collect();
-        let chaos_slots: Vec<Arc<ChaosSlot>> = banks.iter().map(Bank::chaos_slot).collect();
         let wreckage: Vec<Arc<Wreckage>> = banks.iter().map(Bank::wreckage).collect();
         let queues: Vec<WriteQueue> = (0..self.banks)
             .map(|_| WriteQueue::new(self.queue_depth, local_blocks))
@@ -316,7 +315,6 @@ impl McFrontendBuilder {
                 .steering
                 .then(|| Steering::new(self.banks, STEER_EPOCH)),
             degrade: self.degraded.then(|| Quarantine::new(self.banks)),
-            chaos_slots,
             wreckage,
         })
     }

@@ -22,11 +22,11 @@
 //!    makes N−1 (and N−2, …) throughput a measured quantity rather than
 //!    a modeling fiction.
 //!
-//! Transient read errors get a bounded retry-with-backoff at the bank
+//! Transient read errors get [`READ_RETRIES`] retries at the bank
 //! ([`crate::bank::Bank::read_local`]) before surfacing as the typed
-//! [`McReadError`]. Chaos commands reach live banks — even ones owned by
-//! pinned workers — through per-bank [`ChaosSlot`] mailboxes polled at
-//! batch boundaries.
+//! [`McReadError`]. Faults and kill points are armed between windows,
+//! while the front-end owns its banks
+//! ([`McFrontend::arm_bank_faults`], [`McFrontend::kill_bank_after`]).
 //!
 //! When no faults fire, degraded mode is bit-identical to a plain run:
 //! ring entries carry the logical bank in their high bits (so a parked
@@ -34,11 +34,10 @@
 //! issuing, and every other code path is untouched.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 use wl_reviver::TornMeta;
-use wlr_pcm::FaultPlan;
 
 use crate::McFrontend;
 
@@ -52,44 +51,6 @@ pub(crate) const LOCAL_MASK: u64 = (1u64 << LOGICAL_SHIFT) - 1;
 /// here — disjoint from any simulation-issued oracle tag, so a tag's
 /// provenance (evacuated content vs redirected write) is recoverable.
 pub const DIR_TAG_BASE: u64 = 1 << 63;
-
-/// A chaos command targeted at one live bank. Posted through the bank's
-/// [`ChaosSlot`] and applied at its next batch boundary.
-#[derive(Debug, Clone)]
-pub enum BankChaos {
-    /// Kill the bank after it issues `n` more writes (0 = before the
-    /// next one). Models the dry-spare-pool / Theorem-2 undiscovered
-    /// failure: the bank parks, it does not crash the fleet.
-    KillAfter(u64),
-    /// Arm additional device faults, with indices relative to the bank's
-    /// current access counts (see [`wlr_pcm::FaultInjector::arm`]).
-    Faults(FaultPlan),
-}
-
-/// Lock-free-checked mailbox through which chaos commands reach a bank
-/// that may currently be owned by a pinned worker thread. The drain path
-/// pays one relaxed load per batch when the mailbox is idle.
-#[derive(Debug, Default)]
-pub struct ChaosSlot {
-    pending: AtomicBool,
-    cmds: Mutex<Vec<BankChaos>>,
-}
-
-impl ChaosSlot {
-    /// Posts a command; the bank applies it at its next batch boundary.
-    pub fn post(&self, cmd: BankChaos) {
-        self.cmds.lock().expect("chaos slot poisoned").push(cmd);
-        self.pending.store(true, Ordering::Release);
-    }
-
-    /// Takes every pending command (empty when none are queued).
-    pub(crate) fn take(&self) -> Vec<BankChaos> {
-        if !self.pending.swap(false, Ordering::Acquire) {
-            return Vec::new();
-        }
-        std::mem::take(&mut *self.cmds.lock().expect("chaos slot poisoned"))
-    }
-}
 
 /// What a dying bank leaves behind for the front-end to harvest at
 /// quarantine time. Shared (`Arc`) between the bank — which may live on
@@ -105,23 +66,9 @@ pub struct Wreckage {
     pub(crate) evacuated: Mutex<Vec<(u64, u64)>>,
 }
 
-/// Bounded retry policy for transient read errors at a bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first failed attempt before surfacing the error.
-    pub max_retries: u32,
-    /// Base spin count for the exponential backoff between attempts.
-    pub backoff_spins: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_spins: 64,
-        }
-    }
-}
+/// Retries a bank makes after a transient read error before surfacing
+/// it as [`McReadError::Transient`].
+pub const READ_RETRIES: u32 = 3;
 
 /// Typed read error surfaced by [`crate::McFrontend::read`] after the
 /// bank's bounded retry is exhausted.
@@ -208,8 +155,8 @@ pub struct QuarantineImage {
 impl McFrontend {
     /// Reads global line `global` as the array currently serves it: the
     /// degraded-mode directory first (migrated and redirected lines),
-    /// then the owning bank's stack, with transient errors retried per
-    /// the bank's [`RetryPolicy`]. This is the post-flush PCM +
+    /// then the owning bank's stack, with transient errors retried
+    /// [`READ_RETRIES`] times. This is the post-flush PCM +
     /// directory view — the write buffer and queues are not consulted —
     /// and it addresses banks by their identity (unsteered) home.
     /// `Ok(None)` means the line is not currently tracked anywhere.
@@ -443,18 +390,6 @@ impl McFrontend {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chaos_slot_hands_over_commands_once() {
-        let slot = ChaosSlot::default();
-        assert!(slot.take().is_empty());
-        slot.post(BankChaos::KillAfter(3));
-        slot.post(BankChaos::KillAfter(9));
-        let cmds = slot.take();
-        assert_eq!(cmds.len(), 2);
-        assert!(matches!(cmds[0], BankChaos::KillAfter(3)));
-        assert!(slot.take().is_empty(), "drained mailbox stays empty");
-    }
 
     #[test]
     fn dir_tags_are_disjoint_from_sim_tags() {

@@ -81,13 +81,13 @@ pub mod wbuf;
 
 pub use bank::Bank;
 pub use builder::McFrontendBuilder;
-pub use degrade::{BankChaos, ChaosSlot, McReadError, QuarantineImage, RetryPolicy, DIR_TAG_BASE};
+pub use degrade::{McReadError, QuarantineImage, DIR_TAG_BASE, READ_RETRIES};
 pub use queue::{QueueEntry, WriteQueue};
 pub use stats::{BankReport, LatencyHistogram, McOutcome, McStopPolicy, McStopReason};
 pub use steer::Steering;
 pub use wbuf::WriteBuffer;
-// Re-exported so dependents can build chaos plans for `inject_chaos` /
-// `arm_bank_faults` without a direct wlr-pcm dependency.
+// Re-exported so dependents can build fault plans for `arm_bank_faults`
+// without a direct wlr-pcm dependency.
 pub use wlr_pcm::{CrashPoint, FaultPlan};
 
 use std::sync::Arc;
@@ -155,8 +155,6 @@ pub struct McFrontend {
     steer: Option<Steering>,
     /// Quarantine state; present only in degraded mode.
     degrade: Option<Quarantine>,
-    /// Per-bank chaos mailboxes (shared with the banks themselves).
-    chaos_slots: Vec<Arc<ChaosSlot>>,
     /// Per-bank wreckage buffers (shared with the banks themselves).
     wreckage: Vec<Arc<Wreckage>>,
 }
@@ -171,8 +169,9 @@ impl McFrontend {
     ///
     /// # Panics
     ///
-    /// Panics if called while pinned workers own the banks (never
-    /// observable from outside: workers live only inside [`run`](Self::run)).
+    /// Panics while pinned workers own the banks: from inside a
+    /// [`with_pipeline`](Self::with_pipeline) driver, and for good once a
+    /// driver has panicked (the banks went down with its workers).
     pub fn banks(&self) -> &[Bank] {
         assert!(!self.workers_active, "banks are owned by drain workers");
         &self.banks
@@ -211,19 +210,8 @@ impl McFrontend {
         self.cfg.build_sim(bank)
     }
 
-    /// Posts a chaos command into bank `bank`'s mailbox; the bank
-    /// applies it at its next batch boundary. Safe to call while pinned
-    /// workers own the banks — this is the runtime fault-injection
-    /// entry point for a live pipeline.
-    pub fn inject_chaos(&self, bank: usize, cmd: BankChaos) {
-        self.chaos_slots[bank].post(cmd);
-    }
-
-    /// Arms device faults directly on bank `bank` (indices relative to
-    /// the bank's current access counts). Unlike
-    /// [`inject_chaos`](Self::inject_chaos) this takes effect
-    /// immediately, which makes fault positions exactly predictable in
-    /// tests.
+    /// Arms device faults on bank `bank`, with indices relative to the
+    /// bank's current access counts.
     ///
     /// # Panics
     ///
@@ -231,6 +219,18 @@ impl McFrontend {
     pub fn arm_bank_faults(&mut self, bank: usize, plan: FaultPlan) {
         assert!(!self.workers_active, "banks are owned by drain workers");
         self.banks[bank].sim_mut().arm_faults(plan);
+    }
+
+    /// Arms a kill point on bank `bank`: it dies once it has issued `n`
+    /// more writes (0 = before the next one), as a bank whose spare pool
+    /// ran dry would. In degraded mode it is quarantined, not fatal.
+    ///
+    /// # Panics
+    ///
+    /// Panics while pinned workers own the banks.
+    pub fn kill_bank_after(&mut self, bank: usize, n: u64) {
+        assert!(!self.workers_active, "banks are owned by drain workers");
+        self.banks[bank].kill_after(n);
     }
 
     /// Mutable access to every bank — parallel state restoration after a

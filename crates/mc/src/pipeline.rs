@@ -89,6 +89,11 @@ impl McFrontend {
     /// [`run`](Self::run) is this around a workload loop; a caller that
     /// submits its own requests drives them through it directly and can
     /// keep calling it (or `finish`, which leaves the front-end usable).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of `drive` once the workers have joined. The
+    /// banks are not handed back, so the front-end is unusable after it.
     pub fn with_pipeline<R>(&mut self, drive: impl FnOnce(&mut Self) -> R) -> R {
         let workers = self.worker_threads();
         if workers <= 1 {
@@ -106,8 +111,7 @@ impl McFrontend {
         }
         let shutdown = AtomicBool::new(false);
         self.workers_active = true;
-        let mut returned: Vec<(usize, Bank, Consumer)> = Vec::with_capacity(n);
-        let result = std::thread::scope(|scope| {
+        let (r, mut returned) = std::thread::scope(|scope| {
             let handles: Vec<_> = parts
                 .into_iter()
                 .map(|part| {
@@ -117,26 +121,18 @@ impl McFrontend {
                 })
                 .collect();
             // If `drive` unwinds, still release the workers so the scope
-            // can join them instead of deadlocking on a spin loop — and
-            // catch the unwind so the banks and consumers can be
-            // restored before it propagates (the caller may want to
-            // persist state from its own panic handler).
+            // can join them instead of deadlocking on a spin loop.
             let guard = ShutdownOnDrop(&shutdown);
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drive(self)));
-            if r.is_ok() {
-                // Hand the workers everything still buffered, then let
-                // them run the rings dry.
-                self.run_dry();
-            }
+            let r = drive(self);
+            // Hand the workers everything still buffered, then let them
+            // run the rings dry.
+            self.run_dry();
             drop(guard);
-            let mut worker_panic = None;
+            let mut returned = Vec::with_capacity(n);
             for h in handles {
-                match h.join() {
-                    Ok(part) => returned.extend(part),
-                    Err(payload) => worker_panic = Some(payload),
-                }
+                returned.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
             }
-            (r, worker_panic)
+            (r, returned)
         });
         self.workers_active = false;
         returned.sort_by_key(|&(i, _, _)| i);
@@ -144,14 +140,7 @@ impl McFrontend {
             self.consumers[i] = Some(cons);
             self.banks.push(bank);
         }
-        let (r, worker_panic) = result;
-        if let Some(payload) = worker_panic {
-            std::panic::resume_unwind(payload);
-        }
-        match r {
-            Ok(v) => v,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
+        r
     }
 
     /// Hands everything still buffered toward the banks: write buffer →

@@ -4,9 +4,7 @@
 
 use wl_reviver::registry::SchemeRegistry;
 use wl_reviver::sim::EccKind;
-use wlr_mc::{
-    BankChaos, FaultPlan, McFrontend, McReadError, McStopPolicy, McStopReason, RetryPolicy,
-};
+use wlr_mc::{FaultPlan, McFrontend, McReadError, McStopPolicy, McStopReason, READ_RETRIES};
 use wlr_trace::{UniformWorkload, Workload};
 
 const BLOCKS: u64 = 1 << 12;
@@ -85,7 +83,7 @@ fn post_quarantine_reads_return_migrated_contents_across_all_stacks() {
             .min()
             .unwrap();
         let mut w = UniformWorkload::new(app * 4, 29);
-        mc.inject_chaos(2, BankChaos::KillAfter(128));
+        mc.kill_bank_after(2, 128);
         mc.with_pipeline(|m| {
             for _ in 0..25_000 {
                 m.submit(w.next_write().index());
@@ -128,7 +126,7 @@ fn post_quarantine_reads_return_migrated_contents_across_all_stacks() {
 /// attempts, and the counters account for both.
 #[test]
 fn transient_retry_budget_is_exact() {
-    let limit = RetryPolicy::default().max_retries;
+    let limit = READ_RETRIES;
     let mut mc = McFrontend::builder()
         .banks(2)
         .total_blocks(BLOCKS)

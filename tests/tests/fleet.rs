@@ -14,7 +14,7 @@
 
 use wl_reviver::registry::SchemeRegistry;
 use wl_reviver::sim::{Simulation, StopCondition};
-use wlr_mc::{BankChaos, McFrontend, McStopPolicy};
+use wlr_mc::{McFrontend, McStopPolicy};
 use wlr_pcm::FaultPlan;
 use wlr_trace::{UniformWorkload, Workload};
 
@@ -117,7 +117,7 @@ fn snapshot_under_quarantine_round_trips() {
     // Phase 1: run the original into a bank death.
     let mut original = build();
     let mut w1 = UniformWorkload::new(BLOCKS, 29);
-    original.inject_chaos(2, BankChaos::KillAfter(128));
+    original.kill_bank_after(2, 128);
     original.with_pipeline(|m| {
         for _ in 0..25_000 {
             m.submit(w1.next_write().index());

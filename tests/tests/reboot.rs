@@ -12,7 +12,7 @@
 
 use wl_reviver::DurableImage;
 use wlr_base::rng::Rng;
-use wlr_mc::{BankChaos, McFrontend, McStopPolicy, QuarantineImage};
+use wlr_mc::{McFrontend, McStopPolicy, QuarantineImage};
 
 const BANKS: usize = 4;
 const BLOCKS: u64 = 1 << 10;
@@ -42,7 +42,7 @@ fn worn(kill: &[usize], rng: &mut Rng) -> McFrontend {
     }
     mc.finish();
     for &b in kill {
-        mc.inject_chaos(b, BankChaos::KillAfter(0));
+        mc.kill_bank_after(b, 0);
     }
     for _ in 0..400 {
         mc.submit(rng.gen_range(BLOCKS));
