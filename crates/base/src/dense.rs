@@ -183,12 +183,33 @@ impl<V: Slot> DenseMap<V> {
 
     /// Entries in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
-        iter_bits(&self.present).map(move |k| (k, V::unpack(self.slots[k as usize])))
+        iter_bits(self.present.iter().copied()).map(move |k| (k, V::unpack(self.slots[k as usize])))
     }
 
     /// Keys in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        iter_bits(&self.present)
+        iter_bits(self.present.iter().copied())
+    }
+
+    /// The `r`-th smallest key (0-based), or `None` when `r >= len`: a
+    /// popcount walk over the presence words, so the bitset doubles as
+    /// the sorted key list.
+    pub fn nth_key(&self, mut r: usize) -> Option<u64> {
+        if r >= self.len {
+            return None;
+        }
+        for (w, &bits) in self.present.iter().enumerate() {
+            let ones = bits.count_ones() as usize;
+            if r < ones {
+                let mut b = bits;
+                for _ in 0..r {
+                    b &= b - 1;
+                }
+                return Some((w * WORD_BITS) as u64 + u64::from(b.trailing_zeros()));
+            }
+            r -= ones;
+        }
+        unreachable!("`len` counts the presence bits")
     }
 }
 
@@ -292,7 +313,17 @@ impl DenseSet {
 
     /// Members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        iter_bits(&self.present)
+        iter_bits(self.present.iter().copied())
+    }
+
+    /// Members that are not keys of `map`, in ascending order: one
+    /// and-not per 64 keys, so the cost is the words plus the hits.
+    pub fn iter_not_in<'a, V: Slot>(
+        &'a self,
+        map: &'a DenseMap<V>,
+    ) -> impl Iterator<Item = u64> + 'a {
+        let keys = map.present.iter().copied().chain(std::iter::repeat(0));
+        iter_bits(self.present.iter().zip(keys).map(|(&m, k)| m & !k))
     }
 }
 
@@ -303,8 +334,8 @@ impl fmt::Debug for DenseSet {
 }
 
 /// Ascending indices of the set bits in `words`.
-fn iter_bits(words: &[u64]) -> impl Iterator<Item = u64> + '_ {
-    words.iter().enumerate().flat_map(|(w, &bits)| {
+fn iter_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = u64> {
+    words.enumerate().flat_map(|(w, bits)| {
         let base = (w * WORD_BITS) as u64;
         std::iter::successors(if bits == 0 { None } else { Some(bits) }, |&b| {
             let b = b & (b - 1);
@@ -322,7 +353,7 @@ fn iter_bits(words: &[u64]) -> impl Iterator<Item = u64> + '_ {
 mod tests {
     use super::*;
     use crate::rng::Rng;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::{BTreeSet, HashMap, HashSet};
 
     #[test]
     fn set_clear_empties_and_allows_reinsert() {
@@ -444,6 +475,55 @@ mod tests {
         let mut expect: Vec<u64> = model.into_iter().collect();
         expect.sort_unstable();
         assert_eq!(dense.iter().collect::<Vec<_>>(), expect);
+    }
+
+    #[test]
+    fn nth_key_agrees_with_a_sorted_key_model_under_random_ops() {
+        let mut rng = Rng::stream(0xDE5E, 2);
+        let cap = 700u64;
+        let mut dense: DenseMap<u64> = DenseMap::with_capacity(cap);
+        let mut model: BTreeSet<u64> = BTreeSet::new();
+        for i in 0..20_000 {
+            let k = rng.gen_range(cap);
+            if rng.gen_range(3) == 0 {
+                dense.remove(k);
+                model.remove(&k);
+            } else {
+                dense.insert(k, i);
+                model.insert(k);
+            }
+            let r = rng.gen_range(model.len() as u64 + 2) as usize;
+            assert_eq!(
+                dense.nth_key(r),
+                model.iter().nth(r).copied(),
+                "op {i}, r {r}"
+            );
+        }
+        let sorted: Vec<u64> = model.iter().copied().collect();
+        let picked: Vec<u64> = (0..sorted.len())
+            .map(|r| dense.nth_key(r).unwrap())
+            .collect();
+        assert_eq!(picked, sorted);
+        assert_eq!(dense.nth_key(sorted.len()), None);
+    }
+
+    #[test]
+    fn iter_not_in_is_the_set_difference() {
+        let mut rng = Rng::stream(0xDE5E, 3);
+        // The map is shorter than the set: keys past its capacity are
+        // never in it.
+        let mut set = DenseSet::with_capacity(300);
+        let mut map: DenseMap<u64> = DenseMap::with_capacity(200);
+        for _ in 0..400 {
+            set.insert(rng.gen_range(300));
+            map.insert(rng.gen_range(200), 0);
+        }
+        let expect: Vec<u64> = set
+            .iter()
+            .filter(|&k| !(k < 200 && map.contains_key(k)))
+            .collect();
+        assert_eq!(set.iter_not_in(&map).collect::<Vec<_>>(), expect);
+        assert!(expect.iter().any(|&k| k < 200) && expect.iter().any(|&k| k >= 200));
     }
 
     #[test]

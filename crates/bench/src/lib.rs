@@ -270,10 +270,10 @@ pub fn print_series(
 ) {
     println!("## {}", curve.label);
     println!("{:>14} {:>9}", "writes", "value");
-    let points = curve.series.points();
-    let step = (points.len() / max_rows.max(1)).max(1);
-    for (i, p) in points.iter().enumerate() {
-        if i % step == 0 || i == points.len() - 1 {
+    let series = &curve.series;
+    let step = (series.len() / max_rows.max(1)).max(1);
+    for (i, p) in series.iter().enumerate() {
+        if i % step == 0 || i == series.len() - 1 {
             println!("{:>14} {:>8.2}%", p.writes, metric(p) * 100.0);
         }
     }

@@ -6,6 +6,12 @@
 //! writes-to-30%-failure). The simulator records a [`SamplePoint`] every
 //! `sample_interval` writes; the bench harness prints the series.
 
+use std::sync::Arc;
+
+/// [`TimeSeries::iter`]: the shared history, then the series' own tail.
+type Samples<'a> =
+    std::iter::Chain<std::slice::Iter<'a, SamplePoint>, std::slice::Iter<'a, SamplePoint>>;
+
 /// One sample of the simulation's observable state.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SamplePoint {
@@ -26,16 +32,14 @@ pub struct SamplePoint {
 
 /// An append-only series of [`SamplePoint`]s.
 ///
-/// A clone keeps the original's room to grow: a forked simulation records
-/// its next sample in place — unless the original would have grown there
-/// too — instead of first moving the whole history to a bigger buffer.
+/// The history is a frozen, shared prefix plus this series' own tail. A
+/// clone shares the prefix and copies only the tail, and a snapshot
+/// ([`crate::sim::Simulation::snapshot`]) moves its tail into the prefix,
+/// so every fork of it starts with an empty tail and copies no sample.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
-    /// The `len` samples, then headroom. The headroom is initialised
-    /// slots rather than a `Vec`'s spare capacity because a derived
-    /// `Clone` copies elements, not capacity.
-    slots: Vec<SamplePoint>,
-    len: usize,
+    frozen: Arc<Vec<SamplePoint>>,
+    tail: Vec<SamplePoint>,
 }
 
 impl TimeSeries {
@@ -50,33 +54,47 @@ impl TimeSeries {
     ///
     /// Panics if `point.writes` is not monotonically non-decreasing.
     pub fn push(&mut self, point: SamplePoint) {
-        if let Some(last) = self.points().last() {
+        if let Some(last) = self.last() {
             assert!(
                 point.writes >= last.writes,
                 "samples must be recorded in write order"
             );
         }
-        if self.len == self.slots.len() {
-            let slots = (2 * self.len).max(16);
-            self.slots.resize(slots, SamplePoint::default());
-        }
-        self.slots[self.len] = point;
-        self.len += 1;
+        self.tail.push(point);
     }
 
-    /// The recorded samples.
-    pub fn points(&self) -> &[SamplePoint] {
-        &self.slots[..self.len]
+    /// Moves the tail into the shared prefix: without copying a sample
+    /// when the prefix is empty, in place when it is this series' alone,
+    /// and onto a copy of it when it is shared.
+    pub(crate) fn freeze(&mut self) {
+        if self.tail.is_empty() {
+            return;
+        }
+        if self.frozen.is_empty() {
+            self.frozen = Arc::new(std::mem::take(&mut self.tail));
+        } else {
+            Arc::make_mut(&mut self.frozen).append(&mut self.tail);
+        }
+    }
+
+    /// The recorded samples, oldest first.
+    pub fn iter(&self) -> Samples<'_> {
+        self.frozen.iter().chain(self.tail.iter())
+    }
+
+    /// The newest sample.
+    pub fn last(&self) -> Option<&SamplePoint> {
+        self.tail.last().or_else(|| self.frozen.last())
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.len
+        self.frozen.len() + self.tail.len()
     }
 
     /// Whether no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Linearly interpolated write count at which `survival` first drops
@@ -93,7 +111,7 @@ impl TimeSeries {
 
     fn crossing(&self, target: f64, metric: impl Fn(&SamplePoint) -> f64) -> Option<u64> {
         let mut prev: Option<&SamplePoint> = None;
-        for p in self.points() {
+        for p in self {
             let v = metric(p);
             if v <= target {
                 return Some(match prev {
@@ -117,10 +135,10 @@ impl TimeSeries {
 
 impl<'a> IntoIterator for &'a TimeSeries {
     type Item = &'a SamplePoint;
-    type IntoIter = std::slice::Iter<'a, SamplePoint>;
+    type IntoIter = Samples<'a>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.points().iter()
+    fn into_iter(self) -> Samples<'a> {
+        self.iter()
     }
 }
 
@@ -150,21 +168,39 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_records_its_next_sample_in_place() {
+    fn forks_share_history() {
         let mut s = TimeSeries::new();
-        let mut grew = Vec::new();
-        for i in 1..=300 {
+        for i in 0..300 {
             s.push(pt(i, 1.0, 1.0));
-            let mut fork = s.clone();
-            fork.push(pt(i, 0.5, 0.5));
-            if fork.slots.len() != s.slots.len() {
-                grew.push(i);
-            }
-            assert_eq!(fork.len(), s.len() + 1);
-            assert_eq!(fork.points()[..s.len()], *s.points());
         }
-        // Only where the original is full and grows on its next push too.
-        assert_eq!(grew, [16, 32, 64, 128, 256]);
+        s.freeze();
+        assert!(
+            s.tail.is_empty(),
+            "freezing an unshared series moves its tail"
+        );
+        let mut fork = s.clone();
+        assert!(
+            Arc::ptr_eq(&fork.frozen, &s.frozen),
+            "a fork copies the history"
+        );
+        fork.push(pt(300, 0.5, 0.5));
+        fork.push(pt(301, 0.4, 0.4));
+        assert!(
+            Arc::ptr_eq(&fork.frozen, &s.frozen),
+            "a push touches the history"
+        );
+        assert_eq!(fork.tail.len(), 2);
+        assert_eq!((s.len(), fork.len()), (300, 302));
+        assert_eq!(fork.last().map(|p| p.writes), Some(301));
+        let writes: Vec<u64> = fork.iter().map(|p| p.writes).collect();
+        assert_eq!(writes, (0..302).collect::<Vec<_>>());
+
+        // Freezing a fork whose history is shared leaves the parent's alone.
+        let frozen = Arc::clone(&s.frozen);
+        fork.freeze();
+        assert!(fork.tail.is_empty() && !Arc::ptr_eq(&fork.frozen, &s.frozen));
+        assert!(Arc::ptr_eq(&frozen, &s.frozen) && s.len() == 300);
+        assert!(fork.iter().map(|p| p.writes).eq(0..302));
     }
 
     #[test]

@@ -88,7 +88,13 @@ impl RevivedController {
     /// 5. heal unlinked software-accessible dead blocks with spares
     ///    (Theorem 2's undiscovered-failure state — legal, but healed
     ///    eagerly when the pool allows);
-    /// 6. replay the journaled migration lines.
+    /// 6. replay the journaled migration lines;
+    /// 7. collapse the two-step chains the cut left: a linked head whose
+    ///    shadow is dead and unlinked.
+    ///
+    /// Steps 5 and 7 find their dead, unlinked blocks a 64-block word at a
+    /// time (the device's dead set and-not the link table's keys), not by
+    /// visiting every block or every link.
     ///
     /// Suspends gracefully (`report.suspended`) when replay needs a spare
     /// that does not exist, and flags `report.degraded` instead of
@@ -187,10 +193,17 @@ impl RevivedController {
             phase: RecoveryPhase::SparePool,
             items: report.spares_recovered,
         });
-        // 5. Heal unlinked software-accessible dead blocks.
-        let mut dead = Vec::with_capacity(self.device.dead_blocks() as usize);
-        dead.extend(self.device.dead_iter());
-        for da in dead {
+        // 5. Heal unlinked software-accessible dead blocks. The candidates
+        // are taken before the first heal, whose metadata write may kill
+        // (and link) more blocks; a candidate linked on the way is
+        // skipped, and no link is dropped in between.
+        let unlinked: Vec<Da> = self
+            .device
+            .dead_set()
+            .iter_not_in(&self.links.ptr)
+            .map(Da::new)
+            .collect();
+        for da in unlinked {
             if self.links.ptr.contains_key(da.index()) {
                 continue;
             }
@@ -240,8 +253,13 @@ impl RevivedController {
         // online. With a dry spare pool the shadow parks as an
         // undiscovered failure instead (`take_spare_or_park`) and heals
         // on its next touch.
+        //
+        // The per-link loop runs only when some head qualifies, which is
+        // asked from the shadow side (`torn_shadow_exists`). If none does,
+        // the loop only skips: nothing it reads moves before its first
+        // `write_da`.
         let mut collapsed = 0u64;
-        if self.switching && !self.suspended {
+        if self.switching && !self.suspended && self.torn_shadow_exists() {
             let mut heads = Vec::with_capacity(self.links.ptr.len());
             heads.extend(self.links.ptr.keys());
             for da_idx in heads {
@@ -283,6 +301,21 @@ impl RevivedController {
             unhealed: report.unhealed_dead,
         });
         report
+    }
+
+    /// Whether some linked head's shadow block is dead and unlinked — the
+    /// two-step chain step 7 of [`Self::recover`] collapses. Asked from the
+    /// shadow side: every dead, unlinked block, the PA that maps to it,
+    /// and whether a head links to that PA (`links.inv` mirrors
+    /// `links.ptr`, as [`Self::assert_invariants`] checks).
+    fn torn_shadow_exists(&self) -> bool {
+        self.device
+            .dead_set()
+            .iter_not_in(&self.links.ptr)
+            .any(|sda| {
+                self.safe_inverse(Da::new(sda))
+                    .is_some_and(|v| self.links.inv.contains_key(v.index()))
+            })
     }
 
     /// Repairs a half-completed virtual-shadow switch found at recovery:

@@ -2,10 +2,10 @@
 //! [`Simulation`] is assembled from the registry's stack, the OS model
 //! and a workload.
 
-use super::oracle::Oracle;
 use super::{Simulation, LOOKAHEAD};
 use crate::metrics::TimeSeries;
 use crate::registry::{DeviceParts, SchemeRegistry, StackCtx, StackKnobs, StackSpec};
+use wlr_base::dense::DenseMap;
 use wlr_base::rng::Rng;
 use wlr_base::{AppAddr, Geometry};
 use wlr_os::OsMemory;
@@ -334,7 +334,7 @@ impl SimulationBuilder {
             next_sample: sample_interval,
             expected: self
                 .verify_integrity
-                .then(|| Oracle::with_capacity(app_blocks)),
+                .then(|| DenseMap::with_capacity(app_blocks)),
             verify_rng: Rng::stream(self.knobs.seed, 0x07AC1E),
             integrity_errors: 0,
             retirements: 0,

@@ -33,8 +33,8 @@ use crate::controller::{Controller, WriteResult};
 use crate::metrics::{SamplePoint, TimeSeries};
 use crate::recovery::{DurableImage, PersistedMeta, RecoveryReport, TornMeta};
 use crate::reviver::{EventRing, ReviverCounters};
-use oracle::Oracle;
 use std::sync::Once;
+use wlr_base::dense::DenseMap;
 use wlr_base::rng::Rng;
 use wlr_base::{AppAddr, Geometry, PageId};
 use wlr_os::OsMemory;
@@ -109,7 +109,7 @@ pub struct Simulation {
     /// ahead of `writes_issued`; advanced by `sample_interval` each time.
     next_sample: u64,
     /// Integrity oracle: app address → expected tag.
-    expected: Option<Oracle>,
+    expected: Option<DenseMap<u64>>,
     verify_rng: Rng,
     integrity_errors: u64,
     retirements: u64,
@@ -409,7 +409,6 @@ impl Simulation {
     fn record_sample(&mut self) {
         if self
             .series
-            .points()
             .last()
             .is_some_and(|p| p.writes == self.writes_issued)
         {
@@ -668,10 +667,14 @@ impl Simulation {
     /// there for what that holds). The state lives in flat tables (`Vec`s
     /// and [`wlr_base::dense::DenseMap`]s), so the snapshot is a handful of
     /// bulk memcpys — no per-entry work — and [`Simulation::fork`]-then-
-    /// replay is bit-identical to continuing the original run.
+    /// replay is bit-identical to continuing the original run. The sample
+    /// history moves into the snapshot's shared prefix, so a fork copies
+    /// none of it.
     pub fn snapshot(&self) -> SimSnapshot {
         keep_fork_memory();
-        SimSnapshot(self.clone())
+        let mut image = self.clone();
+        image.series.freeze();
+        SimSnapshot(image)
     }
 
     /// Instantiates a fresh, independent simulation from `snap`. The

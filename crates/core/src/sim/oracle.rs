@@ -1,50 +1,12 @@
 //! The data-integrity oracle: the expected content of every application
-//! block, the spot and full read-back checks against it, the exemptions
-//! injected faults earn (a silently-failed line, a relocation copy a
-//! power cut dropped), and application-level reads.
+//! block (a [`wlr_base::dense::DenseMap`] from app address to tag, whose
+//! presence bitset is also its sorted key order), the spot and full
+//! read-back checks against it, the exemptions injected faults earn (a
+//! silently-failed line, a relocation copy a power cut dropped), and
+//! application-level reads.
 
 use super::{AppRead, Simulation};
-use wlr_base::dense::DenseMap;
 use wlr_base::{AppAddr, Pa};
-
-/// The integrity oracle's store: a dense app-address → tag table plus an
-/// incrementally-maintained sorted key list. The seed-state engine
-/// re-sorted the key set at every sample to make verification traffic
-/// deterministic; keeping the list sorted across inserts (most writes hit
-/// an existing key and touch only the table) preserves the exact same
-/// pick sequence at O(log n) amortized instead of O(n log n) per sample.
-#[derive(Debug, Clone)]
-pub(super) struct Oracle {
-    pub(super) map: DenseMap<u64>,
-    /// The present keys in ascending order, kept in lockstep with `map`.
-    pub(super) keys: Vec<u64>,
-}
-
-impl Oracle {
-    pub(super) fn with_capacity(capacity: u64) -> Self {
-        Oracle {
-            map: DenseMap::with_capacity(capacity),
-            keys: Vec::new(),
-        }
-    }
-
-    pub(super) fn insert(&mut self, k: u64, v: u64) {
-        if self.map.insert(k, v).is_none() {
-            let pos = self.keys.binary_search(&k).unwrap_err();
-            self.keys.insert(pos, k);
-        }
-    }
-
-    pub(super) fn remove(&mut self, k: u64) {
-        if self.map.remove(k).is_some() {
-            let pos = self
-                .keys
-                .binary_search(&k)
-                .expect("oracle key list out of sync");
-            self.keys.remove(pos);
-        }
-    }
-}
 
 impl Simulation {
     /// Removes from the oracle the application address currently mapped
@@ -54,7 +16,7 @@ impl Simulation {
         let Some(oracle) = &self.expected else {
             return;
         };
-        let hit = oracle.keys.iter().copied().find(|&k| {
+        let hit = oracle.keys().find(|&k| {
             self.os
                 .translate(AppAddr::new(k))
                 .is_some_and(|cand| cand == pa)
@@ -88,23 +50,23 @@ impl Simulation {
         let Some(oracle) = &self.expected else {
             return;
         };
-        // The key list is kept sorted so verification traffic is
-        // deterministic, exactly as the seed-state engine's per-sample
-        // sort made it.
-        if oracle.keys.is_empty() {
+        // Picks index the keys in ascending order, so verification
+        // traffic is deterministic, exactly as the seed-state engine's
+        // per-sample sort made it; the presence bitset is that order.
+        if oracle.is_empty() {
             return;
         }
         let mut picks = Vec::with_capacity(count);
-        for _ in 0..count.min(oracle.keys.len()) {
-            let k = oracle.keys[self.verify_rng.gen_range(oracle.keys.len() as u64) as usize];
-            picks.push(k);
+        for _ in 0..count.min(oracle.len()) {
+            let r = self.verify_rng.gen_range(oracle.len() as u64) as usize;
+            picks.push(oracle.nth_key(r).expect("r < len"));
         }
         for k in picks {
             let addr = AppAddr::new(k);
             let Some(pa) = self.os.translate(addr) else {
                 continue;
             };
-            let want = self.expected.as_ref().unwrap().map.at(k);
+            let want = self.expected.as_ref().unwrap().at(k);
             let got = self.controller.read(pa);
             if got != want {
                 self.integrity_errors += 1;
@@ -116,7 +78,7 @@ impl Simulation {
     /// returns each mismatch as `(app address, expected tag, observed tag)`.
     pub fn find_mismatches(&mut self) -> Vec<(u64, u64, u64)> {
         let pairs: Vec<(u64, u64)> = match &self.expected {
-            Some(o) => o.map.iter().collect(),
+            Some(o) => o.iter().collect(),
             None => return Vec::new(),
         };
         let mut out = Vec::new();
@@ -169,7 +131,7 @@ impl Simulation {
     /// quarantine evacuates from a dying bank.
     pub fn tracked_lines(&self) -> Vec<(u64, u64)> {
         match &self.expected {
-            Some(o) => o.keys.iter().map(|&k| (k, o.map.at(k))).collect(),
+            Some(o) => o.iter().collect(),
             None => Vec::new(),
         }
     }

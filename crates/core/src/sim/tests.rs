@@ -131,13 +131,7 @@ fn freep_reserve_postpones_freeze() {
     some.run(StopCondition::Writes(3_000_000));
     // With a reserve the scheme should still be leveling when the 0%
     // variant has long frozen (or at least have frozen later).
-    let frozen_at = |sim: &Simulation| {
-        sim.series()
-            .points()
-            .iter()
-            .find(|p| !p.wl_active)
-            .map(|p| p.writes)
-    };
+    let frozen_at = |sim: &Simulation| sim.series().iter().find(|p| !p.wl_active).map(|p| p.writes);
     match (frozen_at(&none), frozen_at(&some)) {
         (Some(a), Some(b)) => assert!(b > a, "reserve should delay freeze: {b} vs {a}"),
         (Some(_), None) => {} // reserve never froze: even better
@@ -202,7 +196,7 @@ fn series_samples_are_recorded() {
     let mut sim = quick("reviver-sg", 1e9, 10);
     sim.run(StopCondition::Writes(25_000));
     assert!(sim.series().len() >= 5);
-    let last = sim.series().points().last().unwrap();
+    let last = sim.series().last().unwrap();
     assert_eq!(last.writes, 25_000);
     assert!((last.avg_access_time - 1.0).abs() < 0.05);
 }
@@ -418,15 +412,15 @@ fn mismatched_workload_panics() {
         .build();
 }
 
-/// Regression for the oracle's verification-order contract: the
-/// incrementally-maintained key list must at every point equal the
-/// seed-state engine's collect-then-`sort_unstable` of the key set,
-/// or verification picks (and thus whole oracle runs) silently
-/// diverge across engines.
+/// Regression for the oracle's verification-order contract: the key
+/// order its picks index (`nth_key` over the presence bitset) must at
+/// every point equal the seed-state engine's collect-then-`sort_unstable`
+/// of the key set, or verification picks (and thus whole oracle runs)
+/// silently diverge across engines.
 #[test]
 fn oracle_key_list_tracks_sorted_key_set() {
     use std::collections::HashMap;
-    let mut oracle = Oracle::with_capacity(512);
+    let mut oracle: DenseMap<u64> = DenseMap::with_capacity(512);
     let mut model: HashMap<u64, u64> = HashMap::new();
     let mut rng = Rng::stream(0x0AC1E, 0);
     for i in 0..20_000u64 {
@@ -441,12 +435,15 @@ fn oracle_key_list_tracks_sorted_key_set() {
         if i % 997 == 0 {
             let mut sorted: Vec<u64> = model.keys().copied().collect();
             sorted.sort_unstable();
-            assert_eq!(oracle.keys, sorted, "key list diverged at op {i}");
+            let picked: Vec<u64> = (0..sorted.len())
+                .map(|r| oracle.nth_key(r).expect("r < len"))
+                .collect();
+            assert_eq!(picked, sorted, "key order diverged at op {i}");
         }
     }
-    assert_eq!(oracle.map.len(), model.len());
+    assert_eq!(oracle.len(), model.len());
     for (k, &v) in &model {
-        assert_eq!(oracle.map.get(*k), Some(v));
+        assert_eq!(oracle.get(*k), Some(v));
     }
 }
 
@@ -547,7 +544,7 @@ fn batched_sampling_lands_on_exact_boundaries() {
             .sample_interval(3_000)
             .build();
         let out = sim.run(stop);
-        for p in sim.series().points() {
+        for p in sim.series() {
             assert!(
                 p.writes % 3_000 == 0 || p.writes == out.writes_issued,
                 "off-boundary sample at {} under {stop:?}",

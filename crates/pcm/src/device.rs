@@ -18,6 +18,7 @@
 use crate::ecc::{Ecp, ErrorCorrection};
 use crate::fault::{CrashPoint, FaultCounters, FaultInjector, FaultPlan, ReadFault, WriteFault};
 use crate::lifetime::LifetimeModel;
+use wlr_base::dense::DenseSet;
 use wlr_base::{Da, Geometry};
 
 /// Result of a block write.
@@ -148,7 +149,7 @@ impl PcmDeviceBuilder {
             } else {
                 None
             },
-            dead_count: 0,
+            dead: DenseSet::with_capacity(total),
             visible_dead: 0,
             stats: AccessStats::default(),
             fault: self.fault_plan.map(FaultInjector::new),
@@ -157,18 +158,18 @@ impl PcmDeviceBuilder {
 }
 
 /// Per-block mutable state, packed into one slot so the write hot path
-/// (wear bump + threshold compare + death check) touches a single cache
-/// line instead of three parallel arrays.
+/// (wear bump + threshold compare) touches a single cache line instead of
+/// parallel arrays. Whether a block is dead is not here but in
+/// [`PcmDevice`]'s dead set; a dead block's threshold is 0, which the fast
+/// write declines like any threshold not yet drawn.
 #[derive(Clone, Copy, Debug, Default)]
 struct BlockState {
     /// Writes absorbed so far.
     wear: u32,
-    /// Next cell-failure threshold; 0 = not yet materialized.
+    /// Next cell-failure threshold; 0 = not yet materialized, or dead.
     threshold: u32,
     /// Cell failures suffered so far.
     failures: u8,
-    /// Whether the block is permanently dead.
-    dead: bool,
 }
 
 /// The simulated PCM chip.
@@ -186,9 +187,11 @@ pub struct PcmDevice {
     ecc: Box<dyn ErrorCorrection>,
     blocks: Vec<BlockState>,
     contents: Option<Vec<u64>>,
-    dead_count: u64,
+    /// The permanently dead blocks: the one record of a death, one bit a
+    /// block.
+    dead: DenseSet,
     /// Dead blocks below `geometry.num_blocks()` — the software-visible
-    /// share of `dead_count`, kept so that sampling need not scan.
+    /// share of `dead`, kept so that sampling need not scan.
     visible_dead: u64,
     stats: AccessStats,
     /// Present only when a fault plan is armed; `None` keeps the access
@@ -237,11 +240,12 @@ impl PcmDevice {
         self.ecc.pool_remaining()
     }
 
-    /// Marks live block `i` dead — the one place the dead counts move.
+    /// Marks live block `i` dead — the one place the dead set and counts
+    /// move. The zeroed threshold keeps [`Self::write_fast`] off the block.
     #[inline]
     fn kill(&mut self, i: usize) {
-        self.blocks[i].dead = true;
-        self.dead_count += 1;
+        self.blocks[i].threshold = 0;
+        self.dead.insert(i as u64);
         self.visible_dead += u64::from((i as u64) < self.geometry.num_blocks());
     }
 
@@ -266,7 +270,7 @@ impl PcmDevice {
         if self.fault.is_some() {
             return self.faulted_read(da);
         }
-        if self.blocks[da.as_usize()].dead {
+        if self.dead.contains(da.index()) {
             ReadOutcome::Dead
         } else {
             ReadOutcome::Ok
@@ -279,7 +283,7 @@ impl PcmDevice {
     fn faulted_read(&mut self, da: Da) -> ReadOutcome {
         let fault = self.fault.as_mut().expect("caller checked");
         let raised = fault.on_read();
-        if self.blocks[da.as_usize()].dead {
+        if self.dead.contains(da.index()) {
             return ReadOutcome::Dead;
         }
         match raised {
@@ -318,7 +322,7 @@ impl PcmDevice {
         }
         self.stats.writes += 1;
         let i = da.as_usize();
-        if self.blocks[i].dead {
+        if self.dead.contains(da.index()) {
             return WriteOutcome::AlreadyDead;
         }
         self.blocks[i].wear = self.blocks[i].wear.saturating_add(1);
@@ -372,9 +376,9 @@ impl PcmDevice {
     pub fn write_fast(&mut self, da: Da, tag: u64) -> bool {
         self.check(da);
         let b = &mut self.blocks[da.as_usize()];
-        // `threshold == 0` (lazy init outstanding) declines here too,
-        // since any `wear + 1 >= 0`.
-        if b.dead || b.wear.saturating_add(1) >= b.threshold {
+        // `threshold == 0` — lazy init outstanding, or the block is dead —
+        // declines here too, since any `wear + 1 >= 0`.
+        if b.wear.saturating_add(1) >= b.threshold {
             return false;
         }
         if let Some(fault) = &mut self.fault {
@@ -406,9 +410,8 @@ impl PcmDevice {
                 // access is serviced and counted; the data is gone, which
                 // a later read/verify discovers via `is_dead`.
                 self.stats.writes += 1;
-                let i = da.as_usize();
-                if !self.blocks[i].dead {
-                    self.kill(i);
+                if !self.dead.contains(da.index()) {
+                    self.kill(da.as_usize());
                 }
                 Some(WriteOutcome::Ok)
             }
@@ -422,7 +425,7 @@ impl PcmDevice {
     /// nothing: the block is dead.
     pub fn write_tagged(&mut self, da: Da, tag: u64) -> WriteOutcome {
         let outcome = self.write(da);
-        if outcome == WriteOutcome::Ok && !self.blocks[da.as_usize()].dead {
+        if outcome == WriteOutcome::Ok && !self.dead.contains(da.index()) {
             if let Some(c) = &mut self.contents {
                 c[da.as_usize()] = tag;
             }
@@ -446,12 +449,17 @@ impl PcmDevice {
     #[inline]
     pub fn is_dead(&self, da: Da) -> bool {
         self.check(da);
-        self.blocks[da.as_usize()].dead
+        self.dead.contains(da.index())
+    }
+
+    /// The dead blocks' indices, as a set.
+    pub fn dead_set(&self) -> &DenseSet {
+        &self.dead
     }
 
     /// Number of dead blocks.
     pub fn dead_blocks(&self) -> u64 {
-        self.dead_count
+        self.dead.len() as u64
     }
 
     /// Number of dead blocks with address below `bound` — used to report
@@ -459,21 +467,21 @@ impl PcmDevice {
     /// has appended private device blocks (buffer lines, backup regions).
     ///
     /// Counted as blocks die for the two bounds every run asks about (the
-    /// visible space and the whole device); any other bound scans.
+    /// visible space and the whole device); any other bound walks the dead
+    /// set up to it.
     pub fn dead_blocks_under(&self, bound: u64) -> u64 {
         if bound == self.geometry.num_blocks() {
             return self.visible_dead;
         }
         if bound >= self.total_blocks {
-            return self.dead_count;
+            return self.dead_blocks();
         }
-        let end = usize::try_from(bound).expect("fits");
-        self.blocks[..end].iter().filter(|b| b.dead).count() as u64
+        self.dead.iter().take_while(|&i| i < bound).count() as u64
     }
 
     /// Fraction of all device blocks that are dead.
     pub fn dead_fraction(&self) -> f64 {
-        self.dead_count as f64 / self.total_blocks as f64
+        self.dead_blocks() as f64 / self.total_blocks as f64
     }
 
     /// Wear (write count) of block `da`.
@@ -498,9 +506,8 @@ impl PcmDevice {
     /// Used to set up fixed failure ratios (Table II).
     pub fn inject_dead(&mut self, da: Da) {
         self.check(da);
-        let i = da.as_usize();
-        if !self.blocks[i].dead {
-            self.kill(i);
+        if !self.dead.contains(da.index()) {
+            self.kill(da.as_usize());
         }
     }
 
@@ -610,7 +617,9 @@ impl PcmDevice {
             "wear image covers a different device"
         );
         assert!(
-            self.stats.total() == 0 && self.blocks.iter().all(|b| b.wear == 0 && !b.dead),
+            self.stats.total() == 0
+                && self.dead.is_empty()
+                && self.blocks.iter().all(|b| b.wear == 0),
             "restore_wear_image requires a fresh device"
         );
         for (i, &w) in wear.iter().enumerate() {
@@ -636,13 +645,9 @@ impl PcmDevice {
         }
     }
 
-    /// Iterator over all dead block addresses.
+    /// Iterator over all dead block addresses, in ascending order.
     pub fn dead_iter(&self) -> impl Iterator<Item = Da> + '_ {
-        self.blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.dead)
-            .map(|(i, _)| Da::new(i as u64))
+        self.dead.iter().map(Da::new)
     }
 }
 
@@ -829,6 +834,76 @@ mod tests {
             assert_eq!(dev.dead_blocks_under(bound), scanned, "bound {bound}");
         }
         assert_eq!(dev.clone().dead_blocks_under(64), 2);
+    }
+
+    #[test]
+    fn the_dead_set_agrees_with_a_per_block_model() {
+        let geo = Geometry::builder().num_blocks(128).build().unwrap();
+        let mk = || {
+            PcmDevice::builder(geo)
+                .extra_blocks(3)
+                .endurance_mean(100.0)
+                .seed(4)
+                .ecc(Box::new(Ecp::new(1)))
+                .build()
+        };
+        let agree = |dev: &PcmDevice, model: &[bool], when: &str| {
+            let dead: Vec<u64> = (0..model.len() as u64)
+                .filter(|&i| model[i as usize])
+                .collect();
+            let iterated: Vec<u64> = dev.dead_iter().map(|da| da.index()).collect();
+            assert_eq!(iterated, dead, "dead_iter {when}");
+            assert_eq!(dev.dead_blocks(), dead.len() as u64, "{when}");
+            for (i, &d) in model.iter().enumerate() {
+                assert_eq!(dev.is_dead(Da::new(i as u64)), d, "block {i} {when}");
+            }
+            for bound in 0..=model.len() as u64 + 1 {
+                let below = dead.iter().filter(|&&i| i < bound).count() as u64;
+                assert_eq!(dev.dead_blocks_under(bound), below, "bound {bound} {when}");
+            }
+        };
+        let mut rng = wlr_base::rng::Rng::stream(0xDEAD, 0);
+        let mut dev = mk();
+        let total = dev.total_blocks();
+        let mut model = vec![false; total as usize];
+        let mut injected = Vec::new();
+        for step in 0..6_000 {
+            let da = Da::new(rng.gen_range(total));
+            let i = da.as_usize();
+            if rng.gen_range(50) == 0 {
+                dev.inject_dead(da);
+                if !model[i] {
+                    injected.push(da);
+                }
+                model[i] = true;
+            } else if dev.write_fast(da, 0) {
+                assert!(!model[i], "the fast write served dead block {i}");
+            } else {
+                match dev.write(da) {
+                    WriteOutcome::NewFailure => {
+                        assert!(!model[i], "block {i} died twice");
+                        model[i] = true;
+                    }
+                    WriteOutcome::AlreadyDead => assert!(model[i], "block {i} is not dead"),
+                    WriteOutcome::Ok => assert!(!model[i], "dead block {i} took a write"),
+                    WriteOutcome::Lost => panic!("no fault plan armed"),
+                }
+            }
+            if step % 500 == 0 {
+                agree(&dev, &model, &format!("at step {step}"));
+            }
+        }
+        let organic = model.iter().filter(|&&d| d).count() - injected.len();
+        assert!(organic > 10 && organic < 100, "{organic} organic deaths");
+        agree(&dev, &model, "after the run");
+        // Wear alone re-derives the organic deaths; injected ones are
+        // re-killed by hand, as `restore_wear_image` asks.
+        let mut restored = mk();
+        restored.restore_wear_image(&dev.wear_snapshot());
+        for &da in &injected {
+            restored.inject_dead(da);
+        }
+        agree(&restored, &model, "after a restore");
     }
 
     #[test]

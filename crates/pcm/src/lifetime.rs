@@ -81,7 +81,9 @@ impl LifetimeModel {
     /// successive `nth` values are non-decreasing.
     ///
     /// This is O(`nth`) — callers ask for small `nth` (at most the ECC
-    /// correction cap plus one), and only when a threshold is crossed.
+    /// correction cap plus one), and only when a threshold is crossed. The
+    /// `nth − 1` statistics below the one asked for are drawn as uniforms:
+    /// only the last goes through the inverse normal CDF.
     ///
     /// # Panics
     ///
@@ -90,12 +92,12 @@ impl LifetimeModel {
         assert!(nth >= 1, "cell-failure index is 1-based");
         assert!(nth <= self.cells, "a block has only {} cells", self.cells);
         let mut os = OrderStatistics::new(Rng::stream(self.seed, block), self.cells);
-        let mut value = 1.0;
-        for _ in 0..nth {
-            value = os
-                .next_normal(self.mean, self.sd, 1.0)
-                .expect("nth is bounded by the cell count");
+        for _ in 1..nth {
+            os.next_uniform();
         }
+        let value = os
+            .next_normal(self.mean, self.sd, 1.0)
+            .expect("nth is bounded by the cell count");
         // Cell fails *at* this write count (ceil keeps thresholds >= 1).
         value.ceil() as u64
     }
@@ -122,6 +124,35 @@ mod tests {
                 let t = m.threshold(block, nth);
                 assert!(t >= prev, "block {block} nth {nth}: {t} < {prev}");
                 prev = t;
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_equals_the_all_normals_loop() {
+        // The loop `threshold` used to run: every statistic up to `nth`
+        // through the inverse normal CDF, keeping the last.
+        let all_normals = |m: &LifetimeModel, block: u64, nth: u32| {
+            let mut os = OrderStatistics::new(Rng::stream(m.seed, block), m.cells);
+            let mut value = 1.0;
+            for _ in 0..nth {
+                value = os.next_normal(m.mean, m.sd, 1.0).unwrap();
+            }
+            value.ceil() as u64
+        };
+        for m in [
+            LifetimeModel::new(1e4, 0.2, 512, 5),
+            LifetimeModel::paper_scale(5),
+        ] {
+            for block in 0..2_000 {
+                for nth in 1..=8 {
+                    assert_eq!(
+                        m.threshold(block, nth),
+                        all_normals(&m, block, nth),
+                        "mean {}, block {block}, nth {nth}",
+                        m.mean
+                    );
+                }
             }
         }
     }

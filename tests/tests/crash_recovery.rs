@@ -24,6 +24,7 @@
 
 use wl_reviver::registry::SchemeRegistry;
 use wl_reviver::sim::{Simulation, SimulationBuilder, StopCondition, StopReason};
+use wlr_base::{Da, Pa};
 use wlr_pcm::{CrashPoint, FaultPlan};
 
 const BLOCKS: u64 = 1 << 10;
@@ -169,6 +170,78 @@ fn torn_switch_is_repaired_on_recovery() {
     assert_eq!(sim.verify_all(), 0, "torn-switch repair lost data");
     sim.run(StopCondition::Writes(STOP));
     assert_eq!(sim.verify_all(), 0, "post-repair run corrupted data");
+}
+
+/// The state recovery's chain collapse (step 7) exists for, if the cut
+/// left it: a software-accessible head whose durable pointer leads to a
+/// dead shadow with no durable pointer of its own, and no journal line to
+/// re-feed the chain. Returns `(head, shadow)`.
+fn torn_shadow_link(sim: &Simulation) -> Option<(Da, Da)> {
+    let rev = sim.controller().as_reviver().expect("reviver stack");
+    let (meta, wl, dev) = (
+        rev.persisted_meta(),
+        rev.wear_leveler(),
+        sim.controller().device(),
+    );
+    let retired = |pa: Pa| meta.retired[sim.geometry().page_of(pa).as_usize()];
+    if !meta.journal.is_empty() {
+        return None;
+    }
+    meta.ptr.iter().find_map(|(head, v)| {
+        let (head, shadow) = (Da::new(head), wl.map(v));
+        let torn = shadow != head
+            && dev.is_dead(shadow)
+            && !meta.ptr.contains_key(shadow.index())
+            && wl.inverse(head).is_some_and(|pa| !retired(pa));
+        torn.then_some((head, shadow))
+    })
+}
+
+#[test]
+fn collapse_heals_a_torn_shadow_link() {
+    // A linked head's shadow dies under a write; the controller links the
+    // shadow and switches the pair, and the cut lands inside that link:
+    // the head's old pointer is durable, the shadow's new one is not. No
+    // journal line covers a plain software write, so only step 7 can put
+    // the head back on a one-step chain. Late in life a few of every
+    // hundred links are of such shadows.
+    let mut warm = rig("reviver-sg").build();
+    warm.run(StopCondition::Writes(25_000));
+    let snap = warm.snapshot();
+    let mut torn = 0;
+    for occurrence in 0..100 {
+        let mut sim = Simulation::fork(&snap);
+        sim.arm_faults(FaultPlan::new().power_loss_at_point(CrashPoint::MidLink, occurrence));
+        let out = sim.run(StopCondition::Writes(STOP));
+        assert_eq!(out.reason, StopReason::PowerLoss, "MidLink#{occurrence}");
+        let Some((head, shadow)) = torn_shadow_link(&sim) else {
+            continue;
+        };
+        torn += 1;
+        // A failed block keeps its last good contents: the head's data.
+        let tag = sim.controller().device().tag(shadow);
+        sim.recover();
+        let rev = sim.controller().as_reviver().expect("reviver stack");
+        rev.assert_invariants();
+        let v = rev.persisted_meta().ptr.get(head.index());
+        let v = v.unwrap_or_else(|| panic!("MidLink#{occurrence}: head {head} lost its link"));
+        let now = rev.wear_leveler().map(v);
+        assert!(
+            !sim.controller().device().is_dead(now),
+            "MidLink#{occurrence}: head {head} still reaches dead {now} (was {shadow})"
+        );
+        let pa = rev.wear_leveler().inverse(head).expect("a mapped head");
+        assert_eq!(
+            sim.controller_mut().read(pa),
+            tag,
+            "MidLink#{occurrence}: head {head} reads back other data"
+        );
+        assert_eq!(sim.verify_all(), 0, "MidLink#{occurrence}: data diverged");
+    }
+    assert!(
+        torn >= 3,
+        "only {torn} of 100 MidLink cuts tore a dying shadow's link"
+    );
 }
 
 #[test]

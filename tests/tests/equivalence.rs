@@ -66,7 +66,7 @@ fn fingerprint(outcome: &Outcome, series: &TimeSeries) -> u64 {
     h.u64(format!("{:?}", outcome.reason).len() as u64);
     h.f64(outcome.survival);
     h.f64(outcome.usable);
-    for p in series.points() {
+    for p in series {
         h.u64(p.writes);
         h.f64(p.survival);
         h.f64(p.usable);

@@ -62,7 +62,7 @@ fn observed(sim: &Simulation) -> (u64, AccessStats, Vec<SamplePoint>) {
     (
         sim.fingerprint(),
         sim.controller().device().stats(),
-        sim.series().points().to_vec(),
+        sim.series().iter().copied().collect(),
     )
 }
 

@@ -29,13 +29,13 @@ fn baseline_freezes_on_first_failure_and_collapses() {
         .workload(bench_workload(Benchmark::Ocean, blocks, 21))
         .build();
     sim.run(StopCondition::UsableBelow(0.70));
-    let points = sim.series().points();
-    let freeze_at = points
+    let freeze_at = sim
+        .series()
         .iter()
         .find(|p| !p.wl_active)
         .map(|p| p.writes)
         .expect("Start-Gap must freeze before the chip dies");
-    let end = points.last().unwrap().writes;
+    let end = sim.series().last().unwrap().writes;
     assert!(end > freeze_at, "chip must outlive the freeze briefly");
     // The frozen chip's total lifetime is a small fraction of what the
     // revived configuration achieves on the same workload ("precipitous"
