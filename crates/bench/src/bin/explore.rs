@@ -33,6 +33,7 @@
 use wl_reviver::registry::SchemeRegistry;
 use wl_reviver::sim::{EccKind, Simulation, SimulationBuilder, StopCondition};
 use wlr_bench::{fork_warmup_for, run_replicated_forked, scaled_gap_interval, ForkSweep};
+use wlr_pcm::Ecp;
 use wlr_trace::{
     Benchmark, BirthdayAttack, CovTargetedWorkload, RepeatAttack, SpatialMode, TraceWorkload,
     UniformWorkload, Workload, ZipfWorkload,
@@ -127,7 +128,10 @@ fn parse_scheme(s: &str) -> (&'static str, Option<f64>) {
 
 fn parse_ecc(s: &str) -> EccKind {
     if let Some(k) = s.strip_prefix("ecp") {
-        EccKind::Ecp(k.parse().unwrap_or_else(|_| usage("bad ecp<k>")))
+        match k.parse() {
+            Ok(k) if k <= Ecp::MAX_ENTRIES => EccKind::Ecp(k),
+            _ => usage(&format!("bad ecp<k> (k is at most {})", Ecp::MAX_ENTRIES)),
+        }
     } else if s == "payg" {
         EccKind::Payg { ratio: 0.77 }
     } else if let Some(r) = s.strip_prefix("payg:") {

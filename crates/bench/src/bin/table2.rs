@@ -104,7 +104,7 @@ fn inject_to_ratio(ctl: &mut Ctl, ratio: f64, rng: &mut Rng, retired: &mut [bool
     let target = (EXP_BLOCKS as f64 * ratio) as u64;
     let mut retired_pages = 0u64;
     let mut guard = 0u64;
-    while ctl.ctl().device().dead_blocks_under(EXP_BLOCKS) < target {
+    while ctl.ctl().device().visible_dead_blocks() < target {
         guard += 1;
         assert!(guard < EXP_BLOCKS * 64, "injection did not converge");
         let pa = Pa::new(rng.gen_range(EXP_BLOCKS));

@@ -100,7 +100,7 @@ pub trait Controller: fmt::Debug + Send {
     /// Dead blocks within the software-visible space, as a fraction of it.
     fn visible_dead_fraction(&self) -> f64 {
         let n = self.geometry().num_blocks();
-        self.device().dead_blocks_under(n) as f64 / n as f64
+        self.device().visible_dead_blocks() as f64 / n as f64
     }
 
     /// Blocks the controller itself holds back from software use
@@ -129,21 +129,17 @@ pub trait Controller: fmt::Debug + Send {
     /// Controller label for experiment output (e.g. `"ECP6-SG-WLR"`).
     fn label(&self) -> String;
 
-    /// Simulates a power cycle: volatile controller state (caches,
-    /// in-flight migration buffers) is lost; PCM-resident state (data,
-    /// pointers, the retired-page bitmap) survives; rebuildable state is
-    /// reconstructed by scanning, as the paper sketches in §III-A/B.
-    /// Default: nothing to lose.
-    fn simulate_reboot(&mut self) {}
-
-    /// Recovers from a power cut: restores device power and rebuilds
-    /// volatile state from whatever survived, reporting the cost. The
-    /// baselines' metadata is modeled as fully persistent (a cut drops
-    /// the write in flight and tears nothing of theirs), so the default
-    /// is a plain reboot; WL-Reviver overrides this with its §III-B scan.
+    /// Recovers from a power cut, or reboots after a clean power cycle:
+    /// restores device power, loses volatile controller state (caches,
+    /// in-flight migration buffers), keeps PCM-resident state (data,
+    /// pointers, the retired-page bitmap) and rebuilds the rest by
+    /// scanning, as the paper sketches in §III-A/B, reporting the cost.
+    /// The baselines' metadata is modeled as fully persistent (a cut drops
+    /// the write in flight and tears nothing of theirs), so by default
+    /// there is nothing to rebuild; WL-Reviver overrides this with its
+    /// §III-B scan.
     fn recover(&mut self) -> RecoveryReport {
         self.device_mut().restore_power();
-        self.simulate_reboot();
         RecoveryReport::default()
     }
 

@@ -218,7 +218,9 @@ impl<S: SpareSupply> LinkedController<S> {
         }
         let to = self.supply.take(origin).ok_or(Unstored)?;
         self.links.insert(dead.index(), to);
-        self.device.write(dead); // store the pointer
+        // Store the pointer; a dead block keeps no tag.
+        debug_assert!(self.device.is_dead(dead), "only failed blocks are linked");
+        self.device.write_tagged(dead, 0);
         if let Some(c) = &mut self.cache {
             c.insert(dead.index(), to.index());
         }
@@ -321,7 +323,7 @@ impl<S: SpareSupply> LinkedController<S> {
             };
             if moved.is_err() {
                 // A power cut is not a failure: it freezes nothing.
-                self.frozen |= !self.device.power_lost() && self.supply.pending_request().is_none();
+                self.frozen |= self.device.powered() && self.supply.pending_request().is_none();
                 return;
             }
         }
@@ -351,7 +353,7 @@ impl<S: SpareSupply> Controller for LinkedController<S> {
             // else. Otherwise either the simulator retries the write after
             // granting the pages the supply waits for, or nothing hides
             // this failure and the OS gets to see it.
-            if self.device.power_lost() {
+            if !self.device.powered() {
                 return WriteResult::Dropped(ReviverError::PowerLoss);
             }
             if let Some(pages) = self.supply.pending_request() {

@@ -243,13 +243,6 @@ impl Controller for RevivedController {
         RevivedController::logical_owner(self, da)
     }
 
-    fn simulate_reboot(&mut self) {
-        // A reboot is a power cut plus recovery: every volatile table is
-        // rebuilt from the durable metadata mirror (§III-B's "rebuilt by
-        // scanning the entire PCM").
-        self.recover();
-    }
-
     fn recover(&mut self) -> RecoveryReport {
         RevivedController::recover(self)
     }

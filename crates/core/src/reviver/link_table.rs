@@ -34,7 +34,9 @@ impl RevivedController {
     /// fault injector dropped leaves the durable pointer at its old
     /// value — the torn states recovery must untangle).
     pub(super) fn commit_ptr(&mut self, da: Da, v: Pa) {
-        if self.device.write(da) != WriteOutcome::Lost {
+        // A dead block stores no tag, so the tag written is immaterial.
+        debug_assert!(self.device.is_dead(da), "only failed blocks hold pointers");
+        if self.device.write_tagged(da, 0) != WriteOutcome::Lost {
             self.persist.ptr.insert(da.index(), v);
         }
     }

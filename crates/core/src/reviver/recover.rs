@@ -143,17 +143,17 @@ impl RevivedController {
         // table is their mirror image (the paper's §III-B scan).
         self.links.ptr.clear();
         self.links.inv.clear();
-        let mut entries = Vec::with_capacity(self.persist.ptr.len());
-        entries.extend(self.persist.ptr.iter());
+        let mut torn: Vec<u64> = Vec::new();
         let mut collisions: Vec<(Da, Da, Pa)> = Vec::new();
-        for (da_idx, v) in entries {
+        for (da_idx, v) in self.persist.ptr.iter() {
             report.blocks_scanned += 1;
             let da = Da::new(da_idx);
-            if !self.device.is_dead(da) || !self.is_reserved(v) {
+            // `is_reserved`, spelled out: `self` is borrowed by the scan.
+            let reserved = self.pool.retired[self.geo.page_of(v).as_usize()];
+            if !self.device.is_dead(da) || !reserved {
                 // Torn: a pointer whose grant (or whose block's death)
-                // never committed. Discard it.
-                self.persist.ptr.remove(da_idx);
-                report.torn_links_dropped += 1;
+                // never committed. Discarded after the scan.
+                torn.push(da_idx);
                 continue;
             }
             self.links.ptr.insert(da_idx, v);
@@ -161,6 +161,10 @@ impl RevivedController {
             if let Some(prev) = self.links.inv.insert(v.index(), da) {
                 collisions.push((prev, da, v));
             }
+        }
+        report.torn_links_dropped += torn.len() as u64;
+        for da_idx in torn {
+            self.persist.ptr.remove(da_idx);
         }
         self.emit(ReviverEvent::RecoveryStep {
             phase: RecoveryPhase::Links,

@@ -432,20 +432,14 @@ impl Simulation {
         });
     }
 
-    /// Simulates a machine power cycle: the OS reloads the retired-page
-    /// bitmap (it never forgot it — `OsMemory` is this simulation's OS
-    /// state) and the controller reconstructs its volatile state from
-    /// PCM-resident metadata. See
-    /// [`crate::controller::Controller::simulate_reboot`].
-    pub fn simulate_reboot(&mut self) {
-        self.controller.simulate_reboot();
-    }
-
     /// Recovers from an injected power loss: restores device power and
     /// has the controller rebuild its volatile state from persistent
     /// metadata, returning the recovery-cost report. Safe to call when
-    /// power was never lost (it is then just a reboot). After it returns,
-    /// [`Self::run`] can continue the interrupted run.
+    /// power was never lost: it is then a machine power cycle, in which
+    /// the OS keeps its retired-page bitmap (`OsMemory` is this
+    /// simulation's OS state) and the controller rebuilds from
+    /// PCM-resident metadata. After it returns, [`Self::run`] can continue
+    /// the interrupted run.
     pub fn recover(&mut self) -> RecoveryReport {
         let report = self.controller.recover();
         if self.fault_active {
@@ -537,7 +531,7 @@ impl Simulation {
 
     /// Arms an additional fault plan on the *running* simulation. Indices
     /// in `plan` are relative to the device accesses serviced so far (see
-    /// [`wlr_pcm::FaultInjector::arm`]), so `power_loss_at_write(0)` cuts
+    /// [`wlr_pcm::PcmDevice::arm_faults`]), so `power_loss_at_write(0)` cuts
     /// power on the very next device write. A no-op for an empty plan.
     ///
     /// Every later write takes the guarded protocol, permanently — also

@@ -42,7 +42,7 @@ impl Simulation {
         // cut inside a migration still reports `WriteResult::Ok`.
         let (power_lost, silent_logged) = if self.fault_active {
             let device = self.controller.device();
-            (device.power_lost(), device.silent_failures().len())
+            (!device.powered(), device.silent_failures().len())
         } else {
             (false, 0)
         };

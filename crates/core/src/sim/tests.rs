@@ -296,7 +296,7 @@ fn reboot_preserves_data_and_revival() {
     assert!(links_before > 20, "need real state before rebooting");
     for round in 1..=3 {
         if !sim.controller().suspended() {
-            sim.simulate_reboot();
+            sim.recover();
         }
         assert_eq!(sim.verify_all(), 0, "data lost across reboot {round}");
         let target = sim.writes_issued() + 30_000;

@@ -78,8 +78,21 @@ pub struct Ecp {
 }
 
 impl Ecp {
+    /// The most entries a block can use: the device counts a block's cell
+    /// failures in a byte and refuses a 250th, and ECP-k sees k + 1.
+    pub const MAX_ENTRIES: u32 = 248;
+
     /// An ECP scheme with `entries` correction entries per block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` exceeds [`Self::MAX_ENTRIES`].
     pub fn new(entries: u32) -> Self {
+        assert!(
+            entries <= Self::MAX_ENTRIES,
+            "ECP{entries}: a block corrects at most {} cells",
+            Self::MAX_ENTRIES
+        );
         Ecp { entries }
     }
 
@@ -87,16 +100,6 @@ impl Ecp {
     /// group).
     pub fn ecp6() -> Self {
         Ecp::new(6)
-    }
-
-    /// ECP1: a single correction entry, used as PAYG's local scheme.
-    pub fn ecp1() -> Self {
-        Ecp::new(1)
-    }
-
-    /// Number of correction entries per block.
-    pub fn entries(&self) -> u32 {
-        self.entries
     }
 }
 
@@ -134,9 +137,7 @@ impl ErrorCorrection for Ecp {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Payg {
-    local_entries: u32,
     pool: u64,
-    pool_capacity: u64,
     cap: u32,
 }
 
@@ -144,12 +145,7 @@ impl Payg {
     /// A PAYG scheme with `pool` global entries and a per-block ceiling of
     /// `cap` corrected cells (local + global).
     pub fn new(pool: u64, cap: u32) -> Self {
-        Payg {
-            local_entries: 1,
-            pool,
-            pool_capacity: pool,
-            cap,
-        }
+        Payg { pool, cap }
     }
 
     /// Pool sized as `ratio` entries per block, the paper's default budget
@@ -161,16 +157,6 @@ impl Payg {
         assert!(ratio >= 0.0, "pool ratio must be non-negative");
         Payg::new((num_blocks as f64 * ratio).floor() as u64, 64)
     }
-
-    /// The paper's default: 0.77 pool entries per block.
-    pub fn paper_default(num_blocks: u64) -> Self {
-        Payg::with_ratio(num_blocks, 0.77)
-    }
-
-    /// Total pool capacity in entries.
-    pub fn pool_capacity(&self) -> u64 {
-        self.pool_capacity
-    }
 }
 
 impl ErrorCorrection for Payg {
@@ -178,8 +164,8 @@ impl ErrorCorrection for Payg {
         if nth > self.cap {
             return false;
         }
-        if nth <= self.local_entries {
-            return true;
+        if nth == 1 {
+            return true; // the local ECP1 entry
         }
         if self.pool > 0 {
             self.pool -= 1;
@@ -198,7 +184,7 @@ impl ErrorCorrection for Payg {
     }
 
     fn would_correct(&self, _da: Da, nth: u32) -> bool {
-        nth <= self.cap && (nth <= self.local_entries || self.pool > 0)
+        nth <= self.cap && (nth == 1 || self.pool > 0)
     }
 
     fn clone_box(&self) -> Box<dyn ErrorCorrection> {
@@ -206,34 +192,21 @@ impl ErrorCorrection for Payg {
     }
 }
 
-/// No correction at all: every cell failure kills its block. Useful as a
-/// lower-bound baseline and in unit tests.
-///
-/// ```
-/// use wlr_base::Da;
-/// use wlr_pcm::ecc::{ErrorCorrection, NoCorrection};
-/// assert!(!NoCorrection.correct(Da::new(0), 1));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NoCorrection;
-
-impl ErrorCorrection for NoCorrection {
-    fn correct(&mut self, _da: Da, _nth: u32) -> bool {
-        false
-    }
-
-    fn label(&self) -> String {
-        "none".to_string()
-    }
-
-    fn clone_box(&self) -> Box<dyn ErrorCorrection> {
-        Box::new(*self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::laws::{device_laws, Spec};
+
+    #[test]
+    fn ecp_obeys_every_device_law() {
+        device_laws(Spec::Ecp(0), |d| d);
+        device_laws(Spec::Ecp(6), |d| d);
+    }
+
+    #[test]
+    fn payg_obeys_every_device_law() {
+        device_laws(Spec::Payg, |d| d);
+    }
 
     #[test]
     fn ecp_corrects_up_to_entries() {
@@ -248,23 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn ecp_zero_entries_fails_immediately() {
-        let mut e = Ecp::new(0);
-        assert!(!e.correct(Da::new(0), 1));
-    }
-
-    #[test]
-    fn payg_pool_is_shared_across_blocks() {
-        let mut p = Payg::new(3, 6);
-        // Three different blocks each burn one pool entry for their 2nd
-        // failure; the fourth block is out of luck.
-        for b in 0..3u64 {
-            assert!(p.correct(Da::new(b), 1));
-            assert!(p.correct(Da::new(b), 2), "block {b} should get an entry");
-        }
-        assert!(p.correct(Da::new(3), 1));
-        assert!(!p.correct(Da::new(3), 2));
-        assert_eq!(p.pool_remaining(), Some(0));
+    #[should_panic(expected = "at most 248 cells")]
+    fn ecp_refuses_more_entries_than_a_block_counts() {
+        Ecp::new(Ecp::MAX_ENTRIES + 1);
     }
 
     #[test]
@@ -281,35 +240,13 @@ mod tests {
 
     #[test]
     fn payg_ratio_sizing() {
-        let p = Payg::with_ratio(1000, 0.77);
-        assert_eq!(p.pool_capacity(), 770);
-        let p = Payg::paper_default(65536);
-        assert_eq!(p.pool_capacity(), (65536.0f64 * 0.77) as u64);
+        assert_eq!(Payg::with_ratio(1000, 0.77).pool_remaining(), Some(770));
+        let p = Payg::with_ratio(65536, 0.77);
+        assert_eq!(p.pool_remaining(), Some((65536.0f64 * 0.77) as u64));
     }
 
     #[test]
     fn payg_label() {
         assert_eq!(Payg::new(1, 6).label(), "PAYG");
-    }
-
-    #[test]
-    fn no_correction_always_fails() {
-        let mut n = NoCorrection;
-        assert!(!n.correct(Da::new(5), 1));
-        assert_eq!(n.label(), "none");
-    }
-
-    #[test]
-    fn trait_object_usable() {
-        let mut schemes: Vec<Box<dyn ErrorCorrection>> = vec![
-            Box::new(Ecp::ecp6()),
-            Box::new(Payg::new(10, 6)),
-            Box::new(NoCorrection),
-        ];
-        let results: Vec<bool> = schemes
-            .iter_mut()
-            .map(|s| s.correct(Da::new(1), 1))
-            .collect();
-        assert_eq!(results, vec![true, true, false]);
     }
 }

@@ -41,7 +41,7 @@
 //! let mut writes = 0u64;
 //! loop {
 //!     writes += 1;
-//!     if dev.write(da) == WriteOutcome::NewFailure {
+//!     if dev.write_tagged(da, writes) == WriteOutcome::NewFailure {
 //!         break;
 //!     }
 //! }
@@ -59,6 +59,9 @@ pub mod fault;
 pub mod lifetime;
 
 pub use device::{AccessStats, PcmDevice, PcmDeviceBuilder, ReadOutcome, WriteOutcome};
-pub use ecc::{Ecp, ErrorCorrection, NoCorrection, Payg};
-pub use fault::{CrashPoint, FaultCounters, FaultInjector, FaultPlan};
+pub use ecc::{Ecp, ErrorCorrection, Payg};
+pub use fault::{CrashPoint, FaultCounters, FaultPlan};
 pub use lifetime::LifetimeModel;
+
+#[cfg(test)]
+mod laws;

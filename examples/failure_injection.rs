@@ -47,7 +47,7 @@ fn inject(ctl: &mut RevivedController, ratio: f64, rng: &mut Rng, retired: &mut 
     let bpp = geo.blocks_per_page();
     let target = (BLOCKS as f64 * ratio) as u64;
     let mut guard = 0u64;
-    while ctl.device().dead_blocks_under(BLOCKS) < target {
+    while ctl.device().visible_dead_blocks() < target {
         guard += 1;
         assert!(guard < BLOCKS * 64, "injection failed to converge");
         // Kill the block behind a random *accessible* PA, then touch it so

@@ -237,7 +237,7 @@ fn persistence_round_trip_preserves_state_all_stacks() {
             (image, r.linked_blocks(), r.spare_pas())
         });
 
-        s.simulate_reboot();
+        s.recover();
 
         assert_eq!(s.verify_all(), 0, "{label}: reboot lost logical data");
         if let Some((image, links, spares)) = live {

@@ -119,7 +119,7 @@ fn replaying_recorded_events_reconstructs_counters() {
             .expect("reviver stack")
             .record_events(usize::MAX);
         s.run(StopCondition::Writes(60_000));
-        s.simulate_reboot();
+        s.recover();
         s.run(StopCondition::Writes(80_000));
 
         let r = s.controller().as_reviver().expect("reviver stack");
