@@ -9,12 +9,14 @@
 //! O(1) unhashed lookups, and ascending-key iteration that is
 //! deterministic across runs (a `HashMap`'s order is not).
 //!
-//! Memory is `capacity × size_of::<V::Packed>()` plus one bit per key, paid
-//! up front — the right trade at the simulator's scaled geometries. A value
-//! sits in its slot in the form its [`Slot`] impl names: block addresses
-//! ([`Pa`], [`Da`]) as `u32`, so a 2¹⁶-block link table costs 256 KiB where
-//! a `u64`-valued one costs 512 — and half as much again every time a
-//! simulation is forked, since a fork copies every slot, used or not.
+//! Memory is one bit per key up front, plus `capacity ×
+//! size_of::<V::Packed>()` for the slot array from the first insert on. A
+//! table that never holds an entry — every failure-era table of a healthy
+//! chip — costs only its bits to hold, clone and fork. A value sits in its
+//! slot in the form its [`Slot`] impl names: block addresses ([`Pa`],
+//! [`Da`]) as `u32`, so a used 2¹⁶-block link table costs 256 KiB where a
+//! `u64`-valued one costs 512 — and that again every time a simulation is
+//! forked, since a fork copies every slot, used or not.
 
 use crate::addr::{Da, Pa};
 use core::fmt;
@@ -65,7 +67,8 @@ macro_rules! slot_as_u32 {
 slot_as_u32!(Pa, Da);
 
 /// A map from `u64` keys in `[0, capacity)` to values, backed by a flat
-/// slot array and a presence bitset.
+/// slot array and a presence bitset. The slot array is allocated at the
+/// first insert: until then the map is its bits.
 ///
 /// ```
 /// use wlr_base::dense::DenseMap;
@@ -78,8 +81,11 @@ slot_as_u32!(Pa, Da);
 /// ```
 #[derive(Clone)]
 pub struct DenseMap<V: Slot> {
+    /// Empty until the first insert, then `capacity` long for good: a slot
+    /// is only ever read behind its presence bit.
     slots: Vec<V::Packed>,
     present: Vec<u64>,
+    capacity: usize,
     len: usize,
 }
 
@@ -88,15 +94,16 @@ impl<V: Slot> DenseMap<V> {
     pub fn with_capacity(capacity: u64) -> Self {
         let cap = usize::try_from(capacity).expect("capacity exceeds address space");
         DenseMap {
-            slots: vec![V::Packed::default(); cap],
+            slots: Vec::new(),
             present: vec![0u64; cap.div_ceil(WORD_BITS)],
+            capacity: cap,
             len: 0,
         }
     }
 
     /// Key capacity (exclusive upper bound on keys).
     pub fn capacity(&self) -> u64 {
-        self.slots.len() as u64
+        self.capacity as u64
     }
 
     /// Number of entries.
@@ -112,7 +119,7 @@ impl<V: Slot> DenseMap<V> {
     #[inline]
     fn bit(&self, k: u64) -> (usize, u64) {
         let k = k as usize;
-        debug_assert!(k < self.slots.len(), "key {k} outside dense capacity");
+        debug_assert!(k < self.capacity, "key {k} outside dense capacity");
         (k / WORD_BITS, 1u64 << (k % WORD_BITS))
     }
 
@@ -154,12 +161,22 @@ impl<V: Slot> DenseMap<V> {
         let old = if self.present[w] & m != 0 {
             Some(V::unpack(self.slots[k as usize]))
         } else {
+            if self.slots.is_empty() {
+                self.allocate_slots();
+            }
             self.present[w] |= m;
             self.len += 1;
             None
         };
         self.slots[k as usize] = v.pack();
         old
+    }
+
+    /// The first insert's one allocation.
+    #[cold]
+    #[inline(never)]
+    fn allocate_slots(&mut self) {
+        self.slots = vec![V::Packed::default(); self.capacity];
     }
 
     /// Removes the entry at `k`, returning its value if it was present.
@@ -174,8 +191,8 @@ impl<V: Slot> DenseMap<V> {
         Some(V::unpack(self.slots[k as usize]))
     }
 
-    /// Removes every entry, keeping the slot array: one pass over the
-    /// presence words (a slot is only ever read behind its bit).
+    /// Removes every entry, keeping the slot array (if one was allocated)
+    /// for the next insert: one pass over the presence words.
     pub fn clear(&mut self) {
         self.present.fill(0);
         self.len = 0;
@@ -403,6 +420,59 @@ mod tests {
             assert_eq!(m.insert(k, 7), None, "a cleared key inserts as new");
         }
         assert_eq!(m.len(), 4);
+    }
+
+    #[test]
+    fn a_never_inserted_map_reads_as_empty_and_holds_no_slots() {
+        let m: DenseMap<Pa> = DenseMap::with_capacity(200);
+        assert!(m.slots.is_empty(), "no slot array before the first insert");
+        for k in [0, 63, 64, 199] {
+            assert_eq!(m.get(k), None);
+            assert!(!m.contains_key(k));
+        }
+        assert_eq!(m.iter().count(), 0);
+        assert_eq!(m.keys().count(), 0);
+        assert_eq!(m.nth_key(0), None);
+        assert_eq!(format!("{m:?}"), "{}");
+        let copy = m.clone();
+        assert!(copy.slots.is_empty() && copy.is_empty());
+        assert_eq!(copy.capacity(), 200);
+        let mut m = m;
+        assert_eq!(m.remove(5), None);
+        assert_eq!(m.len(), 0);
+        assert!(m.slots.is_empty(), "a remove allocates nothing");
+    }
+
+    #[test]
+    fn the_first_insert_allocates_and_clear_keeps_the_slots() {
+        let mut m: DenseMap<Da> = DenseMap::with_capacity(200);
+        assert_eq!(m.insert(199, Da::new(7)), None);
+        assert_eq!(m.slots.len(), 200, "the first insert allocates every slot");
+        let slots = m.slots.as_ptr();
+        assert_eq!(format!("{m:?}"), format!("{{199: {:?}}}", Da::new(7)));
+        m.clear();
+        assert!(m.is_empty());
+        assert_eq!(m.slots.as_ptr(), slots, "clear keeps the slot array");
+        assert_eq!(m.insert(0, Da::new(1)), None);
+        assert_eq!(m.slots.as_ptr(), slots, "an insert after clear reuses it");
+        assert_eq!(m.clone().iter().collect::<Vec<_>>(), vec![(0, Da::new(1))]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside dense capacity")]
+    fn a_key_past_the_capacity_of_a_never_inserted_map_panics() {
+        // 200 shares its presence word with valid keys: only the
+        // capacity check can catch it.
+        let m: DenseMap<u64> = DenseMap::with_capacity(200);
+        let _ = m.get(200);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside dense capacity")]
+    fn an_insert_past_the_capacity_of_a_never_inserted_map_panics() {
+        DenseMap::<u64>::with_capacity(200).insert(255, 0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! durable subset — the controller mirrors every *committed* metadata
 //! write into it, and [`crate::reviver::RevivedController::recover`]
 //! rebuilds all volatile tables (inverse pointers, the spare-PA pool,
-//! pointer-section layout, the remap cache) from it after a simulated
-//! reboot.
+//! the remap cache) from it after a simulated reboot; the pointer-section
+//! layout is computed from the retired-page bitmap.
 //!
 //! The mirror is updated only when the corresponding device write actually
 //! commits (i.e. the device was powered): a write the injector dropped

@@ -134,7 +134,7 @@ impl RevivedController {
             Some(d0) => d0 != src,
             // Unlinked reserved PA: a spare (garbage) or a pointer-section
             // block (live metadata).
-            None => self.pool.section_pas.contains(p.index()),
+            None => self.is_section(p),
         }
     }
 

@@ -137,7 +137,7 @@ pub enum ReviverEvent {
 /// [`RevivedController::recover`]: super::RevivedController::recover
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPhase {
-    /// Re-deriving the retired-page layout from the persisted bitmap.
+    /// Restoring the retired-page bitmap, which is the whole layout.
     Layout,
     /// Rebuilding the link tables from persisted failed-block pointers.
     Links,

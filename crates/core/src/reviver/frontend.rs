@@ -181,12 +181,10 @@ impl Controller for RevivedController {
         if self.device.powered() {
             self.persist.retired[page.as_usize()] = true;
         }
-        let shadows = self.index_grant(page);
-        let granted = shadows.len() as u64;
-        self.pool.spares.extend(shadows);
+        self.pool.spares.extend(self.shadow_pas(page));
         self.emit(ReviverEvent::PageRetired {
             page,
-            shadows: granted,
+            shadows: self.pool.shadows,
         });
         if self.suspended {
             self.suspended = false;

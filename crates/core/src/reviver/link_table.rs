@@ -167,7 +167,7 @@ impl RevivedController {
     }
 
     pub(super) fn do_meta_write(&mut self, v: Pa) {
-        let Some(slot) = self.pool.ptr_slot.get(v.index()) else {
+        let Some(slot) = self.slot_of(v) else {
             // `v` predates any grant (possible only in hand-built tests).
             self.emit(ReviverEvent::MetaSkipped { skipped: 1 });
             return;
@@ -203,7 +203,7 @@ impl RevivedController {
     /// Reads the inverse-pointer block covering reserved PA `v`
     /// (accounting only; the simulator's `inv` map is authoritative).
     pub(super) fn meta_read(&mut self, v: Pa) {
-        if let Some(slot) = self.pool.ptr_slot.get(v.index()) {
+        if let Some(slot) = self.slot_of(v) {
             let da = self.wl.map(slot);
             self.device.read(da);
         }

@@ -25,8 +25,10 @@
 //!   on a PA–DA *loop* (no shadow, provably unreachable).
 //! * **Inverse pointers** (Figure 4): the last PAs of each retired page
 //!   index blocks storing virtual-shadow→failed-block pointers, needed to
-//!   find the chain head during the Figure 3 switch. Their reads/writes
-//!   are charged to the device like any other access.
+//!   find the chain head during the Figure 3 switch. Which block holds a
+//!   shadow's pointer is arithmetic on the retired-page bitmap, not a
+//!   table. Their reads/writes are charged to the device like any other
+//!   access.
 //!
 //! Theorems 1–3 of the paper are encoded as one runtime check,
 //! [`RevivedController::assert_invariants`] (run after every request in
@@ -43,7 +45,7 @@
 //! * `link_table` — the failed-DA→PA link table, inverse pointers and
 //!   the pointer-metadata write machinery;
 //! * `spare_pool` — reactive spare acquisition, parking, and the
-//!   retired-page layout;
+//!   retired-page layout (computed from the bitmap, not stored);
 //! * `chain` — the write chain: failure discovery, one-step switching,
 //!   migrations and the Theorem-3 repair;
 //! * `invariants` — Theorems 1–3 as a full-scan assertion;
@@ -158,6 +160,10 @@ impl RevivedControllerBuilder {
             });
         }
         let ppb = (geo.block_bytes() / self.pointer_bytes).max(1);
+        // Figure 4: 4 blocks of 16 pointers cover 60 shadows per 64-block
+        // page. A one-block page is all pointer section.
+        let bpp = geo.blocks_per_page();
+        let section = bpp.div_ceil(ppb + 1).min(bpp - 1).max(1);
         // Dense tables: failed-DA keys are bounded by the device size,
         // PA keys by the visible space — both known here.
         let total = self.device.total_blocks();
@@ -172,8 +178,8 @@ impl RevivedControllerBuilder {
             },
             pool: SparePool {
                 spares: VecDeque::new(),
-                ptr_slot: wlr_base::dense::DenseMap::with_capacity(geo.num_blocks()),
-                section_pas: wlr_base::dense::DenseSet::with_capacity(geo.num_blocks()),
+                shadows: bpp - section,
+                ptrs_per_block: ppb,
                 retired: vec![false; geo.num_pages() as usize],
                 undiscovered: wlr_base::dense::DenseSet::with_capacity(total),
             },
@@ -182,7 +188,6 @@ impl RevivedControllerBuilder {
             req: RequestStats::default(),
             counters: ReviverCounters::default(),
             check: self.check_invariants,
-            ptrs_per_block: ppb,
             switching: self.chain_switching,
             proactive: self.proactive_acquisition,
             in_write_da: 0,
@@ -261,7 +266,6 @@ pub struct RevivedController {
     req: RequestStats,
     counters: ReviverCounters,
     check: bool,
-    ptrs_per_block: u64,
     /// One-step-chain switching enabled (§III-B; off only for ablation).
     switching: bool,
     /// Proactive page acquisition (§III-A alternative; ablation only).

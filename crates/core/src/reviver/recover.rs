@@ -78,8 +78,8 @@ impl RevivedController {
     /// Rebuilds all volatile state from the durable metadata after a
     /// power cut, repairing whatever the cut tore:
     ///
-    /// 1. re-derive the retired-page layout (pointer sections, inverse
-    ///    slots) from the persisted bitmap;
+    /// 1. restore the retired-page bitmap, which is the whole layout
+    ///    (pointer sections and inverse slots are computed from it);
     /// 2. re-read every persisted failed-block pointer, discarding torn
     ///    entries (their grant never committed);
     /// 3. detect half-completed shadow switches (two blocks claiming one
@@ -119,10 +119,9 @@ impl RevivedController {
         if let Some(c) = &mut self.links.cache {
             *c = RemapCache::with_capacity_bytes(c.capacity() * crate::cache::ENTRY_BYTES);
         }
-        // 1. Retired-page layout: a pure function of the persisted bitmap.
+        // 1. Retired-page layout: `slot_of` and `is_section` compute it
+        // from the bitmap, so restoring the bitmap restores the layout.
         self.pool.retired.clone_from(&self.persist.retired);
-        self.pool.ptr_slot.clear();
-        self.pool.section_pas.clear();
         let retired_pages: Vec<PageId> = self
             .pool
             .retired
@@ -131,10 +130,7 @@ impl RevivedController {
             .filter(|&(_, &r)| r)
             .map(|(i, _)| PageId::new(i as u64))
             .collect();
-        for &page in &retired_pages {
-            self.index_grant(page);
-            report.blocks_scanned += self.geo.blocks_per_page();
-        }
+        report.blocks_scanned += retired_pages.len() as u64 * self.geo.blocks_per_page();
         self.emit(ReviverEvent::RecoveryStep {
             phase: RecoveryPhase::Layout,
             items: retired_pages.len() as u64,
@@ -182,12 +178,8 @@ impl RevivedController {
         // 4. Spare pool: unclaimed shadow PAs of the retired pages.
         self.pool.spares.clear();
         for &page in &retired_pages {
-            for v in self.geo.page_pas(page) {
-                let idx = v.index();
-                if self.pool.section_pas.contains(idx) || self.links.inv.contains_key(idx) {
-                    continue;
-                }
-                if self.pool.ptr_slot.contains_key(idx) {
+            for v in self.shadow_pas(page) {
+                if !self.links.inv.contains_key(v.index()) {
                     self.pool.spares.push_back(v);
                     report.spares_recovered += 1;
                 }
@@ -333,10 +325,8 @@ impl RevivedController {
     fn repair_torn_switch(&mut self, c1: Da, c2: Da, v_dup: Pa, report: &mut RecoveryReport) {
         let orphan_of = |me: &Self, c: Da| -> Option<Pa> {
             let p = me.safe_inverse(c)?;
-            (me.is_reserved(p)
-                && !me.links.inv.contains_key(p.index())
-                && me.pool.ptr_slot.contains_key(p.index()))
-            .then_some(p)
+            (me.is_reserved(p) && !me.links.inv.contains_key(p.index()) && !me.is_section(p))
+                .then_some(p)
         };
         let (stale, keeper, v_orph) = match (orphan_of(self, c1), orphan_of(self, c2)) {
             (Some(p), None) => (c1, c2, p),

@@ -4,16 +4,18 @@
 //! Reserved PAs come from OS pages retired through the standard
 //! access-error exception. The pool holds the unlinked PAs (the
 //! current/last registers of §III-A, generalized to a queue across
-//! multiple retired pages) and the layout tables that map each retired
-//! page into shadow PAs plus trailing pointer-section blocks (Figure 4).
-//! When the pool runs dry mid-operation, the dead block *parks* in
-//! Theorem 2's undiscovered-failure state instead of linking.
+//! multiple retired pages). The layout that splits each retired page
+//! into shadow PAs plus trailing pointer-section blocks (Figure 4) is
+//! arithmetic on the retired-page bitmap — [`RevivedController::slot_of`]
+//! and [`RevivedController::is_section`] — so it has no table to store,
+//! fork or rebuild. When the pool runs dry mid-operation, the dead block
+//! *parks* in Theorem 2's undiscovered-failure state instead of linking.
 
 use super::events::ReviverEvent;
 use super::RevivedController;
 use crate::error::ReviverError;
 use std::collections::VecDeque;
-use wlr_base::dense::{DenseMap, DenseSet};
+use wlr_base::dense::DenseSet;
 use wlr_base::{Pa, PageId};
 
 /// Spare-PA acquisition state and the retired-page layout.
@@ -22,11 +24,12 @@ pub(super) struct SparePool {
     /// Unlinked reserved PAs (the current/last registers of §III-A,
     /// generalized to a queue across multiple retired pages).
     pub(super) spares: VecDeque<Pa>,
-    /// Reserved PA → the pointer-section PA whose block stores its
-    /// inverse pointer.
-    pub(super) ptr_slot: DenseMap<Pa>,
-    /// Pointer-section PAs (their blocks hold live inverse-pointer data).
-    pub(super) section_pas: DenseSet,
+    /// Shadow PAs per retired page: its first `shadows` PAs; the rest is
+    /// its pointer section. A pure function of geometry and pointer
+    /// width, so recovery re-derives the layout from the bitmap alone.
+    pub(super) shadows: u64,
+    /// Inverse pointers per pointer-section block.
+    pub(super) ptrs_per_block: u64,
     /// Retired-page bitmap (§III-A; persisted across reboots on hardware).
     pub(super) retired: Vec<bool>,
     /// Dead blocks the controller legitimately does not know about yet —
@@ -38,6 +41,28 @@ pub(super) struct SparePool {
 }
 
 impl RevivedController {
+    /// The pointer-section PA whose block holds shadow PA `v`'s inverse
+    /// pointer; `None` unless `v` is a shadow PA of a retired page.
+    #[inline]
+    pub(super) fn slot_of(&self, v: Pa) -> Option<Pa> {
+        let (page, offset) = self.geo.page_split(v.index());
+        let pool = &self.pool;
+        (pool.retired[page as usize] && offset < pool.shadows)
+            .then(|| Pa::new(v.index() - offset + pool.shadows + offset / pool.ptrs_per_block))
+    }
+
+    /// Whether `v` is a pointer-section PA of a retired page.
+    #[inline]
+    pub(super) fn is_section(&self, v: Pa) -> bool {
+        let (page, offset) = self.geo.page_split(v.index());
+        self.pool.retired[page as usize] && offset >= self.pool.shadows
+    }
+
+    /// The shadow PAs `page` grants once retired, in ascending order.
+    pub(super) fn shadow_pas(&self, page: PageId) -> impl Iterator<Item = Pa> {
+        self.geo.page_pas(page).take(self.pool.shadows as usize)
+    }
+
     pub(super) fn take_spare(&mut self) -> Result<Pa, ReviverError> {
         match self.pool.spares.pop_front() {
             Some(v) => {
@@ -62,27 +87,5 @@ impl RevivedController {
                 Err(e)
             }
         }
-    }
-
-    /// Indexes a retired page's PAs: the trailing pointer-section blocks
-    /// go into `section_pas`, every shadow PA gets its inverse-pointer
-    /// slot, and the shadow PAs are returned. The split is a pure
-    /// function of geometry and pointer width, so recovery re-derives it
-    /// from the persisted bitmap alone (Figure 4: 4 blocks of 16 pointers
-    /// cover 60 shadows per 64-block page).
-    pub(super) fn index_grant(&mut self, page: PageId) -> Vec<Pa> {
-        let bpp = self.geo.blocks_per_page();
-        let section = bpp.div_ceil(self.ptrs_per_block + 1).clamp(1, bpp - 1);
-        let pas: Vec<Pa> = self.geo.page_pas(page).collect();
-        let (shadows, slots) = pas.split_at((bpp - section) as usize);
-        for &slot in slots {
-            self.pool.section_pas.insert(slot.index());
-        }
-        for (i, &v) in shadows.iter().enumerate() {
-            self.pool
-                .ptr_slot
-                .insert(v.index(), slots[i / self.ptrs_per_block as usize]);
-        }
-        shadows.to_vec()
     }
 }

@@ -1,6 +1,7 @@
 use super::*;
 use crate::controller::{Controller, WriteResult};
 use crate::error::BuilderError;
+use std::collections::{HashMap, HashSet};
 use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::{Ecp, PcmDevice};
 use wlr_wl::{NoWearLeveling, RandomizerKind, SecurityRefresh, StartGap, WearLeveler};
@@ -423,6 +424,63 @@ fn pointer_section_sizing_matches_paper() {
     let mut ctl = checked(1e9, 10, 14);
     ctl.on_page_retired(PageId::new(1));
     assert_eq!(ctl.spare_pas(), 60);
+}
+
+/// The two layout tables every grant used to fill in: shadow PA → the
+/// pointer-section PA holding its inverse pointer, and the section PAs.
+fn granted_tables(
+    geo: Geometry,
+    ptrs_per_block: u64,
+    pages: &[PageId],
+) -> (HashMap<u64, Pa>, HashSet<u64>) {
+    let bpp = geo.blocks_per_page();
+    let section = bpp.div_ceil(ptrs_per_block + 1).clamp(1, bpp - 1);
+    let (mut slot_of, mut sections) = (HashMap::new(), HashSet::new());
+    for &page in pages {
+        let pas: Vec<Pa> = geo.page_pas(page).collect();
+        let (shadows, slots) = pas.split_at((bpp - section) as usize);
+        sections.extend(slots.iter().map(|s| s.index()));
+        for (i, v) in shadows.iter().enumerate() {
+            slot_of.insert(v.index(), slots[i / ptrs_per_block as usize]);
+        }
+    }
+    (slot_of, sections)
+}
+
+#[test]
+fn computed_layout_equals_the_tables_grants_used_to_build() {
+    for bytes in [4, 8] {
+        let mut ctl = RevivedController::builder(device(1e9, 1, 15), sg(10, 15))
+            .pointer_bytes(bytes)
+            .build();
+        let assert_layout = |ctl: &RevivedController, pages: &[PageId], when: &str| {
+            let (slot_of, sections) = granted_tables(geo(), 64 / bytes, pages);
+            for pa in 0..N {
+                let v = Pa::new(pa);
+                assert_eq!(
+                    ctl.slot_of(v),
+                    slot_of.get(&pa).copied(),
+                    "slot of {v}, {bytes} B pointers, {when}"
+                );
+                assert_eq!(
+                    ctl.is_section(v),
+                    sections.contains(&pa),
+                    "section {v}, {bytes} B pointers, {when}"
+                );
+            }
+        };
+        let mut pages = Vec::new();
+        assert_layout(&ctl, &pages, "fresh");
+        for page in [2, 0, 3].map(PageId::new) {
+            ctl.on_page_retired(page);
+            pages.push(page);
+            assert_layout(&ctl, &pages, "after a grant");
+        }
+        let spares = ctl.spare_pas();
+        ctl.recover();
+        assert_layout(&ctl, &pages, "after recover");
+        assert_eq!(ctl.spare_pas(), spares, "{bytes} B pointers");
+    }
 }
 
 #[test]

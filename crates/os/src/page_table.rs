@@ -39,14 +39,35 @@ impl OsMemoryBuilder {
             serving: table.clone(),
             table,
             free,
-            retired: vec![false; num_pages as usize],
+            phys: (0..num_pages)
+                .map(|p| {
+                    if p < app_pages {
+                        PhysPage::Backs(u32::try_from(p).expect("app pages fit in u32"))
+                    } else {
+                        PhysPage::Free
+                    }
+                })
+                .collect(),
             retired_count: 0,
-            mapped_list: (0..app_pages).collect(),
-            mapped_pos: (0..app_pages as usize).map(Some).collect(),
+            order: (0..app_pages).collect(),
+            mapped: app_pages as usize,
+            pos: (0..app_pages as usize).collect(),
             failure_reports: 0,
             retire_log: Vec::new(),
         }
     }
+}
+
+/// What a physical page is doing: the inverse of the application page
+/// table, plus the retired-page bitmap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PhysPage {
+    /// In the free pool (or never handed out).
+    Free,
+    /// Retired: software never touches it again.
+    Retired,
+    /// Backing this application page.
+    Backs(u32),
 }
 
 /// The modeled operating system's view of memory.
@@ -62,22 +83,25 @@ pub struct OsMemory {
     table: Vec<Option<PageId>>,
     /// Application page → the physical page its accesses land on: its own
     /// while mapped, the redirect target's once dropped (None only when
-    /// no application page survives). Recomputed at every retirement, so
-    /// that [`OsMemory::translate_or_redirect`] is one lookup.
+    /// no application page survives). A retirement recomputes it for the
+    /// dropped pages and the retired page's owner only, so that
+    /// [`OsMemory::translate_or_redirect`] is one lookup.
     serving: Vec<Option<PageId>>,
     /// Free physical pages (LIFO for determinism).
     free: Vec<PageId>,
-    /// Physical pages that have been retired.
-    retired: Vec<bool>,
+    /// Physical page → what it is doing (`table`'s inverse).
+    phys: Vec<PhysPage>,
     retired_count: u64,
-    /// Compact list of still-mapped application pages, for O(1)
-    /// deterministic redirection of writes to dropped pages.
-    mapped_list: Vec<u64>,
-    /// app page -> index in `mapped_list` (None once dropped).
-    mapped_pos: Vec<Option<usize>>,
+    /// Every application page: the `mapped` still-mapped ones first (the
+    /// compact list a dropped page's redirect hashes into), then the
+    /// dropped ones.
+    order: Vec<u64>,
+    mapped: usize,
+    /// app page -> its index in `order`.
+    pos: Vec<usize>,
     failure_reports: u64,
     /// Physical pages in the order they retired. Replacement choice
-    /// (`free.pop()`) and page-drop compaction (`swap_remove`) depend
+    /// (`free.pop()`) and page-drop compaction (the mapped prefix) depend
     /// only on this order, so replaying it through [`Self::retire_page`]
     /// on a fresh instance reconstructs the whole table — the restart
     /// path of `Simulation::restore_durable`.
@@ -153,14 +177,15 @@ impl OsMemory {
 
     /// The physical page serving application page `page`: its own while
     /// mapped, otherwise that of a surviving page picked by a hash of
-    /// `page` over `mapped_list` — deterministic between retirements.
+    /// `page` over the mapped prefix of `order` — deterministic between
+    /// retirements.
     fn serving_page(&self, page: u64) -> Option<PageId> {
         self.table[page as usize].or_else(|| {
-            let survivors = self.mapped_list.len() as u64;
+            let survivors = self.mapped as u64;
             (survivors > 0).then(|| {
                 let pick = SplitMix64::mix(0x0D1E_C7ED, page) % survivors;
-                let target_app = self.mapped_list[pick as usize];
-                self.table[target_app as usize].expect("mapped_list entry must be mapped")
+                let target_app = self.order[pick as usize];
+                self.table[target_app as usize].expect("the mapped prefix holds mapped pages")
             })
         })
     }
@@ -172,7 +197,7 @@ impl OsMemory {
 
     /// Whether physical page `page` has been retired.
     pub fn is_retired(&self, page: PageId) -> bool {
-        self.retired[page.as_usize()]
+        self.phys[page.as_usize()] == PhysPage::Retired
     }
 
     /// Handles an access-error exception for `pa` (paper §III-A).
@@ -202,12 +227,13 @@ impl OsMemory {
     }
 
     fn retire_phys(&mut self, phys: PageId) -> Option<Retirement> {
-        if self.retired[phys.as_usize()] {
+        // Only a page backing an application page retires: a free or an
+        // already-retired one is left as it is.
+        let PhysPage::Backs(app) = self.phys[phys.as_usize()] else {
             return None;
-        }
-        // Find which application page currently maps to this physical page.
-        let app = self.table.iter().position(|&t| t == Some(phys))?;
-        self.retired[phys.as_usize()] = true;
+        };
+        let app = app as usize;
+        self.phys[phys.as_usize()] = PhysPage::Retired;
         self.retired_count += 1;
         self.retire_log.push(phys);
 
@@ -216,6 +242,7 @@ impl OsMemory {
         let copies = match replacement {
             Some(new_phys) => {
                 self.table[app] = Some(new_phys);
+                self.phys[new_phys.as_usize()] = PhysPage::Backs(app as u32);
                 let old_base = phys.index() * bpp;
                 let new_base = new_phys.index() * bpp;
                 (0..bpp)
@@ -224,21 +251,25 @@ impl OsMemory {
             }
             None => {
                 // Pool dry: the application page is dropped and the
-                // footprint shrinks.
+                // footprint shrinks. Swapping it behind the mapped prefix
+                // compacts that prefix exactly as a `swap_remove` would.
                 self.table[app] = None;
-                if let Some(pos) = self.mapped_pos[app].take() {
-                    self.mapped_list.swap_remove(pos);
-                    if pos < self.mapped_list.len() {
-                        let moved = self.mapped_list[pos];
-                        self.mapped_pos[moved as usize] = Some(pos);
-                    }
-                }
+                let (at, last) = (self.pos[app], self.mapped - 1);
+                let moved = self.order[last];
+                self.order.swap(at, last);
+                self.pos[moved as usize] = at;
+                self.pos[app] = last;
+                self.mapped = last;
                 Vec::new()
             }
         };
-        // A relocation moves every page redirected onto `app`; a drop
-        // changes `mapped_list`, and with it every dropped page's pick.
-        for page in 0..self.app_pages() {
+        // Mapped pages serve themselves, so only `app` and the dropped
+        // pages can change: a relocation moves the pages redirected onto
+        // `app`, and a drop changes the mapped prefix, and with it every
+        // dropped page's pick.
+        self.serving[app] = self.table[app];
+        for i in self.mapped..self.order.len() {
+            let page = self.order[i];
             self.serving[page as usize] = self.serving_page(page);
         }
         Some(Retirement {
@@ -263,7 +294,7 @@ impl OsMemory {
 
     /// Number of application pages still mapped.
     pub fn mapped_app_pages(&self) -> u64 {
-        self.mapped_list.len() as u64
+        self.mapped as u64
     }
 
     /// Physical pages currently in the free pool.
@@ -291,10 +322,10 @@ impl OsMemory {
     /// Iterator over retired physical pages (the persistent bitmap
     /// WL-Reviver reloads at boot, §III-A).
     pub fn retired_iter(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.retired
+        self.phys
             .iter()
             .enumerate()
-            .filter(|(_, &r)| r)
+            .filter(|(_, &p)| p == PhysPage::Retired)
             .map(|(i, _)| PageId::new(i as u64))
     }
 }
@@ -507,12 +538,13 @@ mod tests {
             if let Some(pa) = os.translate(addr) {
                 return Some(pa);
             }
-            if os.mapped_list.is_empty() {
+            let mapped_list = &os.order[..os.mapped];
+            if mapped_list.is_empty() {
                 return None;
             }
             let (page, offset) = (addr.index() / 64, addr.index() % 64);
-            let pick = SplitMix64::mix(0x0D1E_C7ED, page) % os.mapped_list.len() as u64;
-            let phys = os.table[os.mapped_list[pick as usize] as usize].unwrap();
+            let pick = SplitMix64::mix(0x0D1E_C7ED, page) % mapped_list.len() as u64;
+            let phys = os.table[mapped_list[pick as usize] as usize].unwrap();
             Some(Pa::new(phys.index() * 64 + offset))
         }
 
@@ -548,6 +580,40 @@ mod tests {
                 }
                 assert_serving_matches_hash(&replayed);
                 assert_eq!(replayed.serving, os.serving);
+            }
+        }
+
+        /// A retirement updates `serving` for the retired page's owner and
+        /// the dropped pages only; that must equal recomputing every
+        /// page, after every retirement, with and without a reserve — and
+        /// the inverse table must agree with `table` throughout.
+        #[test]
+        fn incremental_serving_equals_a_full_recompute() {
+            let mut rng = Rng::stream(0x9A6E, 4);
+            for reserve in [0, 0, 2, 5, 9] {
+                let geo = Geometry::builder().num_blocks(1024).build().unwrap();
+                let mut os = OsMemory::builder(geo).reserve_pages(reserve).build();
+                let mut retired = 0;
+                while os.mapped_app_pages() > 0 {
+                    let page = PageId::new(rng.gen_range(16));
+                    let retires = !os.is_retired(page)
+                        && (0..os.app_pages()).any(|a| os.table[a as usize] == Some(page));
+                    assert_eq!(os.retire_page(page).is_some(), retires, "{page:?}");
+                    retired += u64::from(retires);
+                    let full: Vec<_> = (0..os.app_pages()).map(|p| os.serving_page(p)).collect();
+                    assert_eq!(os.serving, full, "reserve {reserve}, after {retired}");
+                    for (phys, &state) in os.phys.iter().enumerate() {
+                        let phys = PageId::new(phys as u64);
+                        match state {
+                            PhysPage::Backs(app) => {
+                                assert_eq!(os.table[app as usize], Some(phys));
+                            }
+                            _ => assert!(!os.table.contains(&Some(phys))),
+                        }
+                    }
+                }
+                assert_eq!(retired, os.retired_pages());
+                assert_eq!(os.translate_or_redirect(AppAddr::new(0)), None);
             }
         }
 

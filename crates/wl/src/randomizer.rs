@@ -93,7 +93,7 @@ impl RandomizerKind {
             RandomizerKind::Feistel { seed } => {
                 let feistel = FeistelRandomizer::new(len, seed);
                 // The network is on Start-Gap's per-write path; at the
-                // simulator's scaled domains a memoized table (16 B per
+                // simulator's scaled domains a memoized table (8 B per
                 // address) beats four rounds of mixing plus cycle-walking.
                 // Beyond the gate the table cost would dominate, and the
                 // O(1)-memory network is the whole point at chip scale.
@@ -313,10 +313,12 @@ const MEMOIZE_MAX_DOMAIN: u64 = 1 << 20;
 /// Any randomizer, memoized into forward/backward lookup tables.
 ///
 /// Produces the *identical* bijection as the wrapped randomizer — it is a
-/// pure evaluation-speed trade (two `Vec` indexings per mapping instead of
+/// pure evaluation-speed trade (one table read per mapping instead of
 /// whatever the inner randomizer computes), so swapping it in cannot
-/// change any simulation outcome. The tables never change once built, so
-/// a clone (a leveler snapshot, a forked simulation) shares them.
+/// change any simulation outcome. Entries are `u32`: the domains worth
+/// tabulating are far below 2³² (the builder stops at 2²⁰). The tables
+/// never change once built, so a clone (a leveler snapshot, a forked
+/// simulation) shares them.
 ///
 /// ```
 /// use wlr_wl::randomizer::{AddressRandomizer, FeistelRandomizer, MemoizedRandomizer};
@@ -329,8 +331,8 @@ const MEMOIZE_MAX_DOMAIN: u64 = 1 << 20;
 /// ```
 #[derive(Clone)]
 pub struct MemoizedRandomizer {
-    forward: Arc<[u64]>,
-    backward: Arc<[u64]>,
+    forward: Arc<[u32]>,
+    backward: Arc<[u32]>,
     inner: &'static str,
 }
 
@@ -339,16 +341,16 @@ impl MemoizedRandomizer {
     ///
     /// # Panics
     ///
-    /// Panics if the domain exceeds the host's address space.
+    /// Panics if the domain exceeds 2³² addresses.
     pub fn new<R: AddressRandomizer + fmt::Debug>(inner: R) -> Self {
-        let len = inner.len();
-        let n = usize::try_from(len).expect("domain too large to memoize");
-        let mut forward = Vec::with_capacity(n);
-        let mut backward = vec![0u64; n];
+        let len = u32::try_from(inner.len()).expect("domain too large to memoize");
+        let mut forward = Vec::with_capacity(len as usize);
+        let mut backward = vec![0u32; len as usize];
         for x in 0..len {
-            let y = inner.forward(x);
+            // A bijection on `[0, len)` stays below `len`.
+            let y = inner.forward(u64::from(x)) as u32;
             forward.push(y);
-            backward[usize::try_from(y).expect("bijection stays in domain")] = x;
+            backward[y as usize] = x;
         }
         MemoizedRandomizer {
             forward: forward.into(),
@@ -375,13 +377,13 @@ impl AddressRandomizer for MemoizedRandomizer {
     fn forward(&self, x: u64) -> u64 {
         let len = self.len();
         assert!(x < len, "address {x} out of domain {len}");
-        self.forward[x as usize]
+        u64::from(self.forward[x as usize])
     }
 
     fn backward(&self, y: u64) -> u64 {
         let len = self.len();
         assert!(y < len, "address {y} out of domain {len}");
-        self.backward[y as usize]
+        u64::from(self.backward[y as usize])
     }
 
     fn clone_box(&self) -> Box<dyn AddressRandomizer> {
