@@ -259,14 +259,14 @@ pub struct WearReport {
 }
 
 impl WearReport {
-    /// Computes the report from a wear snapshot (see
-    /// [`wlr_pcm::PcmDevice::wear_snapshot`]), typically truncated to the
-    /// software-visible prefix.
+    /// Computes the report from per-block wear counts (see
+    /// [`wlr_pcm::PcmDevice::wear`]), typically the software-visible
+    /// prefix. The counts are sorted in place for the Gini coefficient.
     ///
     /// # Panics
     ///
     /// Panics if `wear` is empty.
-    pub fn from_wear(wear: &[u32]) -> Self {
+    pub fn from_wear(mut wear: Vec<u32>) -> Self {
         assert!(!wear.is_empty(), "wear report of an empty device");
         let n = wear.len() as f64;
         let mean = wear.iter().map(|&w| w as f64).sum::<f64>() / n;
@@ -283,13 +283,12 @@ impl WearReport {
 
         // Gini via the sorted-rank identity:
         // G = (2·Σ i·xᵢ) / (n·Σ xᵢ) − (n+1)/n with xᵢ ascending, i from 1.
-        let mut sorted: Vec<u32> = wear.to_vec();
-        sorted.sort_unstable();
-        let total: f64 = sorted.iter().map(|&w| w as f64).sum();
+        wear.sort_unstable();
+        let total: f64 = wear.iter().map(|&w| w as f64).sum();
         let gini = if total == 0.0 {
             0.0
         } else {
-            let weighted: f64 = sorted
+            let weighted: f64 = wear
                 .iter()
                 .enumerate()
                 .map(|(i, &w)| (i as f64 + 1.0) * w as f64)
@@ -320,7 +319,7 @@ mod histogram_tests {
         // Matches the exact WearReport CoV on the same data — the
         // re-exported base histogram and the local report must agree.
         let h = WearHistogram::from_wear(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        let report = WearReport::from_wear(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        let report = WearReport::from_wear(vec![0, 1, 2, 3, 4, 5, 6, 7]);
         assert!(
             (h.cov() - report.cov).abs() < 1e-12,
             "{} vs {}",
@@ -336,7 +335,7 @@ mod wear_tests {
 
     #[test]
     fn flat_wear_scores_zero() {
-        let r = WearReport::from_wear(&[7; 100]);
+        let r = WearReport::from_wear(vec![7; 100]);
         assert_eq!(r.mean, 7.0);
         assert!(r.cov.abs() < 1e-12);
         assert!(r.gini.abs() < 1e-9);
@@ -347,7 +346,7 @@ mod wear_tests {
     fn concentrated_wear_scores_high() {
         let mut wear = vec![0u32; 100];
         wear[0] = 1000;
-        let r = WearReport::from_wear(&wear);
+        let r = WearReport::from_wear(wear);
         assert!(r.gini > 0.95, "gini {}", r.gini);
         assert!(r.max_over_mean > 90.0);
         assert!(r.cov > 5.0);
@@ -357,13 +356,13 @@ mod wear_tests {
     fn gini_of_linear_ramp() {
         // xᵢ = i for i in 1..=n has Gini → 1/3 as n grows.
         let wear: Vec<u32> = (1..=1000).collect();
-        let r = WearReport::from_wear(&wear);
+        let r = WearReport::from_wear(wear);
         assert!((r.gini - 1.0 / 3.0).abs() < 0.01, "gini {}", r.gini);
     }
 
     #[test]
     fn untouched_device_is_flat() {
-        let r = WearReport::from_wear(&[0; 10]);
+        let r = WearReport::from_wear(vec![0; 10]);
         assert_eq!(r.cov, 0.0);
         assert_eq!(r.gini, 0.0);
         assert_eq!(r.max_over_mean, 0.0);
@@ -372,6 +371,6 @@ mod wear_tests {
     #[test]
     #[should_panic(expected = "empty device")]
     fn empty_panics() {
-        WearReport::from_wear(&[]);
+        WearReport::from_wear(Vec::new());
     }
 }

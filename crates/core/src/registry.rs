@@ -205,12 +205,11 @@ impl StackCtx {
         )
     }
 
-    /// A Security Refresh leveler over the visible space, one region
-    /// spanning the largest power of two that divides it.
+    /// A Security Refresh leveler over the visible space, in regions of
+    /// the largest power of two that divides it (the builder's default).
     pub fn security_refresh(&self, seed: u64) -> Box<dyn WearLeveler> {
         Box::new(
             SecurityRefresh::builder(self.visible)
-                .region_blocks(self.visible & self.visible.wrapping_neg())
                 .refresh_interval(self.knobs.gap_interval)
                 .seed(seed)
                 .build(),

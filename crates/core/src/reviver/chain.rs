@@ -121,7 +121,8 @@ impl RevivedController {
     /// data under the *current* (pre-migration) mapping. See the comment
     /// at the call site in [`RevivedController::run_migrations`].
     pub(super) fn src_data_is_live(&self, src: Da) -> bool {
-        let Some(p) = self.safe_inverse(src) else {
+        // A migration moves data inside the scheme's own DA space.
+        let Some(p) = self.wl.inverse(src) else {
             return false; // unmapped buffer block
         };
         if !self.is_reserved(p) {
@@ -236,21 +237,6 @@ impl RevivedController {
         }
     }
 
-    /// Mirrors a migration-buffer push into the battery-backed journal
-    /// (no device write: the journal is controller NVM, not PCM).
-    pub(super) fn journal_push(&mut self, target: Da, tag: u64) {
-        if self.device.powered() {
-            self.persist.journal.push_back((target, tag));
-        }
-    }
-
-    /// Mirrors a migration-buffer pop (the line's data committed).
-    pub(super) fn journal_pop(&mut self) {
-        if self.device.powered() {
-            self.persist.journal.pop_front();
-        }
-    }
-
     /// Performs all pending migrations, suspending (and parking data in
     /// the migration buffer) if a spare PA is needed and none exists.
     ///
@@ -274,11 +260,13 @@ impl RevivedController {
                     }
                 }
                 // `(source block, post-migration target)` for each moved PA.
-                let moves: [Option<(Da, Da)>; 2] = match m {
-                    Migration::Copy { src, dst } => [Some((src, dst)), None],
-                    Migration::Swap { a, b } => [Some((a, b)), Some((b, a))],
+                let (moves, n) = match m {
+                    Migration::Copy { src, dst } => ([(src, dst); 2], 1),
+                    Migration::Swap { a, b } => ([(a, b), (b, a)], 2),
                 };
-                for (src, target) in moves.into_iter().flatten() {
+                let mut lines = [(Da::new(0), 0); 2];
+                let mut live = 0;
+                for &(src, target) in &moves[..n] {
                     let (tag, ended_live) = self.migration_read(src);
                     // Only *live* data is rewritten at the target. A
                     // reserved PA's block holds live data only when the PA
@@ -291,27 +279,44 @@ impl RevivedController {
                     // write would clobber freshly-placed live data (the
                     // aliasing hazard dissected in the tests).
                     if ended_live && self.src_data_is_live(src) {
-                        self.mig_buf.push_back((target, tag));
-                        self.journal_push(target, tag);
+                        lines[live] = (target, tag);
+                        live += 1;
                     }
                 }
                 // Advance the mapping; the writes below then resolve
                 // chains under the post-migration mapping, and reads
                 // during any suspension are served from the buffer.
                 self.wl.complete_migration();
-                if self.device.crash_point(CrashPoint::MidMigration) {
+                let cut = self.device.crash_point(CrashPoint::MidMigration);
+                if cut {
                     self.emit(ReviverEvent::PowerCut {
                         at: CrashPoint::MidMigration,
                     });
+                }
+                let mut parked = cut || self.check;
+                for &(target, tag) in &lines[..live] {
+                    // A line the device takes at once, on a healthy target,
+                    // is what the buffer loop below would have written.
+                    if !parked && self.device.write_fast(target, tag) {
+                        self.line_landed(target);
+                        continue;
+                    }
+                    // It and the lines after it wait in the migration
+                    // buffer and the battery-backed journal (controller
+                    // NVM, which took them while the power was on).
+                    parked = true;
+                    self.mig_buf.push_back((target, tag));
+                    self.persist.journal.push_back((target, tag));
                 }
             }
             while let Some(&(target, tag)) = self.mig_buf.front() {
                 match self.write_da(target, tag, false) {
                     Ok(()) => {
                         self.mig_buf.pop_front();
-                        self.journal_pop();
-                        self.flush_meta();
-                        self.fix_chain_after_migration(target);
+                        if self.device.powered() {
+                            self.persist.journal.pop_front();
+                        }
+                        self.line_landed(target);
                     }
                     Err(ReviverError::NeedSpare) => {
                         self.suspended = true;
@@ -324,6 +329,19 @@ impl RevivedController {
                 }
             }
         }
+    }
+
+    /// What follows a migration line's landing at `target`: the metadata
+    /// writes its chain repair deferred, then the Figure 3 repair. With
+    /// nothing queued and no linked virtual shadow both are no-ops (the
+    /// repair's lookup would miss); `check` runs them regardless.
+    #[inline(always)]
+    fn line_landed(&mut self, target: Da) {
+        if !self.check && self.pending_meta.is_empty() && self.links.inv.is_empty() {
+            return;
+        }
+        self.flush_meta();
+        self.fix_chain_after_migration(target);
     }
 
     /// The Figure 3 repair: after a migration, if the PA now mapping to

@@ -11,37 +11,100 @@ use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::{CrashPoint, PcmDevice};
 
 impl RevivedController {
-    /// The device half of the steady-state write: lands `tag` on `da`, or
-    /// — when `da` is an already-linked failed block — on its one-step
-    /// shadow, iff the device takes its fast exit there. `true` leaves
-    /// exactly what [`Self::write_da`] returning `Ok` would have left;
-    /// `false` leaves nothing touched.
-    #[inline]
-    fn write_steady(&mut self, da: Da, tag: u64) -> bool {
-        if !self.device.write_fast(da, tag) {
-            // Only failed blocks are linked. A PA–DA loop (`map(v) == da`)
-            // and a dead shadow both decline in `write_fast`, as does a
-            // healthy shadow about to lose a cell.
-            let Some(v) = self.links.ptr.get(da.index()) else {
-                return false;
-            };
-            if !self.device.write_fast(self.wl.map(v), tag) {
-                return false;
-            }
-            // The pointer read the full path pays first — or the remap
-            // cache's hit in its place; the cache mirrors the table, so
-            // either way it resolves to `v`.
-            let resolved = self.resolve_ptr(da, true);
-            debug_assert_eq!(resolved, Some(v), "remap cache out of step at {da}");
+    /// The steady-state write to a linked failed block `da`: lands `tag`
+    /// on its one-step shadow iff the device takes its fast exit there.
+    /// `true` leaves exactly what [`Self::write_da`] returning `Ok` would
+    /// have left; `false` leaves nothing touched.
+    fn write_shadow_fast(&mut self, da: Da, tag: u64) -> bool {
+        // Only failed blocks are linked. A PA–DA loop (`map(v) == da`)
+        // and a dead shadow both decline in `write_fast`, as does a
+        // healthy shadow about to lose a cell.
+        let Some(v) = self.links.ptr.get(da.index()) else {
+            return false;
+        };
+        if !self.device.write_fast(self.wl.map(v), tag) {
+            return false;
         }
+        // The pointer read the full path pays first — or the remap
+        // cache's hit in its place; the cache mirrors the table, so
+        // either way it resolves to `v`.
+        let resolved = self.resolve_ptr(da, true);
+        debug_assert_eq!(resolved, Some(v), "remap cache out of step at {da}");
         self.req.accesses += 1;
         true
+    }
+
+    /// [`Controller::write`] under invariant checking or a suspension:
+    /// the reserved-PA assertion and the delayed space acquisition
+    /// (§III-A), then the full protocol.
+    #[cold]
+    #[inline(never)]
+    fn write_guarded(&mut self, pa: Pa, tag: u64) -> WriteResult {
+        if self.check {
+            assert!(
+                !self.is_reserved(pa),
+                "software write of reserved {pa}: the OS contract (§III-A) says retired pages are never accessed"
+            );
+        }
+        self.req.requests += 1;
+        if self.suspended {
+            if self.proactive {
+                // §III-A alternative (ablation): explicitly ask the OS for
+                // a page via a new interrupt instead of sacrificing this
+                // write. The controller nominates the lowest live page.
+                if let Some(page) = self.pick_page_to_request() {
+                    return WriteResult::RequestPages(vec![page]);
+                }
+            }
+            // Delayed space acquisition (§III-A): report this write as a
+            // failure — even though it may not be one — to obtain a page.
+            self.emit(ReviverEvent::WriteSacrificed { pa });
+            return WriteResult::ReportFailure(pa);
+        }
+        let da = self.wl.map(pa);
+        self.write_mapped(pa, da, tag)
+    }
+
+    /// A software write of `pa`, mapped to `da`, that the device did not
+    /// take at `da` on the steady-state path: one pointer hop to a linked
+    /// block's shadow when that is as quiet, the full protocol otherwise.
+    #[inline(never)]
+    fn write_mapped(&mut self, pa: Pa, da: Da, tag: u64) -> WriteResult {
+        let steady = !self.check && self.pending_meta.is_empty() && self.mig_buf.is_empty();
+        if steady && self.write_shadow_fast(da, tag) {
+            return self.record_steady(pa);
+        }
+        match self.write_da(da, tag, true) {
+            Ok(()) => {
+                self.finish_write(pa);
+                WriteResult::Ok
+            }
+            Err(ReviverError::NeedSpare) => {
+                self.emit(ReviverEvent::FailureReported { pa });
+                WriteResult::ReportFailure(pa)
+            }
+            // Power loss or torn metadata: the write is dropped, not
+            // reported — there is nothing the OS could do about it.
+            Err(e) => WriteResult::Dropped(e),
+        }
+    }
+
+    /// Tells the scheme about a steady-state write of `pa` that already
+    /// landed.
+    #[inline]
+    fn record_steady(&mut self, pa: Pa) -> WriteResult {
+        if !self.wl.record_write_fast(pa) {
+            // Rare: this recording arms a migration — finish with the full
+            // post-write protocol (the device write already landed).
+            self.finish_write(pa);
+        }
+        WriteResult::Ok
     }
 
     /// The protocol after a software write to `pa` landed: tell the
     /// scheme, run the migrations that arms, flush deferred metadata and
     /// check the invariants if asked to.
-    fn finish_write(&mut self, pa: Pa) -> WriteResult {
+    fn finish_write(&mut self, pa: Pa) {
         self.wl.record_write(pa);
         self.run_migrations();
         self.flush_meta();
@@ -52,7 +115,6 @@ impl RevivedController {
         if self.check && !self.suspended && self.device.powered() {
             self.assert_invariants();
         }
-        WriteResult::Ok
     }
 }
 
@@ -108,60 +170,30 @@ impl Controller for RevivedController {
     }
 
     fn write(&mut self, pa: Pa, tag: u64) -> WriteResult {
-        if self.check {
-            assert!(
-                !self.is_reserved(pa),
-                "software write of reserved {pa}: the OS contract (§III-A) says retired pages are never accessed"
-            );
+        if self.check || self.suspended {
+            return self.write_guarded(pa, tag);
         }
         self.req.requests += 1;
-        if self.suspended {
-            if self.proactive {
-                // §III-A alternative (ablation): explicitly ask the OS for
-                // a page via a new interrupt instead of sacrificing this
-                // write. The controller nominates the lowest live page.
-                if let Some(page) = self.pick_page_to_request() {
-                    return WriteResult::RequestPages(vec![page]);
-                }
-            }
-            // Delayed space acquisition (§III-A): report this write as a
-            // failure — even though it may not be one — to obtain a page.
-            self.emit(ReviverEvent::WriteSacrificed { pa });
-            return WriteResult::ReportFailure(pa);
-        }
         let da = self.wl.map(pa);
-        // Steady-state fast path: when nothing rare is in flight (no
-        // invariant checking, no deferred metadata, no parked migration
-        // buffer) and both the device and the scheme take their fast
-        // exits, the write is provably equivalent to the full protocol
-        // below: `write_da` would return `Ok` from its first `dev_write`
-        // (on `da`, or one pointer hop away on its shadow),
+        // Steady-state fast path: when nothing rare is in flight and both
+        // the device and the scheme take their fast exits, the write is
+        // provably equivalent to the full protocol: `write_da` would
+        // return `Ok` from its first `dev_write` (on `da`, or one pointer
+        // hop away on its shadow, tried in `write_mapped`),
         // `run_migrations` and `flush_meta` would be no-ops, and the full
         // path would emit no event: every event rides a rare transition
         // (failure, migration, metadata flush) that diverts off this path
         // before it could fire, so an attached ring loses nothing here.
-        if !self.check
-            && self.pending_meta.is_empty()
+        // Everything else is out of line, so this path saves no register
+        // it does not use.
+        if self.pending_meta.is_empty()
             && self.mig_buf.is_empty()
-            && self.write_steady(da, tag)
+            && self.device.write_fast(da, tag)
         {
-            if self.wl.record_write_fast(pa) {
-                return WriteResult::Ok;
-            }
-            // Rare: this recording arms a migration — finish with the
-            // full post-write protocol (the device write already landed).
-            return self.finish_write(pa);
+            self.req.accesses += 1;
+            return self.record_steady(pa);
         }
-        match self.write_da(da, tag, true) {
-            Ok(()) => self.finish_write(pa),
-            Err(ReviverError::NeedSpare) => {
-                self.emit(ReviverEvent::FailureReported { pa });
-                WriteResult::ReportFailure(pa)
-            }
-            // Power loss or torn metadata: the write is dropped, not
-            // reported — there is nothing the OS could do about it.
-            Err(e) => WriteResult::Dropped(e),
-        }
+        self.write_mapped(pa, da, tag)
     }
 
     fn on_page_retired(&mut self, page: PageId) {

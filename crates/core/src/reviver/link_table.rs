@@ -181,7 +181,11 @@ impl RevivedController {
     /// Drains deferred metadata writes. Called wherever no chain repair is
     /// in flight. Each flush round may enqueue more (its own links), but
     /// every link consumes a spare, so the loop terminates.
+    #[inline]
     pub(super) fn flush_meta(&mut self) {
+        if self.pending_meta.is_empty() && !self.check {
+            return;
+        }
         // Each flushed item can enqueue more (links consume spares,
         // repairs enqueue rewrites), so budget generously — and when the
         // budget runs out, give up on the remainder instead of failing:

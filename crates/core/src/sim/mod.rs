@@ -312,7 +312,7 @@ impl Simulation {
     /// Wear-distribution quality over the software-visible blocks.
     pub fn wear_report(&self) -> crate::metrics::WearReport {
         let n = self.geo.num_blocks() as usize;
-        crate::metrics::WearReport::from_wear(&self.controller.device().wear_snapshot()[..n])
+        crate::metrics::WearReport::from_wear(self.controller.device().wear().take(n).collect())
     }
 
     /// Current survival fraction of visible blocks.
@@ -651,7 +651,7 @@ impl Simulation {
         eat(self.os.retired_pages());
         let device = self.controller.device();
         eat(device.dead_blocks());
-        for w in device.wear_snapshot() {
+        for w in device.wear() {
             eat(u64::from(w));
         }
         h

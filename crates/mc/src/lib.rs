@@ -327,9 +327,9 @@ impl McFrontend {
                 revival.absorb(&c);
             }
             let visible = sim.geometry().num_blocks() as usize;
-            wear.merge(&WearHistogram::from_wear(
-                &sim.controller().device().wear_snapshot()[..visible],
-            ));
+            for w in sim.controller().device().wear().take(visible) {
+                wear.push(w);
+            }
         }
         let ticks = self.busy_until.iter().copied().fold(self.tick, u64::max);
         McOutcome {

@@ -193,6 +193,14 @@ pub struct PcmDevice {
     pub(crate) fault: Option<FaultInjector>,
 }
 
+/// The panic of an access outside the device: out of line, so that the
+/// accesses that check for it keep no stack frame for its message.
+#[cold]
+#[inline(never)]
+fn out_of_range(da: Da, total_blocks: u64) -> ! {
+    panic!("{da} out of range (device has {total_blocks} blocks)")
+}
+
 impl PcmDevice {
     /// Starts building a device over `geometry` (defaults: ECP6, endurance
     /// N(10⁴, CoV 0.2), seed 0, no extra blocks, no content tracking).
@@ -240,11 +248,9 @@ impl PcmDevice {
 
     #[inline]
     fn check(&self, da: Da) {
-        assert!(
-            da.index() < self.total_blocks,
-            "{da} out of range (device has {} blocks)",
-            self.total_blocks
-        );
+        if da.index() >= self.total_blocks {
+            out_of_range(da, self.total_blocks);
+        }
     }
 
     /// Reads block `da`. Counts one PCM access.
@@ -385,8 +391,10 @@ impl PcmDevice {
     /// Panics if `da` is outside the device.
     #[inline(always)]
     pub fn write_fast(&mut self, da: Da, tag: u64) -> bool {
-        self.check(da);
-        let b = &mut self.blocks[da.as_usize()];
+        // The block table spans the device, so its bounds are the check.
+        let Some(b) = self.blocks.get_mut(da.as_usize()) else {
+            out_of_range(da, self.total_blocks)
+        };
         // `threshold == 0` — lazy init outstanding, or the block is dead —
         // declines here too, since any `wear + 1 >= 0`.
         if b.wear.saturating_add(1) >= b.threshold {
@@ -463,7 +471,12 @@ impl PcmDevice {
     /// The full wear vector, for leveling-quality analysis. Collected
     /// out of the packed per-block state, so the caller owns it.
     pub fn wear_snapshot(&self) -> Vec<u32> {
-        self.blocks.iter().map(|b| b.wear).collect()
+        self.wear().collect()
+    }
+
+    /// Every block's wear count, in block order, read in place.
+    pub fn wear(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.blocks.iter().map(|b| b.wear)
     }
 
     /// Forces block `da` dead without wearing it or counting accesses.

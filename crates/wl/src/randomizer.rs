@@ -360,6 +360,14 @@ impl MemoizedRandomizer {
     }
 }
 
+/// The panic of an address outside a table's domain: out of line, so that
+/// the lookups keep no stack frame for its message.
+#[cold]
+#[inline(never)]
+fn out_of_domain(x: u64, len: u64) -> ! {
+    panic!("address {x} out of domain {len}")
+}
+
 impl fmt::Debug for MemoizedRandomizer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemoizedRandomizer")
@@ -375,15 +383,17 @@ impl AddressRandomizer for MemoizedRandomizer {
     }
 
     fn forward(&self, x: u64) -> u64 {
-        let len = self.len();
-        assert!(x < len, "address {x} out of domain {len}");
-        u64::from(self.forward[x as usize])
+        match self.forward.get(x as usize) {
+            Some(&y) => u64::from(y),
+            None => out_of_domain(x, self.len()),
+        }
     }
 
     fn backward(&self, y: u64) -> u64 {
-        let len = self.len();
-        assert!(y < len, "address {y} out of domain {len}");
-        u64::from(self.backward[y as usize])
+        match self.backward.get(y as usize) {
+            Some(&x) => u64::from(x),
+            None => out_of_domain(y, self.len()),
+        }
     }
 
     fn clone_box(&self) -> Box<dyn AddressRandomizer> {

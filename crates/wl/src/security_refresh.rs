@@ -22,7 +22,7 @@
 //! exchanged in place, which is the "implicit buffer" Theorem 3 of the
 //! WL-Reviver paper refers to.
 
-use crate::traits::{Migration, WearLeveler};
+use crate::traits::{outside, Migration, WearLeveler};
 use wlr_base::rng::Rng;
 use wlr_base::{Da, Pa};
 
@@ -37,7 +37,8 @@ pub struct SecurityRefreshBuilder {
 
 impl SecurityRefreshBuilder {
     /// Region size in blocks; must be a power of two dividing the space
-    /// (default: the whole space as one region).
+    /// (default: the largest such power, so a space of `2^k` blocks is one
+    /// region and a space of 24 is three regions of 8).
     pub fn region_blocks(mut self, blocks: u64) -> Self {
         self.region_blocks = blocks;
         self
@@ -94,7 +95,8 @@ impl SecurityRefreshBuilder {
         }
         SecurityRefresh {
             len: self.len,
-            region_blocks: self.region_blocks,
+            shift: self.region_blocks.trailing_zeros(),
+            mask: self.region_blocks - 1,
             refresh_interval: self.refresh_interval,
             regions,
             indebted: 0,
@@ -194,7 +196,11 @@ impl Region {
 #[derive(Debug, Clone)]
 pub struct SecurityRefresh {
     len: u64,
-    region_blocks: u64,
+    /// An address splits into region (`x >> shift`) and sub-address
+    /// (`x & mask`) without a divide: the region size is `mask + 1 =
+    /// 2^shift`.
+    shift: u32,
+    mask: u64,
     refresh_interval: u64,
     regions: Vec<Region>,
     /// Regions with `debt > 0`, so that "nothing is owed" — the answer on
@@ -209,7 +215,7 @@ impl SecurityRefresh {
     pub fn builder(len: u64) -> SecurityRefreshBuilder {
         SecurityRefreshBuilder {
             len,
-            region_blocks: len.max(1).next_power_of_two(),
+            region_blocks: len & len.wrapping_neg(),
             refresh_interval: 100,
             seed: 0,
         }
@@ -222,13 +228,13 @@ impl SecurityRefresh {
 
     /// Region size in blocks.
     pub fn region_blocks(&self) -> u64 {
-        self.region_blocks
+        self.mask + 1
     }
 
-    fn split(&self, pa: Pa) -> (usize, u64) {
-        let region = (pa.index() / self.region_blocks) as usize;
-        let sub = pa.index() % self.region_blocks;
-        (region, sub)
+    /// The index of the region holding address `x`.
+    #[inline]
+    fn region_of(&self, x: u64) -> usize {
+        (x >> self.shift) as usize
     }
 
     fn first_indebted(&self) -> Option<usize> {
@@ -250,34 +256,34 @@ impl WearLeveler for SecurityRefresh {
 
     #[inline]
     fn map(&self, pa: Pa) -> Da {
-        assert!(pa.index() < self.len, "{pa} outside PA space {}", self.len);
-        let (region, sub) = self.split(pa);
-        let r = &self.regions[region];
+        // An address outside the space has no region.
+        let r = self.regions.get(self.region_of(pa.index()));
+        let r = r.unwrap_or_else(|| outside(pa, "PA", self.len));
+        let sub = pa.index() & self.mask;
         let key = if r.refreshed(sub) { r.k1 } else { r.k0 };
-        Da::new(region as u64 * self.region_blocks + (sub ^ key))
+        // A key is a sub-address, so the XOR leaves the region bits alone.
+        Da::new(pa.index() ^ key)
     }
 
     #[inline]
     fn inverse(&self, da: Da) -> Option<Pa> {
-        assert!(da.index() < self.len, "{da} outside DA space {}", self.len);
-        let region = (da.index() / self.region_blocks) as usize;
-        let dsub = da.index() % self.region_blocks;
-        let r = &self.regions[region];
+        let r = self.regions.get(self.region_of(da.index()));
+        let r = r.unwrap_or_else(|| outside(da, "DA", self.len));
+        let dsub = da.index() & self.mask;
         // The two candidates are refresh partners, so exactly one branch
         // is consistent (see module docs).
-        let l1 = dsub ^ r.k1;
-        let sub = if r.refreshed(l1) { l1 } else { dsub ^ r.k0 };
-        Some(Pa::new(region as u64 * self.region_blocks + sub))
+        let key = if r.refreshed(dsub ^ r.k1) { r.k1 } else { r.k0 };
+        Some(Pa::new(da.index() ^ key))
     }
 
     fn record_write(&mut self, pa: Pa) {
-        let (region, _) = self.split(pa);
+        let region = self.region_of(pa.index());
         let r = &mut self.regions[region];
         r.writes += 1;
         if r.writes >= self.refresh_interval {
             r.writes = 0;
             // A fully-degenerate region (single block) has nothing to swap.
-            if self.region_blocks > 1 {
+            if self.shift > 0 {
                 self.indebted += usize::from(r.debt == 0);
                 r.debt += 1;
             }
@@ -289,7 +295,7 @@ impl WearLeveler for SecurityRefresh {
         // Fast only when no region owes a swap and this write does not
         // complete its own region's interval: `pending()` stays `None`
         // across the recording.
-        let (region, _) = self.split(pa);
+        let region = self.region_of(pa.index());
         let r = &mut self.regions[region];
         if self.indebted != 0 || r.writes + 1 >= self.refresh_interval {
             return false;
@@ -301,8 +307,8 @@ impl WearLeveler for SecurityRefresh {
     fn pending(&self) -> Option<Migration> {
         let idx = self.first_indebted()?;
         let r = &self.regions[idx];
-        debug_assert!(r.rp < self.region_blocks, "rp invariant violated");
-        let base = idx as u64 * self.region_blocks;
+        debug_assert!(r.rp < self.region_blocks(), "rp invariant violated");
+        let base = (idx as u64) << self.shift;
         Some(Migration::Swap {
             a: Da::new(base + (r.rp ^ r.k0)),
             b: Da::new(base + (r.rp ^ r.k1)),
@@ -313,7 +319,7 @@ impl WearLeveler for SecurityRefresh {
         let idx = self
             .first_indebted()
             .expect("complete_migration without a pending one");
-        let region_blocks = self.region_blocks;
+        let region_blocks = self.region_blocks();
         let r = &mut self.regions[idx];
         r.debt -= 1;
         self.indebted -= usize::from(r.debt == 0);
@@ -422,6 +428,18 @@ mod tests {
             wl.record_write(Pa::new(0));
         }
         assert!(wl.pending().is_none(), "1-block regions never migrate");
+    }
+
+    #[test]
+    fn default_regions_divide_any_size() {
+        for (n, region) in [(24, 8), (100, 4), (64, 64)] {
+            let wl = SecurityRefresh::builder(n).build();
+            assert_eq!(wl.region_blocks(), region, "(n = {n})");
+            assert_eq!(wl.num_regions() * region, n, "(n = {n})");
+            for pa in 0..n {
+                assert_eq!(wl.inverse(wl.map(Pa::new(pa))), Some(Pa::new(pa)));
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! depends on, and which the property tests here verify directly.
 
 use crate::randomizer::{AddressRandomizer, RandomizerKind};
-use crate::traits::{Migration, WearLeveler};
+use crate::traits::{outside, Migration, WearLeveler};
 use wlr_base::{Da, Pa};
 
 /// Builder for [`StartGap`]; see [`StartGap::builder`].
@@ -144,7 +144,9 @@ impl WearLeveler for StartGap {
 
     #[inline]
     fn map(&self, pa: Pa) -> Da {
-        assert!(pa.index() < self.len, "{pa} outside PA space {}", self.len);
+        if pa.index() >= self.len {
+            outside(pa, "PA", self.len);
+        }
         let ra = self.randomizer.forward(pa.index());
         let x = add_mod(ra, self.start, self.len);
         Da::new(if x >= self.gap { x + 1 } else { x })
@@ -152,11 +154,9 @@ impl WearLeveler for StartGap {
 
     #[inline]
     fn inverse(&self, da: Da) -> Option<Pa> {
-        assert!(
-            da.index() <= self.len,
-            "{da} outside DA space {}",
-            self.len + 1
-        );
+        if da.index() > self.len {
+            outside(da, "DA", self.len + 1);
+        }
         if da.index() == self.gap {
             return None;
         }

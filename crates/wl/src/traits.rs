@@ -54,6 +54,14 @@ impl fmt::Display for Migration {
     }
 }
 
+/// The panic of an address outside a leveler's space: out of line, so
+/// that the lookups that check for it keep no stack frame for its message.
+#[cold]
+#[inline(never)]
+pub(crate) fn outside(addr: impl fmt::Display, space: &str, len: u64) -> ! {
+    panic!("{addr} outside {space} space {len}")
+}
+
 /// A PCM wear-leveling scheme (see module docs for the protocol).
 ///
 /// # Contract

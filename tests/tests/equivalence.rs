@@ -108,11 +108,12 @@ const GOLDEN_ORACLE: &[(&str, u64)] = &[
     ("adaptive-sg-wlr", 0x3ffca1b8797cc82f),
 ];
 
-/// End-of-run `(device reads, device writes, requests, accesses)` of the
-/// eight non-revivable stacks, which all run the one direct-link engine
-/// (`wl_reviver::linked`). The fingerprints above see `RequestStats` only
-/// through `avg_access_time` and the device's `AccessStats` not at all;
-/// this table is what holds that engine to "the same device accesses".
+/// End-of-run `(device reads, device writes, requests, accesses)` of every
+/// stack: the eight non-revivable ones, which all run the one direct-link
+/// engine (`wl_reviver::linked`), then the six revived ones. The
+/// fingerprints above see `RequestStats` only through `avg_access_time`
+/// and the device's `AccessStats` not at all; this table is what holds
+/// both engines to "the same device accesses".
 const GOLDEN_ACCESS: &[(&str, [u64; 4])] = &[
     ("ecc", [0, 135860, 135860, 135860]),
     ("sg", [16683, 140192, 123509, 123509]),
@@ -122,6 +123,12 @@ const GOLDEN_ACCESS: &[(&str, [u64; 4])] = &[
     ("freep", [18085, 136274, 119088, 120122]),
     ("lls", [169449, 231459, 198348, 319438]),
     ("zombie", [22506, 166671, 148812, 155223]),
+    ("reviver-sg", [31094, 173510, 145973, 152501]),
+    ("reviver-sr", [47692, 173293, 129731, 135655]),
+    ("reviver-tiled", [31501, 175698, 148060, 154806]),
+    ("reviver-sr2", [54626, 172712, 122931, 128596]),
+    ("softwear-wlr", [54018, 173029, 131727, 142245]),
+    ("adaptive-sg-wlr", [16137, 172884, 160501, 168318]),
 ];
 
 /// Whether this run prints fresh goldens instead of asserting them.
@@ -173,10 +180,9 @@ fn oracle_runs_match_seed_engine_goldens() {
 }
 
 #[test]
-fn baseline_access_counts_match_goldens() {
+fn access_counts_match_goldens() {
     let capture = capturing();
-    for spec in SchemeRegistry::global().iter().filter(|s| !s.revivable) {
-        let label = spec.name;
+    for label in SchemeRegistry::global().names() {
         let mut s = sim(label, false);
         s.run(StopCondition::Writes(STOP_WRITES));
         let dev = s.controller().device().stats();

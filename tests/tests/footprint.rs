@@ -94,17 +94,25 @@ fn a_warm_front_end_serves_requests_without_allocating() {
     let warm = mc.run(&mut stream, 1_000_000);
     assert_eq!(warm.stop, McStopReason::TraceComplete);
     // Each bank issues about 3 M / 8 writes more: 360 samples a bank at
-    // the default cadence, had they been recorded. `finish` (its report
-    // copies every bank's wear) stays outside the window.
-    let ((), served) = measure(|| {
+    // the default cadence, had they been recorded.
+    let (out, served) = measure(|| {
         for _ in 0..3_000_000 {
             mc.submit(stream.next_write().index());
         }
+        mc.finish()
     });
-    let out = mc.finish();
     assert_eq!(out.stop, McStopReason::TraceComplete);
     assert!(out.issued - warm.issued > 2_000_000, "{out:?}");
-    assert_eq!(served.bytes, 0, "{served:?}");
+    // The requests allocate nothing. `finish` allocates what its outcome
+    // owns (a clone of it allocates the same) and the write buffer's one
+    // list of its 32 flushed lines: it folds every bank's wear in place,
+    // where it used to copy it (about 161 KiB at this shape).
+    let (_, owned) = measure(|| out.clone());
+    assert_eq!(
+        (served.count, served.bytes),
+        (owned.count + 1, owned.bytes + 32 * 8),
+        "{served:?}, outcome {owned:?}"
+    );
 }
 
 /// A fork of a healthy chip copies what a run can write to — the device,
