@@ -297,6 +297,15 @@ impl DenseSet {
         self.present[w] & m != 0
     }
 
+    /// [`Self::contains`] for a key its caller has already checked
+    /// against the capacity: the word lookup has no panic path of its own
+    /// (a key past the last word reads as absent).
+    #[inline]
+    pub fn contains_checked(&self, k: u64) -> bool {
+        let (w, m) = self.bit(k);
+        self.present.get(w).is_some_and(|&x| x & m != 0)
+    }
+
     /// Adds `k`; returns whether it was newly inserted.
     #[inline]
     pub fn insert(&mut self, k: u64) -> bool {

@@ -74,7 +74,7 @@ fn build(scheme: &str, seed: u64) -> Ctl {
                 .randomizer(RandomizerKind::Feistel { seed })
                 .build();
             Ctl::Wlr(
-                RevivedController::builder(device(1), Box::new(wl))
+                RevivedController::builder(device(1), wl)
                     .cache_bytes(CACHE_BYTES)
                     .build(),
             )

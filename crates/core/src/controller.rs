@@ -20,6 +20,10 @@
 //! copies back through the controller, and notifies the controller of the
 //! retirement ([`Controller::on_page_retired`]) so WL-Reviver can harvest
 //! the page's PAs as virtual spare space.
+//!
+//! The simulator's plain write path hands a controller up to 32 writes
+//! per virtual call ([`Controller::write_run`]); the reviver inlines its
+//! steady path and its leveler ([`wlr_wl::Leveler`]) into that loop.
 
 use core::fmt;
 use wlr_base::{Da, Geometry, Pa, PageId};
@@ -84,6 +88,20 @@ pub trait Controller: fmt::Debug + Send {
 
     /// Services a software write of `tag` to `pa`.
     fn write(&mut self, pa: Pa, tag: u64) -> WriteResult;
+
+    /// Writes `pas[i]` with tag `tag0 + i`, in order, stopping at the
+    /// first result other than [`WriteResult::Ok`]. Returns how many
+    /// writes it issued and the last one's result. An override must
+    /// behave exactly like this loop.
+    fn write_run(&mut self, pas: &[Pa], tag0: u64) -> (usize, WriteResult) {
+        for (i, &pa) in pas.iter().enumerate() {
+            let res = self.write(pa, tag0 + i as u64);
+            if res != WriteResult::Ok {
+                return (i + 1, res);
+            }
+        }
+        (pas.len(), WriteResult::Ok)
+    }
 
     /// Notifies the controller that the OS retired `page` (for any
     /// reason). WL-Reviver harvests the page's PAs as virtual spare space;

@@ -49,8 +49,8 @@ use crate::zombie::ZombieController;
 use wlr_base::Geometry;
 use wlr_pcm::{ErrorCorrection, FaultPlan, PcmDevice};
 use wlr_wl::{
-    Adaptive, NoWearLeveling, RandomizerKind, SecurityRefresh, SoftWear, Stacked, StartGap,
-    TiledStartGap, WearLeveler,
+    Adaptive, Leveler, NoWearLeveling, RandomizerKind, SecurityRefresh, SoftWear, Stacked,
+    StartGap, TiledStartGap, WearLeveler,
 };
 
 /// The stack knobs [`crate::sim::SimulationBuilder`]'s setters write and
@@ -190,30 +190,26 @@ impl StackCtx {
 
     /// A Start-Gap leveler over the visible space with the configured
     /// randomizer.
-    pub fn start_gap(&self) -> Box<dyn WearLeveler> {
+    pub fn start_gap(&self) -> StartGap {
         self.start_gap_with(self.knobs.randomizer())
     }
 
     /// A Start-Gap leveler with an explicit randomizer (LLS uses the
     /// half-restricted one).
-    pub fn start_gap_with(&self, kind: RandomizerKind) -> Box<dyn WearLeveler> {
-        Box::new(
-            StartGap::builder(self.visible)
-                .gap_interval(self.knobs.gap_interval)
-                .randomizer(kind)
-                .build(),
-        )
+    pub fn start_gap_with(&self, kind: RandomizerKind) -> StartGap {
+        StartGap::builder(self.visible)
+            .gap_interval(self.knobs.gap_interval)
+            .randomizer(kind)
+            .build()
     }
 
     /// A Security Refresh leveler over the visible space, in regions of
     /// the largest power of two that divides it (the builder's default).
-    pub fn security_refresh(&self, seed: u64) -> Box<dyn WearLeveler> {
-        Box::new(
-            SecurityRefresh::builder(self.visible)
-                .refresh_interval(self.knobs.gap_interval)
-                .seed(seed)
-                .build(),
-        )
+    pub fn security_refresh(&self, seed: u64) -> SecurityRefresh {
+        SecurityRefresh::builder(self.visible)
+            .refresh_interval(self.knobs.gap_interval)
+            .seed(seed)
+            .build()
     }
 
     /// A SoftWear leveler (table-mapped page sorting) over the visible
@@ -250,7 +246,7 @@ impl StackCtx {
     /// The WL-Reviver assembly over `wl` with the configured framework
     /// knobs (invariants, pointer width, chain switching, proactive
     /// acquisition, remap cache).
-    pub fn revive(&mut self, extra_blocks: u64, wl: Box<dyn WearLeveler>) -> Box<dyn Controller> {
+    pub fn revive(&mut self, extra_blocks: u64, wl: impl Into<Leveler>) -> Box<dyn Controller> {
         let k = self.knobs;
         let mut b = RevivedController::builder(self.device(extra_blocks), wl)
             .check_invariants(k.check_invariants)
@@ -302,12 +298,12 @@ fn build_ecc_only(ctx: &mut StackCtx) -> Box<dyn Controller> {
 }
 
 fn build_start_gap_only(ctx: &mut StackCtx) -> Box<dyn Controller> {
-    let wl = ctx.start_gap();
+    let wl = Box::new(ctx.start_gap());
     ctx.freeze_on_failure(1, wl)
 }
 
 fn build_security_refresh_only(ctx: &mut StackCtx) -> Box<dyn Controller> {
-    let wl = ctx.security_refresh(ctx.knobs.seed);
+    let wl = Box::new(ctx.security_refresh(ctx.knobs.seed));
     ctx.freeze_on_failure(0, wl)
 }
 
@@ -322,7 +318,7 @@ fn build_adaptive_start_gap_only(ctx: &mut StackCtx) -> Box<dyn Controller> {
 }
 
 fn build_freep(ctx: &mut StackCtx) -> Box<dyn Controller> {
-    let wl = ctx.start_gap();
+    let wl = Box::new(ctx.start_gap());
     let reserve = ctx.reserve_blocks;
     let mut b = FreepController::builder(ctx.device(1 + reserve), wl, reserve);
     if let Some(bytes) = ctx.knobs.cache_bytes {
@@ -336,9 +332,9 @@ fn build_lls(ctx: &mut StackCtx) -> Box<dyn Controller> {
     // controller's default 64 salvage groups.
     const CHUNKS: u64 = 16;
     let chunk = ((ctx.visible / CHUNKS) / ctx.bpp).max(1) * ctx.bpp;
-    let wl = ctx.start_gap_with(RandomizerKind::HalfRestricted {
+    let wl = Box::new(ctx.start_gap_with(RandomizerKind::HalfRestricted {
         seed: ctx.knobs.seed,
-    });
+    }));
     let mut b = LlsController::builder(ctx.device(1 + chunk * CHUNKS), wl)
         .chunk_blocks(chunk)
         .max_chunks(CHUNKS);
@@ -349,7 +345,7 @@ fn build_lls(ctx: &mut StackCtx) -> Box<dyn Controller> {
 }
 
 fn build_zombie(ctx: &mut StackCtx) -> Box<dyn Controller> {
-    let wl = ctx.start_gap();
+    let wl = Box::new(ctx.start_gap());
     let mut b = ZombieController::builder(ctx.device(1), wl);
     if let Some(bytes) = ctx.knobs.cache_bytes {
         b = b.cache_bytes(bytes);
@@ -374,7 +370,7 @@ fn build_reviver_tiled_start_gap(ctx: &mut StackCtx) -> Box<dyn Controller> {
         .randomizer(ctx.knobs.randomizer())
         .build();
     let tiles = ctx.knobs.sg_tiles;
-    ctx.revive(tiles, Box::new(wl))
+    ctx.revive(tiles, Leveler::Other(Box::new(wl)))
 }
 
 fn build_reviver_two_level_sr(ctx: &mut StackCtx) -> Box<dyn Controller> {
@@ -386,7 +382,7 @@ fn build_reviver_two_level_sr(ctx: &mut StackCtx) -> Box<dyn Controller> {
         ctx.knobs.gap_interval * 4,
         ctx.knobs.seed,
     );
-    ctx.revive(0, Box::new(wl))
+    ctx.revive(0, Leveler::Other(Box::new(wl)))
 }
 
 fn build_reviver_soft_wear(ctx: &mut StackCtx) -> Box<dyn Controller> {

@@ -7,7 +7,7 @@ use super::RevivedController;
 use crate::error::ReviverError;
 use wlr_base::{Da, Pa};
 use wlr_pcm::{CrashPoint, WriteOutcome};
-use wlr_wl::Migration;
+use wlr_wl::{Migration, WearLeveler};
 
 /// How [`RevivedController::walk_chain`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

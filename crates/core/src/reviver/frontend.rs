@@ -9,6 +9,7 @@ use crate::error::ReviverError;
 use crate::recovery::RecoveryReport;
 use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::{CrashPoint, PcmDevice};
+use wlr_wl::WearLeveler;
 
 impl RevivedController {
     /// The steady-state write to a linked failed block `da`: lands `tag`
@@ -27,9 +28,14 @@ impl RevivedController {
         }
         // The pointer read the full path pays first — or the remap
         // cache's hit in its place; the cache mirrors the table, so
-        // either way it resolves to `v`.
-        let resolved = self.resolve_ptr(da, true);
-        debug_assert_eq!(resolved, Some(v), "remap cache out of step at {da}");
+        // either way it resolves to `v`. Without a cache that read is all
+        // `resolve_ptr` would do, and `v` is already in hand.
+        if self.links.cache.is_some() {
+            let resolved = self.resolve_ptr(da, true);
+            debug_assert_eq!(resolved, Some(v), "remap cache out of step at {da}");
+        } else {
+            self.dev_read(da, true);
+        }
         self.req.accesses += 1;
         true
     }
@@ -169,6 +175,8 @@ impl Controller for RevivedController {
         }
     }
 
+    // Inlined into `write_run`'s default loop: one call per slab.
+    #[inline(always)]
     fn write(&mut self, pa: Pa, tag: u64) -> WriteResult {
         if self.check || self.suspended {
             return self.write_guarded(pa, tag);

@@ -3,6 +3,7 @@
 
 use super::RevivedController;
 use wlr_base::Da;
+use wlr_wl::WearLeveler;
 
 impl RevivedController {
     /// Asserts the framework's structural invariants. Enabled per request

@@ -14,6 +14,7 @@ use crate::cache::RemapCache;
 use wlr_base::dense::DenseMap;
 use wlr_base::{Da, Pa};
 use wlr_pcm::{CrashPoint, WriteOutcome};
+use wlr_wl::WearLeveler;
 
 /// The failed-DA→virtual-shadow link table with its inverse image and
 /// the remap cache over pointer resolutions.

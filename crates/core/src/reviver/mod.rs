@@ -75,13 +75,13 @@ use spare_pool::SparePool;
 use std::collections::VecDeque;
 use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::{PcmDevice, WriteOutcome};
-use wlr_wl::WearLeveler;
+use wlr_wl::{Leveler, WearLeveler};
 
 /// Builder for [`RevivedController`].
 #[derive(Debug)]
 pub struct RevivedControllerBuilder {
     device: PcmDevice,
-    wl: Box<dyn WearLeveler>,
+    wl: Leveler,
     cache_bytes: Option<usize>,
     check_invariants: bool,
     pointer_bytes: u64,
@@ -233,7 +233,7 @@ impl RevivedControllerBuilder {
 ///     .gap_interval(10)
 ///     .randomizer(RandomizerKind::Feistel { seed: 1 })
 ///     .build();
-/// let mut ctl = RevivedController::builder(device, Box::new(wl)).build();
+/// let mut ctl = RevivedController::builder(device, wl).build();
 ///
 /// // Hammer one address until the controller must involve the OS.
 /// let mut reported = None;
@@ -254,7 +254,10 @@ impl RevivedControllerBuilder {
 pub struct RevivedController {
     geo: Geometry,
     device: PcmDevice,
-    wl: Box<dyn WearLeveler>,
+    /// The scheme, inline when it is one of the two the paper names, so
+    /// the steady-state write calls its `map` and `record_write_fast`
+    /// without a virtual call.
+    wl: Leveler,
     /// The failed-DA→PA link table with its inverse image and cache.
     links: LinkTable,
     /// Spare acquisition state and the retired-page layout.
@@ -289,11 +292,13 @@ pub struct RevivedController {
 }
 
 impl RevivedController {
-    /// Starts building a revived controller over `device` driving `wl`.
-    pub fn builder(device: PcmDevice, wl: Box<dyn WearLeveler>) -> RevivedControllerBuilder {
+    /// Starts building a revived controller over `device` driving `wl`:
+    /// a [`wlr_wl::StartGap`] or [`wlr_wl::SecurityRefresh`] by value, or
+    /// any scheme boxed.
+    pub fn builder(device: PcmDevice, wl: impl Into<Leveler>) -> RevivedControllerBuilder {
         RevivedControllerBuilder {
             device,
-            wl,
+            wl: wl.into(),
             cache_bytes: None,
             check_invariants: false,
             pointer_bytes: 4,
@@ -384,7 +389,7 @@ impl RevivedController {
 
     /// Read access to the wear-leveler (for inspection and tooling).
     pub fn wear_leveler(&self) -> &dyn WearLeveler {
-        self.wl.as_ref()
+        &self.wl
     }
 
     /// Force-fails device block `da` without wearing it — the setup knob

@@ -7,6 +7,7 @@ use super::RevivedController;
 use crate::cache::RemapCache;
 use crate::recovery::{PersistedMeta, RecoveryReport, TornMeta};
 use wlr_base::{Da, Pa, PageId};
+use wlr_wl::WearLeveler;
 
 impl RevivedController {
     /// The durable metadata mirror (what a firmware scan of the PCM and

@@ -4,7 +4,7 @@ use crate::error::BuilderError;
 use std::collections::{HashMap, HashSet};
 use wlr_base::{Da, Geometry, Pa, PageId};
 use wlr_pcm::{Ecp, PcmDevice};
-use wlr_wl::{NoWearLeveling, RandomizerKind, SecurityRefresh, StartGap, WearLeveler};
+use wlr_wl::{Leveler, NoWearLeveling, RandomizerKind, SecurityRefresh, StartGap, WearLeveler};
 
 const N: u64 = 256; // 4 pages of 64 blocks
 
@@ -23,13 +23,11 @@ fn device(endurance: f64, extra: u64, seed: u64) -> PcmDevice {
         .build()
 }
 
-fn sg(psi: u64, seed: u64) -> Box<dyn WearLeveler> {
-    Box::new(
-        StartGap::builder(N)
-            .gap_interval(psi)
-            .randomizer(RandomizerKind::Feistel { seed })
-            .build(),
-    )
+fn sg(psi: u64, seed: u64) -> StartGap {
+    StartGap::builder(N)
+        .gap_interval(psi)
+        .randomizer(RandomizerKind::Feistel { seed })
+        .build()
 }
 
 fn checked(endurance: f64, psi: u64, seed: u64) -> RevivedController {
@@ -336,7 +334,7 @@ fn works_with_security_refresh_unmodified() {
         .refresh_interval(5)
         .seed(10)
         .build();
-    let mut ctl = RevivedController::builder(dev, Box::new(wl))
+    let mut ctl = RevivedController::builder(dev, wl)
         .check_invariants(true)
         .build();
     let mut os = OsSim::new();
@@ -389,7 +387,7 @@ fn label_for_start_gap() {
 fn no_wl_also_works_under_framework() {
     // The framework does not require migrations at all.
     let dev = device(300.0, 0, 12);
-    let mut ctl = RevivedController::builder(dev, Box::new(NoWearLeveling::new(N)))
+    let mut ctl = RevivedController::builder(dev, Leveler::Other(Box::new(NoWearLeveling::new(N))))
         .check_invariants(true)
         .build();
     ctl.on_page_retired(PageId::new(0));
@@ -525,12 +523,10 @@ fn exhausting_last_spare_suspends_migration_without_wedging() {
         .ecc(Box::new(Ecp::ecp6()))
         .track_contents(true)
         .build();
-    let wl = Box::new(
-        StartGap::builder(N)
-            .gap_interval(4)
-            .randomizer(RandomizerKind::Feistel { seed: 41 })
-            .build(),
-    );
+    let wl = StartGap::builder(N)
+        .gap_interval(4)
+        .randomizer(RandomizerKind::Feistel { seed: 41 })
+        .build();
     let mut ctl = RevivedController::builder(dev, wl)
         .check_invariants(true)
         .build();
@@ -610,7 +606,7 @@ fn mutual_loop() -> (RevivedController, (Da, Pa, Da, Pa)) {
             unreachable!("Security Refresh arms a swap every {PSI} writes");
         };
         let (va, vb) = (wl.inverse(a).unwrap(), wl.inverse(b).unwrap());
-        let mut ctl = RevivedController::builder(device(1e9, 0, seed), Box::new(wl)).build();
+        let mut ctl = RevivedController::builder(device(1e9, 0, seed), wl).build();
         ctl.on_page_retired(geo().page_of(va));
         ctl.on_page_retired(geo().page_of(vb));
         // Put each block on a loop: dead, linked to the very PA that maps
@@ -694,9 +690,12 @@ fn builder_rejects_cache_smaller_than_one_line() {
 
 #[test]
 fn builder_rejects_mismatched_pa_space() {
-    let err = RevivedController::builder(device(1e9, 1, 52), Box::new(NoWearLeveling::new(N / 2)))
-        .try_build()
-        .unwrap_err();
+    let err = RevivedController::builder(
+        device(1e9, 1, 52),
+        Leveler::Other(Box::new(NoWearLeveling::new(N / 2))),
+    )
+    .try_build()
+    .unwrap_err();
     assert!(matches!(err, BuilderError::PaSpaceMismatch { .. }));
 }
 

@@ -17,7 +17,9 @@
 //!
 //! * this file — the state ([`Simulation`], which a [`SimSnapshot`] is a
 //!   `Clone` of), the one write loop behind [`Simulation::run`] and
-//!   [`Simulation::run_batch`], sampling, and the fault/recovery drivers;
+//!   [`Simulation::run_batch`] (a slab of addresses per
+//!   [`Controller::write_run`] call), sampling, and the fault/recovery
+//!   drivers;
 //! * `builder` — [`SimulationBuilder`] and [`EccKind`];
 //! * `os_protocol` — the simulator playing the OS: failure reports, page
 //!   requests, retirement copies, and the guarded per-write protocol;
@@ -36,7 +38,7 @@ use crate::reviver::{EventRing, ReviverCounters};
 use std::sync::Once;
 use wlr_base::dense::DenseMap;
 use wlr_base::rng::Rng;
-use wlr_base::{AppAddr, Geometry, PageId};
+use wlr_base::{AppAddr, Geometry, Pa, PageId};
 use wlr_os::OsMemory;
 use wlr_pcm::FaultPlan;
 use wlr_trace::Workload;
@@ -320,67 +322,69 @@ impl Simulation {
         1.0 - self.controller.visible_dead_fraction()
     }
 
-    /// Issues exactly one software write of `addr`. Unless `guarded` — a
-    /// fault plan is armed or the oracle is on — this is the whole write:
-    /// translate, one controller write, and the OS protocol only when that
-    /// write asks for it.
-    #[inline(always)]
-    fn step_addr(&mut self, addr: AppAddr, guarded: bool) -> StepOutcome {
-        self.writes_issued += 1;
-        self.seq += 1;
-        if guarded {
-            return self.step_guarded(addr);
-        }
-        let Some(pa) = self.os.translate_or_redirect(addr) else {
-            return StepOutcome::Exhausted;
-        };
-        let first = self.controller.write(pa, self.seq);
-        if first != WriteResult::Ok {
-            self.pa_write_rest(first, pa, self.seq, 0);
-        }
-        StepOutcome::Serviced
-    }
-
-    /// The one write loop: issues writes drawn from `next` until
-    /// `writes_issued` reaches `limit`, the source runs dry, a write
-    /// exhausts memory or loses power, or the `watched` counter — whatever
-    /// the caller's stop condition depends on — moves. Returns the last
-    /// write's outcome. Never samples: callers keep `limit` at or below
-    /// the next sample boundary and call [`Self::maybe_sample`] after.
+    /// The one write loop: issues a prefix of `addrs` until `writes_issued`
+    /// reaches `limit`, a write exhausts memory or loses power, or `moved`
+    /// (asked after every slab) says the stop condition could have changed.
+    /// Returns how many it issued and, unless `addrs` ran out first, the
+    /// last outcome. Never samples: `limit` stays at or below the next
+    /// sample boundary. Unguarded, a slab is up to [`LOOKAHEAD`] (with
+    /// `per_write`, one) translated addresses and one
+    /// [`Controller::write_run`]; a write that needs the OS protocol ends
+    /// it, and the rest is translated again, since only that protocol
+    /// moves the OS tables.
     #[inline]
     fn span(
         &mut self,
-        mut next: impl FnMut(&mut Self) -> Option<AppAddr>,
+        addrs: &[AppAddr],
         limit: u64,
-        watched: impl Fn(&Self) -> u64,
-    ) -> StepOutcome {
-        let before = watched(self);
+        per_write: bool,
+        moved: impl Fn(&Self) -> bool,
+    ) -> (usize, Option<StepOutcome>) {
+        let room = usize::try_from(limit - self.writes_issued).unwrap_or(usize::MAX);
+        let todo = &addrs[..addrs.len().min(room)];
+        let slab = if per_write { 1 } else { LOOKAHEAD };
         // Span-invariant: only the builder and `arm_faults` set either.
         let guarded = self.fault_active || self.expected.is_some();
+        let mut done = 0;
         let mut last = StepOutcome::Serviced;
-        while self.writes_issued < limit {
-            let Some(addr) = next(self) else { break };
-            last = self.step_addr(addr, guarded);
-            if matches!(last, StepOutcome::Exhausted | StepOutcome::PowerLost)
-                || watched(self) != before
-            {
-                break;
+        while done < todo.len() {
+            if guarded {
+                self.writes_issued += 1;
+                self.seq += 1;
+                last = self.step_guarded(todo[done]);
+                done += 1;
+                if matches!(last, StepOutcome::Exhausted | StepOutcome::PowerLost) {
+                    return (done, Some(last));
+                }
+            } else {
+                let slab = &todo[done..todo.len().min(done + slab)];
+                let mut pas = [Pa::new(0); LOOKAHEAD];
+                let mut translated = 0;
+                for &addr in slab {
+                    let Some(pa) = self.os.translate_or_redirect(addr) else {
+                        break;
+                    };
+                    pas[translated] = pa;
+                    translated += 1;
+                }
+                let (issued, first) = self.controller.write_run(&pas[..translated], self.seq + 1);
+                self.writes_issued += issued as u64;
+                self.seq += issued as u64;
+                done += issued;
+                if first != WriteResult::Ok {
+                    self.pa_write_rest(first, pas[issued - 1], self.seq, 0);
+                } else if translated < slab.len() {
+                    // No application page is left for `todo[done]`.
+                    self.writes_issued += 1;
+                    self.seq += 1;
+                    return (done + 1, Some(StepOutcome::Exhausted));
+                }
+            }
+            if moved(self) {
+                return (done, Some(last));
             }
         }
-        last
-    }
-
-    /// The workload's next address, from the lookahead — refilled by one
-    /// [`Workload::fill`] when empty. The engine's only read of the stream.
-    #[inline(always)]
-    fn next_drawn(&mut self) -> AppAddr {
-        if self.drawn_at == LOOKAHEAD {
-            self.workload.fill(&mut self.lookahead);
-            self.drawn_at = 0;
-        }
-        let addr = self.lookahead[self.drawn_at];
-        self.drawn_at += 1;
-        addr
+        (done, (self.writes_issued >= limit).then_some(last))
     }
 
     /// Records a sample (and oracle spot-checks) if `writes_issued` has
@@ -563,6 +567,10 @@ impl Simulation {
             StopCondition::UsableBelow(_) => sim.retirements + sim.grants,
             StopCondition::DeadFraction(_) => sim.controller.device().dead_blocks(),
         };
+        // Retirements and grants move only in the OS protocol, which ends
+        // a slab; a block can die on a write the reviver serviced (and
+        // hid), so the dead count is watched after every write.
+        let per_write = matches!(stop, StopCondition::DeadFraction(_));
         let reason = loop {
             if self.writes_issued >= self.hard_cap {
                 break StopReason::HardCap;
@@ -583,7 +591,24 @@ impl Simulation {
                 }
                 _ => {}
             }
-            match self.span(|sim| Some(sim.next_drawn()), limit, watched) {
+            let before = watched(self);
+            let last = loop {
+                // The engine's only read of the stream: one `fill` per
+                // `LOOKAHEAD` writes.
+                if self.drawn_at == LOOKAHEAD {
+                    self.workload.fill(&mut self.lookahead);
+                    self.drawn_at = 0;
+                }
+                let drawn = self.lookahead;
+                let (issued, end) = self.span(&drawn[self.drawn_at..], limit, per_write, |sim| {
+                    watched(sim) != before
+                });
+                self.drawn_at += issued;
+                if let Some(last) = end {
+                    break last;
+                }
+            };
+            match last {
                 StepOutcome::Exhausted => break StopReason::MemoryExhausted,
                 StepOutcome::PowerLost => break StopReason::PowerLoss,
                 last => self.maybe_sample(last == StepOutcome::Discarded),
@@ -607,7 +632,6 @@ impl Simulation {
     /// simulation state.
     pub fn run_batch(&mut self, addrs: &[AppAddr]) -> BatchStatus {
         let start = self.writes_issued;
-        let mut source = addrs.iter();
         loop {
             let consumed = self.writes_issued - start;
             if consumed == addrs.len() as u64 {
@@ -617,7 +641,11 @@ impl Simulation {
                 return BatchStatus::HardCap { consumed };
             }
             let limit = self.hard_cap.min(self.next_sample);
-            let last = self.span(|_| source.next().copied(), limit, |_| 0);
+            let (_, end) = self.span(&addrs[consumed as usize..], limit, false, |_| false);
+            // Out of addresses short of `limit`: no sample is due.
+            let Some(last) = end else {
+                return BatchStatus::Completed;
+            };
             self.maybe_sample(last == StepOutcome::Discarded);
             let consumed = self.writes_issued - start;
             match last {

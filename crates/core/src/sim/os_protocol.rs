@@ -10,8 +10,8 @@ use wlr_os::OsMemory;
 
 impl Simulation {
     /// One software write under the full protocol an armed fault plan or
-    /// the integrity oracle needs; [`Simulation::step_addr`] has already
-    /// counted it. Out of line so the plain path stays small.
+    /// the integrity oracle needs; the span loop has already counted it.
+    /// Out of line so the plain path stays small.
     #[inline(never)]
     pub(super) fn step_guarded(&mut self, addr: AppAddr) -> StepOutcome {
         let tag = self.seq;

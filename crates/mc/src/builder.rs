@@ -315,6 +315,7 @@ impl McFrontendBuilder {
             oldest_arrival: vec![u64::MAX; self.banks],
             entry_buf: Vec::new(),
             addr_buf: Vec::new(),
+            dirty_buf: Vec::with_capacity(self.write_buffer_lines),
             workers_active: false,
             drain_workers: self.drain_workers,
             steer: self

@@ -149,6 +149,9 @@ pub struct McFrontend {
     /// Reused address buffer for queue flushes (feeds the ring or the
     /// bank directly).
     addr_buf: Vec<u64>,
+    /// Reused buffer the write buffer drains into at the end of a run,
+    /// reserved for its every line.
+    dirty_buf: Vec<u64>,
     /// Whether pinned workers currently own the banks and consumers.
     workers_active: bool,
     drain_workers: usize,

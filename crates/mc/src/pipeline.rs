@@ -146,10 +146,13 @@ impl McFrontend {
     /// Hands everything still buffered toward the banks: write buffer →
     /// queues → rings (or, inline, straight into the banks).
     pub(crate) fn run_dry(&mut self) {
-        let dirty = self.wbuf.flush();
-        for line in dirty {
+        let mut dirty = std::mem::take(&mut self.dirty_buf);
+        self.wbuf.flush_into(&mut dirty);
+        for &line in &dirty {
             self.enqueue(line);
         }
+        dirty.clear();
+        self.dirty_buf = dirty;
         for b in 0..self.queues.len() {
             self.flush_bank(b);
         }

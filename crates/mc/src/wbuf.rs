@@ -87,15 +87,21 @@ impl WriteBuffer {
     /// Drains every buffered line in FIFO order (end of run: the dirty
     /// lines must reach PCM).
     pub fn flush(&mut self) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::with_capacity(self.slots.len());
+        let mut out = Vec::with_capacity(self.slots.len());
+        self.flush_into(&mut out);
+        out
+    }
+
+    /// [`Self::flush`] onto the end of `out`: a caller that reuses `out`
+    /// with the buffer's capacity reserved allocates nothing.
+    pub fn flush_into(&mut self, out: &mut Vec<u64>) {
         out.extend_from_slice(&self.slots[self.cursor..]);
         out.extend_from_slice(&self.slots[..self.cursor]);
-        for &line in &out {
+        for &line in &self.slots {
             self.present.remove(line);
         }
         self.slots.clear();
         self.cursor = 0;
-        out
     }
 }
 

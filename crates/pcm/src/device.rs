@@ -265,7 +265,7 @@ impl PcmDevice {
         if self.fault.is_some() {
             return self.faulted_read(da);
         }
-        if self.dead.contains(da.index()) {
+        if self.dead.contains_checked(da.index()) {
             ReadOutcome::Dead
         } else {
             ReadOutcome::Ok
@@ -440,15 +440,22 @@ impl PcmDevice {
     /// The content tag of block `da` (0 if never written or content
     /// tracking is off). Does not count an access; pair with [`Self::read`].
     pub fn tag(&self, da: Da) -> u64 {
-        self.check(da);
-        self.contents.as_ref().map_or(0, |c| c[da.as_usize()])
+        // The content table spans the device, so its bounds are the check.
+        let Some(contents) = &self.contents else {
+            self.check(da);
+            return 0;
+        };
+        match contents.get(da.as_usize()) {
+            Some(&tag) => tag,
+            None => out_of_range(da, self.total_blocks),
+        }
     }
 
     /// Whether block `da` is dead.
     #[inline]
     pub fn is_dead(&self, da: Da) -> bool {
         self.check(da);
-        self.dead.contains(da.index())
+        self.dead.contains_checked(da.index())
     }
 
     /// The dead blocks' indices, as a set.

@@ -76,7 +76,7 @@ pub use softwear::SoftWear;
 pub use stacked::Stacked;
 pub use start_gap::StartGap;
 pub use tiled::TiledStartGap;
-pub use traits::{Migration, WearLeveler};
+pub use traits::{Leveler, Migration, WearLeveler};
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
@@ -88,5 +88,5 @@ pub mod prelude {
     pub use crate::stacked::Stacked;
     pub use crate::start_gap::StartGap;
     pub use crate::tiled::TiledStartGap;
-    pub use crate::traits::{Migration, WearLeveler};
+    pub use crate::traits::{Leveler, Migration, WearLeveler};
 }

@@ -110,6 +110,41 @@ impl RandomizerKind {
     }
 }
 
+/// [`RandomizerKind::build`]'s randomizer with the memoized table inline
+/// (no virtual call) and any other kind boxed.
+#[derive(Debug, Clone)]
+pub(crate) enum InlineRandomizer {
+    Memoized(MemoizedRandomizer),
+    Boxed(Box<dyn AddressRandomizer>),
+}
+
+impl InlineRandomizer {
+    pub(crate) fn build(kind: RandomizerKind, len: u64) -> Self {
+        match kind {
+            RandomizerKind::Feistel { seed } if len <= MEMOIZE_MAX_DOMAIN => {
+                Self::Memoized(MemoizedRandomizer::new(FeistelRandomizer::new(len, seed)))
+            }
+            kind => Self::Boxed(kind.build(len)),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn forward(&self, x: u64) -> u64 {
+        match self {
+            Self::Memoized(r) => r.forward(x),
+            Self::Boxed(r) => r.forward(x),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn backward(&self, y: u64) -> u64 {
+        match self {
+            Self::Memoized(r) => r.backward(y),
+            Self::Boxed(r) => r.backward(y),
+        }
+    }
+}
+
 /// The identity mapping.
 ///
 /// ```
@@ -382,6 +417,7 @@ impl AddressRandomizer for MemoizedRandomizer {
         self.forward.len() as u64
     }
 
+    #[inline]
     fn forward(&self, x: u64) -> u64 {
         match self.forward.get(x as usize) {
             Some(&y) => u64::from(y),
@@ -389,6 +425,7 @@ impl AddressRandomizer for MemoizedRandomizer {
         }
     }
 
+    #[inline]
     fn backward(&self, y: u64) -> u64 {
         match self.backward.get(y as usize) {
             Some(&x) => u64::from(x),

@@ -19,13 +19,16 @@
 //! After `N + 1` movements every block has hosted the gap exactly once, so
 //! writes spread over the whole space; the static randomizer
 //! ([`crate::randomizer`]) decorrelates spatially clustered hot lines.
+//! The memoized table the builder picks for a Feistel randomizer at the
+//! simulator's scales is held inline, so its lookup inlines into
+//! [`StartGap::map`]; any other randomizer is boxed.
 //!
 //! This implementation keeps the *exact* register semantics (including the
 //! wrap migration) so that the mapping stays a bijection at every
 //! intermediate state — a property the WL-Reviver framework's Theorem 3
 //! depends on, and which the property tests here verify directly.
 
-use crate::randomizer::{AddressRandomizer, RandomizerKind};
+use crate::randomizer::{InlineRandomizer, RandomizerKind};
 use crate::traits::{outside, Migration, WearLeveler};
 use wlr_base::{Da, Pa};
 
@@ -66,7 +69,7 @@ impl StartGapBuilder {
             gap_interval: self.gap_interval,
             writes_since_move: 0,
             debt: 0,
-            randomizer: self.randomizer.build(self.len),
+            randomizer: InlineRandomizer::build(self.randomizer, self.len),
         }
     }
 }
@@ -104,7 +107,7 @@ pub struct StartGap {
     /// Gap movements owed but not yet performed (grows while the caller
     /// defers migrations, e.g. WL-Reviver's delayed space acquisition).
     debt: u64,
-    randomizer: Box<dyn AddressRandomizer>,
+    randomizer: InlineRandomizer,
 }
 
 impl StartGap {

@@ -16,6 +16,7 @@
 //! *delay* a migration when no spare block exists (§III-A "delayed space
 //! acquisition") without modifying the scheme.
 
+use crate::{SecurityRefresh, StartGap};
 use core::fmt;
 use wlr_base::{Da, Pa};
 
@@ -162,6 +163,94 @@ impl Clone for Box<dyn WearLeveler> {
     }
 }
 
+/// A [`WearLeveler`] the caller dispatches on without a virtual call: the
+/// two schemes the paper names held inline, so that their `map` and
+/// `record_write_fast` inline into a hot loop, and any other scheme —
+/// one nobody has registered yet included — behind a box.
+#[derive(Debug, Clone)]
+pub enum Leveler {
+    /// Start-Gap, inline.
+    StartGap(StartGap),
+    /// Security Refresh, inline.
+    SecurityRefresh(SecurityRefresh),
+    /// Any other scheme.
+    Other(Box<dyn WearLeveler>),
+}
+
+impl From<StartGap> for Leveler {
+    fn from(wl: StartGap) -> Self {
+        Leveler::StartGap(wl)
+    }
+}
+
+impl From<SecurityRefresh> for Leveler {
+    fn from(wl: SecurityRefresh) -> Self {
+        Leveler::SecurityRefresh(wl)
+    }
+}
+
+impl From<Box<dyn WearLeveler>> for Leveler {
+    fn from(wl: Box<dyn WearLeveler>) -> Self {
+        Leveler::Other(wl)
+    }
+}
+
+/// Runs `$body` with `$wl` bound to whichever scheme `$self` holds.
+macro_rules! each_arm {
+    ($self:expr, $wl:ident => $body:expr) => {
+        match $self {
+            Leveler::StartGap($wl) => $body,
+            Leveler::SecurityRefresh($wl) => $body,
+            Leveler::Other($wl) => $body,
+        }
+    };
+}
+
+impl WearLeveler for Leveler {
+    fn len(&self) -> u64 {
+        each_arm!(self, wl => wl.len())
+    }
+
+    fn total_das(&self) -> u64 {
+        each_arm!(self, wl => wl.total_das())
+    }
+
+    #[inline]
+    fn map(&self, pa: Pa) -> Da {
+        each_arm!(self, wl => wl.map(pa))
+    }
+
+    #[inline]
+    fn inverse(&self, da: Da) -> Option<Pa> {
+        each_arm!(self, wl => wl.inverse(da))
+    }
+
+    fn record_write(&mut self, pa: Pa) {
+        each_arm!(self, wl => wl.record_write(pa))
+    }
+
+    #[inline]
+    fn record_write_fast(&mut self, pa: Pa) -> bool {
+        each_arm!(self, wl => wl.record_write_fast(pa))
+    }
+
+    fn pending(&self) -> Option<Migration> {
+        each_arm!(self, wl => wl.pending())
+    }
+
+    fn complete_migration(&mut self) {
+        each_arm!(self, wl => wl.complete_migration())
+    }
+
+    fn label(&self) -> String {
+        each_arm!(self, wl => wl.label())
+    }
+
+    fn clone_box(&self) -> Box<dyn WearLeveler> {
+        Box::new(self.clone())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,5 +267,21 @@ mod tests {
             b: Da::new(4),
         };
         assert_eq!(s.to_string(), "swap DA(3) <-> DA(4)");
+    }
+
+    #[test]
+    fn both_inline_arms_obey_every_law() {
+        use crate::laws::{leveler_laws, PSI};
+        use crate::RandomizerKind;
+        let sg = |n| {
+            let wl = StartGap::builder(n).gap_interval(PSI);
+            Leveler::from(wl.randomizer(RandomizerKind::Feistel { seed: 7 }).build())
+        };
+        leveler_laws(sg, |n| Some(PSI * (n + 1)));
+        let sr = |n: u64| {
+            let wl = SecurityRefresh::builder(n).region_blocks(n & n.wrapping_neg());
+            Leveler::from(wl.refresh_interval(PSI).seed(7).build())
+        };
+        leveler_laws(sr, |n| (n % 2 == 0).then_some((PSI + 1) * n));
     }
 }

@@ -32,7 +32,7 @@ fn build(cache: Option<usize>, seed: u64) -> RevivedController {
         .gap_interval(100)
         .randomizer(RandomizerKind::Feistel { seed })
         .build();
-    let mut b = RevivedController::builder(device, Box::new(wl));
+    let mut b = RevivedController::builder(device, wl);
     if let Some(bytes) = cache {
         b = b.cache_bytes(bytes);
     }

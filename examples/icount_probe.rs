@@ -1,43 +1,74 @@
-//! The instruction-count probe: `healthy_stream`'s shape for one stack
-//! (2¹⁴ blocks, cells that never fail, the Ocean stream, seed 42), with
-//! a window of healthy-era writes marked by two `SIGSTOP`s the process
-//! sends itself. Run it under `scripts/icount.sh`, which counts the
-//! instructions between the two stops; run bare, it stops itself at the
-//! first and waits there for a `SIGCONT`.
+//! The instruction-count probe: a window of writes of one stack, marked by
+//! two `SIGSTOP`s the process sends itself. Run it under
+//! `scripts/icount.sh`, which counts the instructions between the two
+//! stops; run bare, it stops itself at the first and waits there for a
+//! `SIGCONT`.
 //!
 //! ```text
-//! icount_probe [STACK] [WARM_WRITES] [WINDOW_WRITES]
+//! icount_probe [STACK] [SKIP_WRITES] [WINDOW_WRITES] [healthy|worn]
 //! ```
 //!
-//! defaults: `reviver-sg`, 500 000, 10 000.
+//! * `healthy` (default): `healthy_stream`'s shape — 2¹⁴ blocks, cells
+//!   that never fail, the Ocean stream at seed 42. Defaults: `reviver-sg`,
+//!   500 000, 10 000.
+//! * `worn`: `wearout_tail`'s shape — 2¹⁴ blocks, endurance 2 000, a
+//!   uniform stream at seed 42 run until 80 % of the space is usable,
+//!   forked, and switched to the first future's stream (seed 43).
+//!   Defaults: `reviver-sg`, 200 000, 5 000.
+//!
+//! Both run ψ = 10 (`scaled_gap_interval(2¹⁴, 1e4)`, the figures' ψ at
+//! this size) and skip `SKIP_WRITES` writes before the window.
 
 use std::process::Command;
 use wl_reviver::sim::{Simulation, StopCondition};
-use wlr_trace::Benchmark;
+use wlr_trace::{Benchmark, UniformWorkload};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let stack = args.next().unwrap_or_else(|| "reviver-sg".into());
-    let mut count = |default: u64| {
-        args.next().map_or(default, |a| {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let stack = args.first().map_or("reviver-sg", String::as_str);
+    let worn = match args.get(3).map(String::as_str) {
+        None | Some("healthy") => false,
+        Some("worn") => true,
+        Some(other) => {
+            eprintln!("icount_probe: mode {other} is neither healthy nor worn");
+            std::process::exit(2)
+        }
+    };
+    let count = |i: usize, default: u64| {
+        args.get(i).map_or(default, |a| {
             a.parse().unwrap_or_else(|_| {
                 eprintln!("icount_probe: {a} is not a write count");
                 std::process::exit(2)
             })
         })
     };
-    let (warm, window) = (count(500_000), count(10_000));
+    let (skip, window) = if worn {
+        (count(1, 200_000), count(2, 5_000))
+    } else {
+        (count(1, 500_000), count(2, 10_000))
+    };
     let blocks = 1u64 << 14;
-    let mut sim = Simulation::builder()
+    let builder = Simulation::builder()
         .num_blocks(blocks)
-        .endurance_mean(1e9)
-        // `scaled_gap_interval(2¹⁴, 1e4)`: the figures' ψ at this size.
         .gap_interval(10)
-        .stack(&stack)
-        .seed(42)
-        .workload(Benchmark::Ocean.build(blocks, 42))
-        .sample_interval(u64::MAX / 2)
-        .build();
+        .stack(stack)
+        .seed(42);
+    let mut sim = if worn {
+        let mut sim = builder
+            .endurance_mean(2_000.0)
+            .workload(UniformWorkload::new(blocks, 42))
+            .build();
+        sim.run(StopCondition::UsableBelow(0.8));
+        let mut future = Simulation::fork(&sim.snapshot());
+        future.replace_workload(Box::new(UniformWorkload::new(future.workload_len(), 43)));
+        future
+    } else {
+        builder
+            .endurance_mean(1e9)
+            .workload(Benchmark::Ocean.build(blocks, 42))
+            .sample_interval(u64::MAX / 2)
+            .build()
+    };
     // Both stops are built before the window, so that it holds only the
     // second one's spawn.
     let pid = std::process::id().to_string();
@@ -46,10 +77,11 @@ fn main() {
         kill.args(["-STOP", &pid]);
         kill
     });
-    sim.run(StopCondition::Writes(warm));
+    let start = sim.writes_issued() + skip;
+    sim.run(StopCondition::Writes(start));
     let [first, second] = &mut stops;
     first.status().expect("kill runs");
-    let out = sim.run(StopCondition::Writes(warm + window));
+    let out = sim.run(StopCondition::Writes(start + window));
     second.status().expect("kill runs");
     println!(
         "{stack}: {} writes, {window} in the window",

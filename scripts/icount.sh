@@ -1,18 +1,30 @@
 #!/usr/bin/env bash
-# Instructions per healthy-era write, in total and per function.
+# Instructions per write, in total and per function.
 #
-#   scripts/icount.sh [STACK] [WINDOW_WRITES]
+#   scripts/icount.sh [STACK] [WINDOW_WRITES] [healthy|worn]
 #
 # Builds the single-step tracer (scripts/icount.rs) with rustc and the
 # `icount_probe` example in release, then counts the instructions of
-# WINDOW_WRITES (default 10 000) writes of STACK (default reviver-sg)
-# after 500 000 warm-up writes on `healthy_stream`'s shape. The count is
-# deterministic; the tracer steps about 60 000 instructions a second, so
-# the default window takes about a minute. Linux x86-64 only.
+# WINDOW_WRITES writes of STACK (default reviver-sg) in one of the
+# probe's two eras (see examples/icount_probe.rs):
+#
+#   healthy (default)  `healthy_stream`'s shape, 500 000 writes skipped,
+#                      a window of 10 000 by default;
+#   worn               `wearout_tail`'s shape: forked at 80 % usable,
+#                      200 000 writes skipped, a window of 5 000 by
+#                      default.
+#
+# The count is deterministic; the tracer steps about 60 000 instructions
+# a second, so a default window takes about a minute. Linux x86-64 only.
 set -euo pipefail
 
 stack=${1:-reviver-sg}
-window=${2:-10000}
+mode=${3:-healthy}
+case $mode in
+    healthy) skip=500000 window=${2:-10000} ;;
+    worn) skip=200000 window=${2:-5000} ;;
+    *) echo "icount.sh: mode $mode is neither healthy nor worn" >&2; exit 2 ;;
+esac
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 target=${CARGO_TARGET_DIR:-$root/target}
 
@@ -21,4 +33,4 @@ rustc -O --edition 2021 -o "$target/icount/icount" "$root/scripts/icount.rs"
 cargo build --quiet --release --offline --manifest-path "$root/Cargo.toml" \
     -p wl-reviver --example icount_probe
 "$target/icount/icount" --sum 'wl_reviver::reviver::' --sum 'wlr_wl::' \
-    "$window" "$target/release/examples/icount_probe" "$stack" 500000 "$window"
+    "$window" "$target/release/examples/icount_probe" "$stack" "$skip" "$window" "$mode"
