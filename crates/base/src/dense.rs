@@ -154,8 +154,9 @@ impl<V: Slot> DenseMap<V> {
         self.get(k).expect("key not present in dense map")
     }
 
-    /// Inserts `v` at `k`, returning the previous value if any.
-    #[inline]
+    /// Inserts `v` at `k`, returning the previous value if any. Always
+    /// inlined: the integrity oracle records a slab's writes in a loop.
+    #[inline(always)]
     pub fn insert(&mut self, k: u64, v: V) -> Option<V> {
         let (w, m) = self.bit(k);
         let old = if self.present[w] & m != 0 {

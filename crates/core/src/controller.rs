@@ -21,9 +21,9 @@
 //! retirement ([`Controller::on_page_retired`]) so WL-Reviver can harvest
 //! the page's PAs as virtual spare space.
 //!
-//! The simulator's plain write path hands a controller up to 32 writes
-//! per virtual call ([`Controller::write_run`]); the reviver inlines its
-//! steady path and its leveler ([`wlr_wl::Leveler`]) into that loop.
+//! The simulator hands a controller up to 32 writes per virtual call
+//! ([`Controller::write_run`]); the reviver inlines its steady path and its
+//! leveler ([`wlr_wl::Leveler`]) into that loop.
 
 use core::fmt;
 use wlr_base::{Da, Geometry, Pa, PageId};

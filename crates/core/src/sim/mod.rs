@@ -22,7 +22,7 @@
 //!   drivers;
 //! * `builder` — [`SimulationBuilder`] and [`EccKind`];
 //! * `os_protocol` — the simulator playing the OS: failure reports, page
-//!   requests, retirement copies, and the guarded per-write protocol;
+//!   requests, retirement copies, and the checks of a guarded slab's end;
 //! * `oracle` — the integrity oracle and its read-back checks.
 
 mod builder;
@@ -121,9 +121,9 @@ pub struct Simulation {
     grants: u64,
     lost_writes: u64,
     hard_cap: u64,
-    /// Whether a non-empty fault plan is installed. Gates every piece of
-    /// fault bookkeeping (OS snapshots, exemptions, power polling) so
-    /// fault-free runs stay bit-identical to the seed engine.
+    /// Whether a fault plan was ever armed, spent or not. Gates all fault
+    /// bookkeeping (OS snapshots, exemptions, power polling) so fault-free
+    /// runs stay bit-identical to the seed engine.
     fault_active: bool,
     /// Silent-failure log entries already reconciled with the oracle.
     silent_seen: usize,
@@ -327,11 +327,8 @@ impl Simulation {
     /// (asked after every slab) says the stop condition could have changed.
     /// Returns how many it issued and, unless `addrs` ran out first, the
     /// last outcome. Never samples: `limit` stays at or below the next
-    /// sample boundary. Unguarded, a slab is up to [`LOOKAHEAD`] (with
-    /// `per_write`, one) translated addresses and one
-    /// [`Controller::write_run`]; a write that needs the OS protocol ends
-    /// it, and the rest is translated again, since only that protocol
-    /// moves the OS tables.
+    /// sample boundary. A slab is up to [`LOOKAHEAD`] addresses (with
+    /// `per_write`, one; see [`Self::slab`]).
     #[inline]
     fn span(
         &mut self,
@@ -348,43 +345,87 @@ impl Simulation {
         let mut done = 0;
         let mut last = StepOutcome::Serviced;
         while done < todo.len() {
-            if guarded {
-                self.writes_issued += 1;
-                self.seq += 1;
-                last = self.step_guarded(todo[done]);
-                done += 1;
-                if matches!(last, StepOutcome::Exhausted | StepOutcome::PowerLost) {
-                    return (done, Some(last));
-                }
+            let slab = &todo[done..todo.len().min(done + slab)];
+            let issued;
+            (issued, last) = if guarded {
+                self.guarded_slab(slab)
             } else {
-                let slab = &todo[done..todo.len().min(done + slab)];
-                let mut pas = [Pa::new(0); LOOKAHEAD];
-                let mut translated = 0;
-                for &addr in slab {
-                    let Some(pa) = self.os.translate_or_redirect(addr) else {
-                        break;
-                    };
-                    pas[translated] = pa;
-                    translated += 1;
-                }
-                let (issued, first) = self.controller.write_run(&pas[..translated], self.seq + 1);
-                self.writes_issued += issued as u64;
-                self.seq += issued as u64;
-                done += issued;
-                if first != WriteResult::Ok {
-                    self.pa_write_rest(first, pas[issued - 1], self.seq, 0);
-                } else if translated < slab.len() {
-                    // No application page is left for `todo[done]`.
-                    self.writes_issued += 1;
-                    self.seq += 1;
-                    return (done + 1, Some(StepOutcome::Exhausted));
-                }
-            }
-            if moved(self) {
+                self.slab::<false, LOOKAHEAD>(slab)
+            };
+            done += issued;
+            if matches!(last, StepOutcome::Exhausted | StepOutcome::PowerLost) || moved(self) {
                 return (done, Some(last));
             }
         }
         (done, (self.writes_issued >= limit).then_some(last))
+    }
+
+    /// [`Self::slab`] with the oracle on or a plan armed: cold and out of
+    /// line, so the plain loop keeps its code and layout.
+    #[cold]
+    #[inline(never)]
+    fn guarded_slab(&mut self, slab: &[AppAddr]) -> (usize, StepOutcome) {
+        match slab.len() {
+            1 => self.slab::<true, 1>(slab),
+            _ => self.slab::<true, LOOKAHEAD>(slab),
+        }
+    }
+
+    /// Issues a prefix of the non-empty `slab` (at most `N` addresses) with
+    /// one [`Controller::write_run`]; returns how many writes it issued and
+    /// the last one's outcome. Only the write that ended it can need the
+    /// OS protocol (and, `GUARDED`, [`Self::end_slab`]), the one thing that
+    /// moves the OS tables, so the caller translates the rest again.
+    #[inline(always)]
+    fn slab<const GUARDED: bool, const N: usize>(
+        &mut self,
+        slab: &[AppAddr],
+    ) -> (usize, StepOutcome) {
+        // In integrity mode, writes to dropped pages are discarded rather
+        // than redirected: a redirect shares a victim page's blocks between
+        // two application addresses, which the oracle cannot model (and
+        // which real compaction would resolve with separate storage).
+        let discards = GUARDED && self.expected.is_some();
+        let mut pas = [Pa::new(0); N];
+        let mut translated = 0;
+        for &addr in slab {
+            let pa = if discards {
+                self.os.translate(addr)
+            } else {
+                self.os.translate_or_redirect(addr)
+            };
+            let Some(pa) = pa else {
+                break;
+            };
+            pas[translated] = pa;
+            translated += 1;
+        }
+        let (issued, first) = self.controller.write_run(&pas[..translated], self.seq + 1);
+        self.writes_issued += issued as u64;
+        self.seq += issued as u64;
+        let mut last = StepOutcome::Serviced;
+        // Whether `write_run` reached an address that did not translate.
+        let stalled = if GUARDED && issued > 0 {
+            let ok = first == WriteResult::Ok;
+            last = self.end_slab(&slab[..issued], pas[issued - 1], first);
+            ok && translated < slab.len() && last != StepOutcome::PowerLost
+        } else if first != WriteResult::Ok {
+            self.pa_write_rest(first, pas[issued - 1], self.seq, 0);
+            false
+        } else {
+            translated < slab.len()
+        };
+        if !stalled {
+            return (issued, last);
+        }
+        // Its page was dropped, or no application page is left.
+        self.writes_issued += 1;
+        self.seq += 1;
+        if !discards || self.os.mapped_app_pages() == 0 {
+            return (issued + 1, StepOutcome::Exhausted);
+        }
+        self.lost_writes += 1;
+        (issued + 1, StepOutcome::Discarded)
     }
 
     /// Records a sample (and oracle spot-checks) if `writes_issued` has
@@ -538,14 +579,14 @@ impl Simulation {
     /// [`wlr_pcm::PcmDevice::arm_faults`]), so `power_loss_at_write(0)` cuts
     /// power on the very next device write. A no-op for an empty plan.
     ///
-    /// Every later write takes the guarded protocol, permanently — also
-    /// once the plan is spent. What that still costs per write: the
-    /// power-loss probe and the silent-failure log length (one `device()`
-    /// fetch for both), an OS snapshot around each page retirement, and
-    /// the device's quiet-index check in place of its unarmed fast write
-    /// (`PcmDevice::write_fast`). It does not cost the steady-state write
-    /// itself: between scheduled events an armed device serves writes on
-    /// the same path as an unarmed one.
+    /// While the plan can still fire
+    /// ([`wlr_pcm::PcmDevice::faults_pending`]), every slab is one write
+    /// long and each write is checked for a power loss and a silent
+    /// failure; once it is spent, slabs are as long as unarmed ones and
+    /// only a slab's last write is checked. What an armed run still costs
+    /// per write: an OS snapshot around each page retirement, and the
+    /// device's quiet-index check in place of its unarmed fast write
+    /// (`PcmDevice::write_fast`).
     pub fn arm_faults(&mut self, plan: FaultPlan) {
         if plan.is_empty() {
             return;
@@ -570,7 +611,7 @@ impl Simulation {
         // Retirements and grants move only in the OS protocol, which ends
         // a slab; a block can die on a write the reviver serviced (and
         // hid), so the dead count is watched after every write.
-        let per_write = matches!(stop, StopCondition::DeadFraction(_));
+        let dead_watch = matches!(stop, StopCondition::DeadFraction(_));
         let reason = loop {
             if self.writes_issued >= self.hard_cap {
                 break StopReason::HardCap;
@@ -592,6 +633,11 @@ impl Simulation {
                 _ => {}
             }
             let before = watched(self);
+            // While an armed plan can still fault a write, every write is a
+            // slab's last, to get `end_slab`'s checks. Nothing arms a plan,
+            // or restores power, within a run.
+            let armed = self.fault_active && self.controller.device().faults_pending();
+            let per_write = dead_watch || armed;
             let last = loop {
                 // The engine's only read of the stream: one `fill` per
                 // `LOOKAHEAD` writes.
@@ -641,7 +687,8 @@ impl Simulation {
                 return BatchStatus::HardCap { consumed };
             }
             let limit = self.hard_cap.min(self.next_sample);
-            let (_, end) = self.span(&addrs[consumed as usize..], limit, false, |_| false);
+            let armed = self.fault_active && self.controller.device().faults_pending();
+            let (_, end) = self.span(&addrs[consumed as usize..], limit, armed, |_| false);
             // Out of addresses short of `limit`: no sample is due.
             let Some(last) = end else {
                 return BatchStatus::Completed;

@@ -52,23 +52,15 @@ impl Simulation {
         };
         // Picks index the keys in ascending order, so verification
         // traffic is deterministic, exactly as the seed-state engine's
-        // per-sample sort made it; the presence bitset is that order.
-        if oracle.is_empty() {
-            return;
-        }
-        let mut picks = Vec::with_capacity(count);
+        // per-sample sort made it; the presence bitset is that order. A
+        // read leaves the oracle alone, so each pick is checked as drawn.
         for _ in 0..count.min(oracle.len()) {
             let r = self.verify_rng.gen_range(oracle.len() as u64) as usize;
-            picks.push(oracle.nth_key(r).expect("r < len"));
-        }
-        for k in picks {
-            let addr = AppAddr::new(k);
-            let Some(pa) = self.os.translate(addr) else {
+            let k = oracle.nth_key(r).expect("r < len");
+            let Some(pa) = self.os.translate(AppAddr::new(k)) else {
                 continue;
             };
-            let want = self.expected.as_ref().unwrap().at(k);
-            let got = self.controller.read(pa);
-            if got != want {
+            if self.controller.read(pa) != oracle.at(k) {
                 self.integrity_errors += 1;
             }
         }
@@ -77,14 +69,12 @@ impl Simulation {
     /// Reads back *every* tracked address (expensive; tests only) and
     /// returns each mismatch as `(app address, expected tag, observed tag)`.
     pub fn find_mismatches(&mut self) -> Vec<(u64, u64, u64)> {
-        let pairs: Vec<(u64, u64)> = match &self.expected {
-            Some(o) => o.iter().collect(),
-            None => return Vec::new(),
+        let Some(oracle) = &self.expected else {
+            return Vec::new();
         };
         let mut out = Vec::new();
-        for (k, want) in pairs {
-            let addr = AppAddr::new(k);
-            let Some(pa) = self.os.translate(addr) else {
+        for (k, want) in oracle.iter() {
+            let Some(pa) = self.os.translate(AppAddr::new(k)) else {
                 continue;
             };
             let got = self.controller.read(pa);

@@ -1,7 +1,7 @@
-//! Playing the OS (paper §III-A): the guarded per-write protocol, the
-//! write-retry loop, failure reports and page requests turned into page
-//! retirements with their relocation copies, and the retirement
-//! transaction a power cut can roll back.
+//! Playing the OS (paper §III-A): the checks that end a slab when the
+//! oracle is on or a plan is armed, the write-retry loop, failure reports
+//! and page requests turned into page retirements with their relocation
+//! copies, and the retirement transaction a power cut can roll back.
 
 use super::{Simulation, StepOutcome};
 use crate::controller::WriteResult;
@@ -9,35 +9,22 @@ use wlr_base::{AppAddr, Pa, PageId};
 use wlr_os::OsMemory;
 
 impl Simulation {
-    /// One software write under the full protocol an armed fault plan or
-    /// the integrity oracle needs; the span loop has already counted it.
-    /// Out of line so the plain path stays small.
-    #[inline(never)]
-    pub(super) fn step_guarded(&mut self, addr: AppAddr) -> StepOutcome {
+    /// Ends a guarded slab (oracle on, or a plan armed): `write_run`
+    /// serviced every write of `addrs` but the last, whose result is
+    /// `res`, physical address `pa`, and tag `self.seq`. Records the
+    /// serviced writes in the oracle, then runs the last one's protocol.
+    #[inline(always)]
+    pub(super) fn end_slab(&mut self, addrs: &[AppAddr], pa: Pa, res: WriteResult) -> StepOutcome {
+        let (&addr, serviced) = addrs.split_last().expect("a slab issues a write");
         let tag = self.seq;
-        // In integrity mode, writes to dropped pages are discarded rather
-        // than redirected: a redirect shares a victim page's blocks between
-        // two application addresses, which the oracle cannot model (and
-        // which real compaction would resolve with separate storage).
-        let translated = if self.expected.is_some() {
-            if self.os.mapped_app_pages() == 0 {
-                None
-            } else {
-                let t = self.os.translate(addr);
-                if t.is_none() {
-                    self.lost_writes += 1;
-                    return StepOutcome::Discarded;
-                }
-                t
+        if let Some(oracle) = &mut self.expected {
+            let tag0 = tag - serviced.len() as u64;
+            for (i, a) in serviced.iter().enumerate() {
+                oracle.insert(a.index(), tag0 + i as u64);
             }
-        } else {
-            self.os.translate_or_redirect(addr)
-        };
-        let Some(pa) = translated else {
-            return StepOutcome::Exhausted;
-        };
+        }
         let mapping = self.retirements + self.grants;
-        let placed = self.pa_write(pa, tag, 0);
+        let placed = res == WriteResult::Ok || self.pa_write_rest(res, pa, tag, 0);
         // The power check runs after every write, whatever it returned: a
         // cut inside a migration still reports `WriteResult::Ok`.
         let (power_lost, silent_logged) = if self.fault_active {

@@ -502,6 +502,12 @@ impl PcmDevice {
         self.fault.as_ref().is_none_or(FaultInjector::powered)
     }
 
+    /// Whether an armed plan can still fault a write: the power is off, or
+    /// a power loss, silent failure or crash point is still scheduled.
+    pub fn faults_pending(&self) -> bool {
+        self.fault.as_ref().is_some_and(FaultInjector::pending)
+    }
+
     /// Restores power after an injected loss (the reboot boundary);
     /// no-op without a fault plan or with power intact.
     pub fn restore_power(&mut self) {

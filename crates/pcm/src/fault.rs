@@ -298,6 +298,15 @@ impl FaultInjector {
         self.powered
     }
 
+    /// Whether the power is off, or a power loss, silent failure or crash
+    /// point is still scheduled. A pending transient read does not count.
+    pub fn pending(&self) -> bool {
+        !self.powered
+            || self.next_power < self.power_loss_writes.len()
+            || self.next_silent < self.silent_writes.len()
+            || (self.crash_points.iter()).any(|&(p, occ)| occ >= self.point_seen[p.slot()])
+    }
+
     /// Restores power after a loss. Consumed schedule entries do not
     /// re-fire; later ones remain armed.
     pub fn restore_power(&mut self) {

@@ -21,7 +21,8 @@
 //!   iff the ECC has room for one more cell; an unarmed device has no
 //!   fault state and ignores crash points;
 //! * `stats_count_every_access`: reads, writes, fault counters, the
-//!   silent-failure log and power are the model's;
+//!   silent-failure log, power and whether a fault is pending are the
+//!   model's;
 //! * `payg_conserves`: the pool drops by exactly the entries taken;
 //! * `clone_identical`: a clone driven in lockstep stays identical;
 //! * `restore_roundtrip`: a fresh device given `wear_snapshot()`, and the
@@ -518,7 +519,9 @@ impl<'a, D: Device, F: Fn(PcmDevice) -> D> Run<'a, D, F> {
         let counted = dev.stats() == m.stats
             && dev.fault_counters() == faults.map(|f| f.counters)
             && dev.silent_failures() == faults.map_or(&[][..], |f| &f.silent_log[..])
-            && dev.powered() == faults.is_none_or(|f| !f.off);
+            && dev.powered() == faults.is_none_or(|f| !f.off)
+            && dev.faults_pending()
+                == faults.is_some_and(|f| f.off || !f.power.is_empty() || !f.silent.is_empty());
         assert!(counted, "stats_count_every_access: at op {op}");
 
         let pool = dev.ecc.pool_remaining();

@@ -5,7 +5,7 @@
 //! `SIGCONT`.
 //!
 //! ```text
-//! icount_probe [STACK] [SKIP_WRITES] [WINDOW_WRITES] [healthy|worn]
+//! icount_probe [STACK] [SKIP_WRITES] [WINDOW_WRITES] [healthy|worn|crash]
 //! ```
 //!
 //! * `healthy` (default): `healthy_stream`'s shape — 2¹⁴ blocks, cells
@@ -15,25 +15,30 @@
 //!   uniform stream at seed 42 run until 80 % of the space is usable,
 //!   forked, and switched to the first future's stream (seed 43).
 //!   Defaults: `reviver-sg`, 200 000, 5 000.
+//! * `crash`: one of `crash_recover`'s cycles — 2¹⁴ blocks, endurance
+//!   2 000, the integrity oracle on, a uniform stream at seed 42 run until
+//!   90 % of the space is usable; the window forks that, switches to seed
+//!   43, cuts the power at device write 500, recovers and finishes
+//!   `WINDOW_WRITES` writes after the fork. Defaults: `reviver-sg`, 0,
+//!   5 000.
 //!
-//! Both run ψ = 10 (`scaled_gap_interval(2¹⁴, 1e4)`, the figures' ψ at
-//! this size) and skip `SKIP_WRITES` writes before the window.
+//! All run ψ = 10 (`scaled_gap_interval(2¹⁴, 1e4)`, the figures' ψ at
+//! this size) and skip `SKIP_WRITES` writes before the window (`crash`:
+//! before the fork).
 
 use std::process::Command;
-use wl_reviver::sim::{Simulation, StopCondition};
+use wl_reviver::sim::{Simulation, StopCondition, StopReason};
+use wlr_pcm::FaultPlan;
 use wlr_trace::{Benchmark, UniformWorkload};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let stack = args.first().map_or("reviver-sg", String::as_str);
-    let worn = match args.get(3).map(String::as_str) {
-        None | Some("healthy") => false,
-        Some("worn") => true,
-        Some(other) => {
-            eprintln!("icount_probe: mode {other} is neither healthy nor worn");
-            std::process::exit(2)
-        }
-    };
+    let mode = args.get(3).map_or("healthy", String::as_str);
+    if !["healthy", "worn", "crash"].contains(&mode) {
+        eprintln!("icount_probe: mode {mode} is not healthy, worn or crash");
+        std::process::exit(2)
+    }
     let count = |i: usize, default: u64| {
         args.get(i).map_or(default, |a| {
             a.parse().unwrap_or_else(|_| {
@@ -42,10 +47,10 @@ fn main() {
             })
         })
     };
-    let (skip, window) = if worn {
-        (count(1, 200_000), count(2, 5_000))
-    } else {
-        (count(1, 500_000), count(2, 10_000))
+    let (skip, window) = match mode {
+        "healthy" => (count(1, 500_000), count(2, 10_000)),
+        "worn" => (count(1, 200_000), count(2, 5_000)),
+        _ => (count(1, 0), count(2, 5_000)),
     };
     let blocks = 1u64 << 14;
     let builder = Simulation::builder()
@@ -53,7 +58,7 @@ fn main() {
         .gap_interval(10)
         .stack(stack)
         .seed(42);
-    let mut sim = if worn {
+    let mut sim = if mode == "worn" {
         let mut sim = builder
             .endurance_mean(2_000.0)
             .workload(UniformWorkload::new(blocks, 42))
@@ -62,6 +67,12 @@ fn main() {
         let mut future = Simulation::fork(&sim.snapshot());
         future.replace_workload(Box::new(UniformWorkload::new(future.workload_len(), 43)));
         future
+    } else if mode == "crash" {
+        builder
+            .endurance_mean(2_000.0)
+            .verify_integrity(true)
+            .workload(UniformWorkload::new(blocks, 42))
+            .build()
     } else {
         builder
             .endurance_mean(1e9)
@@ -77,11 +88,29 @@ fn main() {
         kill.args(["-STOP", &pid]);
         kill
     });
+    if mode == "crash" {
+        sim.run(StopCondition::UsableBelow(0.9));
+    }
     let start = sim.writes_issued() + skip;
     sim.run(StopCondition::Writes(start));
+    let snap = (mode == "crash").then(|| sim.snapshot());
     let [first, second] = &mut stops;
     first.status().expect("kill runs");
-    let out = sim.run(StopCondition::Writes(start + window));
+    let out = match &snap {
+        Some(snap) => {
+            sim = Simulation::fork(snap);
+            sim.replace_workload(Box::new(UniformWorkload::new(sim.workload_len(), 43)));
+            sim.arm_faults(FaultPlan::new().power_loss_at_write(500));
+            loop {
+                let out = sim.run(StopCondition::Writes(start + window));
+                if out.reason != StopReason::PowerLoss {
+                    break out;
+                }
+                sim.recover();
+            }
+        }
+        None => sim.run(StopCondition::Writes(start + window)),
+    };
     second.status().expect("kill runs");
     println!(
         "{stack}: {} writes, {window} in the window",

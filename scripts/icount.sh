@@ -1,18 +1,22 @@
 #!/usr/bin/env bash
 # Instructions per write, in total and per function.
 #
-#   scripts/icount.sh [STACK] [WINDOW_WRITES] [healthy|worn]
+#   scripts/icount.sh [STACK] [WINDOW_WRITES] [healthy|worn|crash]
 #
 # Builds the single-step tracer (scripts/icount.rs) with rustc and the
 # `icount_probe` example in release, then counts the instructions of
 # WINDOW_WRITES writes of STACK (default reviver-sg) in one of the
-# probe's two eras (see examples/icount_probe.rs):
+# probe's three shapes (see examples/icount_probe.rs):
 #
 #   healthy (default)  `healthy_stream`'s shape, 500 000 writes skipped,
 #                      a window of 10 000 by default;
 #   worn               `wearout_tail`'s shape: forked at 80 % usable,
 #                      200 000 writes skipped, a window of 5 000 by
-#                      default.
+#                      default;
+#   crash              one of `crash_recover`'s cycles, oracle on: fork at
+#                      90 % usable, power loss at device write 500,
+#                      recover, finish; a window of 5 000 writes by
+#                      default, fork and recovery included.
 #
 # The count is deterministic; the tracer steps about 60 000 instructions
 # a second, so a default window takes about a minute. Linux x86-64 only.
@@ -23,7 +27,8 @@ mode=${3:-healthy}
 case $mode in
     healthy) skip=500000 window=${2:-10000} ;;
     worn) skip=200000 window=${2:-5000} ;;
-    *) echo "icount.sh: mode $mode is neither healthy nor worn" >&2; exit 2 ;;
+    crash) skip=0 window=${2:-5000} ;;
+    *) echo "icount.sh: mode $mode is not healthy, worn or crash" >&2; exit 2 ;;
 esac
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 target=${CARGO_TARGET_DIR:-$root/target}

@@ -139,3 +139,31 @@ fn a_healthy_fork_copies_no_empty_table() {
         "healthy fork {fork:?}"
     );
 }
+
+/// The integrity oracle spot-checks 32 tracked lines at every sample and
+/// allocates nothing to do it: a warm `reviver-sg` window across twenty
+/// sample boundaries makes no more allocator calls with the oracle on
+/// than with it off. (Its picks used to be collected into a fresh list
+/// per sample.)
+#[test]
+fn oracle_spot_checks_allocate_nothing() {
+    let window = |oracle: bool| {
+        let mut sim = Simulation::builder()
+            .num_blocks(BLOCKS)
+            .endurance_mean(1e9)
+            .stack("reviver-sg")
+            .seed(SEED)
+            .verify_integrity(oracle)
+            .sample_interval(1_000)
+            .workload(UniformWorkload::new(BLOCKS, SEED))
+            .build();
+        sim.run(StopCondition::Writes(100_000));
+        let samples = sim.series().len();
+        let (_, tally) = measure(|| sim.run(StopCondition::Writes(120_000)));
+        assert!(sim.series().len() - samples >= 8, "too few samples");
+        tally
+    };
+    let (on, off) = (window(true), window(false));
+    println!("oracle on {on:?}, off {off:?}");
+    assert!(on.count <= off.count, "oracle on {on:?}, off {off:?}");
+}

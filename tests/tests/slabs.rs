@@ -2,19 +2,23 @@
 //! slab boundaries must not show:
 //!
 //! * for every registered stack, `run(Writes(n))` leaves exactly the state
-//!   `run_batch` leaves over the same addresses, whatever the batch size;
+//!   `run_batch` leaves over the same addresses, whatever the batch size —
+//!   plain, with the integrity oracle on, and under an armed fault plan
+//!   that cuts the power (at a device write and at a crash point), fails
+//!   writes silently and bursts transient read errors;
 //! * a `DeadFraction` run stops on the very write whose death met the
 //!   condition, also when that write falls inside a slab (a death the
 //!   reviver hides returns `Ok`, so only a per-write check sees it);
+//! * an oracle-on, armed run ends in the state the per-write engine left;
 //! * `Controller::write_run` on a revived stack equals the one-write loop
 //!   it replaces, across a page retirement.
 
 use wl_reviver::controller::{Controller, WriteResult};
 use wl_reviver::registry::SchemeRegistry;
-use wl_reviver::sim::{BatchStatus, Simulation, SimulationBuilder, StopCondition};
+use wl_reviver::sim::{BatchStatus, Simulation, SimulationBuilder, StopCondition, StopReason};
 use wlr_base::{AppAddr, Pa};
-use wlr_pcm::AccessStats;
-use wlr_trace::{UniformWorkload, Workload};
+use wlr_pcm::{AccessStats, CrashPoint, FaultCounters, FaultPlan};
+use wlr_trace::{HotRegionWorkload, UniformWorkload, Workload};
 
 const BLOCKS: u64 = 1 << 10;
 /// Low enough that blocks die, links form and pages retire within
@@ -35,41 +39,219 @@ fn stream(stack: &str) -> UniformWorkload {
     UniformWorkload::new(builder(stack).app_blocks(), 3)
 }
 
+/// The address stream of `setting`. The armed one is hot (90 % of the
+/// writes on 1 % of the lines), so a line that failed silently is soon
+/// written again, within its slab too.
+fn stream_of(stack: &str, setting: Setting) -> Box<dyn Workload> {
+    match setting {
+        Setting::Armed => Box::new(HotRegionWorkload::new(
+            builder(stack).app_blocks(),
+            0.9,
+            0.01,
+            3,
+        )),
+        _ => Box::new(stream(stack)),
+    }
+}
+
+/// The armed setting's plan. The crash point fires first (a migration
+/// reports one on every stack that has them), the power loss next; then
+/// only the two silent failures are left, with slabs of many writes
+/// between them once the plan is spent.
+fn plan() -> FaultPlan {
+    FaultPlan::new()
+        .power_loss_at_point(CrashPoint::MidMigration, 20)
+        .power_loss_at_write(600)
+        .transient_read_burst(100, 40)
+        .silent_failure_at_write(1_500)
+        .silent_failure_at_write(2_500)
+}
+
+/// How a run is set up beyond its stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Setting {
+    Plain,
+    Oracle,
+    /// Oracle on and [`plan`] armed, recovering on every power loss.
+    Armed,
+}
+
+fn configured(stack: &str, setting: Setting) -> SimulationBuilder {
+    let b = builder(stack).verify_integrity(setting != Setting::Plain);
+    match setting {
+        Setting::Armed => b.fault_plan(plan()),
+        _ => b,
+    }
+}
+
 /// What a run leaves that a slab boundary could disturb.
-fn observed(sim: &Simulation) -> (u64, u64, u64, u64, AccessStats) {
-    (
+type Observed = (
+    (u64, u64, u64, u64),
+    AccessStats,
+    u64,
+    Option<FaultCounters>,
+    Vec<(u64, u64)>,
+    Vec<(u64, u64, u64)>,
+);
+
+/// Reads the state out, the oracle's full read-back last (it reads the
+/// device).
+fn observed(sim: &mut Simulation) -> Observed {
+    let counts = (
         sim.fingerprint(),
         sim.writes_issued(),
         sim.retirements(),
         sim.lost_writes(),
-        sim.controller().device().stats(),
+    );
+    let device = sim.controller().device();
+    let (stats, faults) = (device.stats(), device.fault_counters());
+    let (errors, tracked) = (sim.integrity_errors(), sim.tracked_lines());
+    (
+        counts,
+        stats,
+        errors,
+        faults,
+        tracked,
+        sim.find_mismatches(),
     )
 }
 
-#[test]
-fn run_equals_run_batch_on_every_stack() {
+/// `run(Writes(WRITES))`, recovering after every power loss.
+fn run_whole(stack: &str, setting: Setting) -> Simulation {
+    let mut sim = configured(stack, setting)
+        .workload_boxed(stream_of(stack, setting))
+        .build();
+    while sim.run(StopCondition::Writes(WRITES)).reason == StopReason::PowerLoss {
+        sim.recover();
+    }
+    sim
+}
+
+fn run_equals_run_batch(setting: Setting) {
     for stack in SchemeRegistry::global().names() {
-        let mut whole = builder(stack).workload(stream(stack)).build();
-        whole.run(StopCondition::Writes(WRITES));
+        let mut whole = run_whole(stack, setting);
         assert!(
             whole.controller().device().dead_blocks() > 0,
             "{stack}: the run should reach the failure era"
         );
-        let want = observed(&whole);
+        if setting == Setting::Armed {
+            let faults = whole.controller().device().fault_counters();
+            assert!(
+                faults.is_some_and(|f| f.power_losses >= 1 && f.silent_failures == 2),
+                "{stack}: the plan should fire, {faults:?}"
+            );
+        }
+        let want = observed(&mut whole);
         for batch in [1, 7, 64] {
-            let mut batched = builder(stack).workload(stream(stack)).build();
-            let mut hand = stream(stack);
+            let mut batched = configured(stack, setting)
+                .workload_boxed(stream_of(stack, setting))
+                .build();
+            let mut hand = stream_of(stack, setting);
             let mut left = WRITES;
-            while left > 0 {
+            'feed: while left > 0 {
                 let addrs: Vec<AppAddr> = (0..batch.min(left)).map(|_| hand.next_write()).collect();
                 left -= addrs.len() as u64;
-                if batched.run_batch(&addrs) != BatchStatus::Completed {
-                    break;
+                let mut from = 0;
+                loop {
+                    match batched.run_batch(&addrs[from..]) {
+                        BatchStatus::Completed => break,
+                        BatchStatus::PowerLoss { consumed } => {
+                            batched.recover();
+                            from += consumed as usize;
+                        }
+                        _ => break 'feed,
+                    }
                 }
             }
-            assert_eq!(observed(&batched), want, "{stack} in batches of {batch}");
+            assert_eq!(
+                observed(&mut batched),
+                want,
+                "{stack} {setting:?} in batches of {batch}"
+            );
         }
     }
+}
+
+#[test]
+fn run_equals_run_batch_on_every_stack() {
+    run_equals_run_batch(Setting::Plain);
+}
+
+#[test]
+fn oracle_run_equals_run_batch_on_every_stack() {
+    run_equals_run_batch(Setting::Oracle);
+}
+
+#[test]
+fn armed_run_equals_run_batch_on_every_stack() {
+    run_equals_run_batch(Setting::Armed);
+}
+
+/// A write that fails silently gets its checks before the next one is
+/// issued: the oracle drops the line it lost at once, and tracks it again
+/// when it is rewritten later in the same batch. The first batch's silent
+/// failure retires a page, whose spares then hide the second batch's: its
+/// rewrite returns `Ok`, and the batch goes on. With ψ out of reach no
+/// migration writes, so a plan's device-write index is the batch's.
+#[test]
+fn a_silent_failure_is_reconciled_on_its_own_write() {
+    let sim = || {
+        builder("reviver-sg")
+            .endurance_mean(1e9)
+            .gap_interval(1 << 20)
+            .os_reserve_pages(2)
+            .verify_integrity(true)
+            .build()
+    };
+    // Lines `first..first + 32`, but line `first + 3` again at write 6.
+    let batch = |first: u64| -> Vec<AppAddr> {
+        (0..32)
+            .map(|i| AppAddr::new(first + if i == 6 { 3 } else { i }))
+            .collect()
+    };
+    let (mut whole, mut single) = (sim(), sim());
+    for first in [0, 100] {
+        let addrs = batch(first);
+        for sim in [&mut whole, &mut single] {
+            sim.arm_faults(FaultPlan::new().silent_failure_at_write(3));
+        }
+        assert_eq!(whole.run_batch(&addrs), BatchStatus::Completed);
+        for addr in &addrs {
+            let status = single.run_batch(std::slice::from_ref(addr));
+            assert_eq!(status, BatchStatus::Completed);
+        }
+    }
+    assert_eq!(whole.controller().device().silent_failures().len(), 2);
+    assert_eq!(whole.retirements(), 1);
+    assert!(
+        whole.tracked_lines().contains(&(103, 39)),
+        "the rewrite is tracked: {:?}",
+        whole.tracked_lines()
+    );
+    assert_eq!(observed(&mut whole), observed(&mut single));
+}
+
+/// `reviver-sg`'s armed run: its fingerprint and an FNV-1a of its
+/// oracle's tracked lines. Captured at the engine that sent every write of
+/// an oracle-on or armed run through its own per-write step.
+const ARMED_RUN: (u64, u64) = (0x684c_dacf_0f09_c0af, 0xc051_486a_44fc_147c);
+
+#[test]
+fn an_armed_oracle_run_keeps_its_state() {
+    let sim = run_whole("reviver-sg", Setting::Armed);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (addr, tag) in sim.tracked_lines() {
+        for byte in addr.to_le_bytes().into_iter().chain(tag.to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(sim.integrity_errors(), 0);
+    assert_eq!(
+        (sim.fingerprint(), h),
+        ARMED_RUN,
+        "{:#x} {h:#x}",
+        sim.fingerprint()
+    );
 }
 
 /// A `DeadFraction` stop whose write is neither a slab's last nor a
