@@ -139,6 +139,7 @@ fn inject_to_ratio(ctl: &mut Ctl, ratio: f64, rng: &mut Rng, retired: &mut [bool
                     }
                 }
                 WriteResult::Dropped(e) => panic!("write dropped without faults: {e}"),
+                WriteResult::OkFaulted => unreachable!("only an armed write run reports a fault"),
             }
         }
     }

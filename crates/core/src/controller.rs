@@ -37,6 +37,15 @@ use crate::recovery::RecoveryReport;
 pub enum WriteResult {
     /// The write was serviced (possibly via a shadow block).
     Ok,
+    /// The write was serviced as for [`Self::Ok`], but an armed fault
+    /// plan fired on its way: a silent failure, or a power cut that the
+    /// migration journal absorbed. Only [`Controller::write_run_armed`]
+    /// returns it, having asked the device
+    /// ([`PcmDevice::take_fault_fired`]); it ends that loop like any
+    /// result other than `Ok`, so a slab ends on the write where a fault
+    /// fires. The simulator treats it as `Ok`, then checks the power and
+    /// the silent-failure log.
+    OkFaulted,
     /// The controller raises an access-error exception for `pa` — the only
     /// OS interface WL-Reviver permits itself. The write's data was *not*
     /// stored; the OS's retirement procedure re-places it.
@@ -98,6 +107,32 @@ pub trait Controller: fmt::Debug + Send {
             let res = self.write(pa, tag0 + i as u64);
             if res != WriteResult::Ok {
                 return (i + 1, res);
+            }
+        }
+        (pas.len(), WriteResult::Ok)
+    }
+
+    /// [`Self::write_run`] on a device an armed fault plan may fault: also
+    /// stops after a write that returned `Ok` while a fault fired on its
+    /// way, returning [`WriteResult::OkFaulted`] for it. A fault fires
+    /// only where a controller takes the device's slow path, so the mark
+    /// is read once per write here and never on the plain loop's writes;
+    /// once the plan is spent ([`PcmDevice::faults_pending`], asked once
+    /// per slab) nothing can fire, and the slab is the plain loop's.
+    fn write_run_armed(&mut self, pas: &[Pa], tag0: u64) -> (usize, WriteResult) {
+        if !self.device().faults_pending() {
+            return self.write_run(pas, tag0);
+        }
+        for (i, &pa) in pas.iter().enumerate() {
+            let res = self.write(pa, tag0 + i as u64);
+            // Taken whatever the result, so the mark always speaks of the
+            // write just issued.
+            let fired = self.device_mut().take_fault_fired();
+            if res != WriteResult::Ok {
+                return (i + 1, res);
+            }
+            if fired {
+                return (i + 1, WriteResult::OkFaulted);
             }
         }
         (pas.len(), WriteResult::Ok)

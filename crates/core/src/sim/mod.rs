@@ -361,7 +361,10 @@ impl Simulation {
     }
 
     /// [`Self::slab`] with the oracle on or a plan armed: cold and out of
-    /// line, so the plain loop keeps its code and layout.
+    /// line, so the plain loop keeps its code and layout. A one-write
+    /// slab — every slab of a `DeadFraction` run — gets a one-entry
+    /// address array: zeroing the 32-entry one cost such a run 45
+    /// instructions of its 446 a write.
     #[cold]
     #[inline(never)]
     fn guarded_slab(&mut self, slab: &[AppAddr]) -> (usize, StepOutcome) {
@@ -372,8 +375,9 @@ impl Simulation {
     }
 
     /// Issues a prefix of the non-empty `slab` (at most `N` addresses) with
-    /// one [`Controller::write_run`]; returns how many writes it issued and
-    /// the last one's outcome. Only the write that ended it can need the
+    /// one [`Controller::write_run`] (with a plan armed,
+    /// [`Controller::write_run_armed`]); returns how many writes it issued
+    /// and the last one's outcome. Only the write that ended it can need the
     /// OS protocol (and, `GUARDED`, [`Self::end_slab`]), the one thing that
     /// moves the OS tables, so the caller translates the rest again.
     #[inline(always)]
@@ -400,7 +404,12 @@ impl Simulation {
             pas[translated] = pa;
             translated += 1;
         }
-        let (issued, first) = self.controller.write_run(&pas[..translated], self.seq + 1);
+        let (issued, first) = if GUARDED && self.fault_active {
+            self.controller
+                .write_run_armed(&pas[..translated], self.seq + 1)
+        } else {
+            self.controller.write_run(&pas[..translated], self.seq + 1)
+        };
         self.writes_issued += issued as u64;
         self.seq += issued as u64;
         let mut last = StepOutcome::Serviced;
@@ -579,12 +588,13 @@ impl Simulation {
     /// [`wlr_pcm::PcmDevice::arm_faults`]), so `power_loss_at_write(0)` cuts
     /// power on the very next device write. A no-op for an empty plan.
     ///
-    /// While the plan can still fire
-    /// ([`wlr_pcm::PcmDevice::faults_pending`]), every slab is one write
-    /// long and each write is checked for a power loss and a silent
-    /// failure; once it is spent, slabs are as long as unarmed ones and
-    /// only a slab's last write is checked. What an armed run still costs
-    /// per write: an OS snapshot around each page retirement, and the
+    /// An armed run's slabs are as long as unarmed ones, handed to
+    /// [`Controller::write_run_armed`]: a write on which a fault fired
+    /// comes back [`WriteResult::OkFaulted`] where it would be `Ok`, which
+    /// ends the slab there, and only a write that returned something other
+    /// than `Ok` is checked for a power loss and a silent failure. What an
+    /// armed run still costs per write: the fired mark's read while the
+    /// plan can fire, an OS snapshot around each page retirement, and the
     /// device's quiet-index check in place of its unarmed fast write
     /// (`PcmDevice::write_fast`).
     pub fn arm_faults(&mut self, plan: FaultPlan) {
@@ -633,11 +643,6 @@ impl Simulation {
                 _ => {}
             }
             let before = watched(self);
-            // While an armed plan can still fault a write, every write is a
-            // slab's last, to get `end_slab`'s checks. Nothing arms a plan,
-            // or restores power, within a run.
-            let armed = self.fault_active && self.controller.device().faults_pending();
-            let per_write = dead_watch || armed;
             let last = loop {
                 // The engine's only read of the stream: one `fill` per
                 // `LOOKAHEAD` writes.
@@ -646,7 +651,7 @@ impl Simulation {
                     self.drawn_at = 0;
                 }
                 let drawn = self.lookahead;
-                let (issued, end) = self.span(&drawn[self.drawn_at..], limit, per_write, |sim| {
+                let (issued, end) = self.span(&drawn[self.drawn_at..], limit, dead_watch, |sim| {
                     watched(sim) != before
                 });
                 self.drawn_at += issued;
@@ -687,8 +692,7 @@ impl Simulation {
                 return BatchStatus::HardCap { consumed };
             }
             let limit = self.hard_cap.min(self.next_sample);
-            let armed = self.fault_active && self.controller.device().faults_pending();
-            let (_, end) = self.span(&addrs[consumed as usize..], limit, armed, |_| false);
+            let (_, end) = self.span(&addrs[consumed as usize..], limit, false, |_| false);
             // Out of addresses short of `limit`: no sample is due.
             let Some(last) = end else {
                 return BatchStatus::Completed;

@@ -9,10 +9,11 @@ use wlr_base::{AppAddr, Pa, PageId};
 use wlr_os::OsMemory;
 
 impl Simulation {
-    /// Ends a guarded slab (oracle on, or a plan armed): `write_run`
-    /// serviced every write of `addrs` but the last, whose result is
-    /// `res`, physical address `pa`, and tag `self.seq`. Records the
-    /// serviced writes in the oracle, then runs the last one's protocol.
+    /// Ends a guarded slab (oracle on, or a plan armed): `write_run` (or
+    /// `write_run_armed`) serviced every write of `addrs` but the last,
+    /// whose result is `res`, physical address `pa`, and tag `self.seq`.
+    /// Records the serviced writes in the oracle, then runs the last one's
+    /// protocol.
     #[inline(always)]
     pub(super) fn end_slab(&mut self, addrs: &[AppAddr], pa: Pa, res: WriteResult) -> StepOutcome {
         let (&addr, serviced) = addrs.split_last().expect("a slab issues a write");
@@ -24,11 +25,17 @@ impl Simulation {
             }
         }
         let mapping = self.retirements + self.grants;
+        // A fault fires only on a write that comes back other than `Ok`
+        // (`OkFaulted` for one the controller serviced all the same), or
+        // in the OS protocol such a result enters: only then is the power
+        // or the silent-failure log worth a look.
+        let faultable = self.fault_active && res != WriteResult::Ok;
         let placed = res == WriteResult::Ok || self.pa_write_rest(res, pa, tag, 0);
-        // The power check runs after every write, whatever it returned: a
-        // cut inside a migration still reports `WriteResult::Ok`.
-        let (power_lost, silent_logged) = if self.fault_active {
-            let device = self.controller.device();
+        let (power_lost, silent_logged) = if faultable {
+            let device = self.controller.device_mut();
+            // Whatever the OS protocol fired is checked here, not on the
+            // next slab's first write.
+            device.take_fault_fired();
             (!device.powered(), device.silent_failures().len())
         } else {
             (false, 0)
@@ -96,7 +103,7 @@ impl Simulation {
         let mut attempts = 1u8;
         loop {
             match res {
-                WriteResult::Ok => return true,
+                WriteResult::Ok | WriteResult::OkFaulted => return true,
                 WriteResult::ReportFailure(rep) => {
                     return self.handle_report(rep, (pa, tag), depth);
                 }

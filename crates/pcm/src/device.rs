@@ -502,14 +502,30 @@ impl PcmDevice {
         self.fault.as_ref().is_none_or(FaultInjector::powered)
     }
 
+    /// Whether an armed plan fired a fault — a power loss (at a write or a
+    /// crash point), a write dropped while the power was off, a silent
+    /// failure — since the last call, which clears the mark. Never on
+    /// [`Self::write_fast`], which services quiet indices only. The
+    /// simulator's armed write loop asks after every write, to end a slab
+    /// on the write where a fault fires (`Controller::write_run_armed` in
+    /// the `wl-reviver` crate). Always `false` without a fault plan.
+    #[inline]
+    pub fn take_fault_fired(&mut self) -> bool {
+        self.fault.as_mut().is_some_and(FaultInjector::take_fired)
+    }
+
     /// Whether an armed plan can still fault a write: the power is off, or
     /// a power loss, silent failure or crash point is still scheduled.
+    /// `Controller::write_run_armed` (in the `wl-reviver` crate) asks once
+    /// per slab, and runs a spent plan's slabs without reading the fired
+    /// mark.
     pub fn faults_pending(&self) -> bool {
         self.fault.as_ref().is_some_and(FaultInjector::pending)
     }
 
-    /// Restores power after an injected loss (the reboot boundary);
-    /// no-op without a fault plan or with power intact.
+    /// Restores power after an injected loss (the reboot boundary), and
+    /// clears the fired mark ([`Self::take_fault_fired`]); no-op without a
+    /// fault plan.
     pub fn restore_power(&mut self) {
         if let Some(f) = &mut self.fault {
             f.restore_power();

@@ -194,6 +194,10 @@ pub(crate) struct FaultInjector {
     /// Occurrence counters per [`CrashPoint`] kind.
     point_seen: [u64; 4],
     powered: bool,
+    /// Set whenever a fault fires — a power loss, a write dropped while
+    /// the power is off, a silent failure — and cleared by
+    /// [`Self::take_fired`].
+    fired: bool,
     counters: FaultCounters,
     silent_log: Vec<Da>,
 }
@@ -229,6 +233,7 @@ impl FaultInjector {
             reads_seen: 0,
             point_seen: [0; 4],
             powered: true,
+            fired: false,
             counters: FaultCounters::default(),
             silent_log: Vec::new(),
         }
@@ -307,10 +312,18 @@ impl FaultInjector {
             || (self.crash_points.iter()).any(|&(p, occ)| occ >= self.point_seen[p.slot()])
     }
 
-    /// Restores power after a loss. Consumed schedule entries do not
-    /// re-fire; later ones remain armed.
+    /// Whether a fault fired since the last call; clears the mark.
+    #[inline]
+    pub fn take_fired(&mut self) -> bool {
+        std::mem::take(&mut self.fired)
+    }
+
+    /// Restores power after a loss, and clears the fired mark: the loss
+    /// it recorded is what the restore answers. Consumed schedule entries
+    /// do not re-fire; later ones remain armed.
     pub fn restore_power(&mut self) {
         self.powered = true;
+        self.fired = false;
     }
 
     /// Fault counters accumulated so far.
@@ -328,6 +341,7 @@ impl FaultInjector {
         if self.on_quiet_write() {
             return WriteFault::None;
         }
+        self.fired = true;
         if !self.powered {
             self.counters.writes_lost += 1;
             return WriteFault::Lost;
@@ -391,6 +405,7 @@ impl FaultInjector {
         self.point_seen[point.slot()] += 1;
         if self.crash_points.contains(&(point, occ)) {
             self.powered = false;
+            self.fired = true;
             self.counters.power_losses += 1;
         }
     }

@@ -22,7 +22,8 @@
 //!   fault state and ignores crash points;
 //! * `stats_count_every_access`: reads, writes, fault counters, the
 //!   silent-failure log, power and whether a fault is pending are the
-//!   model's;
+//!   model's, and the fired mark (`take_fault_fired`) rises on exactly
+//!   the writes and crash points at which a fault fires;
 //! * `payg_conserves`: the pool drops by exactly the entries taken;
 //! * `clone_identical`: a clone driven in lockstep stays identical;
 //! * `restore_roundtrip`: a fresh device given `wear_snapshot()`, and the
@@ -140,6 +141,8 @@ fn unarmed(dev: &PcmDevice) -> PcmDevice {
 #[derive(Default)]
 struct Faults {
     off: bool,
+    /// A fault fired since the mark was last taken.
+    fired: bool,
     /// Writes seen while powered, and all reads: the schedules' indices.
     writes: u64,
     reads: u64,
@@ -229,9 +232,11 @@ impl Model {
             }
             if f.off {
                 f.counters.writes_lost += 1;
+                f.fired = true;
                 return WriteOutcome::Lost;
             }
             if f.silent.remove(&idx) {
+                f.fired = true;
                 f.counters.silent_failures += 1;
                 f.silent_log.push(da);
                 self.stats.writes += 1;
@@ -396,6 +401,7 @@ impl<'a, D: Device, F: Fn(PcmDevice) -> D> Run<'a, D, F> {
             .any(|o| matches!(o, NewFailure | AlreadyDead));
         let law = ["quiet_is_unarmed", "dies_at_threshold"][usize::from(died)];
         assert!(got == want, "{law}: {da} gave {got:?}, model {want:?}");
+        self.take_fired("write");
         if let Some(mut bare) = bare {
             let bare_served = fast && bare.write_fast(da, tag);
             if !bare_served {
@@ -456,12 +462,29 @@ impl<'a, D: Device, F: Fn(PcmDevice) -> D> Run<'a, D, F> {
         let cut = self.both(|d| d.pcm_mut().crash_point(at));
         let law = ["quiet_is_unarmed", "stats_count_every_access"][usize::from(armed)];
         assert!(cut == armed, "{law}: the crash point cut {cut}");
+        if let Some(f) = &mut self.m.faults {
+            f.fired = true;
+        }
+        self.take_fired("crash point");
+    }
+
+    /// Takes the device's fired mark (and the twin's) and holds it to the
+    /// model's.
+    fn take_fired(&mut self, what: &str) {
+        let want = (self.m.faults.as_mut()).is_some_and(|f| std::mem::take(&mut f.fired));
+        let got = self.both(|d| d.pcm_mut().take_fault_fired());
+        let op = self.op;
+        assert!(
+            got == want,
+            "stats_count_every_access: {what} fired {got} at op {op}"
+        );
     }
 
     fn restore_power(&mut self) {
         self.both(|d| d.pcm_mut().restore_power());
         if let Some(f) = &mut self.m.faults {
             f.off = false;
+            f.fired = false;
         }
     }
 

@@ -5,7 +5,7 @@
 //! `SIGCONT`.
 //!
 //! ```text
-//! icount_probe [STACK] [SKIP_WRITES] [WINDOW_WRITES] [healthy|worn|crash]
+//! icount_probe [STACK] [SKIP_WRITES] [WINDOW_WRITES] [healthy|worn|crash|armed]
 //! ```
 //!
 //! * `healthy` (default): `healthy_stream`'s shape — 2¹⁴ blocks, cells
@@ -21,12 +21,16 @@
 //!   43, cuts the power at device write 500, recovers and finishes
 //!   `WINDOW_WRITES` writes after the fork. Defaults: `reviver-sg`, 0,
 //!   5 000.
+//! * `armed`: `crash`'s shape with the power loss out of reach (at device
+//!   write 10⁹), so the plan can still fire on every write of the window;
+//!   the fork and the arming happen before it, and the window holds the
+//!   first `WINDOW_WRITES` writes after them. Defaults: `reviver-sg`, 0,
+//!   400.
 //!
 //! All run ψ = 10 (`scaled_gap_interval(2¹⁴, 1e4)`, the figures' ψ at
 //! this size) and skip `SKIP_WRITES` writes before the window (`crash`:
 //! before the fork).
 
-use std::process::Command;
 use wl_reviver::sim::{Simulation, StopCondition, StopReason};
 use wlr_pcm::FaultPlan;
 use wlr_trace::{Benchmark, UniformWorkload};
@@ -35,8 +39,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let stack = args.first().map_or("reviver-sg", String::as_str);
     let mode = args.get(3).map_or("healthy", String::as_str);
-    if !["healthy", "worn", "crash"].contains(&mode) {
-        eprintln!("icount_probe: mode {mode} is not healthy, worn or crash");
+    if !["healthy", "worn", "crash", "armed"].contains(&mode) {
+        eprintln!("icount_probe: mode {mode} is not healthy, worn, crash or armed");
         std::process::exit(2)
     }
     let count = |i: usize, default: u64| {
@@ -50,7 +54,8 @@ fn main() {
     let (skip, window) = match mode {
         "healthy" => (count(1, 500_000), count(2, 10_000)),
         "worn" => (count(1, 200_000), count(2, 5_000)),
-        _ => (count(1, 0), count(2, 5_000)),
+        "crash" => (count(1, 0), count(2, 5_000)),
+        _ => (count(1, 0), count(2, 400)),
     };
     let blocks = 1u64 << 14;
     let builder = Simulation::builder()
@@ -67,7 +72,7 @@ fn main() {
         let mut future = Simulation::fork(&sim.snapshot());
         future.replace_workload(Box::new(UniformWorkload::new(future.workload_len(), 43)));
         future
-    } else if mode == "crash" {
+    } else if mode == "crash" || mode == "armed" {
         builder
             .endurance_mean(2_000.0)
             .verify_integrity(true)
@@ -80,22 +85,18 @@ fn main() {
             .sample_interval(u64::MAX / 2)
             .build()
     };
-    // Both stops are built before the window, so that it holds only the
-    // second one's spawn.
-    let pid = std::process::id().to_string();
-    let mut stops = [0; 2].map(|_| {
-        let mut kill = Command::new("kill");
-        kill.args(["-STOP", &pid]);
-        kill
-    });
-    if mode == "crash" {
+    if mode == "crash" || mode == "armed" {
         sim.run(StopCondition::UsableBelow(0.9));
     }
     let start = sim.writes_issued() + skip;
     sim.run(StopCondition::Writes(start));
     let snap = (mode == "crash").then(|| sim.snapshot());
-    let [first, second] = &mut stops;
-    first.status().expect("kill runs");
+    if mode == "armed" {
+        sim = Simulation::fork(&sim.snapshot());
+        sim.replace_workload(Box::new(UniformWorkload::new(sim.workload_len(), 43)));
+        sim.arm_faults(FaultPlan::new().power_loss_at_write(1_000_000_000));
+    }
+    stop();
     let out = match &snap {
         Some(snap) => {
             sim = Simulation::fork(snap);
@@ -111,9 +112,23 @@ fn main() {
         }
         None => sim.run(StopCondition::Writes(start + window)),
     };
-    second.status().expect("kill runs");
+    stop();
     println!(
         "{stack}: {} writes, {window} in the window",
         out.writes_issued
     );
+}
+
+/// Sends this process a `SIGSTOP`: one system call, so the window holds
+/// the same few instructions of it in every build (a spawned `kill`
+/// costs more, and more the longer the pid it is passed).
+fn stop() {
+    extern "C" {
+        fn raise(sig: i32) -> i32;
+    }
+    // x86-64 Linux, like the tracer.
+    const SIGSTOP: i32 = 19;
+    // SAFETY: `raise` is libc's, which std links; it only sends a signal.
+    let sent = unsafe { raise(SIGSTOP) };
+    assert_eq!(sent, 0, "raise(SIGSTOP) failed");
 }

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! The program runs under `ptrace` at full speed until it sends itself a
-//! `SIGSTOP` (`kill -STOP $$` from a shell, `kill -STOP <pid>` spawned
-//! from anything else). From there the tracer single-steps it, one
+//! `SIGSTOP` (`kill -STOP $$` from a shell, `raise(SIGSTOP)` from a
+//! program). From there the tracer single-steps it, one
 //! instruction per step, until the next `SIGSTOP`, and lets it run to
 //! its exit. Both stops are swallowed. It then prints the window's
 //! instruction count divided by `OPS` (the operations the window holds),

@@ -9,9 +9,15 @@
 //! * a `DeadFraction` run stops on the very write whose death met the
 //!   condition, also when that write falls inside a slab (a death the
 //!   reviver hides returns `Ok`, so only a per-write check sees it);
+//! * a fault that fires on a migration's device write — a silent failure,
+//!   or a power cut the journal absorbs, so the software write is still
+//!   serviced — ends its slab on that write: the run stops there, the
+//!   oracle has let go of the lost line there, and `run` equals
+//!   `run_batch`;
 //! * an oracle-on, armed run ends in the state the per-write engine left;
 //! * `Controller::write_run` on a revived stack equals the one-write loop
-//!   it replaces, across a page retirement.
+//!   it replaces, across a page retirement, and so does
+//!   `write_run_armed` under a plan that never fires.
 
 use wl_reviver::controller::{Controller, WriteResult};
 use wl_reviver::registry::SchemeRegistry;
@@ -146,28 +152,33 @@ fn run_equals_run_batch(setting: Setting) {
             let mut batched = configured(stack, setting)
                 .workload_boxed(stream_of(stack, setting))
                 .build();
-            let mut hand = stream_of(stack, setting);
-            let mut left = WRITES;
-            'feed: while left > 0 {
-                let addrs: Vec<AppAddr> = (0..batch.min(left)).map(|_| hand.next_write()).collect();
-                left -= addrs.len() as u64;
-                let mut from = 0;
-                loop {
-                    match batched.run_batch(&addrs[from..]) {
-                        BatchStatus::Completed => break,
-                        BatchStatus::PowerLoss { consumed } => {
-                            batched.recover();
-                            from += consumed as usize;
-                        }
-                        _ => break 'feed,
-                    }
-                }
-            }
+            feed(&mut batched, &mut *stream_of(stack, setting), WRITES, batch);
             assert_eq!(
                 observed(&mut batched),
                 want,
                 "{stack} {setting:?} in batches of {batch}"
             );
+        }
+    }
+}
+
+/// Issues the first `writes` addresses of `hand` through `run_batch`,
+/// `batch` at a time, recovering after every power loss.
+fn feed(sim: &mut Simulation, hand: &mut dyn Workload, writes: u64, batch: u64) {
+    let mut left = writes;
+    while left > 0 {
+        let addrs: Vec<AppAddr> = (0..batch.min(left)).map(|_| hand.next_write()).collect();
+        left -= addrs.len() as u64;
+        let mut from = 0;
+        loop {
+            match sim.run_batch(&addrs[from..]) {
+                BatchStatus::Completed => break,
+                BatchStatus::PowerLoss { consumed } => {
+                    sim.recover();
+                    from += consumed as usize;
+                }
+                _ => return,
+            }
         }
     }
 }
@@ -229,6 +240,150 @@ fn a_silent_failure_is_reconciled_on_its_own_write() {
         whole.tracked_lines()
     );
     assert_eq!(observed(&mut whole), observed(&mut single));
+}
+
+/// An oracle-on stack whose leveler migrates every 3 writes, on cells
+/// that never fail: every device write past the software writes is a
+/// migration's.
+fn migrating(stack: &str) -> SimulationBuilder {
+    builder(stack)
+        .endurance_mean(1e9)
+        .gap_interval(3)
+        .verify_integrity(true)
+}
+
+/// Writes of a migration-fault run.
+const MIGRATING_WRITES: u64 = 3_000;
+
+/// Every line once, in order, then [`stream`]'s addresses: by the time a
+/// migration moves a line, the oracle tracks it.
+#[derive(Debug, Clone)]
+struct SweepThen {
+    swept: u64,
+    rest: UniformWorkload,
+}
+
+impl Workload for SweepThen {
+    fn len(&self) -> u64 {
+        self.rest.len()
+    }
+
+    fn next_write(&mut self) -> AppAddr {
+        if self.swept == self.rest.len() {
+            return self.rest.next_write();
+        }
+        self.swept += 1;
+        AppAddr::new(self.swept - 1)
+    }
+
+    fn label(&self) -> String {
+        format!("sweep, then {}", self.rest.label())
+    }
+
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
+    }
+}
+
+fn swept(stack: &str) -> SweepThen {
+    SweepThen {
+        swept: 0,
+        rest: stream(stack),
+    }
+}
+
+/// The first software write at or after write 1 100 (past the sweep)
+/// that sits strictly inside a 32-write slab and is followed by a
+/// migration that writes the device, and the device-write index of that
+/// migration's first write.
+/// Found on an unarmed run: until a plan fires, an armed device serves
+/// writes exactly as an unarmed one.
+fn migration_write(stack: &str) -> (u64, u64) {
+    let mut sim = migrating(stack).build();
+    let mut hand = swept(stack);
+    for k in 0..MIGRATING_WRITES {
+        let before = sim.controller().device().stats().writes;
+        assert_eq!(sim.run_batch(&[hand.next_write()]), BatchStatus::Completed);
+        let after = sim.controller().device().stats().writes;
+        if k >= 1_100 && (1..31).contains(&(k % 32)) && after >= before + 2 {
+            return (k, before + 1);
+        }
+    }
+    panic!("{stack}: no migration follows a write")
+}
+
+/// `plan(index)` armed on a migration's device write inside a slab: the
+/// slab ends on that write. `run` stops right after it on a power loss,
+/// and a run to it leaves the oracle clean (the silent failure's line is
+/// let go of at once); then `run` to the end equals `run_batch` in
+/// batches of 1 and 64. Returns the whole run's fault counters.
+fn migration_fault(stack: &str, plan: impl Fn(u64) -> FaultPlan) -> FaultCounters {
+    let (k, index) = migration_write(stack);
+    let armed = || {
+        migrating(stack)
+            .fault_plan(plan(index))
+            .workload(swept(stack))
+            .build()
+    };
+    let mut to_it = armed();
+    let out = to_it.run(StopCondition::Writes(k + 1));
+    assert_eq!(out.writes_issued, k + 1, "{stack}");
+    let faults = to_it.controller().device().fault_counters().unwrap();
+    assert_eq!(
+        faults.power_losses + faults.silent_failures,
+        1,
+        "{stack}: the plan fires on write {k}"
+    );
+    let lost_power = faults.power_losses > 0;
+    let stopped = out.reason == StopReason::PowerLoss;
+    assert_eq!(stopped, lost_power, "{stack}: write {k} ends the run");
+    if stopped {
+        to_it.recover();
+    }
+    assert_eq!(to_it.find_mismatches(), [], "{stack}: write {k}");
+
+    let mut whole = armed();
+    let mut stops = Vec::new();
+    loop {
+        let out = whole.run(StopCondition::Writes(MIGRATING_WRITES));
+        if out.reason != StopReason::PowerLoss {
+            break;
+        }
+        stops.push(out.writes_issued);
+        whole.recover();
+    }
+    assert_eq!(stops, [k + 1][..usize::from(lost_power)], "{stack}: stops");
+    let want = observed(&mut whole);
+    assert_eq!(want.2, 0, "{stack}: integrity errors");
+    assert_eq!(want.5, [], "{stack}: mismatches");
+    for batch in [1, 64] {
+        let mut batched = armed();
+        feed(&mut batched, &mut swept(stack), MIGRATING_WRITES, batch);
+        assert_eq!(
+            observed(&mut batched),
+            want,
+            "{stack} in batches of {batch}"
+        );
+    }
+    want.3.unwrap()
+}
+
+#[test]
+fn a_silent_failure_on_a_migration_ends_its_slab() {
+    for stack in ["reviver-sg", "reviver-sr"] {
+        let plan = |index| FaultPlan::new().silent_failure_at_write(index);
+        let faults = migration_fault(stack, plan);
+        assert_eq!(faults.silent_failures, 1, "{stack}");
+    }
+}
+
+#[test]
+fn a_power_cut_in_a_migration_ends_its_slab() {
+    for stack in ["reviver-sg", "reviver-sr"] {
+        let plan = |index| FaultPlan::new().power_loss_at_write(index);
+        let faults = migration_fault(stack, plan);
+        assert_eq!(faults.power_losses, 1, "{stack}");
+    }
 }
 
 /// `reviver-sg`'s armed run: its fingerprint and an FNV-1a of its
@@ -301,8 +456,10 @@ fn left(ctl: &dyn Controller, results: Vec<(usize, WriteResult)>) -> Left {
 fn write_run_equals_the_write_loop_across_a_retirement() {
     const SLAB: usize = 32;
     for spec in SchemeRegistry::global().revivable() {
-        let fresh = || builder(spec.name).endurance_mean(20.0).build();
-        let (mut slabbed, mut looped) = (fresh(), fresh());
+        let fresh = || builder(spec.name).endurance_mean(20.0);
+        let (mut slabbed, mut looped) = (fresh().build(), fresh().build());
+        let far = FaultPlan::new().power_loss_at_write(u64::MAX);
+        let mut armed = fresh().fault_plan(far).build();
         let bpp = slabbed.geometry().blocks_per_page();
         // A hot page's lines, then a sweep: blocks die within the first
         // few thousand writes and the controller asks the OS for pages.
@@ -316,7 +473,7 @@ fn write_run_equals_the_write_loop_across_a_retirement() {
             })
             .collect();
         let mut retired = std::collections::HashSet::new();
-        let (mut by_slab, mut by_write) = (Vec::new(), Vec::new());
+        let (mut by_slab, mut by_write, mut by_armed) = (Vec::new(), Vec::new(), Vec::new());
         let mut done = 0;
         let mut tag = 1;
         while done < pas.len() {
@@ -343,18 +500,23 @@ fn write_run_equals_the_write_loop_across_a_retirement() {
             }
             by_slab.push((n, res.clone()));
             by_write.push((m, last));
+            by_armed.push(armed.controller_mut().write_run_armed(&slab, tag));
             assert_eq!(by_slab.last(), by_write.last(), "{}", spec.name);
+            assert_eq!(by_slab.last(), by_armed.last(), "{} armed", spec.name);
             done += n;
             tag += n as u64;
             let granted = grant(slabbed.controller_mut(), &res);
             assert_eq!(grant(looped.controller_mut(), &res), granted);
+            assert_eq!(grant(armed.controller_mut(), &res), granted);
             retired.extend(granted);
         }
         assert!(!retired.is_empty(), "{}: no page retired", spec.name);
+        let want = left(slabbed.controller(), by_slab);
+        assert_eq!(left(looped.controller(), by_write), want, "{}", spec.name);
         assert_eq!(
-            left(slabbed.controller(), by_slab),
-            left(looped.controller(), by_write),
-            "{}",
+            left(armed.controller(), by_armed),
+            want,
+            "{} armed",
             spec.name
         );
     }
