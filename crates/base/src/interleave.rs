@@ -111,11 +111,11 @@ impl std::error::Error for InterleaveError {}
 pub struct InterleaveMap {
     banks: u64,
     stripe: u64,
-    /// `(stripe shift, bank shift)` when both widths are powers of two,
-    /// letting [`split`](Self::split) use shifts and masks instead of
-    /// four divisions. Derived from `banks`/`stripe`, so the derived
-    /// `PartialEq` stays consistent.
-    pow2: Option<(u32, u32)>,
+    /// [`split`](Self::split)'s `(stripe shift, stripe + bank shift,
+    /// stripe mask, bank mask)`, precomputed when both widths are powers
+    /// of two. Derived from `banks`/`stripe`, so the derived `PartialEq`
+    /// stays consistent.
+    pow2: Option<(u32, u32, u64, u64)>,
 }
 
 impl InterleaveMap {
@@ -131,8 +131,13 @@ impl InterleaveMap {
         if stripe_blocks == 0 {
             return Err(InterleaveError::Zero("stripe_blocks"));
         }
-        let pow2 = (banks.is_power_of_two() && stripe_blocks.is_power_of_two())
-            .then(|| (stripe_blocks.trailing_zeros(), banks.trailing_zeros()));
+        let (gs, bs) = (stripe_blocks.trailing_zeros(), banks.trailing_zeros());
+        let pow2 = (banks.is_power_of_two() && stripe_blocks.is_power_of_two()).then_some((
+            gs,
+            gs + bs,
+            stripe_blocks - 1,
+            banks - 1,
+        ));
         Ok(InterleaveMap {
             banks,
             stripe: stripe_blocks,
@@ -161,12 +166,11 @@ impl InterleaveMap {
     /// Splits a global block address into `(bank, local address)`.
     #[inline]
     pub fn split(&self, global: u64) -> (u64, u64) {
-        if let Some((gs, bs)) = self.pow2 {
-            let stripe_idx = global >> gs;
-            let offset = global & (self.stripe - 1);
-            let bank = stripe_idx & (self.banks - 1);
-            let local = ((stripe_idx >> bs) << gs) + offset;
-            return (bank, local);
+        if let Some((gs, hs, stripe_mask, bank_mask)) = self.pow2 {
+            return (
+                (global >> gs) & bank_mask,
+                ((global >> hs) << gs) | (global & stripe_mask),
+            );
         }
         let stripe_idx = global / self.stripe;
         let offset = global % self.stripe;

@@ -166,10 +166,11 @@ const RESOLUTION: usize = 4096;
 /// overflow bucket (with the true maximum tracked separately, so
 /// [`Self::percentile`] stays meaningful). Histograms from different
 /// banks or runs [`merge`](Self::merge) by plain addition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    counts: Vec<u64>,
-    overflow: u64,
+    /// `counts[l]` for each exact latency `l`, then the overflow bucket:
+    /// a latency lands in slot `min(l, RESOLUTION)`, with no branch.
+    counts: Box<[u64; RESOLUTION + 1]>,
     total: u64,
     sum: u64,
     max: u64,
@@ -185,8 +186,10 @@ impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; RESOLUTION],
-            overflow: 0,
+            counts: vec![0; RESOLUTION + 1]
+                .into_boxed_slice()
+                .try_into()
+                .expect("RESOLUTION + 1 slots"),
             total: 0,
             sum: 0,
             max: 0,
@@ -195,21 +198,36 @@ impl LatencyHistogram {
 
     /// Records one latency observation.
     pub fn push(&mut self, latency: u64) {
-        match self.counts.get_mut(latency as usize) {
-            Some(slot) => *slot += 1,
-            None => self.overflow += 1,
-        }
+        self.counts[latency.min(RESOLUTION as u64) as usize] += 1;
         self.total += 1;
         self.sum += latency;
         self.max = self.max.max(latency);
     }
 
+    /// Records a batch served one entry per tick from tick `start`: entry
+    /// `i`, arrived at `arrivals[i]`, waited `start + i − arrivals[i]`
+    /// ticks (0 if it arrived later). Equal to [`push`](Self::push)ing each.
+    #[inline(never)]
+    pub fn push_served(&mut self, start: u64, arrivals: impl ExactSizeIterator<Item = u64>) {
+        self.total += arrivals.len() as u64;
+        let (mut at, mut sum, mut max) = (start, 0u64, self.max);
+        let counts = &mut *self.counts;
+        for arrival in arrivals {
+            let latency = at.saturating_sub(arrival);
+            counts[latency.min(RESOLUTION as u64) as usize] += 1;
+            sum += latency;
+            max = max.max(latency);
+            at += 1;
+        }
+        self.sum += sum;
+        self.max = max;
+    }
+
     /// Adds `other`'s observations into `self`.
     pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
-        self.overflow += other.overflow;
         self.total += other.total;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
@@ -251,7 +269,7 @@ impl LatencyHistogram {
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
         let rank = ((q * self.total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (latency, &count) in self.counts.iter().enumerate() {
+        for (latency, &count) in self.counts[..RESOLUTION].iter().enumerate() {
             seen += count;
             if seen >= rank {
                 return latency as u64;
@@ -399,6 +417,38 @@ mod latency_tests {
         h.push(1_000_000);
         assert_eq!(h.p99(), 1_000_000);
         assert_eq!(h.p50(), 10);
+    }
+
+    #[test]
+    fn push_served_equals_push_per_entry() {
+        // Latencies past the 4 096 exact slots, arrivals after `start`
+        // (latency 0), and a second batch on top of the first.
+        let batches: [(u64, Vec<u64>); 3] = [
+            (100, vec![0, 50, 99, 100, 120, 150, 200]),
+            (10_000, vec![1, 5_000, 5_904, 5_905, 9_999, 20_000]),
+            (3, vec![]),
+        ];
+        let mut batched = LatencyHistogram::new();
+        let mut single = LatencyHistogram::new();
+        for (start, arrivals) in &batches {
+            batched.push_served(*start, arrivals.iter().copied());
+            for (i, &arrival) in arrivals.iter().enumerate() {
+                single.push((start + i as u64).saturating_sub(arrival));
+            }
+        }
+        assert_eq!(batched.counts, single.counts);
+        assert_eq!(
+            (batched.total, batched.sum, batched.max),
+            (single.total, single.sum, single.max)
+        );
+        assert!(
+            batched.counts[RESOLUTION] > 0,
+            "some latency must pass the exact slots"
+        );
+        assert!(
+            batched.counts[0] > 0,
+            "some entry must arrive after its start"
+        );
     }
 
     #[test]

@@ -22,6 +22,7 @@ use wl_reviver::{AppRead, Simulation};
 use wlr_base::AppAddr;
 
 use crate::degrade::{McReadError, Wreckage, LOCAL_MASK, READ_RETRIES};
+use crate::QueueEntry;
 
 /// A bank's simulation stack plus the front-end's per-bank bookkeeping.
 #[derive(Debug)]
@@ -36,8 +37,8 @@ pub struct Bank {
     /// this log through an identically-configured standalone simulation
     /// must reproduce the bank's fingerprint exactly.
     issue_log: Option<Vec<u64>>,
-    /// Reused address buffer so steady-state drains allocate nothing.
-    scratch: Vec<AppAddr>,
+    /// The batch being issued, reused so steady-state drains allocate nothing.
+    slab: Vec<AppAddr>,
     /// Degraded mode: ring entries are logical-encoded and death parks
     /// instead of dropping.
     degraded: bool,
@@ -63,7 +64,7 @@ impl Bank {
             dropped: 0,
             recoveries: 0,
             issue_log: record_issue.then(Vec::new),
-            scratch: Vec::new(),
+            slab: Vec::new(),
             degraded,
             kill_at: None,
             wreckage: Arc::new(Wreckage::default()),
@@ -146,21 +147,36 @@ impl Bank {
     /// point kills the bank — dropping the rest of the batch, or parking
     /// it (plus the bank's live lines) for quarantine in degraded mode.
     pub fn drain(&mut self, batch: &[u64]) {
-        if !self.alive {
-            self.absorb_dead(batch);
-            return;
+        let mask = if self.degraded { LOCAL_MASK } else { u64::MAX };
+        self.slab.clear();
+        self.slab
+            .extend(batch.iter().map(|&e| AppAddr::new(e & mask)));
+        if let Some(at) = self.drain_slab() {
+            self.die(batch[at..].iter().copied());
         }
-        // Reuse the scratch buffer (taken out so the loop below can
-        // borrow `self` mutably); steady-state drains allocate nothing.
-        let mut addrs = std::mem::take(&mut self.scratch);
-        addrs.clear();
-        if self.degraded {
-            addrs.extend(batch.iter().map(|&e| AppAddr::new(e & LOCAL_MASK)));
-        } else {
-            addrs.extend(batch.iter().map(|&a| AppAddr::new(a)));
+    }
+
+    /// [`drain`](Self::drain) of a queued batch, copied once, straight
+    /// into the slab; `tag` is its degraded-mode logical encoding.
+    #[inline]
+    pub(crate) fn drain_queued(&mut self, batch: &[QueueEntry], tag: u64) {
+        self.slab.clear();
+        self.slab
+            .extend(batch.iter().map(|&(local, _)| AppAddr::new(local)));
+        if let Some(at) = self.drain_slab() {
+            self.die(batch[at..].iter().map(|&(local, _)| local | tag));
         }
+    }
+
+    /// Issues the slab through [`Simulation::run_batch`]. Returns where
+    /// its un-issued rest starts if the bank is dead or died on it.
+    fn drain_slab(&mut self) -> Option<usize> {
+        // Taken out so the loop below can borrow `self` mutably; put back
+        // after, so steady-state drains allocate nothing.
+        let addrs = std::mem::take(&mut self.slab);
         let mut start = 0usize;
-        while start < addrs.len() {
+        let mut died = (!self.alive).then_some(0);
+        while died.is_none() && start < addrs.len() {
             // An armed kill point bounds how much of the batch may issue.
             let mut end = addrs.len();
             if let Some(k) = self.kill_at {
@@ -170,8 +186,8 @@ impl Bank {
                 }
             }
             if end == start {
-                self.die(&batch[start..]);
-                break;
+                died = Some(start);
+                continue;
             }
             let rest = &addrs[start..end];
             match self.sim.run_batch(rest) {
@@ -190,12 +206,12 @@ impl Bank {
                 BatchStatus::MemoryExhausted { consumed } | BatchStatus::HardCap { consumed } => {
                     self.log_issued(&rest[..consumed as usize]);
                     self.issued += consumed;
-                    self.die(&batch[start + consumed as usize..]);
-                    break;
+                    died = Some(start + consumed as usize);
                 }
             }
         }
-        self.scratch = addrs;
+        self.slab = addrs;
+        died
     }
 
     /// Reads the bank-local line `local`, retrying a transient error up
@@ -222,28 +238,25 @@ impl Bank {
         }
     }
 
-    /// The bank's death transition: park or drop the unhandled tail, and
-    /// in degraded mode evacuate the oracle's live lines for quarantine.
-    fn die(&mut self, rest_encoded: &[u64]) {
-        self.alive = false;
-        self.kill_at = None;
-        self.absorb_dead(rest_encoded);
-        if self.degraded {
-            let lines = self.sim.tracked_lines();
-            if !lines.is_empty() {
-                self.wreckage
-                    .evacuated
-                    .lock()
-                    .expect("wreckage poisoned")
-                    .extend(lines);
+    /// The death transition (once) and the batch tail `rest`: degraded
+    /// mode evacuates the oracle's live lines and parks the tail for
+    /// quarantine; otherwise the tail is dropped.
+    fn die(&mut self, rest: impl ExactSizeIterator<Item = u64>) {
+        if self.alive {
+            self.alive = false;
+            self.kill_at = None;
+            if self.degraded {
+                let lines = self.sim.tracked_lines();
+                if !lines.is_empty() {
+                    self.wreckage
+                        .evacuated
+                        .lock()
+                        .expect("wreckage poisoned")
+                        .extend(lines);
+                }
             }
         }
-    }
-
-    /// What happens to batch entries a dead bank receives: parked for
-    /// rescue in degraded mode, dropped otherwise.
-    fn absorb_dead(&mut self, encoded: &[u64]) {
-        if encoded.is_empty() {
+        if rest.len() == 0 {
             return;
         }
         if self.degraded {
@@ -251,9 +264,9 @@ impl Bank {
                 .parked
                 .lock()
                 .expect("wreckage poisoned")
-                .extend_from_slice(encoded);
+                .extend(rest);
         } else {
-            self.dropped += encoded.len() as u64;
+            self.dropped += rest.len() as u64;
         }
     }
 

@@ -13,7 +13,9 @@ use wlr_base::Geometry;
 
 use crate::degrade::{Quarantine, Wreckage, LOCAL_MASK, LOGICAL_SHIFT};
 use crate::pipeline::BankSync;
-use crate::{Bank, LatencyHistogram, McFrontend, McStopPolicy, Steering, WriteBuffer, WriteQueue};
+use crate::{
+    Bank, Lane, LatencyHistogram, McFrontend, McStopPolicy, Steering, WriteBuffer, WriteQueue,
+};
 
 /// Per-bank seed streams are derived as `mix(seed, SALT ^ bank)` so the
 /// banks' endurance maps and keys are independent of each other and of
@@ -265,8 +267,11 @@ impl McFrontendBuilder {
             .map(|i| Bank::new(i, cfg.build_sim(i), self.record_issue, self.degraded))
             .collect();
         let wreckage: Vec<Arc<Wreckage>> = banks.iter().map(Bank::wreckage).collect();
-        let queues: Vec<WriteQueue> = (0..self.banks)
-            .map(|_| WriteQueue::new(self.queue_depth, local_blocks))
+        let lanes: Vec<Lane> = (0..self.banks)
+            .map(|_| Lane {
+                queue: WriteQueue::new(self.queue_depth, local_blocks),
+                due: u64::MAX,
+            })
             .collect();
         let mut producers = Vec::with_capacity(self.banks);
         let mut consumers = Vec::with_capacity(self.banks);
@@ -291,11 +296,10 @@ impl McFrontendBuilder {
             cfg,
             total_blocks: self.total_blocks,
             banks,
-            queues,
+            lanes,
             wbuf: WriteBuffer::new(self.write_buffer_lines, self.total_blocks),
             latency: LatencyHistogram::new(),
             tick: 0,
-            requests: 0,
             drains: 0,
             stop_policy: self.stop_policy,
             stop: None,
@@ -311,9 +315,7 @@ impl McFrontendBuilder {
             // tail (age + probe lag + service) must stay inside the
             // latency budget the bench tracks.
             max_batch_age: 12 * self.queue_depth as u64,
-            age_cursor: 0,
-            oldest_arrival: vec![u64::MAX; self.banks],
-            entry_buf: Vec::new(),
+            age_due: u64::MAX,
             addr_buf: Vec::new(),
             dirty_buf: Vec::with_capacity(self.write_buffer_lines),
             workers_active: false,

@@ -289,21 +289,20 @@ impl McFrontend {
             Some(t) => self.tick.max(self.busy_until[t]),
             None => self.tick,
         };
-        let entries = std::mem::take(&mut self.entry_buf);
-        {
-            let q = self
-                .degrade
-                .as_mut()
-                .expect("redirects only happen in degraded mode");
-            for (i, &(addr, arrival)) in entries.iter().enumerate() {
-                let tag = q.next_dir_tag();
-                q.directory.insert(self.map.join(logical as u64, addr), tag);
-                self.latency
-                    .push((start + i as u64).saturating_sub(arrival));
-            }
-            q.redirected += k;
+        let queue = &mut self.lanes[logical].queue;
+        let batch = queue.pending();
+        self.latency
+            .push_served(start, batch.iter().map(|&(_, arrival)| arrival));
+        let q = self
+            .degrade
+            .as_mut()
+            .expect("redirects only happen in degraded mode");
+        for &(addr, _) in batch {
+            let tag = q.next_dir_tag();
+            q.directory.insert(self.map.join(logical as u64, addr), tag);
         }
-        self.entry_buf = entries;
+        q.redirected += k;
+        queue.clear();
         if let Some(t) = target {
             self.busy_until[t] = start + k;
             if let Some(s) = &mut self.steer {

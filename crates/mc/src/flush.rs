@@ -1,6 +1,6 @@
-//! The submit-side flush path: routing a line to its queue, the
-//! round-robin age probe, flushing a queue toward its bank, the lag-one
-//! death sync, and the stop policy.
+//! The request step and the flush path behind it: routing a line to its
+//! queue, the round-robin age probe, flushing a queue toward its bank,
+//! the lag-one death sync, and the stop policy.
 
 use std::sync::atomic::Ordering;
 
@@ -8,31 +8,51 @@ use crate::degrade::LOGICAL_SHIFT;
 use crate::{pipeline, McFrontend, McStopPolicy, McStopReason};
 
 impl McFrontend {
-    /// Routes a line to its bank queue, flushing first if that queue is
-    /// full.
-    pub(crate) fn enqueue(&mut self, global: u64) {
-        let (bank, local) = self.map.split(global);
-        let b = bank as usize;
-        if self.queues[b].is_full() {
-            self.flush_bank(b);
+    /// One request, the path `submit` and `run` share: a tick, a buffer
+    /// probe, a queue insert for a line the buffer passes, an age check.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, global: u64) {
+        let tick = self.tick + 1;
+        self.tick = tick;
+        if let Some(line) = self.wbuf.admit(global) {
+            self.enqueue(line, tick);
         }
-        if self.queues[b].is_empty() {
-            self.oldest_arrival[b] = self.tick;
+        if tick >= self.age_due {
+            self.age_probe();
         }
-        self.queues[b].push(local, self.tick);
     }
 
-    /// Probes one queue per submit (round-robin) and flushes it when its
-    /// oldest entry has aged out — this bounds tail latency without a
-    /// whole-fleet barrier and without scanning every queue per request.
-    pub(crate) fn age_probe(&mut self) {
-        self.age_cursor += 1;
-        if self.age_cursor >= self.oldest_arrival.len() {
-            self.age_cursor = 0;
+    /// Routes a line to its bank queue at `tick`, flushing first if that
+    /// queue is full.
+    #[inline(always)]
+    pub(crate) fn enqueue(&mut self, global: u64, tick: u64) {
+        let (bank, local) = self.map.split(global);
+        let mut lane = &mut self.lanes[bank as usize];
+        if lane.queue.is_full() {
+            self.flush_bank(bank as usize);
+            lane = &mut self.lanes[bank as usize];
         }
-        let b = self.age_cursor;
-        // `u64::MAX` (empty queue) saturates to an age of zero.
-        if self.tick.saturating_sub(self.oldest_arrival[b]) >= self.max_batch_age {
+        if lane.queue.is_empty() {
+            // The first probe of queue `bank` (probed on ticks ≡ bank mod
+            // n) at least `max_batch_age` ticks from now.
+            let n = self.map.banks();
+            let from = tick + self.max_batch_age;
+            lane.due = from + (bank + n - from % n) % n;
+            self.age_due = self.age_due.min(lane.due);
+        }
+        lane.queue.push(local, tick);
+    }
+
+    /// The round-robin age probe (queue `tick mod n` on every request,
+    /// flushed once its oldest entry has waited `max_batch_age` ticks),
+    /// run only at `age_due`: a queue's probe fires exactly at its `due`.
+    /// This bounds tail latency without a whole-fleet barrier.
+    #[inline(never)]
+    fn age_probe(&mut self) {
+        let tick = self.tick;
+        let dues = self.lanes.iter().map(|l| l.due);
+        self.age_due = dues.filter(|&d| d > tick).min().unwrap_or(u64::MAX);
+        if let Some(b) = self.lanes.iter().position(|l| l.due <= tick) {
             self.flush_bank(b);
         }
     }
@@ -41,14 +61,17 @@ impl McFrontend {
     /// (possibly steered) physical bank, accounting latency on the
     /// bank's service clock. With workers active the batch goes through
     /// the bank's SPSC ring; otherwise the ring round-trip is pure
-    /// overhead and this thread services the batch itself — same batch,
-    /// same order, same publication, bit-identical outcome.
+    /// overhead and this thread services the batch itself, straight from
+    /// the queue — same batch, same order, same publication, bit-identical
+    /// outcome.
+    #[inline(never)]
     pub(crate) fn flush_bank(&mut self, logical: usize) {
-        if self.queues[logical].is_empty() {
+        let lane = &mut self.lanes[logical];
+        if lane.queue.is_empty() {
             return;
         }
-        self.queues[logical].take_into(&mut self.entry_buf);
-        self.oldest_arrival[logical] = u64::MAX;
+        lane.due = u64::MAX;
+        let k = lane.queue.len() as u64;
         let home = self.steer.as_ref().map_or(logical, |s| s.route(logical));
         // Read the bank's fate for everything flushed *before* this
         // batch (the deterministic lag; see crate docs), then decide
@@ -56,7 +79,6 @@ impl McFrontend {
         self.sync_bank(home);
         self.check_stop();
         self.drains += 1;
-        let k = self.entry_buf.len() as u64;
         // Resolve the quarantine substitute chain *after* the sync: if
         // the sync just quarantined the home bank, this very batch
         // already reroutes instead of landing on a dead ring.
@@ -67,6 +89,15 @@ impl McFrontend {
         }
         let phys = home;
         let start = self.tick.max(self.busy_until[phys]);
+        let queue = &mut self.lanes[logical].queue;
+        let batch = queue.pending();
+        self.latency
+            .push_served(start, batch.iter().map(|&(_, arrival)| arrival));
+        self.busy_until[phys] = start + k;
+        if let Some(s) = &mut self.steer {
+            s.note_flush(logical, phys, k);
+        }
+        self.flushed[phys] += k;
         // Degraded mode tags each ring entry with its logical bank so a
         // parked tail can be re-keyed to global addresses at rescue
         // time; banks strip the tag before issuing, so the per-bank
@@ -76,18 +107,11 @@ impl McFrontend {
         } else {
             0
         };
-        self.addr_buf.clear();
-        for (i, &(addr, arrival)) in self.entry_buf.iter().enumerate() {
-            self.addr_buf.push(addr | encode);
-            self.latency
-                .push((start + i as u64).saturating_sub(arrival));
-        }
-        self.busy_until[phys] = start + k;
-        if let Some(s) = &mut self.steer {
-            s.note_flush(logical, phys, k);
-        }
-        self.flushed[phys] += k;
         if self.workers_active {
+            self.addr_buf.clear();
+            self.addr_buf
+                .extend(batch.iter().map(|&(addr, _)| addr | encode));
+            queue.clear();
             let mut pushed = 0usize;
             loop {
                 pushed += self.producers[phys].push_slice(&self.addr_buf[pushed..]);
@@ -98,7 +122,10 @@ impl McFrontend {
                 std::thread::yield_now();
             }
         } else {
-            pipeline::service(&mut self.banks[phys], &self.sync[phys], &self.addr_buf);
+            let bank = &mut self.banks[phys];
+            bank.drain_queued(batch, encode);
+            queue.clear();
+            pipeline::publish(bank, &self.sync[phys], k as usize);
         }
     }
 

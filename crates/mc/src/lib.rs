@@ -45,7 +45,8 @@
 //!   and the array `reboot`;
 //! * `builder` — [`McFrontendBuilder`]: configuration, setters, `build`;
 //! * `pipeline` — the bank hand-off protocol, written once; `with_pipeline`;
-//! * `flush` — `enqueue`, age probe, `flush_bank`, death sync, stop policy;
+//! * `flush` — the request step (`step`, `enqueue`), the age probe,
+//!   `flush_bank`, death sync, stop policy;
 //! * [`degrade`] — quarantine types and the front-end methods acting on them;
 //! * [`bank`], [`queue`], [`wbuf`], [`steer`], [`stats`] — as above.
 //!
@@ -108,13 +109,14 @@ pub struct McFrontend {
     cfg: BankConfig,
     total_blocks: u64,
     banks: Vec<Bank>,
-    queues: Vec<WriteQueue>,
+    /// Each logical bank's queue and age-probe tick.
+    lanes: Vec<Lane>,
     wbuf: WriteBuffer,
     latency: LatencyHistogram,
-    /// Front-end arrival clock: one tick per submitted request. Bank
-    /// service completions run on per-bank service clocks (`busy_until`).
+    /// Front-end arrival clock: one tick per submitted request, so also
+    /// the request count. Bank service completions run on per-bank
+    /// service clocks (`busy_until`).
     tick: u64,
-    requests: u64,
     drains: u64,
     stop_policy: McStopPolicy,
     stop: Option<McStopReason>,
@@ -136,18 +138,10 @@ pub struct McFrontend {
     /// Age bound: a queue whose oldest entry has waited this many ticks
     /// is flushed even if not full.
     max_batch_age: u64,
-    /// Round-robin cursor for the age check (one queue probed per
-    /// submit, so the probe cost stays O(1)).
-    age_cursor: usize,
-    /// Oldest pending arrival tick per logical bank (`u64::MAX` when the
-    /// queue is empty). A dense mirror of `WriteQueue::front_arrival` so
-    /// the per-submit age probe reads one contiguous word instead of
-    /// chasing a cold queue struct.
-    oldest_arrival: Vec<u64>,
-    /// Reused `(address, arrival)` buffer for queue flushes.
-    entry_buf: Vec<QueueEntry>,
-    /// Reused address buffer for queue flushes (feeds the ring or the
-    /// bank directly).
+    /// A lower bound on every lane's `due`: a request before this tick
+    /// cannot fire the age probe.
+    age_due: u64,
+    /// Reused address buffer for flushes into a worker's ring.
     addr_buf: Vec<u64>,
     /// Reused buffer the write buffer drains into at the end of a run,
     /// reserved for its every line.
@@ -160,6 +154,14 @@ pub struct McFrontend {
     degrade: Option<Quarantine>,
     /// Per-bank wreckage buffers (shared with the banks themselves).
     wreckage: Vec<Arc<Wreckage>>,
+}
+
+/// A logical bank's write queue and `due`, the tick the age probe will
+/// flush it at (`u64::MAX` while empty), side by side: one index a request.
+#[derive(Debug)]
+struct Lane {
+    queue: WriteQueue,
+    due: u64,
 }
 
 impl McFrontend {
@@ -182,7 +184,7 @@ impl McFrontend {
 
     /// Requests submitted so far.
     pub fn requests(&self) -> u64 {
-        self.requests
+        self.tick
     }
 
     /// The stop reason, once the stop policy has tripped.
@@ -294,18 +296,14 @@ impl McFrontend {
     /// # Panics
     ///
     /// Panics when `global` is outside the configured global space.
+    #[inline]
     pub fn submit(&mut self, global: u64) {
         assert!(
             global < self.total_blocks,
             "request {global} outside the global space of {} blocks",
             self.total_blocks
         );
-        self.requests += 1;
-        self.tick += 1;
-        if let Some(line) = self.wbuf.admit(global) {
-            self.enqueue(line);
-        }
-        self.age_probe();
+        self.step(global);
     }
 
     /// Flushes the write buffer, drains every queue, and summarizes the
@@ -336,9 +334,9 @@ impl McFrontend {
         }
         let ticks = self.busy_until.iter().copied().fold(self.tick, u64::max);
         McOutcome {
-            requests: self.requests,
+            requests: self.tick,
             absorbed: self.wbuf.absorbed(),
-            coalesced: self.queues.iter().map(WriteQueue::coalesced).sum(),
+            coalesced: self.lanes.iter().map(|l| l.queue.coalesced()).sum(),
             issued: self.banks.iter().map(Bank::issued).sum(),
             dropped: self.banks.iter().map(Bank::dropped).sum(),
             redirected: self.degrade.as_ref().map_or(0, |q| q.redirected),
@@ -377,8 +375,7 @@ impl McFrontend {
                 if mc.stop.is_some() {
                     break;
                 }
-                let addr = workload.next_write();
-                mc.submit(addr.index());
+                mc.step(workload.next_write().index());
             }
         });
         self.finish()

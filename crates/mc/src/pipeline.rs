@@ -1,8 +1,9 @@
-//! The bank hand-off protocol, written once: [`service`] drains one batch
-//! and publishes through [`BankSync`] — the only caller of [`Bank::drain`]
-//! on the flush path — per pop on a pinned worker, or from `flush_bank`
-//! itself when no workers run (inline mode is this protocol with nobody on
-//! the other side of the ring, so `sync_bank`'s wait is a no-op).
+//! The bank hand-off protocol, written once: a batch is drained into its
+//! bank and [`publish`]ed through [`BankSync`] — per pop on a pinned
+//! worker ([`Bank::drain`] of the ring's entries), or from `flush_bank`
+//! itself, straight from the queue, when no workers run (inline mode is
+//! this protocol with nobody on the other side of the ring, so
+//! `sync_bank`'s wait is a no-op).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,11 +25,10 @@ pub(crate) struct BankSync {
     pub(crate) alive: AtomicBool,
 }
 
-/// Drains `batch` into `bank` and publishes the outcome — per pop on a
-/// pinned worker, per flush on the submitting thread when none run.
+/// Publishes what draining `k` more entries left `bank` as — per pop on
+/// a pinned worker, per flush on the submitting thread when none run.
 #[inline]
-pub(crate) fn service(bank: &mut Bank, sync: &BankSync, batch: &[u64]) {
-    bank.drain(batch);
+pub(crate) fn publish(bank: &Bank, sync: &BankSync, k: usize) {
     // `alive` first, then the Release on `consumed`: the front-end's
     // Acquire of `consumed` orders the pair.
     sync.alive.store(bank.alive(), Ordering::Relaxed);
@@ -36,7 +36,7 @@ pub(crate) fn service(bank: &mut Bank, sync: &BankSync, batch: &[u64]) {
     // submitting thread while no workers run, handed over by the scope's
     // spawn and join — so `consumed` has a single writer and a plain
     // load + Release store reaches the same total as a locked RMW.
-    let done = sync.consumed.load(Ordering::Relaxed) + batch.len() as u64;
+    let done = sync.consumed.load(Ordering::Relaxed) + k as u64;
     sync.consumed.store(done, Ordering::Release);
 }
 
@@ -53,7 +53,8 @@ fn worker(
         for (idx, bank, cons) in part.iter_mut() {
             batch.clear();
             if cons.pop_into(&mut batch) > 0 {
-                service(bank, &sync[*idx], &batch);
+                bank.drain(&batch);
+                publish(bank, &sync[*idx], batch.len());
                 worked = true;
             }
         }
@@ -149,11 +150,11 @@ impl McFrontend {
         let mut dirty = std::mem::take(&mut self.dirty_buf);
         self.wbuf.flush_into(&mut dirty);
         for &line in &dirty {
-            self.enqueue(line);
+            self.enqueue(line, self.tick);
         }
         dirty.clear();
         self.dirty_buf = dirty;
-        for b in 0..self.queues.len() {
+        for b in 0..self.lanes.len() {
             self.flush_bank(b);
         }
     }

@@ -8,14 +8,12 @@
 //! the **earliest** arrival tick for a coalesced address: the merged
 //! write has been waiting since the first request to that line.
 //!
-//! Entries are `(address, arrival)` pairs in one contiguous `Vec` (the
-//! queue only ever fills and then drains completely, so no ring
-//! arithmetic is needed, and a push touches a single cache line), and
-//! [`WriteQueue::take_into`] hands the whole batch to the caller by
-//! buffer *swap* — the steady-state flush path moves no elements and
-//! allocates nothing.
-
-use wlr_base::dense::DenseSet;
+//! Entries are `(address, arrival)` pairs in one fixed array of `depth`
+//! slots (the queue only ever fills and then drains completely, so no
+//! ring arithmetic is needed): a push is one membership probe and one
+//! store, its bounds check the full-queue check. A local block is pending
+//! iff its stamp is the current batch's, so a drain forgets every member
+//! by bumping one counter. The front-end's flush reads the batch in place.
 
 /// One pending write: bank-local address and its arrival tick.
 pub type QueueEntry = (u64, u64);
@@ -23,13 +21,14 @@ pub type QueueEntry = (u64, u64);
 /// A bounded FIFO of pending bank-local writes with O(1) coalescing.
 #[derive(Debug)]
 pub struct WriteQueue {
-    /// Pending `(address, arrival tick)` pairs in arrival order.
-    entries: Vec<QueueEntry>,
-    /// Dense membership index over the bank's local address space.
-    present: DenseSet,
-    depth: usize,
+    /// `depth` slots; `entries[..len]` are pending, in arrival order.
+    entries: Box<[QueueEntry]>,
+    len: usize,
+    /// Per local block, the stamp of the last batch it joined.
+    seen: Vec<u8>,
+    /// The current batch's stamp, never 0 (no batch's).
+    stamp: u8,
     coalesced: u64,
-    enqueued: u64,
 }
 
 impl WriteQueue {
@@ -43,37 +42,32 @@ impl WriteQueue {
     pub fn new(depth: usize, local_space: u64) -> Self {
         assert!(depth > 0, "write queue depth must be nonzero");
         WriteQueue {
-            entries: Vec::with_capacity(depth),
-            present: DenseSet::with_capacity(local_space),
-            depth,
+            entries: vec![(0, 0); depth].into_boxed_slice(),
+            len: 0,
+            seen: vec![0; usize::try_from(local_space).expect("space fits in memory")],
+            stamp: 1,
             coalesced: 0,
-            enqueued: 0,
         }
     }
 
     /// Pending distinct addresses.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Whether the queue cannot accept a new distinct address.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.depth
+        self.len >= self.entries.len()
     }
 
     /// Requests coalesced into an already-pending slot so far.
     pub fn coalesced(&self) -> u64 {
         self.coalesced
-    }
-
-    /// Distinct addresses ever accepted (drained or still pending).
-    pub fn enqueued(&self) -> u64 {
-        self.enqueued
     }
 
     /// Enqueues a write of `local` arriving at tick `now`. Returns `true`
@@ -86,35 +80,42 @@ impl WriteQueue {
     /// the front-end drains all banks before that can happen.
     #[inline]
     pub fn push(&mut self, local: u64, now: u64) -> bool {
-        if !self.present.insert(local) {
+        let seen = &mut self.seen[local as usize];
+        if *seen == self.stamp {
             self.coalesced += 1;
             return false;
         }
-        assert!(
-            self.entries.len() < self.depth,
-            "push on a full write queue"
-        );
-        self.entries.push((local, now));
-        self.enqueued += 1;
+        *seen = self.stamp;
+        let Some(slot) = self.entries.get_mut(self.len) else {
+            panic!("push on a full write queue")
+        };
+        *slot = (local, now);
+        self.len += 1;
         true
     }
 
-    /// Arrival tick of the oldest pending entry, or `None` when empty.
-    #[inline]
-    pub fn front_arrival(&self) -> Option<u64> {
-        self.entries.first().map(|&(_, t)| t)
+    /// The pending entries, in arrival order.
+    pub(crate) fn pending(&self) -> &[QueueEntry] {
+        &self.entries[..self.len]
     }
 
-    /// Empties the queue in arrival order by swapping its entry buffer
-    /// with the caller's: after the call, `out` holds the batch and the
-    /// queue holds the caller's buffer (cleared). The steady-state flush
-    /// path therefore moves no elements and allocates nothing — latency
-    /// accounting is the caller's, since it depends on the drain model
-    /// (barrier completion vs. the pinned pipeline's service clock).
+    /// Drops every pending entry (the caller has taken the batch); every
+    /// 255 batches the stamps wrap and are all forgotten.
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+        self.stamp = self.stamp.wrapping_add(1).max(1);
+        if self.stamp == 1 {
+            self.seen.fill(0);
+        }
+    }
+
+    /// Empties the queue in arrival order into `out`, replacing what it
+    /// held — latency accounting is the caller's, since it depends on
+    /// the drain model (the pinned pipeline's service clock).
     pub fn take_into(&mut self, out: &mut Vec<QueueEntry>) {
         out.clear();
-        self.present.clear();
-        std::mem::swap(&mut self.entries, out);
+        out.extend_from_slice(self.pending());
+        self.clear();
     }
 }
 
@@ -130,12 +131,10 @@ mod tests {
         assert!(!q.push(3, 3), "duplicate must coalesce");
         assert_eq!(q.coalesced(), 1);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.front_arrival(), Some(1));
         let mut batch = Vec::new();
         q.take_into(&mut batch);
         assert_eq!(batch, vec![(3, 1), (5, 2)]);
         assert!(q.is_empty());
-        assert_eq!(q.front_arrival(), None);
     }
 
     #[test]
@@ -156,7 +155,13 @@ mod tests {
         q.push(1, 0);
         q.take_into(&mut Vec::new());
         assert!(q.push(1, 1), "drained address is a fresh slot again");
-        assert_eq!(q.enqueued(), 2);
+        // Past the stamps' wrap, a drained address is still fresh and a
+        // pending one still coalesces.
+        for round in 0..600 {
+            q.take_into(&mut Vec::new());
+            assert!(q.push(1, round), "round {round}");
+            assert!(!q.push(1, round), "round {round}");
+        }
     }
 
     #[test]

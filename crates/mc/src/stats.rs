@@ -79,7 +79,7 @@ impl BankReport {
 }
 
 /// End-of-run summary of a whole multi-bank front-end.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct McOutcome {
     /// Requests submitted to the front-end.
     pub requests: u64,

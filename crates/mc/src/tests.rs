@@ -1,6 +1,7 @@
 //! Unit tests of the front-end (see the parent module).
 
 use super::*;
+use crate::degrade::LOGICAL_SHIFT;
 use wl_reviver::sim::EccKind;
 use wlr_base::interleave::Interleave;
 use wlr_trace::UniformWorkload;
@@ -169,37 +170,73 @@ fn indivisible_space_is_rejected() {
 #[test]
 fn with_pipeline_matches_run_bit_for_bit() {
     // Driving submits through with_pipeline + finish must be
-    // indistinguishable from run() — it is the same machinery.
-    let build = || {
-        McFrontend::builder()
-            .banks(4)
-            .total_blocks(1 << 12)
-            .endurance_mean(2_000.0)
-            .gap_interval(8)
-            .drain_workers(2)
-            .seed(13)
-            .build()
-            .unwrap()
-    };
-    let mut a = build();
-    let mut w = UniformWorkload::new(1 << 12, 13);
-    let via_run = a.run(&mut w, 30_000);
-    let mut b = build();
-    let mut w = UniformWorkload::new(1 << 12, 13);
-    b.with_pipeline(|mc| {
-        for _ in 0..30_000 {
-            if mc.stop.is_some() {
-                break;
+    // indistinguishable from run() — the two share the request step — on
+    // every field of the outcome, per-bank reports and the latency
+    // histogram included: inline and on two workers, with and without
+    // the write buffer, at 1, 8 and 64 banks, steered, degraded through a
+    // bank death, and stopped by the first dead bank.
+    type Setup = fn(McFrontendBuilder) -> McFrontendBuilder;
+    // (name, blocks, requests, configuration); "degraded" also kills bank
+    // 1 after 64 writes.
+    let cases: [(&str, u64, u64, Setup); 6] = [
+        ("1 bank", 1 << 12, 30_000, |b| b.banks(1)),
+        ("8 banks, no buffer", 1 << 12, 30_000, |b| {
+            b.banks(8).write_buffer_lines(0)
+        }),
+        ("64 banks", 1 << 14, 30_000, |b| b.banks(64)),
+        ("steered", 1 << 12, 30_000, |b| b.banks(8).steering(true)),
+        ("degraded", 1 << 12, 20_000, |b| {
+            b.banks(4)
+                .endurance_mean(1e9)
+                .degraded(true)
+                .stop_policy(McStopPolicy::Quorum(1.0))
+        }),
+        ("first dead", 1 << 10, 10_000_000, |b| {
+            b.banks(4).endurance_mean(300.0).stack("ecc")
+        }),
+    ];
+    for (name, blocks, requests, setup) in cases {
+        for workers in [1, 2] {
+            let build = || {
+                let b = McFrontend::builder()
+                    .total_blocks(blocks)
+                    .endurance_mean(2_000.0)
+                    .gap_interval(8)
+                    .drain_workers(workers)
+                    .seed(13);
+                let mut mc = setup(b).build().unwrap();
+                if name == "degraded" {
+                    mc.kill_bank_after(1, 64);
+                }
+                mc
+            };
+            let mut a = build();
+            let via_run = a.run(&mut UniformWorkload::new(blocks, 13), requests);
+            let mut b = build();
+            let mut w = UniformWorkload::new(blocks, 13);
+            b.with_pipeline(|mc| {
+                for _ in 0..requests {
+                    if mc.stop.is_some() {
+                        break;
+                    }
+                    mc.submit(w.next_write().index());
+                }
+            });
+            let via_pipeline = b.finish();
+            assert!(
+                via_run == via_pipeline,
+                "{name}, {workers} workers: {via_run:?} != {via_pipeline:?}"
+            );
+            match name {
+                "degraded" => assert_eq!(via_run.quarantines, 1, "{name}"),
+                "first dead" => assert!(
+                    matches!(via_run.stop, McStopReason::BankDead(_)),
+                    "{name}: {:?}",
+                    via_run.stop
+                ),
+                _ => assert_eq!(via_run.stop, McStopReason::TraceComplete, "{name}"),
             }
-            mc.submit(w.next_write().index());
         }
-    });
-    let via_pipeline = b.finish();
-    assert_eq!(via_run.requests, via_pipeline.requests);
-    assert_eq!(via_run.issued, via_pipeline.issued);
-    assert_eq!(via_run.ticks, via_pipeline.ticks);
-    for (x, y) in via_run.banks.iter().zip(&via_pipeline.banks) {
-        assert_eq!(x.fingerprint, y.fingerprint, "bank {} diverged", x.bank);
     }
 }
 
@@ -530,4 +567,52 @@ fn a_kill_point_past_u64_max_saturates() {
     assert!(mc.banks()[1].issued() > before);
     assert_eq!(out.stop, McStopReason::TraceComplete);
     assert_eq!(out.dropped, 0);
+}
+
+#[test]
+fn a_substitute_serves_the_dead_banks_batches_on_its_own_clock() {
+    // Once bank 1 is quarantined, its batches are charged to the
+    // substitute's service clock on top of the substitute's own, so that
+    // clock — not the arrival tick — starts them: the latency tail and
+    // the final tick count say so. Pinned from the reference run.
+    let mut mc = McFrontend::builder()
+        .banks(4)
+        .total_blocks(1 << 12)
+        .endurance_mean(1e9)
+        .degraded(true)
+        .stop_policy(McStopPolicy::Quorum(1.0))
+        .seed(33)
+        .build()
+        .unwrap();
+    mc.kill_bank_after(1, 64);
+    let out = mc.run(&mut UniformWorkload::new(1 << 12, 33), 20_000);
+    assert_eq!(out.quarantines, 1);
+    let l = &out.latency;
+    assert_eq!(
+        (out.ticks, l.p50(), l.p99(), l.max(), l.count()),
+        (20_116, 168, 313, 433, 19_379),
+        "ticks, latency p50, p99, max, count"
+    );
+}
+
+#[test]
+fn a_dying_bank_parks_each_entry_with_its_own_logical_bank() {
+    // Under steering a ring pop can hold batches of two logical banks;
+    // the tail a kill point leaves un-issued keeps each entry's tag.
+    let mut mc = McFrontend::builder()
+        .banks(4)
+        .total_blocks(1 << 12)
+        .endurance_mean(1e9)
+        .degraded(true)
+        .seed(5)
+        .build()
+        .unwrap();
+    mc.kill_bank_after(0, 2);
+    let (a, b) = (2u64 << LOGICAL_SHIFT, 3u64 << LOGICAL_SHIFT);
+    let bank = &mut mc.banks_mut()[0];
+    bank.drain(&[a | 1, a | 2, a | 3, b | 4, b | 5]);
+    assert!(!bank.alive());
+    assert_eq!(bank.issued(), 2);
+    let parked = bank.wreckage().parked.lock().unwrap().clone();
+    assert_eq!(parked, vec![a | 3, b | 4, b | 5]);
 }

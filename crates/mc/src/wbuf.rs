@@ -9,25 +9,26 @@
 //! FIFO, so eviction order is a pure function of the request stream and
 //! the multi-bank run stays deterministic.
 
-use wlr_base::dense::DenseSet;
-
 /// FIFO write buffer over global block addresses.
 ///
-/// Once full (the steady state) the buffer is a flat ring: admitting a
-/// new line overwrites the slot at the cursor — whose occupant is by
-/// construction the oldest line — so the hot path is one bitset insert,
-/// one slot exchange, and one bitset remove, with no deque arithmetic.
+/// The buffer is a flat ring of `cap` slots, empty ones holding
+/// `u64::MAX`: admitting a new line overwrites the slot at the cursor,
+/// whose occupant is by construction the oldest line (or nothing while
+/// the buffer fills). Membership is a flag per global block, so the hot
+/// path is one flag set, one slot exchange, and one flag cleared.
 #[derive(Debug)]
 pub struct WriteBuffer {
-    /// Buffered lines. Ring-ordered once `len == cap`: the oldest line
-    /// sits at `cursor`. Empty forever when `cap` is zero.
-    slots: Vec<u64>,
-    /// Next eviction position once the buffer is full.
+    /// `cap` slots in ring order: the oldest line at or after `cursor`.
+    slots: Box<[u64]>,
+    /// Next slot to overwrite.
     cursor: usize,
-    present: DenseSet,
-    cap: usize,
+    /// `present[line]`: whether `line` is buffered.
+    present: Vec<bool>,
     absorbed: u64,
 }
+
+/// A slot that holds no line (no global space reaches `u64::MAX`).
+const EMPTY: u64 = u64::MAX;
 
 impl WriteBuffer {
     /// A buffer of `cap` lines over a global space of `space` blocks.
@@ -35,10 +36,9 @@ impl WriteBuffer {
     /// through.
     pub fn new(cap: usize, space: u64) -> Self {
         WriteBuffer {
-            slots: Vec::with_capacity(cap),
+            slots: vec![EMPTY; cap].into_boxed_slice(),
             cursor: 0,
-            present: DenseSet::with_capacity(space),
-            cap,
+            present: vec![false; usize::try_from(space).expect("space fits in memory")],
             absorbed: 0,
         }
     }
@@ -48,39 +48,31 @@ impl WriteBuffer {
         self.absorbed
     }
 
-    /// Lines currently buffered.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the buffer holds no lines.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Admits a write of `global`. Returns the line the front-end must
     /// now enqueue toward its bank: the request itself when buffering is
     /// disabled, the evicted oldest line when the buffer overflowed, or
     /// `None` when the write was absorbed or buffered without eviction.
     #[inline]
     pub fn admit(&mut self, global: u64) -> Option<u64> {
-        if self.cap == 0 {
+        // No slot at the cursor: `cap` is zero.
+        let Some(slot) = self.slots.get_mut(self.cursor) else {
             return Some(global);
-        }
-        if !self.present.insert(global) {
+        };
+        let present = &mut self.present[global as usize];
+        if *present {
             self.absorbed += 1;
             return None;
         }
-        if self.slots.len() < self.cap {
-            self.slots.push(global);
-            return None;
-        }
-        let oldest = std::mem::replace(&mut self.slots[self.cursor], global);
+        *present = true;
+        let oldest = std::mem::replace(slot, global);
         self.cursor += 1;
-        if self.cursor == self.cap {
+        if self.cursor == self.slots.len() {
             self.cursor = 0;
         }
-        self.present.remove(oldest);
+        if oldest == EMPTY {
+            return None;
+        }
+        self.present[oldest as usize] = false;
         Some(oldest)
     }
 
@@ -95,12 +87,12 @@ impl WriteBuffer {
     /// [`Self::flush`] onto the end of `out`: a caller that reuses `out`
     /// with the buffer's capacity reserved allocates nothing.
     pub fn flush_into(&mut self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&self.slots[self.cursor..]);
-        out.extend_from_slice(&self.slots[..self.cursor]);
-        for &line in &self.slots {
-            self.present.remove(line);
+        let (newer, older) = self.slots.split_at(self.cursor);
+        for &line in older.iter().chain(newer).filter(|&&s| s != EMPTY) {
+            out.push(line);
+            self.present[line as usize] = false;
         }
-        self.slots.clear();
+        self.slots.fill(EMPTY);
         self.cursor = 0;
     }
 }
@@ -129,7 +121,7 @@ mod tests {
         assert_eq!(b.admit(1), Some(2), "evicted line is admissible again");
         assert_eq!(b.admit(4), Some(3));
         assert_eq!(b.flush(), vec![1, 4]);
-        assert!(b.is_empty());
+        assert!(b.flush().is_empty());
     }
 
     #[test]

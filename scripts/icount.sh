@@ -2,6 +2,7 @@
 # Instructions per write, in total and per function.
 #
 #   scripts/icount.sh [STACK] [WINDOW_WRITES] [healthy|worn|crash|armed]
+#   scripts/icount.sh bank-uniform|bank-hot [WINDOW_REQUESTS]
 #
 # Builds the single-step tracer (scripts/icount.rs) with rustc and the
 # `icount_probe` example in release, then counts the instructions of
@@ -22,9 +23,32 @@
 #                      still fire, a window of 400 by default, fork and
 #                      arming excluded.
 #
+# The two bank modes count requests through `benchmark/`'s 8-bank
+# front-end instead, with `wlr-mc`'s `bank_probe` example (see
+# examples/bank_probe.rs): `bank-uniform` and `bank-hot` feed
+# it `bank_uniform`'s and `bank_hot`'s streams, skip 2 000 000 requests
+# and count a window of 10 000 by default. Their `--sum` lines split the
+# front-end's own rows (`wlr_mc::` less `Bank::drain`) from the banks'.
+#
 # The count is deterministic; the tracer steps about 60 000 instructions
 # a second, so a default window takes about a minute. Linux x86-64 only.
 set -euo pipefail
+
+root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
+target=${CARGO_TARGET_DIR:-$root/target}
+mkdir -p "$target/icount"
+rustc -O --edition 2021 -o "$target/icount/icount" "$root/scripts/icount.rs"
+
+case ${1:-} in
+    bank-uniform | bank-hot)
+        window=${2:-10000}
+        cargo build --quiet --release --offline --manifest-path "$root/Cargo.toml" \
+            -p wlr-mc --example bank_probe
+        exec "$target/icount/icount" --sum 'wlr_mc::' --sum 'wlr_mc::bank::Bank::drain' \
+            --sum 'wl_reviver::' --sum 'wlr_wl::' \
+            "$window" "$target/release/examples/bank_probe" "$1" 2000000 "$window"
+        ;;
+esac
 
 stack=${1:-reviver-sg}
 mode=${3:-healthy}
@@ -35,11 +59,6 @@ case $mode in
     armed) skip=0 window=${2:-400} ;;
     *) echo "icount.sh: mode $mode is not healthy, worn, crash or armed" >&2; exit 2 ;;
 esac
-root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
-target=${CARGO_TARGET_DIR:-$root/target}
-
-mkdir -p "$target/icount"
-rustc -O --edition 2021 -o "$target/icount/icount" "$root/scripts/icount.rs"
 cargo build --quiet --release --offline --manifest-path "$root/Cargo.toml" \
     -p wl-reviver --example icount_probe
 "$target/icount/icount" --sum 'wl_reviver::reviver::' --sum 'wlr_wl::' \

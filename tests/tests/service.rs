@@ -5,7 +5,7 @@
 use wlr_base::rng::Rng;
 use wlr_base::{AppAddr, Interleave, InterleaveMap};
 use wlr_mc::{McFrontend, McStopPolicy, McStopReason};
-use wlr_trace::{shard_records, UniformWorkload};
+use wlr_trace::{shard_records, HotRegionWorkload, UniformWorkload};
 
 /// Two drain worker threads and the inline drain must produce
 /// bit-identical per-bank write counts and fingerprints — while revival
@@ -197,4 +197,102 @@ fn quorum_policy_outlasts_first_dead_policy() {
     );
     assert!(quorum.conserves_writes());
     assert!(first.conserves_writes());
+}
+
+/// The benchmark's 8-bank front-end (`bank_frontend(8)`: 2¹⁴ blocks,
+/// ψ = 82, queue depth 64, 32 buffer lines, seed 42) under `bank_uniform`'s
+/// and `bank_hot`'s streams. Every number the front-end simulates is
+/// pinned: each bank's end state, the request accounting, the tick count
+/// and the queue-latency histogram. A change to the request path that
+/// moves any of them changes what the front-end models.
+#[test]
+fn bank_frontend_golden() {
+    #[derive(Debug)]
+    struct Golden {
+        fingerprints: [u64; 8],
+        counts: [u64; 6],
+        latency: [u64; 4],
+    }
+    let run = |hot: bool, workers: usize| {
+        let mut mc = McFrontend::builder()
+            .banks(8)
+            .total_blocks(1 << 14)
+            .endurance_mean(1e9)
+            .gap_interval(82)
+            .seed(42)
+            .queue_depth(64)
+            .write_buffer_lines(32)
+            .drain_workers(workers)
+            .build()
+            .unwrap();
+        let out = if hot {
+            mc.run(&mut HotRegionWorkload::new(1 << 14, 0.9, 0.01, 42), 300_000)
+        } else {
+            mc.run(&mut UniformWorkload::new(1 << 14, 42), 300_000)
+        };
+        assert_eq!(out.stop, McStopReason::TraceComplete);
+        Golden {
+            fingerprints: std::array::from_fn(|b| out.banks[b].fingerprint),
+            counts: [
+                out.requests,
+                out.absorbed,
+                out.coalesced,
+                out.issued,
+                out.drains,
+                out.ticks,
+            ],
+            latency: [
+                out.latency.p50(),
+                out.latency.p99(),
+                out.latency.count(),
+                out.latency.max(),
+            ],
+        }
+    };
+    let uniform = Golden {
+        fingerprints: [
+            0x41265cb8fd3f335a,
+            0x0053ffd9ccf93c00,
+            0x6ddc4451ecad44b5,
+            0xf8cbcf5b8c57c5aa,
+            0x297ce1268510e54c,
+            0x38f098b6008d12eb,
+            0xbc056486e142ba07,
+            0x33d0c910d34946ab,
+        ],
+        counts: [300_000, 600, 4_052, 295_348, 4_618, 300_062],
+        latency: [293, 590, 295_348, 772],
+    };
+    let hot = Golden {
+        fingerprints: [
+            0xfeab814e46f3e2ba,
+            0x145eb2bdddbb7f3b,
+            0xc71c4f7bd107e122,
+            0xed991072caf10fc6,
+            0xa09f3ac3a817fc10,
+            0x5bbea3505143d1ae,
+            0x5b1ca3e429762297,
+            0x82353133b3931e96,
+        ],
+        counts: [300_000, 46_527, 161_604, 91_869, 3_075, 300_031],
+        latency: [615, 774, 91_869, 775],
+    };
+    for (is_hot, want) in [(false, &uniform), (true, &hot)] {
+        // Inline, and with two pinned workers.
+        for workers in [1, 2] {
+            let got = run(is_hot, workers);
+            let at = format!("hot={is_hot}, workers={workers}");
+            for (b, (g, w)) in got.fingerprints.iter().zip(&want.fingerprints).enumerate() {
+                assert_eq!(g, w, "bank {b} fingerprint, {at}");
+            }
+            assert_eq!(
+                got.counts, want.counts,
+                "requests, absorbed, coalesced, issued, drains, ticks; {at}"
+            );
+            assert_eq!(
+                got.latency, want.latency,
+                "latency p50, p99, count, max; {at}"
+            );
+        }
+    }
 }
