@@ -56,6 +56,35 @@ impl OrderStatistics {
         }
     }
 
+    /// Resumes a stream after `emitted` statistics, the last of which was
+    /// `current` (0.0 when `emitted` is 0): `rng` must stand where the
+    /// original stream's stood after those draws, one `gen_open_f64` per
+    /// statistic. The resumed stream then continues exactly like the
+    /// original, without redrawing what came before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`, `emitted > n`, or `current` is outside `[0, 1)`.
+    pub fn resume(rng: Rng, n: u32, emitted: u32, current: f64) -> Self {
+        assert!(n > 0, "order statistics require at least one sample");
+        assert!(emitted <= n, "only {n} order statistics exist");
+        assert!(
+            (0.0..1.0).contains(&current),
+            "a uniform order statistic lies in [0, 1)"
+        );
+        OrderStatistics {
+            rng,
+            n,
+            emitted,
+            current,
+        }
+    }
+
+    /// The last uniform order statistic emitted (0.0 before the first).
+    pub fn current(&self) -> f64 {
+        self.current
+    }
+
     /// Total number of underlying samples.
     pub fn population(&self) -> u32 {
         self.n
@@ -188,6 +217,25 @@ mod tests {
         };
         assert_eq!(seq(23), seq(23));
         assert_ne!(seq(23), seq(24));
+    }
+
+    #[test]
+    fn resume_continues_the_original_stream() {
+        let n = 512;
+        for k in 0..40 {
+            let mut original = OrderStatistics::new(Rng::stream(37, k.into()), n);
+            let mut rng = Rng::stream(37, k.into());
+            for _ in 0..k {
+                original.next_uniform();
+                rng.gen_open_f64();
+            }
+            let mut resumed = OrderStatistics::resume(rng, n, k, original.current());
+            assert_eq!(resumed.emitted(), original.emitted());
+            for _ in 0..24 {
+                assert_eq!(resumed.next_uniform(), original.next_uniform(), "k = {k}");
+                assert_eq!(resumed.current(), original.current());
+            }
+        }
     }
 
     #[test]

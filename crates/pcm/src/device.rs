@@ -137,6 +137,8 @@ impl PcmDeviceBuilder {
             lifetime,
             ecc: self.ecc.unwrap_or_else(|| Box::new(Ecp::ecp6())),
             blocks: vec![BlockState::default(); total_usize],
+            failures: vec![0; total_usize],
+            order: Vec::new(),
             contents: if self.track_contents {
                 Some(vec![0; total_usize])
             } else {
@@ -150,19 +152,19 @@ impl PcmDeviceBuilder {
     }
 }
 
-/// Per-block mutable state, packed into one slot so the write hot path
-/// (wear bump + threshold compare) touches a single cache line instead of
-/// parallel arrays. Whether a block is dead is not here but in
-/// [`PcmDevice`]'s dead set; a dead block's threshold is 0, which the fast
-/// write declines like any threshold not yet drawn.
+/// The per-block state every write reads, packed into one 8-byte slot so
+/// the write hot path (wear bump + threshold compare) touches a single
+/// cache line instead of parallel arrays. What only a crossed threshold
+/// reads lives in [`PcmDevice`]'s cold tables: the failure count and the
+/// order statistic the next threshold resumes from. Whether a block is
+/// dead is not here either but in the dead set; a dead block's threshold
+/// is 0, which the fast write declines like any threshold not yet drawn.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct BlockState {
     /// Writes absorbed so far.
     pub(crate) wear: u32,
     /// Next cell-failure threshold; 0 = not yet materialized, or dead.
     pub(crate) threshold: u32,
-    /// Cell failures suffered so far.
-    pub(crate) failures: u8,
 }
 
 /// The simulated PCM chip.
@@ -177,9 +179,17 @@ pub struct PcmDevice {
     geometry: Geometry,
     total_blocks: u64,
     lifetime: LifetimeModel,
-    // `pub(crate)`: the law suite (`laws.rs`) reads these three directly.
+    // `pub(crate)`: the law suite (`laws.rs`) reads these four directly.
     pub(crate) ecc: Box<dyn ErrorCorrection>,
     pub(crate) blocks: Vec<BlockState>,
+    /// Cell failures suffered so far, per block.
+    pub(crate) failures: Vec<u8>,
+    /// Per block, the uniform order statistic its current threshold was
+    /// drawn from (`LifetimeModel::threshold_from`), 0.0 while unknown.
+    /// Empty until the chip's first second failure: a healthy chip's few
+    /// first failures (the distribution's floor puts some first thresholds
+    /// at one write) then cost one replayed draw each rather than a table.
+    order: Vec<f64>,
     contents: Option<Vec<u64>>,
     /// The permanently dead blocks: the one record of a death, one bit a
     /// block.
@@ -288,7 +298,7 @@ impl PcmDevice {
                 // read; the scheme absorbs it iff a real (permanent)
                 // failure of the same rank would still be correctable.
                 // No entry is consumed — the cell recovers.
-                let nth = u32::from(self.blocks[da.as_usize()].failures) + 1;
+                let nth = u32::from(self.failures[da.as_usize()]) + 1;
                 let corrected = self.ecc.would_correct(da, nth);
                 let fault = self.fault.as_mut().expect("caller checked");
                 fault.note_transient(corrected);
@@ -325,8 +335,11 @@ impl PcmDevice {
         if self.dead.contains(da.index()) {
             return WriteOutcome::AlreadyDead;
         }
-        self.blocks[i].wear = self.blocks[i].wear.saturating_add(1);
-        if !self.cross_thresholds(i) {
+        let b = &mut self.blocks[i];
+        b.wear = b.wear.saturating_add(1);
+        // A threshold not yet drawn is 0, which sends the block's first
+        // write across too.
+        if b.wear >= b.threshold && !self.cross_thresholds(i) {
             return WriteOutcome::NewFailure;
         }
         if let Some(c) = &mut self.contents {
@@ -344,20 +357,42 @@ impl PcmDevice {
     fn cross_thresholds(&mut self, i: usize) -> bool {
         let da = Da::new(i as u64);
         if self.blocks[i].threshold == 0 {
-            self.blocks[i].threshold = clamp_u32(self.lifetime.threshold(da.index(), 1));
+            self.blocks[i].threshold = self.draw_threshold(i, 1);
         }
         while self.blocks[i].wear >= self.blocks[i].threshold {
             // One more cell just failed.
-            let nth = u32::from(self.blocks[i].failures) + 1;
+            let nth = u32::from(self.failures[i]) + 1;
             assert!(nth < 250, "implausible cell-failure count on {da}");
-            self.blocks[i].failures = nth as u8;
+            self.failures[i] = nth as u8;
             if !self.ecc.correct(da, nth) {
                 self.kill(i);
                 return false;
             }
-            self.blocks[i].threshold = clamp_u32(self.lifetime.threshold(da.index(), nth + 1));
+            self.blocks[i].threshold = self.draw_threshold(i, nth + 1);
         }
         true
+    }
+
+    /// Block `i`'s `nth` threshold, resumed from its stored order statistic
+    /// when there is one. Every block draws its thresholds in order, so the
+    /// stored statistic is always the `(nth − 1)`-th, or 0.0 (unknown, and
+    /// replayed) for a block whose last draw came before the table existed.
+    #[inline]
+    fn draw_threshold(&mut self, i: usize, nth: u32) -> u32 {
+        if nth > 2 && self.order.is_empty() {
+            self.allocate_order();
+        }
+        let mut unknown = 0.0;
+        let last = self.order.get_mut(i).unwrap_or(&mut unknown);
+        clamp_u32(self.lifetime.threshold_from(i as u64, nth, last))
+    }
+
+    /// Allocates the order-statistic table at the chip's first second
+    /// failure, out of line so that the write path does not carry it.
+    #[cold]
+    #[inline(never)]
+    fn allocate_order(&mut self) {
+        self.order = vec![0.0; self.blocks.len()];
     }
 
     /// Steady-state fast write: services the write only when nothing rare
@@ -587,7 +622,8 @@ impl PcmDevice {
     /// Because cell lifetimes are a pure function of (seed, block, nth
     /// failure), a block that absorbed `W` writes before the snapshot
     /// crosses the same thresholds here: `failures`, `dead`, and the next
-    /// threshold come out bit-identical to the pre-snapshot state. ECC
+    /// threshold come out bit-identical to the pre-snapshot state (the
+    /// stored order statistics, a cache of the draws, may differ). ECC
     /// state is replayed through the same [`ErrorCorrection::correct`]
     /// calls; for stateless schemes (ECP) this is exact, while a shared
     /// pool (PAYG) ends with the same number of entries consumed but not

@@ -28,7 +28,8 @@
 //! * `clone_identical`: a clone driven in lockstep stays identical;
 //! * `restore_roundtrip`: a fresh device given `wear_snapshot()`, and the
 //!   deaths wear cannot replay, equals the live one in wear, failures,
-//!   thresholds, deaths and ECC; once a PAYG pool has refused an entry,
+//!   thresholds, deaths and ECC (not in the order statistics it stores
+//!   to resume its draws: a cache); once a PAYG pool has refused an entry,
 //!   replay order may move deaths (see `restore_wear_image`) and only wear
 //!   is compared.
 
@@ -499,6 +500,7 @@ impl<'a, D: Device, F: Fn(PcmDevice) -> D> Run<'a, D, F> {
         assert!(same, "restore_roundtrip: wear differs at op {op}");
         if !self.m.pool_dry {
             let same = format!("{:?}", back.blocks) == format!("{:?}", live.blocks)
+                && back.failures == live.failures
                 && back.dead_iter().eq(live.dead_iter())
                 && format!("{:?}", back.ecc) == format!("{:?}", live.ecc);
             assert!(same, "restore_roundtrip: state differs at op {op}");
@@ -520,7 +522,7 @@ impl<'a, D: Device, F: Fn(PcmDevice) -> D> Run<'a, D, F> {
             && dead.iter().all(|&d| dev.is_dead(d));
         assert!(listed, "dead_set_matches_model: at op {op}");
 
-        let failures: Vec<u32> = dev.blocks.iter().map(|b| b.failures.into()).collect();
+        let failures: Vec<u32> = dev.failures.iter().map(|&f| f.into()).collect();
         let worn = dev.wear_snapshot() == m.wear && failures == m.failures;
         assert!(worn, "dies_at_threshold: wear or failures at op {op}");
         let b = da.as_usize();

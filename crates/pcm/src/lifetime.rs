@@ -10,10 +10,12 @@
 //! Rather than storing 512 lifetimes per block, [`LifetimeModel`]
 //! regenerates the order statistics on demand from a per-block deterministic
 //! stream (see `wlr_base::stats::order`); the device only persists the next
-//! un-crossed threshold. ECP replacement cells are assumed to be no weaker
-//! than the surviving original cells — the standard modeling simplification
-//! in ECP-style evaluations, which leaves block death at the (k+1)-th order
-//! statistic.
+//! un-crossed threshold and, on a worn chip, the uniform order statistic it
+//! was drawn from, so that the next threshold resumes the stream instead of
+//! replaying it ([`LifetimeModel::threshold_from`]). ECP replacement cells
+//! are assumed to be no weaker than the surviving original cells — the
+//! standard modeling simplification in ECP-style evaluations, which leaves
+//! block death at the (k+1)-th order statistic.
 
 use wlr_base::rng::Rng;
 use wlr_base::stats::OrderStatistics;
@@ -80,24 +82,53 @@ impl LifetimeModel {
     /// (1-based). Regenerated deterministically from `(seed, block)`;
     /// successive `nth` values are non-decreasing.
     ///
-    /// This is O(`nth`) — callers ask for small `nth` (at most the ECC
-    /// correction cap plus one), and only when a threshold is crossed. The
-    /// `nth − 1` statistics below the one asked for are drawn as uniforms:
-    /// only the last goes through the inverse normal CDF.
+    /// This replays the block's stream from its first failure, O(`nth`)
+    /// `powf` steps: it is the spec the device's resumed draw
+    /// ([`Self::threshold_from`]) is checked against, and what callers
+    /// without a block's earlier statistic use.
     ///
     /// # Panics
     ///
     /// Panics if `nth` is 0 or exceeds the cell count.
     pub fn threshold(&self, block: u64, nth: u32) -> u64 {
+        self.threshold_from(block, nth, &mut 0.0)
+    }
+
+    /// [`Self::threshold`], resumed from the block's `(nth − 1)`-th uniform
+    /// order statistic `*last`, which it replaces with the `nth`-th.
+    ///
+    /// `*last == 0.0` means unknown: the stream is replayed, every statistic
+    /// below the one asked for drawn as a uniform and only the last one
+    /// through the inverse normal CDF. Otherwise the block's stream skips
+    /// the `nth − 1` uniforms those statistics consumed, with no `powf`,
+    /// and draws one statistic on from `*last`. A drawn statistic is
+    /// never 0.0 (each step adds at least `f64::MIN_POSITIVE` of what is
+    /// left), so a stored one always resumes. Both ways give the same
+    /// threshold and the same `*last`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nth` is 0 or exceeds the cell count.
+    pub fn threshold_from(&self, block: u64, nth: u32, last: &mut f64) -> u64 {
         assert!(nth >= 1, "cell-failure index is 1-based");
         assert!(nth <= self.cells, "a block has only {} cells", self.cells);
-        let mut os = OrderStatistics::new(Rng::stream(self.seed, block), self.cells);
-        for _ in 1..nth {
-            os.next_uniform();
-        }
+        let mut rng = Rng::stream(self.seed, block);
+        let mut os = if *last > 0.0 {
+            for _ in 1..nth {
+                rng.gen_open_f64();
+            }
+            OrderStatistics::resume(rng, self.cells, nth - 1, *last)
+        } else {
+            let mut os = OrderStatistics::new(rng, self.cells);
+            for _ in 1..nth {
+                os.next_uniform();
+            }
+            os
+        };
         let value = os
             .next_normal(self.mean, self.sd, 1.0)
             .expect("nth is bounded by the cell count");
+        *last = os.current();
         // Cell fails *at* this write count (ceil keeps thresholds >= 1).
         value.ceil() as u64
     }
@@ -152,6 +183,40 @@ mod tests {
                         "mean {}, block {block}, nth {nth}",
                         m.mean
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_thresholds_equal_the_replay() {
+        for m in [
+            LifetimeModel::paper_scale(5),
+            LifetimeModel::new(2_000.0, 0.2, 512, 42),
+            // Almost every statistic checked clamps at the 1-write floor
+            // (z < −1: about the first 80 of 512 cells), so the thresholds
+            // agree trivially and the statistics underneath must match.
+            LifetimeModel::new(2_000.0, 1.0, 512, 7),
+        ] {
+            let model = format!("mean {}, sd {}", m.mean, m.sd);
+            for block in 0..1_000 {
+                let mut last = 0.0;
+                for nth in 1..=64 {
+                    let want = m.threshold(block, nth);
+                    let before = last;
+                    assert_eq!(
+                        m.threshold_from(block, nth, &mut last),
+                        want,
+                        "{model}, block {block}, nth {nth}, resumed"
+                    );
+                    assert!(
+                        last > before,
+                        "block {block}, nth {nth}: {last} <= {before}"
+                    );
+                    // From "unknown", the same threshold and statistic.
+                    let mut fresh = 0.0;
+                    assert_eq!(m.threshold_from(block, nth, &mut fresh), want);
+                    assert_eq!(fresh, last, "{model}, block {block}, nth {nth}");
                 }
             }
         }

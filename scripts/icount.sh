@@ -30,6 +30,10 @@
 # and count a window of 10 000 by default. Their `--sum` lines split the
 # front-end's own rows (`wlr_mc::` less `Bank::drain`) from the banks'.
 #
+# In those four modes the `--sum` lines give the reviver's rows, the
+# leveler's and the threshold draw's (`wlr_pcm::lifetime::`, its `powf`
+# and `Rng::stream` aside) apart.
+#
 # The count is deterministic; the tracer steps about 60 000 instructions
 # a second, so a default window takes about a minute. Linux x86-64 only.
 set -euo pipefail
@@ -62,4 +66,5 @@ esac
 cargo build --quiet --release --offline --manifest-path "$root/Cargo.toml" \
     -p wl-reviver --example icount_probe
 "$target/icount/icount" --sum 'wl_reviver::reviver::' --sum 'wlr_wl::' \
+    --sum 'wlr_pcm::lifetime::' \
     "$window" "$target/release/examples/icount_probe" "$stack" "$skip" "$window" "$mode"

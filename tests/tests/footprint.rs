@@ -133,9 +133,14 @@ fn a_healthy_fork_copies_no_empty_table() {
     println!("healthy fork {fork:?}");
     // Before: 24 calls / 478 KiB. Six of them were the slot arrays of
     // four empty pointer tables (64 KiB each) and the two layout tables
-    // a grant filled in, before any page had retired.
+    // a grant filled in, before any page had retired. Then 16 calls /
+    // 218 KiB, until the device's 12-byte block slot became 8 bytes of
+    // wear and threshold plus a byte of failures in a table of its own
+    // (one call more, 48 KiB less); the order statistics a worn chip
+    // resumes its thresholds from are not allocated before the chip's
+    // first second cell failure, so a healthy fork copies none.
     assert!(
-        fork.count <= 19 && fork.bytes <= 224 * KIB,
+        fork.count <= 17 && fork.bytes <= 170 * KIB,
         "healthy fork {fork:?}"
     );
 }

@@ -136,14 +136,19 @@ fn a_crash_cycle_stays_inside_its_allocation_budget() {
         // oracle dropped its sorted key list: 30 calls / 1,022 KiB, four
         // large. Then 29 calls / 737 KiB, until the pointer-section
         // layout became arithmetic on the retired-page bitmap instead of a
-        // slot table and a section set. What is left is what a cycle can
-        // write to: the device, the oracle's map, the OS tables and three
-        // half-width pointer tables.
+        // slot table and a section set. Then 24 / 25 calls, 668 KiB, three
+        // large, until the device split its block table: 8 B of wear and
+        // threshold a block, one of failures, and 8 of the order
+        // statistic each next threshold resumes from instead of replaying
+        // the block's stream (80 KiB and two calls more, one of them
+        // large, to draw a worn chip's thresholds with one `powf` each).
+        // What is left is what a cycle can write to: the device, the
+        // oracle's map, the OS tables and three half-width pointer tables.
         assert!(
-            fork.count <= 26 && fork.bytes <= 700 * KIB,
+            fork.count <= 27 && fork.bytes <= 750 * KIB,
             "{stack}: {fork:?}"
         );
-        assert!(fork.large <= 3 && fork.reallocs == 0, "{stack}: {fork:?}");
+        assert!(fork.large <= 4 && fork.reallocs == 0, "{stack}: {fork:?}");
         // Before: one 288 KiB reallocation, the sample history outgrowing
         // a clone made with no room to spare. Now the fork's samples start
         // a tail of its own.
